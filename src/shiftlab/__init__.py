@@ -13,9 +13,9 @@ from .errors import (AlphabetMismatchError, AmbiguousDigitError,
                      NotAnAutomorphismError, ReducibleGraphError,
                      ReturnTimeCapError, ShiftlabError, UndefinedEntropyError,
                      UnsupportedSpecError, WrongStatusError)
-from .language import (Alphabet, LanguageOracle, complexity,
-                       enumerate_language, format_word, lex_compare,
-                       oracle_from_membership, special_words, subwords)
+from .language import (Alphabet, LanguageOracle, complexity, format_word,
+                       lex_compare, special_words, subwords)
+from .graph import LabeledGraph, make_labeled_graph, prune_labeled
 from .sft import (BlockGraph, FiniteTypeSpec, build_block_graph, full_shift,
                   per_count, per_enumerate, per_le_enumerate,
                   periodic_count_le, scc_subgraphs, sft_cover, sft_entropy,
@@ -23,12 +23,11 @@ from .sft import (BlockGraph, FiniteTypeSpec, build_block_graph, full_shift,
 from .forbidden import (LSReport, MFWTable, example_nonempty_shift, ls_report,
                         minimal_forbidden, tau_eval, well_approx_check,
                         window_density_report)
-from .sofic import (BlockCode, LabeledGraph, apply_block_code,
-                    block_graph_as_labeled, compose_codes, determinize,
-                    finite_type_presentation, identity_code, is_sft, prune_labeled,
+from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
+                    finite_type_presentation, identity_code, is_sft,
                     language_equal_exact, language_equal_up_to,
-                    make_labeled_graph, mfw_length_set, sofic_entropy,
-                    sofic_oracle, sofic_per_enumerate, theorem1_diagnostic)
+                    mfw_length_set, sofic_entropy, sofic_oracle,
+                    sofic_per_enumerate, theorem1_diagnostic)
 from .measures import (CylinderMeasure, PeriodicSupportMeasure,
                        automorphism_invariance_check, cylinder_table,
                        eval_cylinder, max_entropy_decomposition, mu_y_average,

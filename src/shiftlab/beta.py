@@ -15,7 +15,7 @@ arithmetic for decimal literals, where every floor is certified by
 escalating precision and the status honestly stays truncated.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import re
 
@@ -27,7 +27,7 @@ from .errors import (AmbiguousDigitError, CannotCloseError,
                      WrongStatusError)
 from .forbidden import MFWTable
 from .language import EQUAL, GREATER, LESS, Alphabet, LanguageOracle
-from .sofic import make_labeled_graph, prune_labeled
+from .graph import make_labeled_graph, prune_labeled
 
 
 @dataclass(frozen=True)

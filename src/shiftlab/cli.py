@@ -227,7 +227,7 @@ def cmd_parry(args):
     report = {
         "perron": measure.perron,
         "stationary": {format_word(v): measure.stationary[v]
-                       for v in graph.vertices},
+                       for v in graph.states},
     }
     report.update(_cylinders(measure, args.depth, "parry"))
     return report

@@ -1,0 +1,151 @@
+"""Finite labeled graphs: the one graph type behind SFT block
+presentations and sofic presentations.
+
+A state set is a frozenset; reading a letter from a state set gives the
+survivor set of its successors, which is how both the SFT and the sofic
+layers decide membership, determinize and walk pair spaces.
+"""
+
+from dataclasses import dataclass, replace
+from functools import cached_property
+
+from .errors import AlphabetMismatchError
+from .language import Alphabet
+
+
+@dataclass(frozen=True)
+class LabeledGraph:
+    """Finite labeled graph presenting a sofic shift.
+
+    ``transitions[s][a]`` is the tuple of successors of state s under
+    letter a; absent entries mean no edge.  The presentation is
+    deterministic when every (state, letter) has at most one successor.
+    """
+
+    alphabet: Alphabet
+    states: tuple
+    transitions: dict
+    label: str = ""
+
+    @property
+    def is_empty(self):
+        return not self.states
+
+    @cached_property
+    def state_index(self):
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def deterministic(self):
+        return all(len(ts) <= 1
+                   for row in self.transitions.values()
+                   for ts in row.values())
+
+    def successors(self, state, letter):
+        return self.transitions.get(state, {}).get(letter, ())
+
+    @cached_property
+    def adjacency(self):
+        """Integer adjacency matrix counting parallel edges."""
+        n = len(self.states)
+        a = [[0] * n for _ in range(n)]
+        idx = self.state_index
+        for s, row in self.transitions.items():
+            for ts in row.values():
+                for t in ts:
+                    a[idx[s]][idx[t]] += 1
+        return a
+
+    def label_matrix(self, letter):
+        """0/1 matrix of the edges carrying one letter."""
+        n = len(self.states)
+        m = [[0] * n for _ in range(n)]
+        idx = self.state_index
+        for s, row in self.transitions.items():
+            for t in row.get(letter, ()):
+                m[idx[s]][idx[t]] = 1
+        return m
+
+    def edge_list(self):
+        out = []
+        for s in self.states:
+            for a in self.alphabet:
+                for t in self.successors(s, a):
+                    out.append((s, a, t))
+        return out
+
+
+def make_labeled_graph(alphabet, states, edges, label=""):
+    """Build a LabeledGraph from an edge list of (source, letter, target)."""
+    states = tuple(states)
+    seen = set(states)
+    trans = {}
+    for s, a, t in edges:
+        if s not in seen or t not in seen:
+            raise AlphabetMismatchError("edge endpoints must be declared states")
+        if a not in alphabet:
+            raise AlphabetMismatchError("edge label %r outside the alphabet" % (a,))
+        trans.setdefault(s, {}).setdefault(a, set()).add(t)
+    index = {s: i for i, s in enumerate(states)}
+    frozen = {
+        s: {a: tuple(sorted(ts, key=index.__getitem__)) for a, ts in row.items()}
+        for s, row in trans.items()
+    }
+    return LabeledGraph(alphabet, states, frozen, label=label)
+
+
+def prune_labeled(g):
+    """Essential part: keep states with both an in- and an out-edge,
+    iterating to a fixpoint.
+
+    State order and the graph's type (with any extra fields) are kept.
+    """
+    alive = set(g.states)
+    while True:
+        has_out = {s for s in alive
+                   if any(t in alive for ts in g.transitions.get(s, {}).values() for t in ts)}
+        has_in = set()
+        for s in has_out:
+            for ts in g.transitions.get(s, {}).values():
+                for t in ts:
+                    if t in alive:
+                        has_in.add(t)
+        keep = has_out & has_in
+        if keep == alive:
+            break
+        alive = keep
+    states = tuple(s for s in g.states if s in alive)
+    index = {s: i for i, s in enumerate(states)}
+    trans = {}
+    for s in states:
+        row = {}
+        for a, ts in g.transitions.get(s, {}).items():
+            kept = tuple(sorted((t for t in ts if t in alive), key=index.__getitem__))
+            if kept:
+                row[a] = kept
+        if row:
+            trans[s] = row
+    return replace(g, states=states, transitions=trans)
+
+
+def _subset_step(g, states, letter):
+    out = set()
+    for s in states:
+        out.update(g.successors(s, letter))
+    return frozenset(out)
+
+
+def _survivor_membership(g):
+    """Membership in the language of a pruned presentation: a word is
+    allowed when reading it from the full state set leaves survivors."""
+    full = frozenset(g.states)
+
+    def membership(word):
+        states = full
+        for a in word:
+            states = _subset_step(g, states, a)
+            if not states:
+                return False
+        return bool(states)
+
+    return membership

@@ -204,15 +204,6 @@ class LanguageOracle:
         return not self.contains(EMPTY_WORD)
 
 
-def oracle_from_membership(alphabet, membership, horizon, label=""):
-    return LanguageOracle(alphabet, membership, horizon, label)
-
-
-def enumerate_language(oracle, n):
-    """Sorted tuple of the allowed words of length ``n``."""
-    return oracle.words_of_length(n)
-
-
 def complexity(oracle, n_max):
     """Complexity profile [p(0), p(1), ..., p(n_max)].
 

@@ -25,7 +25,7 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
 from .sft import _minimal_period, _moebius_table, scc_subgraphs
 from .sofic import (apply_block_code, compose_codes, determinize,
                     language_equal_exact, sofic_entropy, sofic_per_enumerate)
-from .spectral import (int_matmul, int_matpow, int_trace, is_irreducible,
+from .spectral import (int_matmul, int_trace, is_irreducible,
                        perron_root, perron_vectors,
                        strongly_connected_components)
 
@@ -216,7 +216,7 @@ def nu_cylinder_measure(graph, n, depth):
     if n < 1:
         raise EmptySupportError("period bound must be >= 1")
     adj = graph.adjacency
-    size = len(graph.vertices)
+    size = len(graph.states)
     mob = _moebius_table(n)
     powers = [None] * (n + 1)
     powers[0] = [[int(i == j) for j in range(size)] for i in range(size)]
@@ -268,7 +268,7 @@ def parry_measure(graph):
     if graph.is_empty:
         raise EmptyShiftError("the empty shift carries no measure")
     adj = graph.adjacency
-    size = len(graph.vertices)
+    size = len(graph.states)
     succ = [[j for j in range(size) if adj[i][j]] for i in range(size)]
     if not is_irreducible(size, succ):
         raise ReducibleGraphError(
@@ -277,21 +277,21 @@ def parry_measure(graph):
     if lam <= 0:
         raise EmptyShiftError("no cycles; the shift is empty")
     norm = sum(left[i] * right[i] for i in range(size))
-    stationary = {v: left[i] * right[i] / norm for i, v in enumerate(graph.vertices)}
+    stationary = {v: left[i] * right[i] / norm for i, v in enumerate(graph.states)}
     transition = tuple(
         tuple(adj[i][j] * right[j] / (lam * right[i]) for j in range(size))
         for i in range(size))
     measure = ParryMeasure(graph, lam, stationary, transition,
-                           {v: right[i] for i, v in enumerate(graph.vertices)})
+                           {v: right[i] for i, v in enumerate(graph.states)})
     _validate_parry(measure)
     return measure
 
 
 def _validate_parry(measure):
     graph = measure.graph
-    size = len(graph.vertices)
+    size = len(graph.states)
     lam = measure.perron
-    pi = [measure.stationary[v] for v in graph.vertices]
+    pi = [measure.stationary[v] for v in graph.states]
     p = measure.transition
     for i in range(size):
         if abs(sum(p[i]) - 1) > 1e-10:
@@ -302,7 +302,7 @@ def _validate_parry(measure):
             raise ShiftlabError("Parry stationary vector is not stationary")
     # edge-level entropy: parallel edges split P_{uv} evenly by construction
     adj = graph.adjacency
-    r = [measure.right[v] for v in graph.vertices]
+    r = [measure.right[v] for v in graph.states]
     h = 0.0
     for i in range(size):
         for j in range(size):
@@ -326,9 +326,10 @@ def _parry_eval(measure, word):
     if prob is None:
         return 0.0
     for a in word[f - 1:]:
-        t = graph.edges.get(v, {}).get(a)
-        if t is None:
+        nxt = graph.successors(v, a)
+        if not nxt:
             return 0.0
+        t = nxt[0]
         prob *= measure.right[t] / (measure.perron * measure.right[v])
         v = t
     return prob

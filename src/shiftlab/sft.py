@@ -12,14 +12,13 @@ raised, because downstream diagnostics want to report it.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EnumerationCapError, UndefinedEntropyError)
-from .language import EMPTY_WORD, Alphabet, LanguageOracle, subwords
-from .spectral import (int_matmul, int_matpow, int_trace,
-                       spectral_radius_certified,
+from .graph import LabeledGraph, _survivor_membership, prune_labeled
+from .language import EMPTY_WORD, Alphabet, LanguageOracle
+from .spectral import (int_matpow, int_trace, spectral_radius_certified,
                        strongly_connected_components)
 
 DEFAULT_CAP = 10 ** 6
@@ -65,83 +64,20 @@ class FiniteTypeSpec:
 
 
 @dataclass(frozen=True)
-class BlockGraph:
+class BlockGraph(LabeledGraph):
     """Pruned higher-block presentation of an SFT.
 
-    ``vertices`` are allowed (memory-1)-words; ``edges[u][a]`` is the
-    vertex reached from u by appending letter a (at most one per letter,
-    so the presentation is deterministic).  For memory 1 the single
-    vertex is the empty word and edges are the allowed letters.
+    A deterministic labeled graph whose states are the allowed
+    (memory-1)-words in sorted order; the edge labeled a leaves u for
+    (u + a)[1:].  For memory 1 the single state is the empty word and
+    the edges are the allowed letters.
     """
 
-    alphabet: Alphabet
-    memory: int
-    vertices: tuple
-    edges: dict
-    label: str = ""
+    memory: int = 1
 
     @property
-    def is_empty(self):
-        return not self.vertices
-
-    @cached_property
-    def vertex_index(self):
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def adjacency(self):
-        """Integer adjacency matrix counting parallel edges."""
-        n = len(self.vertices)
-        a = [[0] * n for _ in range(n)]
-        idx = self.vertex_index
-        for u in self.vertices:
-            for _, v in self.edges.get(u, {}).items():
-                a[idx[u]][idx[v]] += 1
-        return a
-
-    def label_matrix(self, letter):
-        """0/1 matrix of the edges carrying one letter."""
-        n = len(self.vertices)
-        m = [[0] * n for _ in range(n)]
-        idx = self.vertex_index
-        for u in self.vertices:
-            v = self.edges.get(u, {}).get(letter)
-            if v is not None:
-                m[idx[u]][idx[v]] = 1
-        return m
-
-    def edge_list(self):
-        out = []
-        for u in self.vertices:
-            for a in self.alphabet:
-                v = self.edges.get(u, {}).get(a)
-                if v is not None:
-                    out.append((u, a, v))
-        return out
-
-
-def _prune(vertices, edges):
-    """Restrict to vertices with both an incoming and an outgoing edge,
-    iterating to a fixpoint."""
-    alive = set(vertices)
-    while True:
-        has_out = {u for u in alive
-                   if any(v in alive for v in edges.get(u, {}).values())}
-        has_in = set()
-        for u in alive:
-            for v in edges.get(u, {}).values():
-                if v in alive and u in has_out:
-                    has_in.add(v)
-        keep = has_out & has_in
-        if keep == alive:
-            break
-        alive = keep
-    kept_edges = {}
-    for u in sorted(alive):
-        row = {a: v for a, v in edges.get(u, {}).items() if v in alive}
-        if row:
-            kept_edges[u] = row
-    return tuple(sorted(alive)), kept_edges
+    def vertices(self):
+        return self.states
 
 
 def build_block_graph(spec):
@@ -149,34 +85,24 @@ def build_block_graph(spec):
     f = spec.memory
     alphabet = spec.alphabet
     if EMPTY_WORD in spec.forbidden:
-        return BlockGraph(alphabet, f, (), {}, label=spec.label)
-    # candidate vertices: scan-allowed (f-1)-words, built incrementally
+        return BlockGraph(alphabet, (), {}, label=spec.label, memory=f)
+    # candidate states: scan-allowed (f-1)-words, built incrementally
     level = [EMPTY_WORD]
     for _ in range(f - 1):
         level = [w + (a,) for w in level for a in alphabet
                  if spec.scan_allows(w + (a,))]
-    vertices = tuple(sorted(level))
-    edges = {}
-    for u in vertices:
+    states = tuple(sorted(level))
+    transitions = {}
+    for u in states:
         row = {}
         for a in alphabet:
             ua = u + (a,)
             if spec.scan_allows(ua):
-                row[a] = ua[1:] if f >= 2 else EMPTY_WORD
+                row[a] = (ua[1:] if f >= 2 else EMPTY_WORD,)
         if row:
-            edges[u] = row
-    vertices, edges = _prune(vertices, edges)
-    return BlockGraph(alphabet, f, vertices, edges, label=spec.label)
-
-
-def _survivors(graph, word, start=None):
-    states = set(graph.vertices) if start is None else set(start)
-    for a in word:
-        states = {graph.edges[u][a] for u in states
-                  if a in graph.edges.get(u, {})}
-        if not states:
-            break
-    return states
+            transitions[u] = row
+    return prune_labeled(BlockGraph(alphabet, states, transitions,
+                                    label=spec.label, memory=f))
 
 
 def sft_oracle(graph, horizon, label=None):
@@ -187,13 +113,8 @@ def sft_oracle(graph, horizon, label=None):
     """
     if label is None:
         label = graph.label or "sft"
-
-    def membership(word):
-        if graph.is_empty:
-            return False
-        return bool(_survivors(graph, word))
-
-    return LanguageOracle(graph.alphabet, membership, horizon, label)
+    return LanguageOracle(graph.alphabet, _survivor_membership(graph),
+                          horizon, label)
 
 
 def sft_language(graph, n):
@@ -285,7 +206,7 @@ def per_enumerate(graph, p, cap=DEFAULT_CAP):
     if total > cap:
         raise EnumerationCapError(
             "per_%d holds %d points, above the cap %d" % (p, total, cap))
-    n = len(graph.vertices)
+    n = len(graph.states)
     adj = graph.adjacency
     # reach[k][i][j]: path of exactly k edges from i to j exists
     reach = [[[i == j for j in range(n)] for i in range(n)]]
@@ -304,9 +225,10 @@ def per_enumerate(graph, p, cap=DEFAULT_CAP):
                             out[j] = True
         reach.append(nxt)
         cur = nxt
-    idx = graph.vertex_index
+    idx = graph.state_index
+    letters = tuple(reversed(graph.alphabet.symbols))
     words = []
-    for start in graph.vertices:
+    for start in graph.states:
         s = idx[start]
         stack = [(start, ())]
         while stack:
@@ -316,10 +238,10 @@ def per_enumerate(graph, p, cap=DEFAULT_CAP):
                 if v == start:
                     words.append(labels)
                 continue
-            for a in sorted(graph.edges.get(v, {}), key=graph.alphabet.index, reverse=True):
-                w = graph.edges[v][a]
-                if reach[p - depth - 1][idx[w]][s]:
-                    stack.append((w, labels + (a,)))
+            for a in letters:
+                for w in graph.successors(v, a):
+                    if reach[p - depth - 1][idx[w]][s]:
+                        stack.append((w, labels + (a,)))
     words.sort(key=graph.alphabet.key)
     return PeriodicPointSet(p, tuple((w, _minimal_period(w)) for w in words))
 
@@ -376,44 +298,20 @@ def scc_subgraphs(graph):
     """
     if graph.is_empty:
         raise EmptyShiftError("the empty shift has no components")
-    n = len(graph.vertices)
-    idx = graph.vertex_index
-    succ = [[] for _ in range(n)]
-    for u in graph.vertices:
-        for v in graph.edges.get(u, {}).values():
-            succ[idx[u]].append(idx[v])
+    n = len(graph.states)
+    idx = graph.state_index
+    succ = [[idx[t] for ts in graph.transitions.get(u, {}).values() for t in ts]
+            for u in graph.states]
     out = []
     for comp in strongly_connected_components(n, succ):
         if len(comp) == 1:
             i = comp[0]
             if i not in succ[i]:
                 continue
-        keep = {graph.vertices[i] for i in comp}
-        edges = {}
-        for u in sorted(keep):
-            row = {a: v for a, v in graph.edges.get(u, {}).items() if v in keep}
-            if row:
-                edges[u] = row
-        out.append(BlockGraph(graph.alphabet, graph.memory, tuple(sorted(keep)),
-                              edges, label=graph.label))
-    return out
-
-
-def scc_max_entropy_components(graph, rel_tol=1e-9):
-    """Entropy-maximal transitive subshifts of an SFT.
-
-    Returns the recurrent strongly connected pieces whose Perron root is
-    within ``rel_tol`` (relatively) of the maximum.
-    """
-    candidates = []
-    for sub in scc_subgraphs(graph):
-        radius, _, _ = spectral_radius_certified(sub.adjacency)
-        candidates.append((radius, sub))
-    if not candidates:
-        raise EmptyShiftError("no recurrent part; the shift is empty")
-    best = max(r for r, _ in candidates)
-    out = [g for r, g in candidates if r >= best * (1.0 - rel_tol)]
-    out.sort(key=lambda g: g.vertices)
+        # a recurrent component has no dead ends, so pruning the restriction
+        # only drops the edges that leave it
+        states = tuple(graph.states[i] for i in sorted(comp))
+        out.append(prune_labeled(replace(graph, states=states)))
     return out
 
 

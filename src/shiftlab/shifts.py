@@ -20,11 +20,12 @@ from .dynamics import (InducedSpec, Substitution, induce_recode,
                        induced_data, subst_oracle)
 from .errors import UnsupportedSpecError
 from .forbidden import example_nonempty_shift
+from .graph import make_labeled_graph
 from .language import Alphabet
 from .sft import (DEFAULT_CAP, FiniteTypeSpec, build_block_graph,
                   per_le_enumerate, sft_entropy)
-from .sofic import (BlockCode, finite_type_presentation, make_labeled_graph,
-                    sofic_entropy, sofic_oracle, sofic_per_enumerate)
+from .sofic import (BlockCode, finite_type_presentation, sofic_entropy,
+                    sofic_oracle, sofic_per_enumerate)
 
 KINDS = ("finite-type", "sofic", "beta", "substitution", "induced",
          "example-nonempty", "example-betashift")
@@ -73,6 +74,8 @@ def _validate_payload(kind, payload):
         _check_keys(payload, ("alphabet", "states", "edges"))
         if not isinstance(payload["states"], list) or not payload["states"]:
             _fail("states must be a nonempty list")
+        if not isinstance(payload["edges"], list):
+            _fail("edges must be a list of [source, label, target] triples")
         for e in payload["edges"]:
             if not (isinstance(e, list) and len(e) == 3 and isinstance(e[1], str)):
                 _fail("edges must be [source, label, target] triples")
@@ -335,6 +338,8 @@ def parse_block_code(obj, source_alphabet):
     radius = obj["range"]
     if not isinstance(radius, int) or radius < 0:
         _fail("range must be a nonnegative integer")
+    if not isinstance(obj["rule"], dict):
+        _fail("rule must be an object mapping windows to letters")
     rule = {}
     for key, out in obj["rule"].items():
         window = _parse_word(source_alphabet, key)

@@ -16,11 +16,12 @@ reachability computation, with no language enumeration anywhere.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 import math
 
 from .errors import (AlphabetMismatchError, EnumerationCapError,
                      UndefinedEntropyError)
+from .graph import (LabeledGraph, _subset_step, _survivor_membership,
+                    make_labeled_graph, prune_labeled)
 from .language import EMPTY_WORD, Alphabet, LanguageOracle
 from .sft import DEFAULT_CAP, PeriodicPointSet, _minimal_period, sft_language
 from .spectral import spectral_radius_certified
@@ -103,112 +104,6 @@ def compose_codes(outer, inner):
     return BlockCode(inner.source_alphabet, outer.target_alphabet, r, rule)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """Finite labeled graph presenting a sofic shift.
-
-    ``transitions[s][a]`` is the tuple of successors of state s under
-    letter a; absent entries mean no edge.  The presentation is
-    deterministic when every (state, letter) has at most one successor.
-    """
-
-    alphabet: Alphabet
-    states: tuple
-    transitions: dict
-    label: str = ""
-
-    @property
-    def is_empty(self):
-        return not self.states
-
-    @cached_property
-    def state_index(self):
-        return {s: i for i, s in enumerate(self.states)}
-
-    @cached_property
-    def deterministic(self):
-        return all(len(ts) <= 1
-                   for row in self.transitions.values()
-                   for ts in row.values())
-
-    def successors(self, state, letter):
-        return self.transitions.get(state, {}).get(letter, ())
-
-    @cached_property
-    def adjacency(self):
-        n = len(self.states)
-        a = [[0] * n for _ in range(n)]
-        idx = self.state_index
-        for s, row in self.transitions.items():
-            for ts in row.values():
-                for t in ts:
-                    a[idx[s]][idx[t]] += 1
-        return a
-
-    def edge_list(self):
-        out = []
-        for s in self.states:
-            for a in self.alphabet:
-                for t in self.successors(s, a):
-                    out.append((s, a, t))
-        return out
-
-
-def make_labeled_graph(alphabet, states, edges, label=""):
-    """Build a LabeledGraph from an edge list of (source, letter, target)."""
-    states = tuple(states)
-    seen = set(states)
-    trans = {}
-    for s, a, t in edges:
-        if s not in seen or t not in seen:
-            raise AlphabetMismatchError("edge endpoints must be declared states")
-        if a not in alphabet:
-            raise AlphabetMismatchError("edge label %r outside the alphabet" % (a,))
-        trans.setdefault(s, {}).setdefault(a, set()).add(t)
-    index = {s: i for i, s in enumerate(states)}
-    frozen = {
-        s: {a: tuple(sorted(ts, key=index.__getitem__)) for a, ts in row.items()}
-        for s, row in trans.items()
-    }
-    return LabeledGraph(alphabet, states, frozen, label=label)
-
-
-def prune_labeled(g):
-    """Essential part: keep states with both an in- and an out-edge."""
-    alive = set(g.states)
-    while True:
-        has_out = {s for s in alive
-                   if any(t in alive for ts in g.transitions.get(s, {}).values() for t in ts)}
-        has_in = set()
-        for s in has_out:
-            for ts in g.transitions.get(s, {}).values():
-                for t in ts:
-                    if t in alive:
-                        has_in.add(t)
-        keep = has_out & has_in
-        if keep == alive:
-            break
-        alive = keep
-    states = tuple(s for s in g.states if s in alive)
-    index = {s: i for i, s in enumerate(states)}
-    trans = {}
-    for s in states:
-        row = {}
-        for a, ts in g.transitions.get(s, {}).items():
-            kept = tuple(sorted((t for t in ts if t in alive), key=index.__getitem__))
-            if kept:
-                row[a] = kept
-        if row:
-            trans[s] = row
-    return LabeledGraph(g.alphabet, states, trans, label=g.label)
-
-
-def block_graph_as_labeled(graph):
-    """View a block presentation as a labeled graph (it is deterministic)."""
-    edges = [(u, a, v) for u, a, v in graph.edge_list()]
-    return make_labeled_graph(graph.alphabet, graph.vertices, edges, label=graph.label)
-
-
 def finite_type_presentation(spec):
     """Right-resolving presentation of an SFT from its forbidden words.
 
@@ -279,13 +174,6 @@ def apply_block_code(graph, code):
     return prune_labeled(g)
 
 
-def _subset_step(g, states, letter):
-    out = set()
-    for s in states:
-        out.update(g.successors(s, letter))
-    return frozenset(out)
-
-
 def sofic_oracle(g, horizon, label=None):
     """Language oracle of the presented shift (survivor-set scan).
 
@@ -295,17 +183,7 @@ def sofic_oracle(g, horizon, label=None):
     if label is None:
         label = g.label or "sofic"
     g = prune_labeled(g)
-    full = frozenset(g.states)
-
-    def membership(word):
-        states = full
-        for a in word:
-            states = _subset_step(g, states, a)
-            if not states:
-                return False
-        return bool(states)
-
-    return LanguageOracle(g.alphabet, membership, horizon, label)
+    return LanguageOracle(g.alphabet, _survivor_membership(g), horizon, label)
 
 
 def determinize(g):
@@ -389,11 +267,12 @@ def language_equal_up_to(g1, g2, n):
 
 
 def language_equal_exact(g1, g2):
-    """Exact equality of the two presented shifts (all lengths)."""
-    total = (2 ** 12)
-    # the pair space is finite; a depth beyond its size forces closure
-    bound = 2 ** (len(prune_labeled(g1).states) + len(prune_labeled(g2).states)) + 1
-    return language_equal_up_to(g1, g2, max(total, bound))
+    """Exact equality of the two presented shifts (all lengths).
+
+    The pair search of ``language_equal_up_to`` visits each survivor pair
+    once, so it ends when its frontier empties; no depth bound is needed.
+    """
+    return language_equal_up_to(g1, g2, math.inf)
 
 
 def sofic_entropy(g):
@@ -487,6 +366,39 @@ def _follower_contains(g, big, small, memo):
     return ok
 
 
+def _pair_levels(d, start, steps):
+    """The walk start, F(start), F(F(start)), ... over survivor pairs.
+
+    F maps a set of pairs (X, Y) to the pairs (delta(X, a), delta(Y, a))
+    with delta(X, a) nonempty.  F acts on a finite space, so the walk is
+    eventually periodic: it stops after ``steps`` steps or at the first
+    repeated level.  Returns the distinct levels in order and the index
+    the repeat returned to (None when no level repeated).
+    """
+    levels = [start]
+    seen = {start: 0}
+    for _ in range(steps):
+        nxt = set()
+        for x, y in levels[-1]:
+            for a in d.alphabet:
+                tx = _subset_step(d, x, a)
+                if tx:
+                    nxt.add((tx, _subset_step(d, y, a)))
+        level = frozenset(nxt)
+        if level in seen:
+            return levels, seen[level]
+        seen[level] = len(levels)
+        levels.append(level)
+    return levels, None
+
+
+def _level_index(n, count, first):
+    """Index into the levels of ``_pair_levels`` holding level n."""
+    if n < count:
+        return n
+    return first + (n - first) % (count - first)
+
+
 def is_sft(g, memory_bound=None):
     """Decide whether the presented sofic shift is a shift of finite type.
 
@@ -515,28 +427,8 @@ def is_sft(g, memory_bound=None):
             if nxt and nxt not in subsets:
                 subsets.add(nxt)
                 queue.append(nxt)
-    pairs = frozenset((s, full) for s in subsets)
-    seen_levels = {pairs: 0}
-    trajectory = [pairs]
-    target = None
-    for step in range(1, m + 1):
-        nxt = set()
-        for s1, s2 in trajectory[-1]:
-            for a in d.alphabet:
-                t1 = _subset_step(d, s1, a)
-                if not t1:
-                    continue
-                nxt.add((t1, _subset_step(d, s2, a)))
-        level = frozenset(nxt)
-        if level in seen_levels:
-            first = seen_levels[level]
-            cycle = step - first
-            target = trajectory[first + (m - first) % cycle]
-            break
-        seen_levels[level] = step
-        trajectory.append(level)
-    if target is None:
-        target = trajectory[m]
+    levels, first = _pair_levels(d, frozenset((s, full) for s in subsets), m)
+    target = levels[_level_index(m, len(levels), first)]
     memo = {}
     verdict = True
     for s1, s2 in sorted(target, key=lambda p: (sorted(p[0]), sorted(p[1]))):
@@ -553,8 +445,9 @@ def mfw_length_set(g, horizon):
 
     Pair-automaton scan: walk (delta(Q, a w), delta(Q, w)) level by
     level; a letter b with w b readable but a w b not readable witnesses
-    a minimal forbidden word a w b.  Cost is polynomial in the survivor
-    pair space and linear in the horizon, with no word enumeration.
+    a minimal forbidden word a w b.  The levels are eventually periodic,
+    so the walk stops at the first repeated level and the witnessed
+    lengths repeat with it up to the horizon; no word is enumerated.
     """
     d = determinize(g)
     lengths = set()
@@ -566,30 +459,19 @@ def mfw_length_set(g, horizon):
     for a in d.alphabet:
         if not _subset_step(d, full, a):
             lengths.add(1)
-    level = set()
+    # level i holds the pairs (delta(Q, a w), delta(Q, w)) with |a w| = i + 1
+    start = set()
     for a in d.alphabet:
         x = _subset_step(d, full, a)
         if x:
-            level.add((x, full))
+            start.add((x, full))
+    levels, first = _pair_levels(d, frozenset(start), max(horizon - 2, 0))
+    witnessed = [any(_subset_step(d, y, b) and not _subset_step(d, x, b)
+                     for x, y in level for b in d.alphabet)
+                 for level in levels]
     for n in range(2, horizon + 1):
-        # a pair (X, Y) = (delta(Q, a w), delta(Q, w)) with |a w| = n-1
-        for x, y in level:
-            for b in d.alphabet:
-                if _subset_step(d, y, b) and not _subset_step(d, x, b):
-                    lengths.add(n)
-                    break
-            else:
-                continue
-            break
-        nxt = set()
-        for x, y in level:
-            for b in d.alphabet:
-                tx = _subset_step(d, x, b)
-                if tx:
-                    nxt.add((tx, _subset_step(d, y, b)))
-        level = nxt
-        if not level:
-            break
+        if witnessed[_level_index(n - 2, len(levels), first)]:
+            lengths.add(n)
     return tuple(sorted(lengths))
 
 

@@ -7,9 +7,9 @@ from shiftlab import (CannotCloseError, DigitStream, InsufficientDigitsError,
                       UnsupportedSpecError, WrongStatusError, beta_decimal,
                       beta_expand, beta_language, beta_ls_diagnostic, beta_mfw,
                       beta_oracle, beta_presentation, beta_rational,
-                      block_graph_as_labeled, example_betashift, is_sft,
-                      language_equal_exact, parse_beta_spec, sofic_entropy,
-                      star_expansion, stream_alphabet, validate_expansion)
+                      example_betashift, is_sft, language_equal_exact,
+                      parse_beta_spec, sofic_entropy, star_expansion,
+                      stream_alphabet, validate_expansion)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -69,7 +69,7 @@ def test_beta_rational_rejects_small():
 def test_golden_presentation_is_golden_sft(golden_graph):
     star = beta_expand(golden_beta(), 8).working_stream()
     g = beta_presentation(star)
-    assert language_equal_exact(g, block_graph_as_labeled(golden_graph))
+    assert language_equal_exact(g, golden_graph)
     assert is_sft(g).is_sft
     assert sofic_entropy(g) == pytest.approx(math.log(GOLDEN), abs=1e-12)
 

@@ -77,10 +77,20 @@ def test_missing_file_is_error(capsys, tmp_path):
     assert out == ""
 
 
-def test_bad_document_is_error(capsys, tmp_path):
+@pytest.mark.parametrize("doc, code", [
+    ("{not json", None),
+    (json.dumps(dict(EVEN_DOC, edges=5)), None),
+    (json.dumps(GOLDEN_DOC), json.dumps({"range": 0, "rule": [1]})),
+], ids=["not-json", "sofic-edges-not-list", "code-rule-not-object"])
+def test_bad_document_is_error(capsys, tmp_path, doc, code):
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
-    rc, _, err = run(capsys, ["mfw", str(p)])
+    p.write_text(doc)
+    argv = ["mfw", str(p)]
+    if code is not None:
+        c = tmp_path / "code.json"
+        c.write_text(code)
+        argv = ["decompose", str(p), "--code", str(c)]
+    rc, _, err = run(capsys, argv)
     assert rc == 1
     assert err.startswith("error:")
 

@@ -21,8 +21,8 @@ def scan_ok(w, forbidden):
 
 def test_golden_graph_shape(golden_graph):
     assert golden_graph.vertices == (("0",), ("1",))
-    assert golden_graph.edges[("0",)] == {"0": ("0",), "1": ("1",)}
-    assert golden_graph.edges[("1",)] == {"0": ("0",)}
+    assert golden_graph.transitions[("0",)] == {"0": (("0",),), "1": (("1",),)}
+    assert golden_graph.transitions[("1",)] == {"0": (("0",),)}
 
 
 def test_empty_spec_prunes_to_nothing(alph2):

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
-                      FiniteTypeSpec, apply_block_code, block_graph_as_labeled,
-                      build_block_graph, compose_codes, determinize,
-                      finite_type_presentation, identity_code, is_sft,
-                      language_equal_exact, language_equal_up_to,
-                      make_labeled_graph, mfw_length_set, minimal_forbidden,
-                      prune_labeled, sofic_entropy, sofic_oracle,
-                      sofic_per_enumerate, theorem1_diagnostic)
+                      FiniteTypeSpec, apply_block_code, build_block_graph,
+                      compose_codes, determinize, finite_type_presentation,
+                      identity_code, is_sft, language_equal_exact,
+                      language_equal_up_to, make_labeled_graph,
+                      mfw_length_set, minimal_forbidden, prune_labeled,
+                      sofic_entropy, sofic_oracle, sofic_per_enumerate,
+                      theorem1_diagnostic)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -49,14 +49,13 @@ def test_determinize_preserves_language(even_graph):
 
 
 def test_language_equal_bounds(golden_graph, even_graph):
-    gold = block_graph_as_labeled(golden_graph)
-    assert not language_equal_up_to(gold, even_graph, 3)
+    assert not language_equal_up_to(golden_graph, even_graph, 3)
     assert language_equal_up_to(even_graph, determinize(even_graph), 13)
-    assert not language_equal_exact(gold, even_graph)
+    assert not language_equal_exact(golden_graph, even_graph)
 
 
 def test_is_sft_tags(golden_graph, even_graph):
-    tag = is_sft(block_graph_as_labeled(golden_graph))
+    tag = is_sft(golden_graph)
     assert tag.is_sft
     tag = is_sft(even_graph)
     assert not tag.is_sft
@@ -90,7 +89,7 @@ def test_theorem1_diagnostic_even(even_graph):
 
 
 def test_theorem1_diagnostic_golden(golden_graph):
-    rep = theorem1_diagnostic(block_graph_as_labeled(golden_graph), 12)
+    rep = theorem1_diagnostic(golden_graph, 12)
     assert rep.tag.is_sft
     assert rep.mfw_lengths == (2,)
 
@@ -160,8 +159,22 @@ def test_presentations_agree_random(forbidden):
     alph = Alphabet(("0", "1"))
     spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
     via_prefix = finite_type_presentation(spec)
-    via_blocks = block_graph_as_labeled(build_block_graph(spec))
+    via_blocks = build_block_graph(spec)
+    assert via_blocks.deterministic
     if not via_prefix.states:
         assert not via_blocks.states
         return
     assert language_equal_exact(via_prefix, via_blocks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("01"),
+                      st.integers(0, n - 1))))))
+def test_mfw_length_set_matches_enumeration_random(graph):
+    # the periodic pair walk agrees with word enumeration on random presentations
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1")), tuple(range(n)), edges)
+    table = minimal_forbidden(sofic_oracle(g, 13), 12)
+    assert mfw_length_set(g, 12) == tuple(sorted(table.by_length))

@@ -17,17 +17,16 @@ from .language import (Alphabet, LanguageOracle, complexity, format_word,
                        lex_compare, special_words, subwords)
 from .graph import LabeledGraph, make_labeled_graph, prune_labeled
 from .sft import (BlockGraph, FiniteTypeSpec, build_block_graph, full_shift,
-                  per_count, per_enumerate, per_le_enumerate,
-                  periodic_count_le, scc_subgraphs, sft_cover, sft_entropy,
-                  sft_equal, sft_language, sft_oracle)
+                  per_count, periodic_count_le, scc_subgraphs, sft_cover,
+                  sft_entropy, sft_equal, sft_language, sft_oracle)
 from .forbidden import (LSReport, MFWTable, example_nonempty_shift, ls_report,
                         minimal_forbidden, tau_eval, well_approx_check,
                         window_density_report)
 from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
                     finite_type_presentation, identity_code, is_sft,
                     language_equal_exact, language_equal_up_to,
-                    mfw_length_set, sofic_entropy, sofic_oracle,
-                    sofic_per_enumerate, theorem1_diagnostic)
+                    mfw_length_set, per_le_enumerate, sofic_entropy,
+                    sofic_oracle, theorem1_diagnostic)
 from .measures import (CylinderMeasure, PeriodicSupportMeasure,
                        automorphism_invariance_check, cylinder_table,
                        eval_cylinder, max_entropy_decomposition, mu_y_average,

@@ -478,6 +478,13 @@ def example_betashift(mode, steps):
     return DigitStream("truncated", w)
 
 
+def _parse_fraction(text, what):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UnsupportedSpecError("cannot parse %s %r" % (what, text))
+
+
 def parse_polynomial(text):
     """Parse forms like 'x^2-x-1' or '2x^3 + 1/2x - 3' into coefficients,
     constant term first."""
@@ -490,7 +497,7 @@ def parse_polynomial(text):
         if not m or (m.group(2) is None and m.group(3) is None):
             raise UnsupportedSpecError("cannot parse polynomial term %r" % (term,))
         sign = -1 if m.group(1) == "-" else 1
-        coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coef = _parse_fraction(m.group(2), "coefficient") if m.group(2) else Fraction(1)
         exp = (1 if m.group(4) is None else int(m.group(4))) if m.group(3) else 0
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
     top = max(coeffs)
@@ -502,7 +509,7 @@ def parse_beta_spec(text):
     bare decimal literal like '1.8'."""
     text = text.strip()
     if text.startswith("rational:"):
-        return beta_rational(Fraction(text[len("rational:"):]))
+        return beta_rational(_parse_fraction(text[len("rational:"):], "rational beta"))
     if text.startswith("poly:"):
         body = text[len("poly:"):]
         if "@" not in body:
@@ -512,7 +519,8 @@ def parse_beta_spec(text):
         if not m:
             raise UnsupportedSpecError("cannot parse interval %r" % (interval,))
         return beta_algebraic(parse_polynomial(poly_text),
-                              Fraction(m.group(1)), Fraction(m.group(2)))
+                              _parse_fraction(m.group(1), "interval endpoint"),
+                              _parse_fraction(m.group(2), "interval endpoint"))
     if re.fullmatch(r"\d+(\.\d+)?", text):
         return beta_decimal(text)
     raise UnsupportedSpecError("unrecognized beta description %r" % (text,))

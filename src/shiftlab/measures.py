@@ -24,7 +24,7 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
                      ShiftlabError, UnsupportedSpecError)
 from .sft import _minimal_period, _moebius_table, scc_subgraphs
 from .sofic import (apply_block_code, compose_codes, determinize,
-                    language_equal_exact, sofic_entropy, sofic_per_enumerate)
+                    language_equal_exact, per_le_enumerate, sofic_entropy)
 from .spectral import (int_matmul, int_trace, is_irreducible,
                        perron_root, perron_vectors,
                        strongly_connected_components)
@@ -452,11 +452,7 @@ def mu_y_average(components, cutoff, depth):
         raise EmptySupportError("no components to average")
     point_sets = []
     for comp in components:
-        pts = set()
-        for p in range(1, cutoff + 1):
-            for w, q in sofic_per_enumerate(comp.presentation, p).entries:
-                if q == p:
-                    pts.add(w)
+        pts = {w for w, _ in per_le_enumerate(comp.presentation, cutoff)}
         if not pts:
             raise EmptySupportError(
                 "a component has no periodic points up to %d; raise the cutoff" % cutoff)

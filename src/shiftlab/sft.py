@@ -164,102 +164,12 @@ def periodic_count_le(graph, n):
     return total
 
 
-@dataclass(frozen=True)
-class PeriodicPointSet:
-    """Points of one period, each tagged with its minimal period.
-
-    A point of period p is recorded as the length-p word w of its
-    coordinates 0..p-1; distinct words are distinct points, so rotations
-    of a primitive word all appear.
-    """
-
-    period: int
-    entries: tuple  # of (word, minimal_period)
-
-    @property
-    def words(self):
-        return tuple(w for w, _ in self.entries)
-
-    @property
-    def count(self):
-        return len(self.entries)
-
-
 def _minimal_period(word):
     p = len(word)
-    for d in range(1, p + 1):
+    for d in range(1, p // 2 + 1):
         if p % d == 0 and word == word[:d] * (p // d):
             return d
     return p
-
-
-def per_enumerate(graph, p, cap=DEFAULT_CAP):
-    """All points of period p as label words of closed p-paths.
-
-    In a block graph a closed path is determined by its cyclic label
-    word, so no deduplication is needed.  Refuses when trace(A^p)
-    exceeds the cap.
-    """
-    if graph.is_empty:
-        return PeriodicPointSet(p, ())
-    total = per_count(graph, p)
-    if total > cap:
-        raise EnumerationCapError(
-            "per_%d holds %d points, above the cap %d" % (p, total, cap))
-    n = len(graph.states)
-    adj = graph.adjacency
-    # reach[k][i][j]: path of exactly k edges from i to j exists
-    reach = [[[i == j for j in range(n)] for i in range(n)]]
-    cur = reach[0]
-    for _ in range(p):
-        adj_bool = adj
-        nxt = [[False] * n for _ in range(n)]
-        for i in range(n):
-            row = cur[i]
-            out = nxt[i]
-            for k in range(n):
-                if row[k]:
-                    ak = adj_bool[k]
-                    for j in range(n):
-                        if ak[j]:
-                            out[j] = True
-        reach.append(nxt)
-        cur = nxt
-    idx = graph.state_index
-    letters = tuple(reversed(graph.alphabet.symbols))
-    words = []
-    for start in graph.states:
-        s = idx[start]
-        stack = [(start, ())]
-        while stack:
-            v, labels = stack.pop()
-            depth = len(labels)
-            if depth == p:
-                if v == start:
-                    words.append(labels)
-                continue
-            for a in letters:
-                for w in graph.successors(v, a):
-                    if reach[p - depth - 1][idx[w]][s]:
-                        stack.append((w, labels + (a,)))
-    words.sort(key=graph.alphabet.key)
-    return PeriodicPointSet(p, tuple((w, _minimal_period(w)) for w in words))
-
-
-def per_le_enumerate(graph, n, cap=DEFAULT_CAP):
-    """Points of minimal period <= n, as (word of minimal length, period).
-
-    The union of per_p over p <= n as a set of points; each point appears
-    once, keyed by its coordinates over one minimal period.
-    """
-    if periodic_count_le(graph, n) > cap:
-        raise EnumerationCapError("per_<=%d exceeds the cap %d" % (n, cap))
-    out = []
-    for p in range(1, n + 1):
-        for w, d in per_enumerate(graph, p, cap=cap).entries:
-            if d == p:
-                out.append((w, p))
-    return out
 
 
 def sft_cover(oracle, n):

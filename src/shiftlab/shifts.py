@@ -22,10 +22,9 @@ from .errors import UnsupportedSpecError
 from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
-from .sft import (DEFAULT_CAP, FiniteTypeSpec, build_block_graph,
-                  per_le_enumerate, sft_entropy)
-from .sofic import (BlockCode, finite_type_presentation, sofic_entropy,
-                    sofic_oracle, sofic_per_enumerate)
+from .sft import DEFAULT_CAP, FiniteTypeSpec, build_block_graph, sft_entropy
+from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
+                    sofic_entropy, sofic_oracle)
 
 KINDS = ("finite-type", "sofic", "beta", "substitution", "induced",
          "example-nonempty", "example-betashift")
@@ -103,7 +102,11 @@ def _validate_payload(kind, payload):
         rule = payload["return_rule"]
         if not (rule == "first-return" or isinstance(rule, (int, dict))):
             _fail("return_rule must be an integer, a map, or \"first-return\"")
+        if isinstance(rule, dict) and not all(isinstance(t, int) for t in rule.values()):
+            _fail("return_rule map values must be integers")
         if payload.get("clopen") is not None:
+            if not isinstance(payload["clopen"], list):
+                _fail("clopen must be a list of windows")
             for w in payload["clopen"]:
                 _check_word_item(w, "clopen window")
         if "cap" in payload and (not isinstance(payload["cap"], int)
@@ -300,18 +303,11 @@ def periodic_points_le(realized, n, cap=DEFAULT_CAP):
     Needs a finite presentation; an oracle alone only bounds periodicity
     by evidence, which is not good enough to weight a measure.
     """
-    if realized.spec is not None:
-        return per_le_enumerate(realized.block_graph(), n, cap)
-    if realized.labeled is not None:
-        out = []
-        for p in range(1, n + 1):
-            for word, q in sofic_per_enumerate(realized.labeled, p, cap).entries:
-                if q == p:
-                    out.append((word, p))
-        return out
-    raise UnsupportedSpecError(
-        "periodic enumeration needs a finite presentation; kind %r has none"
-        % (realized.document.kind,))
+    if realized.labeled is None:
+        raise UnsupportedSpecError(
+            "periodic enumeration needs a finite presentation; kind %r has none"
+            % (realized.document.kind,))
+    return per_le_enumerate(realized.labeled, n, cap)
 
 
 def shift_entropy(realized):

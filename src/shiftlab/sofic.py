@@ -1,5 +1,5 @@
 """Sofic shifts: labeled graph presentations, block-code images,
-determinization, and the finite-type decision.
+determinization, periodic points, and the finite-type decision.
 
 A sofic shift is the set of bi-infinite label sequences of paths in a
 finite labeled graph, equivalently the image of an SFT under a sliding
@@ -23,7 +23,7 @@ from .errors import (AlphabetMismatchError, EnumerationCapError,
 from .graph import (LabeledGraph, _subset_step, _survivor_membership,
                     make_labeled_graph, prune_labeled)
 from .language import EMPTY_WORD, Alphabet, LanguageOracle
-from .sft import DEFAULT_CAP, PeriodicPointSet, _minimal_period, sft_language
+from .sft import DEFAULT_CAP, _minimal_period, sft_language
 from .spectral import spectral_radius_certified
 from .forbidden import window_density_report
 
@@ -288,38 +288,57 @@ def sofic_entropy(g):
     return math.log(radius)
 
 
-def sofic_per_enumerate(g, p, cap=DEFAULT_CAP):
-    """Points of period p of a sofic shift, by the pumping criterion.
+def _has_cycle(f):
+    """Does the partial map f on 0..k-1 (-1 where undefined) have a cycle?"""
+    mark = [0] * len(f)  # 0 unseen, 1 on the current path, 2 done
+    for s in range(len(f)):
+        path = []
+        while s >= 0 and not mark[s]:
+            mark[s] = 1
+            path.append(s)
+            s = f[s]
+        if s >= 0 and mark[s] == 1:
+            return True
+        for t in path:
+            mark[t] = 2
+    return False
 
-    w^inf lies in the shift iff w^(V+1) labels a path, V the state count
-    of the (determinized) presentation: a path spelling V+1 repetitions
-    visits two equal checkpoints, closing a loop that spells a power of
-    w, and (w^k)^inf = w^inf.
+
+def per_le_enumerate(g, n, cap=DEFAULT_CAP):
+    """Points of minimal period <= n, as (word of minimal length, period).
+
+    Works on any presentation through its determinization, where reading
+    w sends each state to at most one state.  w^inf lies in the shift iff
+    that partial map f_w has a cycle: a path spelling w^inf meets some
+    state twice at multiples of |w|, and a cycle closes a path spelling a
+    power of w.  One depth-first walk over the words of length <= n in
+    alphabet order carries f_w and drops a branch once f_w is nowhere
+    defined.  Each point appears once, keyed by its coordinates over one
+    minimal period; the list is sorted by period, then alphabetically.
+    Refuses as soon as more than ``cap`` points are found.
     """
     d = determinize(g)
-    if d.is_empty:
-        return PeriodicPointSet(p, ())
-    v = len(d.states)
-    oracle = sofic_oracle(d, p)
-    candidates = oracle.words_of_length(p)
-    if len(candidates) > cap:
-        raise EnumerationCapError("too many length-%d candidates (%d)" % (p, len(candidates)))
-    full = frozenset(d.states)
-    out = []
-    for w in candidates:
-        states = full
-        ok = True
-        for _ in range(v + 1):
-            for a in w:
-                states = _subset_step(d, states, a)
-                if not states:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append((w, _minimal_period(w)))
-    return PeriodicPointSet(p, tuple(out))
+    # each map ends in -1, so reading from "no state" (-1) stays there;
+    # children are pushed in reverse so they pop in alphabet order
+    steps = [(a, tuple((d.successors(s, a) or (-1,))[0] for s in d.states) + (-1,))
+             for a in reversed(d.alphabet.symbols)]
+    by_period = [[] for _ in range(n + 1)]
+    count = 0
+    stack = [(EMPTY_WORD, d.states)] if d.states else []
+    while stack:
+        word, f = stack.pop()
+        k = len(word)
+        if k and _minimal_period(word) == k and _has_cycle(f):
+            count += 1
+            if count > cap:
+                raise EnumerationCapError("per_<=%d exceeds the cap %d" % (n, cap))
+            by_period[k].append(word)
+        if k < n:
+            for a, m in steps:
+                h = tuple(map(m.__getitem__, f))
+                if max(h) >= 0:
+                    stack.append((word + (a,), h))
+    return [(w, p) for p in range(1, n + 1) for w in by_period[p]]
 
 
 @dataclass(frozen=True)

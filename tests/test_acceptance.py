@@ -27,9 +27,8 @@ from shiftlab import (Alphabet, BlockCode, FiniteTypeSpec, InducedSpec,
                       ls_report, mfw_length_set, minimal_forbidden,
                       nu_cylinder_measure, parry_measure, parse_beta_spec,
                       per_count, per_le_enumerate, sft_oracle, sofic_entropy,
-                      sofic_oracle, sofic_per_enumerate, speedup_gap_compare,
-                      subst_oracle, tau_eval, theorem1_diagnostic,
-                      weak_star_distance)
+                      sofic_oracle, speedup_gap_compare, subst_oracle,
+                      tau_eval, theorem1_diagnostic, weak_star_distance)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -246,12 +245,8 @@ def test_criterion_07_short_period_in_every_image():
         if not lab.states:
             continue
         checked += 1
-        found = None
-        for p in range(1, bound + 1):
-            pset = sofic_per_enumerate(lab, p)
-            if any(q == p for _, q in pset.entries):
-                found = p
-                break
+        points = per_le_enumerate(lab, bound)
+        found = min((q for _, q in points), default=None)
         if found is None:
             failures.append((trial, sorted(forb), radius))
         else:
@@ -278,8 +273,7 @@ def test_criterion_08_shared_language_shares_periodic_sets(alph2):
     assert len(images) == 116
 
     def per_le_sets(lab, pmax):
-        return tuple(frozenset(sofic_per_enumerate(lab, p).entries)
-                     for p in range(1, pmax + 1))
+        return per_le_enumerate(lab, pmax)
 
     # group by language agreement to depth 13 > 3 * 2^2, then demand
     # identical periodic data inside every group

@@ -81,7 +81,16 @@ def test_missing_file_is_error(capsys, tmp_path):
     ("{not json", None),
     (json.dumps(dict(EVEN_DOC, edges=5)), None),
     (json.dumps(GOLDEN_DOC), json.dumps({"range": 0, "rule": [1]})),
-], ids=["not-json", "sofic-edges-not-list", "code-rule-not-object"])
+    (json.dumps({"kind": "beta", "beta": "rational:abc"}), None),
+    (json.dumps({"kind": "beta", "beta": "rational:1/0"}), None),
+    (json.dumps({"kind": "beta", "beta": "poly:x^2-x-1@[a,b]"}), None),
+    (json.dumps({"kind": "beta", "beta": "poly:x^2-x-1/0@[1,2]"}), None),
+    (json.dumps(dict(INDUCED_GOLDEN_DOC, clopen=5)), None),
+    (json.dumps(dict(INDUCED_GOLDEN_DOC, return_rule={"000": "x"})), None),
+], ids=["not-json", "sofic-edges-not-list", "code-rule-not-object",
+        "beta-rational-not-a-number", "beta-rational-zero-denominator",
+        "beta-interval-not-a-number", "beta-poly-zero-denominator",
+        "induced-clopen-not-list", "induced-return-time-not-int"])
 def test_bad_document_is_error(capsys, tmp_path, doc, code):
     p = tmp_path / "bad.json"
     p.write_text(doc)
@@ -172,6 +181,15 @@ def test_periodic(capsys, write):
     assert report["count"] == 10
     assert report["by_minimal_period"] == {"1": 1, "2": 2, "3": 3, "4": 4}
     assert "0001" in report["words"]
+
+
+def test_periodic_on_long_memory_sft(capsys, write):
+    # memory 11 over three letters: periodic points come from the prefix
+    # automaton, never from the 3^11-vertex block graph
+    doc = write("ne.json", {"kind": "example-nonempty", "lengths": [3, 5, 12]})
+    report = run_json(capsys, ["periodic", doc, "--period", "8"])
+    assert report["count"] == 7154
+    assert "words" not in report
 
 
 def test_nu_exact_with_parry_distance(capsys, write):

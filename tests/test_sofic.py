@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       compose_codes, determinize, finite_type_presentation,
                       identity_code, is_sft, language_equal_exact,
                       language_equal_up_to, make_labeled_graph,
-                      mfw_length_set, minimal_forbidden, prune_labeled,
-                      sofic_entropy, sofic_oracle, sofic_per_enumerate,
+                      mfw_length_set, minimal_forbidden, per_le_enumerate,
+                      prune_labeled, sofic_entropy, sofic_oracle,
                       theorem1_diagnostic)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -68,13 +69,12 @@ def test_sofic_entropy_even(even_graph):
 
 
 def test_sofic_per_enumerate_even(even_graph):
-    entries = sorted(sofic_per_enumerate(even_graph, 2).entries)
-    assert entries == [(("0", "0"), 1), (("1", "1"), 1)]
-    entries = sorted(sofic_per_enumerate(even_graph, 4).entries)
-    assert entries == [(("0", "0", "0", "0"), 1),
-                       (("0", "0", "1", "1"), 4), (("0", "1", "1", "0"), 4),
-                       (("1", "0", "0", "1"), 4), (("1", "1", "0", "0"), 4),
-                       (("1", "1", "1", "1"), 1)]
+    # runs of 1s between 0s are even, so 01 and 0111 are not periods
+    assert per_le_enumerate(even_graph, 4) == [
+        (("0",), 1), (("1",), 1),
+        (("0", "1", "1"), 3), (("1", "0", "1"), 3), (("1", "1", "0"), 3),
+        (("0", "0", "1", "1"), 4), (("0", "1", "1", "0"), 4),
+        (("1", "0", "0", "1"), 4), (("1", "1", "0", "0"), 4)]
 
 
 def test_mfw_length_set_even(even_graph):
@@ -178,3 +178,48 @@ def test_mfw_length_set_matches_enumeration_random(graph):
     g = make_labeled_graph(Alphabet(("0", "1")), tuple(range(n)), edges)
     table = minimal_forbidden(sofic_oracle(g, 13), 12)
     assert mfw_length_set(g, 12) == tuple(sorted(table.by_length))
+
+
+def _brute_periodic(n, edges, pmax):
+    """Words w of length <= pmax with minimal period |w| such that some
+    state returns to itself reading w^k for some k <= n."""
+    succ = {}
+    for s, a, t in edges:
+        succ.setdefault((s, a), set()).add(t)
+    out = []
+    for length in range(1, pmax + 1):
+        for w in product("01", repeat=length):
+            if any(length % d == 0 and w == w[:d] * (length // d)
+                   for d in range(1, length)):
+                continue
+            for s in range(n):
+                cur = {s}
+                returned = False
+                for _ in range(n):
+                    for a in w:
+                        cur = {t for u in cur for t in succ.get((u, a), ())}
+                    if s in cur:
+                        returned = True
+                        break
+                if returned:
+                    out.append((w, length))
+                    break
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("01"),
+                      st.integers(0, n - 1))))),
+    st.sets(st.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+def test_per_le_enumerate_matches_brute_force_random(graph, forbidden):
+    # the f_w cycle test agrees with closed walks on raw, unpruned edges
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1")), tuple(range(n)), edges)
+    assert per_le_enumerate(g, 7) == _brute_periodic(n, edges, 7)
+    # periodic points of finite-type documents come from the prefix automaton
+    alph = Alphabet(("0", "1"))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    assert per_le_enumerate(build_block_graph(spec), 7) == \
+        per_le_enumerate(finite_type_presentation(spec), 7)

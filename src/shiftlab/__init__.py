@@ -14,7 +14,7 @@ from .errors import (AlphabetMismatchError, AmbiguousDigitError,
                      ReturnTimeCapError, ShiftlabError, UndefinedEntropyError,
                      UnsupportedSpecError, WrongStatusError)
 from .language import (Alphabet, LanguageOracle, complexity, format_word,
-                       lex_compare, special_words, subwords)
+                       lex_compare, special_words, stepping_oracle, subwords)
 from .graph import LabeledGraph, make_labeled_graph, prune_labeled
 from .sft import (BlockGraph, FiniteTypeSpec, build_block_graph, full_shift,
                   per_count, periodic_count_le, scc_subgraphs, sft_cover,

@@ -26,7 +26,7 @@ from .errors import (AmbiguousDigitError, CannotCloseError,
                      InsufficientDigitsError, UnsupportedSpecError,
                      WrongStatusError)
 from .forbidden import MFWTable
-from .language import EQUAL, GREATER, LESS, Alphabet, LanguageOracle
+from .language import EQUAL, GREATER, LESS, Alphabet, stepping_oracle
 from .graph import make_labeled_graph, prune_labeled
 
 
@@ -293,6 +293,12 @@ def beta_oracle(stream, horizon, label="beta"):
     A word is allowed iff each of its suffixes is at most the stream
     prefix of equal length; sufficiency comes from padding with zeros,
     necessity from the domination condition on points.
+
+    The oracle reads that condition one letter at a time.  Its state is
+    the tuple of lengths k whose suffix still ties d_0 .. d_{k-1}; a
+    suffix already below its prefix stays below.  Reading b tests every
+    tied k and the new k = 0: b > d_k rejects, b = d_k keeps k + 1, and
+    b < d_k drops k.  This holds for every stream, admissible or not.
     """
     known = stream.known_length
     if known is not None and horizon > known:
@@ -300,14 +306,18 @@ def beta_oracle(stream, horizon, label="beta"):
             "oracle horizon %d exceeds the %d known digits" % (horizon, known))
     alphabet = stream_alphabet(stream)
 
-    def membership(word):
-        ints = tuple(int(a) for a in word)
-        for k in range(len(ints)):
-            if compare_to_prefix(ints[k:], stream) == GREATER:
-                return False
-        return True
+    def step(tied, letter):
+        b = int(letter)
+        after = []
+        for k in (0,) + tied:
+            d = stream.digit(k)
+            if b > d:
+                return None
+            if b == d:
+                after.append(k + 1)
+        return tuple(after)
 
-    return LanguageOracle(alphabet, membership, horizon, label)
+    return stepping_oracle(alphabet, (), step, horizon, label)
 
 
 def beta_language(stream, n):

@@ -263,12 +263,14 @@ def _resolve_first_return(spec, letters):
     width = 2 * spec.window + 1
     uset = set(letters)
     spec.base.check_horizon(width + spec.cap)
+    state_of = dict(zip(*spec.base.frontier(width)))
+    step = spec.base.step
     rho = {}
     for w in letters:
         agreed = None
-        stack = [w]
+        stack = [(w, state_of[w])]
         while stack:
-            word = stack.pop()
+            word, state = stack.pop()
             hit = None
             for t in range(1, len(word) - width + 1):
                 if word[t:t + width] in uset:
@@ -286,9 +288,9 @@ def _resolve_first_return(spec, letters):
                 raise ReturnTimeCapError(
                     "no return within %d steps after %r" % (spec.cap, format_word(w)))
             for a in spec.base.alphabet:
-                ext = word + (a,)
-                if spec.base.contains(ext):
-                    stack.append(ext)
+                after = step(state, a)
+                if after is not None:
+                    stack.append((word + (a,), after))
         if agreed is None:
             # w has no allowed continuation at all; dead window
             raise ReturnTimeCapError(
@@ -335,6 +337,7 @@ def induce_recode(spec, n, horizon=None):
             "induced length %d needs base horizon %d" % (n, needed))
     uset = set(letters)
     first_return = spec.return_rule == "first-return"
+    step = spec.base.step
     symbol_for = {w: format_word(w) for w in letters}
     word_for = {format_word(w): w for w in letters}
     alphabet = Alphabet(tuple(symbol_for[w] for w in letters))
@@ -354,15 +357,17 @@ def induce_recode(spec, n, horizon=None):
             for i in range(m - 1):
                 blocked.update(range(centers[i] + 1, centers[i + 1]))
 
-        # Depth-first search over base words, pruning each extension the
-        # moment a window (or a blocked in-between position) is decided.
-        def extend(prefix):
+        # Depth-first search over base words and their base oracle states,
+        # pruning each extension the moment a window (or a blocked
+        # in-between position) is decided.
+        def extend(prefix, state):
             if len(prefix) == length:
                 return True
             for a in spec.base.alphabet:
-                cand = prefix + (a,)
-                if not spec.base.contains(cand):
+                after = step(state, a)
+                if after is None:
                     continue
+                cand = prefix + (a,)
                 c = len(cand) - 1 - spec.window
                 if c >= spec.window:
                     piece = cand[c - spec.window:]
@@ -371,11 +376,11 @@ def induce_recode(spec, n, horizon=None):
                         continue
                     if want is None and c in blocked and piece in uset:
                         continue
-                if extend(cand):
+                if extend(cand, after):
                     return True
             return False
 
-        return extend(())
+        return extend((), spec.base.start)
 
     return LanguageOracle(alphabet, membership, n,
                           "induced(%s)" % (spec.base.label,))

@@ -35,24 +35,28 @@ class MFWTable:
 def minimal_forbidden(oracle, n_max):
     """Minimal forbidden words of every length up to ``n_max``.
 
-    Uses only membership up to length n_max.  At length 1 these are the
-    letters missing from the language; for n >= 2 a word awb qualifies
-    when aw and wb are allowed but awb is not (factoriality makes the two
-    maximal proper subwords decisive).
+    Uses only the language up to length n_max.  At length 1 these are
+    the letters missing from the language; for n >= 2 a word awb
+    qualifies when aw and wb are allowed but awb is not (factoriality
+    makes the two maximal proper subwords decisive).  The words aw come
+    with their oracle states, so deciding awb is one ``step``.
     """
     oracle.check_horizon(n_max)
     table = {}
     if n_max >= 1:
-        missing = tuple(a for a in oracle.alphabet if not oracle.contains((a,)))
+        letters = set(oracle.words_of_length(1))
+        missing = tuple(a for a in oracle.alphabet if (a,) not in letters)
         if missing:
             table[1] = tuple((a,) for a in missing)
+    step = oracle.step
     for n in range(2, n_max + 1):
-        prev = set(oracle.words_of_length(n - 1))
+        words, states = oracle.frontier(n - 1)
+        prev = set(words)
         found = set()
-        for u in prev:
+        for u, state in zip(words, states):
             w = u[1:]
             for b in oracle.alphabet:
-                if w + (b,) in prev and not oracle.contains(u + (b,)):
+                if w + (b,) in prev and step(state, b) is None:
                     found.add(u + (b,))
         if found:
             table[n] = tuple(sorted(found, key=oracle.alphabet.key))
@@ -80,6 +84,7 @@ class LSReport:
 def window_density_report(ls_lengths, horizon):
     ls = sorted(set(ls_lengths))
     present = set(ls)
+    counts = [0]  # counts[n] = |ls ∩ [1, n]|
     max_gap = 0
     run = 0
     for n in range(1, horizon + 1):
@@ -88,16 +93,13 @@ def window_density_report(ls_lengths, horizon):
         else:
             run += 1
             max_gap = max(max_gap, run)
+        counts.append(counts[-1] + (n in present))
     densities = {}
     for k in range(1, max(1, horizon // 2) + 1):
-        best = None
-        for start in range(0, horizon - k + 1):
-            cnt = sum(1 for n in range(start + 1, start + k + 1) if n in present)
-            frac = Fraction(cnt, k)
-            if best is None or frac < best:
-                best = frac
-        if best is not None:
-            densities[k] = float(best)
+        if k <= horizon:
+            fewest = min(counts[start + k] - counts[start]
+                         for start in range(horizon - k + 1))
+            densities[k] = float(Fraction(fewest, k))
     return tuple(ls), max_gap, densities
 
 

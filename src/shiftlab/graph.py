@@ -3,14 +3,14 @@ presentations and sofic presentations.
 
 A state set is a frozenset; reading a letter from a state set gives the
 survivor set of its successors, which is how both the SFT and the sofic
-layers decide membership, determinize and walk pair spaces.
+layers read words, determinize and walk pair spaces.
 """
 
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import AlphabetMismatchError
-from .language import Alphabet
+from .language import Alphabet, stepping_oracle
 
 
 @dataclass(frozen=True)
@@ -135,17 +135,10 @@ def _subset_step(g, states, letter):
     return frozenset(out)
 
 
-def _survivor_membership(g):
-    """Membership in the language of a pruned presentation: a word is
-    allowed when reading it from the full state set leaves survivors."""
-    full = frozenset(g.states)
-
-    def membership(word):
-        states = full
-        for a in word:
-            states = _subset_step(g, states, a)
-            if not states:
-                return False
-        return bool(states)
-
-    return membership
+def _survivor_oracle(g, horizon, label):
+    """Language oracle of a pruned presentation, determinized lazily: the
+    state after a word is its survivor set, what reading it from the full
+    state set leaves, and the word is allowed while that set is nonempty."""
+    return stepping_oracle(g.alphabet, frozenset(g.states) or None,
+                           lambda states, a: _subset_step(g, states, a) or None,
+                           horizon, label)

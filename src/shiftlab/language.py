@@ -8,9 +8,11 @@ are never plain strings internally.  ``Alphabet.word`` parses the
 single-character shorthand "0110" into a proper tuple.
 
 A :class:`LanguageOracle` is the universal handle on a shift's language:
-a membership test that is exact up to a declared horizon, plus the
-alphabet.  Every operation that consumes an oracle checks the horizon and
-refuses to answer beyond it rather than silently degrading.
+a membership test that is exact up to a declared horizon, the alphabet,
+and a state machine (``start``, ``step``) that reads words one letter at
+a time, so enumeration extends each word's state instead of rescanning
+the word.  Every operation that consumes an oracle checks the horizon
+and refuses to answer beyond it rather than silently degrading.
 """
 
 from dataclasses import dataclass, field
@@ -152,13 +154,29 @@ class LanguageOracle:
         Largest word length for which ``membership`` is exact.
     label : str
         Free-form tag used in reports.
+    start, step : state machine reading words left to right
+        ``step(state, letter)`` is the state after one more letter, or
+        None once the word read is forbidden; ``start`` is the state of
+        the empty word.  By default the state is the word read so far and
+        ``step`` asks ``contains`` of the longer word;
+        :func:`stepping_oracle` builds oracles with a real automaton.
     """
 
     alphabet: Alphabet
     membership: object
     max_reliable_length: int
     label: str = ""
+    start: object = field(default=EMPTY_WORD, compare=False, repr=False)
+    step: object = field(default=None, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.step is None:
+            object.__setattr__(self, "step", self._extend)
+
+    def _extend(self, word, letter):
+        longer = word + (letter,)
+        return longer if self.contains(longer) else None
 
     def check_horizon(self, n):
         if n > self.max_reliable_length:
@@ -180,8 +198,9 @@ class LanguageOracle:
     def words_of_length(self, n):
         """All allowed words of length ``n``, sorted lexicographically.
 
-        Built incrementally: allowed words of length n are one-letter
-        extensions of allowed words of length n-1, by factoriality.
+        Built incrementally: allowed words of length n are the one-letter
+        extensions of allowed words of length n-1 that ``step`` keeps
+        alive, by factoriality.
         """
         self.check_horizon(n)
         key = ("L", n)
@@ -190,18 +209,61 @@ class LanguageOracle:
             return hit
         if n == 0:
             words = (EMPTY_WORD,) if self.contains(EMPTY_WORD) else ()
+            states = (self.start,) * len(words)
         else:
             shorter = self.words_of_length(n - 1)
-            words = tuple(
-                w + (a,)
-                for w in shorter
-                for a in self.alphabet
-                if self.contains(w + (a,)))
+            step = self.step
+            words, states = [], []
+            for w, state in zip(shorter, self._cache[("S", n - 1)]):
+                for a in self.alphabet:
+                    after = step(state, a)
+                    if after is not None:
+                        words.append(w + (a,))
+                        states.append(after)
+            words = tuple(words)
+        self._cache[("S", n)] = tuple(states)
         self._cache[key] = words
         return words
 
+    def frontier(self, n):
+        """Allowed words of length ``n`` and the states ``step`` reaches
+        on them, as two aligned tuples."""
+        words = self.words_of_length(n)
+        return words, self._cache[("S", n)]
+
     def is_empty_language(self):
         return not self.contains(EMPTY_WORD)
+
+
+def stepping_oracle(alphabet, start, step, horizon, label=""):
+    """Oracle of the language an automaton reads.
+
+    ``start`` is the state of the empty word (None for the empty
+    language) and ``step(state, letter)`` the next state, None when the
+    word is forbidden.  ``step`` is memoized per (state, letter), so an
+    automaton given by a successor rule is determinized lazily, and
+    membership is a fold of ``step`` from ``start``.
+    """
+    memo = {}
+
+    def cached_step(state, letter):
+        key = (state, letter)
+        try:
+            return memo[key]
+        except KeyError:
+            after = memo[key] = step(state, letter)
+            return after
+
+    def membership(word):
+        state = start
+        for a in word:
+            if state is None:
+                break
+            state = cached_step(state, a)
+        return state is not None
+
+    return LanguageOracle(alphabet, membership, horizon, label,
+                          start=start, step=cached_step)
 
 
 def complexity(oracle, n_max):

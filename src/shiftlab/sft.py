@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EnumerationCapError, UndefinedEntropyError)
-from .graph import LabeledGraph, _survivor_membership, prune_labeled
-from .language import EMPTY_WORD, Alphabet, LanguageOracle
-from .spectral import (int_matpow, int_trace, spectral_radius_certified,
-                       strongly_connected_components)
+from .graph import LabeledGraph, _survivor_oracle, prune_labeled
+from .language import EMPTY_WORD, Alphabet
+from .spectral import (int_matmul, int_matpow, int_trace,
+                       spectral_radius_certified, strongly_connected_components)
 
 DEFAULT_CAP = 10 ** 6
 
@@ -108,13 +108,12 @@ def build_block_graph(spec):
 def sft_oracle(graph, horizon, label=None):
     """Language oracle of the shift presented by a pruned block graph.
 
-    Membership is a survivor scan over the graph, exact at every length;
+    Words are read by survivor sets of the graph, exact at every length;
     the declared horizon only bounds what callers may ask for.
     """
     if label is None:
         label = graph.label or "sft"
-    return LanguageOracle(graph.alphabet, _survivor_membership(graph),
-                          horizon, label)
+    return _survivor_oracle(graph, horizon, label)
 
 
 def sft_language(graph, n):
@@ -155,8 +154,16 @@ def _moebius_table(n):
 
 def periodic_count_le(graph, n):
     """Exact number of points with minimal period <= n."""
+    if graph.is_empty:
+        return 0
     mu = _moebius_table(n)
-    counts = {p: per_count(graph, p) for p in range(1, n + 1)}
+    a = graph.adjacency
+    counts = {}
+    power = a
+    for p in range(1, n + 1):
+        counts[p] = int_trace(power)
+        if p < n:
+            power = int_matmul(power, a)
     total = 0
     for q in range(1, n + 1):
         exact_q = sum(mu[q // d] * counts[d] for d in range(1, q + 1) if q % d == 0)

@@ -18,11 +18,12 @@ from .beta import (beta_expand, beta_oracle, beta_presentation,
                    example_betashift, parse_beta_spec)
 from .dynamics import (InducedSpec, Substitution, induce_recode,
                        induced_data, subst_oracle)
-from .errors import UnsupportedSpecError
+from .errors import EnumerationCapError, UnsupportedSpecError
 from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
-from .sft import DEFAULT_CAP, FiniteTypeSpec, build_block_graph, sft_entropy
+from .sft import (DEFAULT_CAP, FiniteTypeSpec, build_block_graph,
+                  periodic_count_le, sft_entropy)
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
                     sofic_entropy, sofic_oracle)
 
@@ -302,11 +303,20 @@ def periodic_points_le(realized, n, cap=DEFAULT_CAP):
 
     Needs a finite presentation; an oracle alone only bounds periodicity
     by evidence, which is not good enough to weight a measure.
+
+    Finite-type documents (and example-nonempty ones) check the cap
+    before enumerating: a path in their ``finite_type_presentation`` is
+    determined by its labels, so the trace count of points is exact.
+    Other presentations can carry one point on several paths, where a
+    trace count overcounts and cannot justify a refusal; the enumerator
+    itself refuses once it finds more than ``cap`` points.
     """
     if realized.labeled is None:
         raise UnsupportedSpecError(
             "periodic enumeration needs a finite presentation; kind %r has none"
             % (realized.document.kind,))
+    if realized.spec is not None and periodic_count_le(realized.labeled, n) > cap:
+        raise EnumerationCapError("per_<=%d exceeds the cap %d" % (n, cap))
     return per_le_enumerate(realized.labeled, n, cap)
 
 

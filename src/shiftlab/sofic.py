@@ -20,9 +20,9 @@ import math
 
 from .errors import (AlphabetMismatchError, EnumerationCapError,
                      UndefinedEntropyError)
-from .graph import (LabeledGraph, _subset_step, _survivor_membership,
+from .graph import (LabeledGraph, _subset_step, _survivor_oracle,
                     make_labeled_graph, prune_labeled)
-from .language import EMPTY_WORD, Alphabet, LanguageOracle
+from .language import EMPTY_WORD, Alphabet
 from .sft import DEFAULT_CAP, _minimal_period, sft_language
 from .spectral import spectral_radius_certified
 from .forbidden import window_density_report
@@ -175,7 +175,8 @@ def apply_block_code(graph, code):
 
 
 def sofic_oracle(g, horizon, label=None):
-    """Language oracle of the presented shift (survivor-set scan).
+    """Language oracle of the presented shift (survivor sets, determinized
+    lazily).
 
     Prunes first: a word on a path into a dead end occurs in no point
     of the shift, so unpruned scanning would overcount.
@@ -183,7 +184,7 @@ def sofic_oracle(g, horizon, label=None):
     if label is None:
         label = g.label or "sofic"
     g = prune_labeled(g)
-    return LanguageOracle(g.alphabet, _survivor_membership(g), horizon, label)
+    return _survivor_oracle(g, horizon, label)
 
 
 def determinize(g):

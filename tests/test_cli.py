@@ -192,6 +192,18 @@ def test_periodic_on_long_memory_sft(capsys, write):
     assert "words" not in report
 
 
+def test_periodic_over_cap_refused_before_enumerating(capsys, write, monkeypatch):
+    # 4,866,930 points of minimal period <= 30: the exact trace count on
+    # the prefix automaton refuses without walking a single word
+    def enumerate_forbidden(*args):
+        raise AssertionError("per_le_enumerate ran")
+    monkeypatch.setattr("shiftlab.shifts.per_le_enumerate", enumerate_forbidden)
+    doc = write("g.json", GOLDEN_DOC)
+    rc, out, err = run(capsys, ["periodic", doc, "--period", "30"])
+    assert rc == 1
+    assert err.strip() == "error: per_<=30 exceeds the cap 1000000"
+
+
 def test_nu_exact_with_parry_distance(capsys, write):
     doc = write("g.json", GOLDEN_DOC)
     report = run_json(capsys, ["nu", doc, "--exact", "--period", "12",

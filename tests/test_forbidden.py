@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,31 @@ def test_mfw_defining_property_random(forbidden):
             if w not in allowed and w[1:] in allowed_prev and w[:-1] in allowed_prev:
                 expect.add(w)
     assert got == expect, format_word(next(iter(got ^ expect)))
+
+
+def _window_density_brute(ls_lengths, horizon):
+    # min over windows (start, start + k] inside [1, horizon] of the
+    # fraction of their lengths in the set, and the longest free run
+    present = set(ls_lengths)
+    densities = {}
+    for k in range(1, max(1, horizon // 2) + 1):
+        fractions = [Fraction(sum(1 for m in range(start + 1, start + k + 1)
+                                  if m in present), k)
+                     for start in range(horizon - k + 1)]
+        if fractions:
+            densities[k] = float(min(fractions))
+    runs = [0]
+    for m in range(1, horizon + 1):
+        runs.append(0 if m in present else runs[-1] + 1)
+    return tuple(sorted(present)), max(runs), densities
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(min_value=1, max_value=40), max_size=12),
+       st.integers(min_value=0, max_value=40))
+def test_window_density_report_matches_brute_force(ls_lengths, horizon):
+    got = window_density_report(ls_lengths, horizon)
+    assert repr(got) == repr(_window_density_brute(ls_lengths, horizon))
 
 
 def _all_words(symbols, n):

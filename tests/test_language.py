@@ -1,11 +1,14 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (Alphabet, AlphabetMismatchError, FiniteTypeSpec,
-                      HorizonExceededError, build_block_graph, complexity,
-                      format_word, lex_compare, sft_oracle, special_words,
-                      subwords)
+from shiftlab import (Alphabet, AlphabetMismatchError, DigitStream,
+                      FiniteTypeSpec, HorizonExceededError, beta_oracle,
+                      build_block_graph, complexity, format_word, lex_compare,
+                      make_labeled_graph, minimal_forbidden, sft_oracle,
+                      sofic_oracle, special_words, subwords)
 
 
 def test_alphabet_basics(alph2):
@@ -86,3 +89,111 @@ def test_factoriality_random_sft(forbidden, n):
     shorter = set(oracle.words_of_length(n - 1))
     for w in oracle.words_of_length(n):
         assert w[:-1] in shorter and w[1:] in shorter
+
+
+# ---- stepping oracles against brute forces from the definitions -------------
+
+def _path_language(states, edges):
+    """Membership in the shift a raw, possibly nondeterministic and
+    unpruned, edge set presents: w labels a path from a state with a walk
+    of length |states| into it to a state with a walk of that length out
+    of it, so the path extends to a bi-infinite one."""
+    def long_walks(ends):
+        ok = set(states)
+        for _ in range(len(states)):
+            ok = {s for s in states if any(t in ok for t in ends.get(s, ()))}
+        return ok
+
+    succ, pred = {}, {}
+    for s, _, t in edges:
+        succ.setdefault(s, set()).add(t)
+        pred.setdefault(t, set()).add(s)
+    sources, sinks = long_walks(pred), long_walks(succ)
+
+    def allowed(word):
+        cur = sources
+        for a in word:
+            cur = {t for s, b, t in edges if s in cur and b == a}
+        return bool(cur & sinks)
+
+    return allowed
+
+
+def _sft_language(symbols, forbidden):
+    """Membership in X_F: paths on the graph of M-blocks (M the longest
+    forbidden length) whose edges read a letter without completing a
+    forbidden word."""
+    m = max((len(f) for f in forbidden), default=1)
+    states = list(product(symbols, repeat=m))
+    edges = []
+    for s in states:
+        for a in symbols:
+            window = s + (a,)
+            if not any(window[i:i + len(f)] == f for f in forbidden
+                       for i in range(len(window) - len(f) + 1)):
+                edges.append((s, a, window[1:]))
+    return _path_language(states, edges)
+
+
+def _beta_language(digits):
+    """Every suffix is at most the stream prefix of equal length."""
+    def allowed(word):
+        ints = tuple(int(a) for a in word)
+        return all(ints[k:] <= tuple(digits[:len(ints) - k])
+                   for k in range(len(ints)))
+    return allowed
+
+
+def _check_oracle(oracle, fresh, allowed, probes, n_max=8):
+    symbols = oracle.alphabet.symbols
+    mfw = {}
+    for n in range(n_max + 1):
+        words = tuple(w for w in product(symbols, repeat=n) if allowed(w))
+        assert oracle.words_of_length(n) == words
+        found = tuple(w for w in product(symbols, repeat=n)
+                      if n >= 1 and not allowed(w)
+                      and (n == 1 or (allowed(w[1:]) and allowed(w[:-1]))))
+        if found:
+            mfw[n] = found
+    assert minimal_forbidden(fresh, n_max).by_length == mfw
+    for word in probes:
+        word = tuple(symbols[i % len(symbols)] for i in word)
+        assert fresh.contains(word) == allowed(word)
+
+
+_PROBES = st.lists(st.lists(st.integers(0, 2), max_size=8), max_size=20)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.text(alphabet="01", min_size=1, max_size=4), max_size=4),
+       st.integers(2, 5).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("01"),
+                             st.integers(0, n - 1))))),
+       st.integers(1, 2).flatmap(lambda d0: st.tuples(
+           st.just(d0), st.lists(st.integers(0, d0), min_size=8, max_size=8))),
+       _PROBES)
+@example(set(), (2, set()), (1, [1] * 8), [[0, 1]])
+@example({"0"}, (2, {(0, "1", 1), (1, "1", 0)}), (1, [0, 1, 1, 0, 0, 0, 0, 0]), [])
+def test_stepping_oracles_match_brute_force_random(forbidden, graph, stream,
+                                                   probes):
+    # words_of_length, minimal_forbidden and contains, read off each
+    # backend's start/step, agree with definitions on raw data
+    alph = Alphabet(("0", "1"))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    block = build_block_graph(spec)
+    _check_oracle(sft_oracle(block, 8), sft_oracle(block, 8),
+                  _sft_language(("0", "1"), spec.forbidden), probes)
+
+    n, edges = graph
+    g = make_labeled_graph(alph, tuple(range(n)), edges)
+    _check_oracle(sofic_oracle(g, 8), sofic_oracle(g, 8),
+                  _path_language(range(n), edges), probes)
+
+    # truncated streams, admissible or not: the second example fails
+    # validate_expansion, and so do most draws
+    d0, tail = stream
+    digits = (d0,) + tuple(tail)
+    d = DigitStream("truncated", digits)
+    _check_oracle(beta_oracle(d, 8), beta_oracle(d, 8),
+                  _beta_language(digits), probes)

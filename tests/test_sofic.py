@@ -11,8 +11,8 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       identity_code, is_sft, language_equal_exact,
                       language_equal_up_to, make_labeled_graph,
                       mfw_length_set, minimal_forbidden, per_le_enumerate,
-                      prune_labeled, sofic_entropy, sofic_oracle,
-                      theorem1_diagnostic)
+                      periodic_count_le, prune_labeled, sofic_entropy,
+                      sofic_oracle, theorem1_diagnostic)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -223,3 +223,15 @@ def test_per_le_enumerate_matches_brute_force_random(graph, forbidden):
     spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
     assert per_le_enumerate(build_block_graph(spec), 7) == \
         per_le_enumerate(finite_type_presentation(spec), 7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.text(alphabet="01", min_size=1, max_size=4), max_size=4),
+       st.integers(1, 7))
+def test_periodic_count_le_exact_on_prefix_automaton_random(forbidden, n):
+    # a path in the prefix automaton is determined by its labels, so the
+    # trace count equals the number of enumerated points
+    alph = Alphabet(("0", "1"))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    g = finite_type_presentation(spec)
+    assert periodic_count_le(g, n) == len(per_le_enumerate(g, n))

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 import re
 
-import mpmath
-
 from .algebraic import AlgebraicNumber
 from .errors import (AmbiguousDigitError, CannotCloseError,
                      InsufficientDigitsError, UnsupportedSpecError,
@@ -200,6 +198,7 @@ def _expand_algebraic(num, n):
 
 
 def _expand_decimal(literal, n, start_precision, ceiling):
+    import mpmath  # only decimal literals need interval arithmetic
     iv = mpmath.iv
     prec = start_precision
     last_bad = 0

@@ -90,7 +90,10 @@ def _block_graph(realized, what):
 
 def _load_code(path, alphabet):
     with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+        try:
+            obj = json.load(handle)
+        except ValueError as exc:
+            raise UnsupportedSpecError("block code is not valid JSON: %s" % (exc,))
     return parse_block_code(obj, alphabet)
 
 
@@ -250,7 +253,8 @@ def cmd_decompose(args):
         entry.update(_cylinders(comp.measure, args.depth))
         report["components"].append(entry)
     if args.average_cutoff:
-        result = mu_y_average(components, args.average_cutoff, args.depth)
+        result = mu_y_average(components, args.average_cutoff, args.depth,
+                              args.cap)
         entry = {"weights": [float(w) for w in result.weights],
                  "cutoff": result.cutoff}
         entry.update(_cylinders(result.measure, args.depth, "mu_Y"))

@@ -30,7 +30,7 @@ class EnumerationCapError(ShiftlabError):
 
 
 class ConvergenceError(ShiftlabError):
-    """An iterative numerical procedure failed to reach its certified bracket."""
+    """An iterative numerical procedure failed to reach its tolerance."""
 
 
 class ReducibleGraphError(ShiftlabError):

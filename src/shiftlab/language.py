@@ -45,11 +45,11 @@ class Alphabet:
     def __post_init__(self):
         if not self.symbols:
             raise AlphabetMismatchError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise AlphabetMismatchError("alphabet symbols must be distinct")
         for s in self.symbols:
             if not isinstance(s, str) or not s:
                 raise AlphabetMismatchError("alphabet symbols must be nonempty strings")
+        if len(set(self.symbols)) != len(self.symbols):
+            raise AlphabetMismatchError("alphabet symbols must be distinct")
 
     @cached_property
     def _index(self):

@@ -1,9 +1,10 @@
 """Measures on subshifts backed by finite data.
 
 Three concrete representations: finite supports on periodic points (the
-empirical measures nu_n), stationary Markov chains on block graphs (the
-Parry measure, the unique measure of maximal entropy of an irreducible
-SFT), and plain cylinder tables up to a depth.  All limits in sight are
+empirical measures nu_n), stationary Markov chains on irreducible
+deterministic graphs (the Parry measure, the unique measure of maximal
+entropy of an irreducible SFT or a transitive sofic shift), and plain
+cylinder tables up to a depth.  All limits in sight are
 ineffective, so every operation takes explicit depth and period cutoffs
 and reports what was actually computed.
 
@@ -22,12 +23,11 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EmptySupportError, HorizonExceededError,
                      NotAnAutomorphismError, ReducibleGraphError,
                      ShiftlabError, UnsupportedSpecError)
-from .sft import _minimal_period, _moebius_table, scc_subgraphs
+from .sft import DEFAULT_CAP, _minimal_period, _moebius_table, scc_subgraphs
 from .sofic import (apply_block_code, compose_codes, determinize,
-                    language_equal_exact, per_le_enumerate, sofic_entropy)
-from .spectral import (int_matmul, int_trace, is_irreducible,
-                       perron_root, perron_vectors,
-                       strongly_connected_components)
+                    language_equal_exact, per_le_enumerate)
+from .spectral import (int_matmul, int_trace, perron_vectors,
+                       spectral_radius_certified)
 
 PROB_TOL = 1e-9
 
@@ -101,11 +101,14 @@ class PeriodicSupportMeasure:
 
 @dataclass(frozen=True)
 class ParryMeasure:
-    """Stationary Markov chain realizing maximal entropy on a block graph.
+    """Stationary Markov chain realizing maximal entropy on an irreducible
+    deterministic labeled graph; a block graph is one.
 
     transition holds P_{uv} = A_{uv} r_v / (lambda r_u) aggregated over
-    parallel edges; cylinder evaluation resolves individual edges through
-    ``right``, so parallel loops (memory-1 graphs) are handled correctly.
+    parallel edges.  The cylinder of a word w is the sum over start
+    states s of pi(s) times r_t/(lambda r_u) along each edge u -> t of
+    the path from s that spells w, so parallel edges with different
+    labels (memory-1 graphs) are resolved by their labels.
     """
 
     graph: object
@@ -259,23 +262,27 @@ def nu_cylinder_measure(graph, n, depth):
 # ---- Parry chains --------------------------------------------------------
 
 def parry_measure(graph):
-    """The measure of maximal entropy of an irreducible block graph.
+    """The measure of maximal entropy of the shift presented by an
+    irreducible deterministic labeled graph.
 
     Per-edge probabilities r_v/(lambda r_u) make a stationary chain with
-    entropy log lambda; reducible graphs are refused since no single
-    chain carries all of their maximal-entropy mass.
+    entropy log lambda, and a right-resolving label map keeps entropy, so
+    the labels carry a measure of maximal entropy; it is the only one for
+    an irreducible SFT or a transitive sofic shift (Parry 1964).
+    Reducible graphs are refused since no single chain carries all of
+    their maximal-entropy mass.
     """
     if graph.is_empty:
         raise EmptyShiftError("the empty shift carries no measure")
+    if not graph.deterministic:
+        raise UnsupportedSpecError("the Parry chain needs a deterministic graph")
     adj = graph.adjacency
     size = len(graph.states)
-    succ = [[j for j in range(size) if adj[i][j]] for i in range(size)]
-    if not is_irreducible(size, succ):
+    try:
+        lam, right, left = perron_vectors(adj)
+    except ReducibleGraphError:
         raise ReducibleGraphError(
-            "graph is reducible; decompose with max_entropy_decomposition first")
-    lam, right, left = perron_vectors(adj)
-    if lam <= 0:
-        raise EmptyShiftError("no cycles; the shift is empty")
+            "graph is reducible; decompose with max_entropy_decomposition first") from None
     norm = sum(left[i] * right[i] for i in range(size))
     stationary = {v: left[i] * right[i] / norm for i, v in enumerate(graph.states)}
     transition = tuple(
@@ -316,23 +323,19 @@ def _validate_parry(measure):
 def _parry_eval(measure, word):
     graph = measure.graph
     graph.alphabet.check_word(word)
-    word = tuple(word)
-    f = graph.memory
-    if len(word) < f - 1:
-        return sum(p for u, p in measure.stationary.items()
-                   if u[:len(word)] == word)
-    v = word[:f - 1]
-    prob = measure.stationary.get(v)
-    if prob is None:
-        return 0.0
-    for a in word[f - 1:]:
-        nxt = graph.successors(v, a)
-        if not nxt:
-            return 0.0
-        t = nxt[0]
-        prob *= measure.right[t] / (measure.perron * measure.right[v])
-        v = t
-    return prob
+    lam, right = measure.perron, measure.right
+    total = 0.0
+    for s, prob in measure.stationary.items():
+        cur = s
+        for a in word:
+            nxt = graph.successors(cur, a)
+            if not nxt:
+                break
+            prob *= right[nxt[0]] / (lam * right[cur])
+            cur = nxt[0]
+        else:
+            total += prob
+    return total
 
 
 # ---- maximal-entropy decomposition of sofic images -----------------------
@@ -344,63 +347,6 @@ class MaxEntropyComponent:
     entropy: float
 
 
-def _labeled_mme_table(g, depth, label):
-    """Cylinder table of the maximal-entropy measure of a transitive
-    sofic shift, via the Parry chain on the top component of its
-    deterministic presentation.
-
-    Right-resolving label maps preserve entropy, so the chain's
-    pushforward is maximal; uniqueness for transitive sofic shifts makes
-    the choice of top component immaterial.
-    """
-    det = determinize(g)
-    if det.is_empty:
-        raise EmptyShiftError("empty presentation")
-    adj = det.adjacency
-    size = len(det.states)
-    succ = [[j for j in range(size) if adj[i][j]] for i in range(size)]
-    best = None
-    for comp in strongly_connected_components(size, succ):
-        if len(comp) == 1 and adj[comp[0]][comp[0]] == 0:
-            continue
-        sub = [[adj[i][j] for j in comp] for i in comp]
-        radius = float(sub[0][0]) if len(comp) == 1 else perron_root(sub)[0]
-        if best is None or radius > best[0]:
-            best = (radius, comp, sub)
-    if best is None:
-        raise EmptyShiftError("no recurrent part in the presentation")
-    _, comp, sub = best
-    lam, right, left = perron_vectors(sub)
-    norm = sum(left[i] * right[i] for i in range(len(comp)))
-    pi = [left[i] * right[i] / norm for i in range(len(comp))]
-    states = [det.states[i] for i in comp]
-    position = {s: i for i, s in enumerate(states)}
-
-    def value(word):
-        total = 0.0
-        for s in states:
-            prob = pi[position[s]]
-            cur = s
-            alive = True
-            for a in word:
-                targets = [t for t in det.successors(cur, a) if t in position]
-                if not targets:
-                    alive = False
-                    break
-                nxt = targets[0]
-                prob *= right[position[nxt]] / (lam * right[position[cur]])
-                cur = nxt
-            if alive:
-                total += prob
-        return total
-
-    values = {}
-    for k in range(depth + 1):
-        for word in itertools.product(g.alphabet.symbols, repeat=k):
-            values[word] = value(word)
-    return CylinderMeasure(g.alphabet, depth, values, label=label)
-
-
 def max_entropy_decomposition(graph, code, depth=6, tol=1e-9):
     """Entropy-maximal transitive pieces of the image shift, with their
     maximal-entropy measures.
@@ -409,6 +355,11 @@ def max_entropy_decomposition(graph, code, depth=6, tol=1e-9):
     piece of the source graph; keeping those whose image entropy ties the
     maximum is what handles codes that collapse a high-entropy piece onto
     a small shift.  Images presenting the same shift are merged.
+
+    Each image's measure is the Parry chain on the top component of its
+    deterministic presentation.  Right-resolving label maps preserve
+    entropy, so the chain's pushforward is maximal; uniqueness for
+    transitive sofic shifts makes the choice of top component immaterial.
     """
     subgraphs = scc_subgraphs(graph)
     if not subgraphs:
@@ -418,18 +369,21 @@ def max_entropy_decomposition(graph, code, depth=6, tol=1e-9):
         image = apply_block_code(sub, code)
         if image.is_empty:
             continue
-        candidates.append((image, sofic_entropy(image)))
+        det = determinize(image)
+        radius, comp = spectral_radius_certified(det.adjacency)
+        candidates.append((image, det, comp, math.log(radius)))
     if not candidates:
         raise EmptyShiftError("the image shift is empty")
-    top = max(h for _, h in candidates)
+    top = max(h for _, _, _, h in candidates)
     components = []
-    for image, h in candidates:
+    for image, det, comp, h in candidates:
         if h < top - tol:
             continue
         if any(language_equal_exact(image, c.presentation) for c in components):
             continue
-        table = _labeled_mme_table(image, depth,
-                                   label="mme-component-%d" % len(components))
+        chain = next(g for g in scc_subgraphs(det) if g.states[0] == det.states[comp[0]])
+        table = cylinder_table(parry_measure(chain), depth,
+                               label="mme-component-%d" % len(components))
         components.append(MaxEntropyComponent(image, table, h))
     return components
 
@@ -441,18 +395,19 @@ class MuAverageResult:
     cutoff: int
 
 
-def mu_y_average(components, cutoff, depth):
+def mu_y_average(components, cutoff, depth, cap=DEFAULT_CAP):
     """Periodic-point-weighted average of component measures.
 
     Component i receives c_i = |per_<=cutoff(Y_i)| / |union of all
     per_<=cutoff(Y_j)|, points counted individually and keyed by their
-    minimal word; conjugate components thus weigh equally.
+    minimal word; conjugate components thus weigh equally.  Refuses once
+    a component has more than ``cap`` points.
     """
     if not components:
         raise EmptySupportError("no components to average")
     point_sets = []
     for comp in components:
-        pts = {w for w, _ in per_le_enumerate(comp.presentation, cutoff)}
+        pts = {w for w, _ in per_le_enumerate(comp.presentation, cutoff, cap)}
         if not pts:
             raise EmptySupportError(
                 "a component has no periodic points up to %d; raise the cutoff" % cutoff)

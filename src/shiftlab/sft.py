@@ -124,12 +124,12 @@ def sft_language(graph, n):
 def sft_entropy(graph):
     """Topological entropy: log of the adjacency Perron root.
 
-    Raises undefined-entropy on the empty shift.  The Perron root is
-    certified by a Collatz-Wielandt bracket per irreducible component.
+    Raises undefined-entropy on the empty shift.  The root is the
+    largest Perron root over the irreducible components.
     """
     if graph.is_empty:
         raise UndefinedEntropyError("entropy of the empty shift is undefined")
-    radius, _, _ = spectral_radius_certified(graph.adjacency)
+    radius, _ = spectral_radius_certified(graph.adjacency)
     return math.log(radius)
 
 

@@ -23,7 +23,7 @@ from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
 from .sft import (DEFAULT_CAP, FiniteTypeSpec, build_block_graph,
-                  periodic_count_le, sft_entropy)
+                  periodic_count_le)
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
                     sofic_entropy, sofic_oracle)
 
@@ -72,6 +72,8 @@ def _validate_payload(kind, payload):
             _check_word_item(w, "forbidden word")
     elif kind == "sofic":
         _check_keys(payload, ("alphabet", "states", "edges"))
+        if not isinstance(payload["alphabet"], list):
+            _fail("alphabet must be a list of symbols")
         if not isinstance(payload["states"], list) or not payload["states"]:
             _fail("states must be a nonempty list")
         if not isinstance(payload["edges"], list):
@@ -160,7 +162,11 @@ def serialize_shift_document(doc):
 
 def load_shift_document(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_shift_document(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise UnsupportedSpecError("shift document is not UTF-8 text: %s" % (exc,))
+    return parse_shift_document(text)
 
 
 # ---- realization ----------------------------------------------------------
@@ -321,11 +327,9 @@ def periodic_points_le(realized, n, cap=DEFAULT_CAP):
 
 
 def shift_entropy(realized):
-    """Topological entropy from the finite presentation, certified."""
+    """Topological entropy from the finite presentation."""
     if realized.labeled is not None:
         return sofic_entropy(realized.labeled)
-    if realized.spec is not None:
-        return sft_entropy(realized.block_graph())
     raise UnsupportedSpecError(
         "entropy needs a finite presentation; kind %r has none"
         % (realized.document.kind,))
@@ -353,6 +357,8 @@ def parse_block_code(obj, source_alphabet):
             _fail("rule values must be letters")
         rule[window] = out
     if "target" in obj:
+        if not isinstance(obj["target"], list):
+            _fail("target must be a list of symbols")
         target = Alphabet(tuple(obj["target"]))
     else:
         target = Alphabet(tuple(sorted(set(rule.values()))))

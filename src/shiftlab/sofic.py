@@ -285,7 +285,7 @@ def sofic_entropy(g):
     d = determinize(g)
     if d.is_empty:
         raise UndefinedEntropyError("entropy of the empty shift is undefined")
-    radius, _, _ = spectral_radius_certified(d.adjacency)
+    radius, _ = spectral_radius_certified(d.adjacency)
     return math.log(radius)
 
 

@@ -1,13 +1,16 @@
 """Exact integer matrix arithmetic, strongly connected components, and
-certified Perron root computation for nonnegative integer matrices.
+Perron roots and vectors of nonnegative integer matrices.
 
 Matrices are lists of lists of Python ints so periodic-point counts stay
-exact at any size.  The Perron root is bracketed with Collatz-Wielandt
-bounds on the shifted matrix A+I (primitive whenever A is irreducible),
-so the bracket is a genuine certificate for irreducible blocks.
+exact at any size.  Perron data come from one pure-Python power
+iteration on the shifted matrix B = A + I, which is primitive whenever A
+is irreducible, over sparse rows.  For any positive u the Collatz-
+Wielandt quotients bracket the root, min_i (Bu)_i/u_i <= rho(B) <=
+max_i (Bu)_i/u_i (Seneta, Non-negative Matrices and Markov Chains,
+Ch. 1); the iteration stops once their float width is below the
+tolerance.  Those quotients are floats, so the width is a stopping rule,
+not a rigorous bound.
 """
-
-import numpy as np
 
 from .errors import ConvergenceError, ReducibleGraphError
 
@@ -100,93 +103,79 @@ def is_irreducible(n, succ):
     return True
 
 
-def perron_root(matrix, tol=1e-12, max_iter=500000):
-    """Certified Perron root of an irreducible nonnegative integer matrix.
-
-    Returns (value, lower, upper) with upper - lower < tol.  Power
-    iteration runs on A + I, whose primitivity makes the Collatz-Wielandt
-    bracket min_i (Bu)_i/u_i <= rho(B) <= max_i (Bu)_i/u_i collapse.
-    """
+def _check_irreducible(matrix):
     n = len(matrix)
     if n == 0:
         raise ReducibleGraphError("empty matrix has no Perron root")
-    succ = [[j for j in range(n) if matrix[i][j]] for i in range(n)]
-    if not is_irreducible(n, succ):
+    if not is_irreducible(n, [[j for j in range(n) if matrix[i][j]] for i in range(n)]):
         raise ReducibleGraphError("matrix is not irreducible")
-    if n == 1:
-        v = float(matrix[0][0])
-        return v, v, v
-    b = np.array(matrix, dtype=float) + np.eye(n)
-    u = np.ones(n)
+
+
+def _power_iteration(matrix, tol, max_iter):
+    """Perron root of an irreducible ``matrix`` of size >= 2 and a positive
+    right eigenvector, L1-normalized, by power iteration on A + I from
+    the all-ones vector."""
+    n = len(matrix)
+    rows = [[(j, float(matrix[i][j] + (i == j))) for j in range(n)
+             if matrix[i][j] or i == j] for i in range(n)]
+    u = [1.0] * n
     lo, hi = 0.0, float("inf")
     for _ in range(max_iter):
-        bu = b @ u
-        ratios = bu / u
-        lo = float(ratios.min())
-        hi = float(ratios.max())
+        bu = [sum(w * u[j] for j, w in row) for row in rows]
+        ratios = [x / y for x, y in zip(bu, u)]
+        lo, hi = min(ratios), max(ratios)
         if hi - lo < tol:
             break
-        u = bu / bu.max()
+        top = max(bu)
+        u = [x / top for x in bu]
     else:
         if hi - lo > 1e-9:
             raise ConvergenceError(
-                "Perron bracket width %.3e did not reach tolerance" % (hi - lo))
-    return (lo + hi) / 2.0 - 1.0, lo - 1.0, hi - 1.0
+                "Perron iteration width %.3e did not reach tolerance" % (hi - lo))
+    total = sum(u)
+    return (lo + hi) / 2.0 - 1.0, [x / total for x in u]
+
+
+def perron_root(matrix, tol=1e-12, max_iter=500000):
+    """Perron root of an irreducible nonnegative integer matrix, a float
+    whose Collatz-Wielandt width on A + I is below ``tol``."""
+    _check_irreducible(matrix)
+    if len(matrix) == 1:
+        return float(matrix[0][0])
+    return _power_iteration(matrix, tol, max_iter)[0]
 
 
 def perron_vectors(matrix, tol=1e-12, max_iter=500000):
     """Perron root with right and left eigenvectors (L1-normalized).
 
-    Same certified bracket as perron_root; the returned vectors inherit
-    its accuracy since the iteration matrix A + I is primitive.
+    The root and the right vector come from one iteration on A + I, the
+    left vector from one iteration on its transpose.
     """
-    n = len(matrix)
-    if n == 0:
-        raise ReducibleGraphError("empty matrix has no Perron data")
-    succ = [[j for j in range(n) if matrix[i][j]] for i in range(n)]
-    if not is_irreducible(n, succ):
-        raise ReducibleGraphError("matrix is not irreducible")
-    if n == 1:
+    _check_irreducible(matrix)
+    if len(matrix) == 1:
         return float(matrix[0][0]), [1.0], [1.0]
-    value, _, _ = perron_root(matrix, tol=tol, max_iter=max_iter)
-    b = np.array(matrix, dtype=float) + np.eye(n)
-
-    def settle(m):
-        u = np.ones(n)
-        for _ in range(max_iter):
-            nxt = m @ u
-            nxt = nxt / nxt.sum()
-            if np.abs(nxt - u).max() < tol:
-                return nxt
-            u = nxt
-        raise ConvergenceError("Perron vector iteration did not settle")
-
-    right = settle(b)
-    left = settle(b.T)
-    return value, [float(x) for x in right], [float(x) for x in left]
+    value, right = _power_iteration(matrix, tol, max_iter)
+    _, left = _power_iteration([list(col) for col in zip(*matrix)], tol, max_iter)
+    return value, right, left
 
 
 def spectral_radius_certified(matrix, tol=1e-12):
-    """Perron root of a general nonnegative integer matrix.
+    """Spectral radius of a nonnegative integer matrix and the strongly
+    connected component that carries it.
 
-    The radius is the max over strongly connected components; single
-    vertices without loops contribute 0.  Returns (value, lower, upper).
+    Returns (radius, component): the largest Perron root over the
+    components, and the first component in ``strongly_connected_components``
+    order that attains it.  Single vertices without loops contribute 0,
+    so a matrix without cycles gives (0.0, ()).
     """
     n = len(matrix)
-    if n == 0:
-        return 0.0, 0.0, 0.0
     succ = [[j for j in range(n) if matrix[i][j]] for i in range(n)]
-    best = (0.0, 0.0, 0.0)
+    best = (0.0, ())
     for comp in strongly_connected_components(n, succ):
         if len(comp) == 1:
-            i = comp[0]
-            if matrix[i][i] == 0:
-                continue
-            v = float(matrix[i][i])
-            cand = (v, v, v)
+            radius = float(matrix[comp[0]][comp[0]])
         else:
-            sub = [[matrix[i][j] for j in comp] for i in comp]
-            cand = perron_root(sub, tol=tol)
-        if cand[0] > best[0]:
-            best = cand
+            radius = perron_root([[matrix[i][j] for j in comp] for i in comp], tol=tol)
+        if radius > best[0]:
+            best = (radius, comp)
     return best

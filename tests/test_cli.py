@@ -7,6 +7,9 @@ success, 1 on domain and file errors, 2 on usage errors.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -87,13 +90,22 @@ def test_missing_file_is_error(capsys, tmp_path):
     (json.dumps({"kind": "beta", "beta": "poly:x^2-x-1/0@[1,2]"}), None),
     (json.dumps(dict(INDUCED_GOLDEN_DOC, clopen=5)), None),
     (json.dumps(dict(INDUCED_GOLDEN_DOC, return_rule={"000": "x"})), None),
+    (json.dumps(dict(EVEN_DOC, alphabet=None)), None),
+    (json.dumps(dict(GOLDEN_DOC, alphabet=[{}, True])), None),
+    (json.dumps(GOLDEN_DOC), json.dumps(dict(FLIP_CODE, target=None))),
+    (json.dumps(GOLDEN_DOC), json.dumps(dict(FLIP_CODE, target=[["0"]]))),
+    (json.dumps(GOLDEN_DOC), "{not json"),
+    (b"\xff\xfe{", None),
 ], ids=["not-json", "sofic-edges-not-list", "code-rule-not-object",
         "beta-rational-not-a-number", "beta-rational-zero-denominator",
         "beta-interval-not-a-number", "beta-poly-zero-denominator",
-        "induced-clopen-not-list", "induced-return-time-not-int"])
+        "induced-clopen-not-list", "induced-return-time-not-int",
+        "sofic-alphabet-null", "alphabet-symbols-not-strings",
+        "code-target-null", "code-target-symbols-not-strings", "code-not-json",
+        "not-utf8"])
 def test_bad_document_is_error(capsys, tmp_path, doc, code):
     p = tmp_path / "bad.json"
-    p.write_text(doc)
+    p.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     argv = ["mfw", str(p)]
     if code is not None:
         c = tmp_path / "code.json"
@@ -232,6 +244,43 @@ def test_decompose_with_average(capsys, write):
     assert comp["entropy"] == pytest.approx(math.log(GOLDEN), abs=1e-9)
     assert comp["cylinders"]["00"] == pytest.approx(0.0, abs=1e-12)
     assert report["average"]["weights"] == [1.0]
+
+
+def test_decompose_average_honours_cap(capsys, write):
+    doc = write("g.json", GOLDEN_DOC)
+    code = write("flip.json", FLIP_CODE)
+    rc, out, err = run(capsys, ["decompose", doc, "--code", code,
+                                "--average-cutoff", "12", "--cap", "10"])
+    assert rc == 1
+    assert out == ""
+    assert err.strip() == "error: per_<=12 exceeds the cap 10"
+
+
+def test_commands_run_without_numpy_and_mpmath(tmp_path):
+    # numpy is no runtime dependency, and mpmath serves decimal beta
+    # literals only: a poisoned import of either must not be reached
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps(GOLDEN_DOC))
+    flip = tmp_path / "flip.json"
+    flip.write_text(json.dumps(FLIP_CODE))
+    argvs = [["entropy", str(golden)],
+             ["parry", str(golden), "--depth", "2"],
+             ["nu", str(golden), "--exact", "--period", "12", "--compare-parry"],
+             ["decompose", str(golden), "--code", str(flip),
+              "--average-cutoff", "6"],
+             ["beta", "expand", GOLDEN_BETA]]
+    script = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.modules['mpmath'] = None\n"
+        "from shiftlab import cli\n"
+        "sys.exit(max(cli.main(a) for a in json.loads(sys.argv[1])))\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_push(capsys, write):

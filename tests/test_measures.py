@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, BlockCode, CylinderMeasure, EmptySupportError,
-                      FiniteTypeSpec, NotAnAutomorphismError, ShiftlabError,
+                      FiniteTypeSpec, NotAnAutomorphismError, ReducibleGraphError,
+                      ShiftlabError, UnsupportedSpecError, make_labeled_graph,
                       automorphism_invariance_check, build_block_graph,
                       cylinder_table, eval_cylinder, full_shift,
                       max_entropy_decomposition, mu_y_average, nu_cylinder_measure,
                       nu_measure, parry_measure, per_le_enumerate, pushforward,
-                      sft_oracle, weak_star_distance)
+                      scc_subgraphs, sft_oracle, weak_star_distance)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -131,6 +133,17 @@ def test_max_entropy_decomposition_reducible():
     assert avg.measure.values[("a",)] == pytest.approx(0.5)
 
 
+def test_parry_measure_refuses_reducible_and_nondeterministic(alph2):
+    a3 = Alphabet(("0", "1", "2"))
+    forb = frozenset([("0", "2"), ("2", "0"), ("1", "2"), ("2", "1")])
+    with pytest.raises(ReducibleGraphError, match="decompose"):
+        parry_measure(build_block_graph(FiniteTypeSpec(a3, forb)))
+    two_ways = make_labeled_graph(alph2, ("p", "q"),
+                                  [("p", "0", "p"), ("p", "0", "q"), ("q", "1", "p")])
+    with pytest.raises(UnsupportedSpecError, match="deterministic"):
+        parry_measure(two_ways)
+
+
 def test_mu_y_average_empty_components():
     with pytest.raises(EmptySupportError):
         mu_y_average([], 3, 2)
@@ -157,3 +170,38 @@ def test_nu_shift_invariance(golden_graph, n):
         if len(w) >= 4:
             continue
         assert v == sum(tab.values[(a,) + w] for a in alph)
+
+
+def parry_memory_formula(pm, word):
+    """Cylinder of a block-graph Parry chain read off the block states:
+    pi(w[:f-1]) times the edge probabilities of the rest of w, and the
+    summed stationary mass of the states extending w when |w| < f - 1."""
+    graph = pm.graph
+    f = graph.memory
+    if len(word) < f - 1:
+        return sum(p for u, p in pm.stationary.items() if u[:len(word)] == word)
+    v = word[:f - 1]
+    prob = pm.stationary.get(v, 0.0)
+    for a in word[f - 1:]:
+        nxt = graph.successors(v, a)
+        if not nxt:
+            return 0.0
+        prob *= pm.right[nxt[0]] / (pm.perron * pm.right[v])
+        v = nxt[0]
+    return prob
+
+
+@settings(max_examples=40, deadline=None)
+@given(letters=st.integers(2, 3), data=st.data())
+def test_parry_start_state_sum_matches_memory_formula(letters, data):
+    # the start-state sum works on any deterministic graph; on block
+    # graphs it must agree with the formula that reads the block states
+    alph = Alphabet(tuple("abc"[:letters]))
+    word = st.lists(st.sampled_from(alph.symbols), min_size=1, max_size=3).map(tuple)
+    forbidden = data.draw(st.frozensets(word, max_size=4))
+    graph = build_block_graph(FiniteTypeSpec(alph, forbidden))
+    for piece in ([] if graph.is_empty else scc_subgraphs(graph)):
+        pm = parry_measure(piece)
+        for k in range(4):
+            for w in itertools.product(alph.symbols, repeat=k):
+                assert abs(eval_cylinder(pm, w) - parry_memory_formula(pm, w)) <= 1e-10

@@ -205,9 +205,8 @@ def cmd_periodic(args):
 
 def cmd_nu(args):
     realized = _load(args)
-    if args.exact:
-        graph = _block_graph(realized, "exact cylinder computation")
-        measure = nu_cylinder_measure(graph, args.period, args.depth)
+    if realized.spec is not None:
+        measure = nu_cylinder_measure(realized.labeled, args.period, args.depth)
     else:
         points = periodic_points_le(realized, args.period, args.cap)
         measure = nu_measure(points, realized.oracle.alphabet, args.period)
@@ -604,7 +603,9 @@ def build_parser():
     p.add_argument("--period", type=int, default=8)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--exact", action="store_true",
-                   help="exact cylinder values by transfer matrices")
+                   help="accepted and ignored: values are always exact, counted "
+                        "by transfer matrices on finite-type data and "
+                        "enumerated otherwise")
     p.add_argument("--compare-parry", action="store_true")
     p.set_defaults(func=cmd_nu)
 

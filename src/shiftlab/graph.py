@@ -11,6 +11,7 @@ from functools import cached_property
 
 from .errors import AlphabetMismatchError
 from .language import Alphabet, stepping_oracle
+from .spectral import int_matmul
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,19 @@ class LabeledGraph:
                 for t in ts:
                     a[idx[s]][idx[t]] += 1
         return a
+
+    @cached_property
+    def _adjacency_powers(self):
+        n = len(self.states)
+        return [[[int(i == j) for j in range(n)] for i in range(n)]]
+
+    def adjacency_power(self, k):
+        """A^k, exact.  The powers are kept on the graph, so every count
+        over it (one per cylinder, say) shares one table."""
+        powers = self._adjacency_powers
+        while len(powers) <= k:
+            powers.append(int_matmul(powers[-1], self.adjacency))
+        return powers[k]
 
     def label_matrix(self, letter):
         """0/1 matrix of the edges carrying one letter."""

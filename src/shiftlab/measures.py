@@ -8,10 +8,10 @@ cylinder tables up to a depth.  All limits in sight are
 ineffective, so every operation takes explicit depth and period cutoffs
 and reports what was actually computed.
 
-nu_n cylinder values are also available exactly (as Fractions) through
-transfer matrices, with no point enumeration; that is what makes period
-bounds like 30 on the golden-mean shift tractable, where the point count
-is in the millions.
+nu_n cylinder values of an SFT are also available exactly (as Fractions)
+from the transfer-matrix count ``sft.periodic_count_le``, with no point
+enumeration; that is what makes period bounds like 30 on the golden-mean
+shift tractable, where the point count is in the millions.
 """
 
 from dataclasses import dataclass
@@ -23,11 +23,11 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EmptySupportError, HorizonExceededError,
                      NotAnAutomorphismError, ReducibleGraphError,
                      ShiftlabError, UnsupportedSpecError)
-from .sft import DEFAULT_CAP, _minimal_period, _moebius_table, scc_subgraphs
+from .sft import (DEFAULT_CAP, _minimal_period, periodic_count_le,
+                  scc_subgraphs)
 from .sofic import (apply_block_code, compose_codes, determinize,
                     language_equal_exact, per_le_enumerate)
-from .spectral import (int_matmul, int_trace, perron_vectors,
-                       spectral_radius_certified)
+from .spectral import perron_vectors, spectral_radius_certified
 
 PROB_TOL = 1e-9
 
@@ -207,54 +207,22 @@ def pushforward(measure, code):
 def nu_cylinder_measure(graph, n, depth):
     """Exact cylinder table of nu_n on an SFT, without enumerating points.
 
-    Closed q-paths whose labels start with w are counted by
-    trace(B_w A^{q-|w|}), B_w the product of per-letter edge matrices;
-    for q < |w| the prefix forces q-periodicity of w as a string and the
-    count collapses to trace(B_{w[:q]}).  Moebius inversion over divisors
-    turns period counts into minimal-period counts, and every value is a
-    ratio of exact integers.
+    ``graph`` is a block graph or ``finite_type_presentation`` of the SFT.
+    The value on [w] is ``periodic_count_le(graph, n, w)`` over the count
+    of all points of minimal period <= n, a ratio of exact integers.
     """
     if graph.is_empty:
         raise EmptyShiftError("nu_n of the empty shift is undefined")
     if n < 1:
         raise EmptySupportError("period bound must be >= 1")
-    adj = graph.adjacency
-    size = len(graph.states)
-    mob = _moebius_table(n)
-    powers = [None] * (n + 1)
-    powers[0] = [[int(i == j) for j in range(size)] for i in range(size)]
-    for q in range(1, n + 1):
-        powers[q] = int_matmul(powers[q - 1], adj)
-    letter_matrix = {a: graph.label_matrix(a) for a in graph.alphabet}
-
-    def period_count(word, q):
-        if q >= len(word):
-            b = powers[0]
-            for a in word:
-                b = int_matmul(b, letter_matrix[a])
-            return int_trace(int_matmul(b, powers[q - len(word)]))
-        if any(word[i] != word[i % q] for i in range(len(word))):
-            return 0
-        b = powers[0]
-        for a in word[:q]:
-            b = int_matmul(b, letter_matrix[a])
-        return int_trace(b)
-
-    def minimal_le_count(word):
-        total = 0
-        for q in range(1, n + 1):
-            for d in range(1, q + 1):
-                if q % d == 0:
-                    total += mob[q // d] * period_count(word, d)
-        return total
-
-    denominator = minimal_le_count(())
+    denominator = periodic_count_le(graph, n)
     if denominator <= 0:
         raise EmptySupportError("no periodic points up to period %d" % n)
     values = {}
     for k in range(depth + 1):
         for word in itertools.product(graph.alphabet.symbols, repeat=k):
-            values[word] = Fraction(minimal_le_count(word), denominator)
+            values[word] = Fraction(periodic_count_le(graph, n, word),
+                                    denominator)
     return CylinderMeasure(graph.alphabet, depth, values,
                            label="nu_%d(%s)" % (n, graph.label or "sft"))
 

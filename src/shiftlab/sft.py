@@ -11,6 +11,7 @@ the shift.  An empty pruned graph is the empty shift; it is flagged, not
 raised, because downstream diagnostics want to report it.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -152,22 +153,39 @@ def _moebius_table(n):
     return mu
 
 
-def periodic_count_le(graph, n):
-    """Exact number of points with minimal period <= n."""
-    if graph.is_empty:
+def periodic_count_le(graph, n, word=EMPTY_WORD):
+    """Exact number of points of minimal period <= n whose coordinates
+    0..|word|-1 read ``word`` (all of them for the empty word).
+
+    The graph must carry each periodic point on exactly one closed path,
+    as a block graph and ``sofic.finite_type_presentation`` do.  Then the
+    points of period d that read w number c_w(d) = trace(B_w A^(d-|w|)),
+    B_w the product of the letter matrices of w.  For d < |w| such a
+    point reads w only when w is d-periodic, and then c_w(d) =
+    trace(B_{w[:d]}).  Moebius inversion summed over the minimal periods
+    q <= n gives sum_d M(n // d) c_w(d), M the running sum of the Moebius
+    function; the powers of A come from the graph's one table.  Other
+    presentations can carry one point on several paths, and there this
+    overcounts.
+    """
+    if graph.is_empty or n < 1:
         return 0
-    mu = _moebius_table(n)
-    a = graph.adjacency
-    counts = {}
-    power = a
-    for p in range(1, n + 1):
-        counts[p] = int_trace(power)
-        if p < n:
-            power = int_matmul(power, a)
+    prefixes = [graph.adjacency_power(0)]
+    for a in word:
+        prefixes.append(int_matmul(prefixes[-1], graph.label_matrix(a)))
+    entries = [(i, j, v) for i, row in enumerate(prefixes[-1])
+               for j, v in enumerate(row) if v]
+    mertens = list(itertools.accumulate(_moebius_table(n)))
     total = 0
-    for q in range(1, n + 1):
-        exact_q = sum(mu[q // d] * counts[d] for d in range(1, q + 1) if q % d == 0)
-        total += exact_q
+    for d in range(1, n + 1):
+        if d >= len(word):
+            power = graph.adjacency_power(d - len(word))
+            count = sum(v * power[j][i] for i, j, v in entries)
+        elif all(word[i] == word[i % d] for i in range(len(word))):
+            count = int_trace(prefixes[d])
+        else:
+            continue
+        total += mertens[n // d] * count
     return total
 
 
@@ -190,21 +208,6 @@ def sft_cover(oracle, n):
     words = frozenset(w for ws in table.by_length.values() for w in ws)
     return FiniteTypeSpec(oracle.alphabet, words,
                           label="cover-%d(%s)" % (n, oracle.label))
-
-
-def sft_equal(g1, g2):
-    """Exact equality of the two presented shifts.
-
-    Two SFTs with memories f1, f2 coincide iff their languages agree up
-    to length f1 + f2 (each is determined by its windows of its own
-    memory length).
-    """
-    if g1.alphabet != g2.alphabet:
-        raise AlphabetMismatchError("cannot compare shifts over different alphabets")
-    if g1.is_empty or g2.is_empty:
-        return g1.is_empty and g2.is_empty
-    n = g1.memory + g2.memory
-    return sft_language(g1, n) == sft_language(g2, n)
 
 
 def scc_subgraphs(graph):

@@ -232,29 +232,35 @@ def _union_symbols(g1, g2):
 
 
 def language_equal_up_to(g1, g2, n):
-    """Do the two presented shifts share all words of length <= n?
-
-    Product reachability over survivor-set pairs; a pair with exactly one
-    empty side at depth d <= n witnesses a length-d word in one language
-    only.  When the pair space is exhausted without a witness the
-    languages agree at every length, so large n costs nothing extra.
-    """
+    """Do the two presented shifts share all words of length <= n?"""
     g1 = prune_labeled(g1)
     g2 = prune_labeled(g2)
+    return _followers_equal(g1, frozenset(g1.states), g2, frozenset(g2.states), n)
+
+
+def _followers_equal(g1, s1, g2, s2, n):
+    """Are the words of length <= n readable from the state set s1 of g1
+    the words readable from s2 of g2?
+
+    Product reachability over survivor-set pairs; a pair with exactly one
+    empty side at depth d <= n witnesses a length-d word on one side only.
+    When the pair space is exhausted without a witness the followers agree
+    at every length, so large n costs nothing extra.
+    """
+    if not s1 or not s2:
+        return (not s1) == (not s2)
     symbols = _union_symbols(g1, g2)
-    start = (frozenset(g1.states), frozenset(g2.states))
-    if not start[0] or not start[1]:
-        return (not start[0]) == (not start[1])
+    start = (s1, s2)
     seen = {start}
     frontier = [start]
     depth = 0
     while frontier and depth < n:
         depth += 1
         nxt = []
-        for s1, s2 in frontier:
+        for x1, x2 in frontier:
             for a in symbols:
-                t1 = _subset_step(g1, s1, a) if a in g1.alphabet else frozenset()
-                t2 = _subset_step(g2, s2, a) if a in g2.alphabet else frozenset()
+                t1 = _subset_step(g1, x1, a) if a in g1.alphabet else frozenset()
+                t2 = _subset_step(g2, x2, a) if a in g2.alphabet else frozenset()
                 if not t1 and not t2:
                     continue
                 if not t1 or not t2:
@@ -351,41 +357,6 @@ class SoficClassTag:
     det_states: int
 
 
-def _follower_contains(g, big, small, memo):
-    """Is every word readable from ``big`` readable from ``small``?
-
-    BFS over survivor pairs; a reachable (nonempty, empty) pair is a
-    counterexample word.
-    """
-    key = (big, small)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    seen = {key}
-    frontier = [key]
-    ok = True
-    while frontier and ok:
-        nxt = []
-        for b, s in frontier:
-            for a in g.alphabet:
-                tb = _subset_step(g, b, a)
-                if not tb:
-                    continue
-                ts = _subset_step(g, s, a)
-                if not ts:
-                    ok = False
-                    break
-                pair = (tb, ts)
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.append(pair)
-            if not ok:
-                break
-        frontier = nxt
-    memo[key] = ok
-    return ok
-
-
 def _pair_levels(d, start, steps):
     """The walk start, F(start), F(F(start)), ... over survivor pairs.
 
@@ -448,15 +419,12 @@ def is_sft(g, memory_bound=None):
                 subsets.add(nxt)
                 queue.append(nxt)
     levels, first = _pair_levels(d, frozenset((s, full) for s in subsets), m)
+    # every target pair has s1 inside s2, so the followers of s1 lie inside
+    # those of s2 and "equal" is the containment the criterion asks for
     target = levels[_level_index(m, len(levels), first)]
-    memo = {}
-    verdict = True
-    for s1, s2 in sorted(target, key=lambda p: (sorted(p[0]), sorted(p[1]))):
-        if s1 == s2:
-            continue
-        if not _follower_contains(d, s2, s1, memo):
-            verdict = False
-            break
+    pairs = sorted(target, key=lambda p: (sorted(p[0]), sorted(p[1])))
+    verdict = all(s1 == s2 or _followers_equal(d, s1, d, s2, math.inf)
+                  for s1, s2 in pairs)
     return SoficClassTag(verdict, m, v)
 
 

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -224,6 +225,35 @@ def test_nu_exact_with_parry_distance(capsys, write):
     assert report["cylinders"]["11"] == 0.0
     assert 0.0 <= report["parry_distance"] < 0.01
     assert "note" in report
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (GOLDEN_DOC, ["--period", "10", "--compare-parry"]),
+    # 4,866,930 points: counted, so no enumeration cap applies
+    (GOLDEN_DOC, ["--period", "30"]),
+    (EVEN_DOC, ["--period", "6"]),
+    ({"kind": "beta", "beta": GOLDEN_BETA}, ["--period", "6"]),
+    (FIB_DOC, []),
+], ids=["finite-type", "finite-type-over-cap", "sofic", "beta", "no-presentation"])
+def test_nu_ignores_exact(capsys, write, doc, argv):
+    path = write("d.json", doc)
+    plain = run(capsys, ["nu", path] + argv)
+    assert run(capsys, ["nu", path, "--exact"] + argv) == plain
+    assert plain[0] == (1 if doc is FIB_DOC else 0)
+
+
+def test_nu_counts_long_memory_sft_without_block_graph(capsys, write, monkeypatch):
+    # memory 11 over three letters: the count runs on the prefix automaton
+    def block_graph_forbidden(self):
+        raise AssertionError("block graph built")
+    monkeypatch.setattr("shiftlab.shifts.RealizedShift.block_graph",
+                        block_graph_forbidden)
+    doc = write("ne.json", {"kind": "example-nonempty", "lengths": [3, 5, 12]})
+    report = run_json(capsys, ["nu", doc, "--exact", "--period", "8"])
+    exact = report["cylinders_exact"]
+    assert sum(Fraction(exact[a]) for a in ("0", "1", "2")) == 1
+    # 7154 points of minimal period <= 8 (see test_periodic_on_long_memory_sft)
+    assert all(7154 % Fraction(v).denominator == 0 for v in exact.values())
 
 
 def test_parry(capsys, write):

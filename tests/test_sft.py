@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, EnumerationCapError, FiniteTypeSpec,
                       UndefinedEntropyError, build_block_graph, full_shift,
-                      per_count, per_le_enumerate,
+                      language_equal_exact, per_count, per_le_enumerate,
                       periodic_count_le, scc_subgraphs, sft_cover, sft_entropy,
-                      sft_equal, sft_language, sft_oracle)
+                      sft_language, sft_oracle)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -50,7 +50,7 @@ def test_full_shift_helpers(alph2, full2_spec):
     g = full_shift(alph2)
     assert sft_entropy(g) == pytest.approx(math.log(2), abs=1e-12)
     assert per_count(g, 5) == 32
-    assert sft_equal(g, build_block_graph(full2_spec))
+    assert language_equal_exact(g, build_block_graph(full2_spec))
 
 
 def test_golden_per_counts_are_lucas(golden_graph):
@@ -82,7 +82,7 @@ def test_enumeration_cap(alph2):
 def test_sft_cover_reconstructs_golden(golden_graph, golden_oracle):
     cover = sft_cover(golden_oracle, 4)
     assert cover.forbidden == frozenset([("1", "1")])
-    assert sft_equal(build_block_graph(cover), golden_graph)
+    assert language_equal_exact(build_block_graph(cover), golden_graph)
 
 
 def test_scc_subgraphs_reducible():

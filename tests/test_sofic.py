@@ -227,11 +227,18 @@ def test_per_le_enumerate_matches_brute_force_random(graph, forbidden):
 
 @settings(max_examples=25, deadline=None)
 @given(st.sets(st.text(alphabet="01", min_size=1, max_size=4), max_size=4),
-       st.integers(1, 7))
-def test_periodic_count_le_exact_on_prefix_automaton_random(forbidden, n):
+       st.integers(1, 7), st.text(alphabet="01", max_size=3))
+def test_periodic_count_le_exact_on_prefix_automaton_random(forbidden, n, w):
     # a path in the prefix automaton is determined by its labels, so the
-    # trace count equals the number of enumerated points
+    # trace count equals the number of enumerated points, also on the
+    # cylinder [w] (the d < |w| branch runs once n or a period is short)
     alph = Alphabet(("0", "1"))
     spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    w = alph.word(w)
     g = finite_type_presentation(spec)
-    assert periodic_count_le(g, n) == len(per_le_enumerate(g, n))
+    points = per_le_enumerate(g, n)
+    assert periodic_count_le(g, n) == len(points)
+    reading_w = sum(1 for word, p in points
+                    if all(word[i % p] == w[i] for i in range(len(w))))
+    assert periodic_count_le(g, n, w) == reading_w
+    assert periodic_count_le(build_block_graph(spec), n, w) == reading_w

@@ -124,6 +124,13 @@ def _variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _chain_count(chain, lo, hi):
+    """Distinct real roots in (lo, hi) of the square-free ``chain[0]``."""
+    if poly_eval(chain[0], lo) == 0 or poly_eval(chain[0], hi) == 0:
+        raise UnsupportedSpecError("interval endpoint is a root; nudge the interval")
+    return _variations(chain, lo) - _variations(chain, hi)
+
+
 def count_roots(p, lo, hi):
     """Distinct real roots of p in the open interval (lo, hi).
 
@@ -132,10 +139,7 @@ def count_roots(p, lo, hi):
     p = squarefree_part(poly_norm(p))
     if not p:
         raise ZeroDivisionError("root counting needs a nonzero polynomial")
-    if poly_eval(p, lo) == 0 or poly_eval(p, hi) == 0:
-        raise UnsupportedSpecError("interval endpoint is a root; nudge the interval")
-    chain = sturm_chain(p)
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _chain_count(sturm_chain(p), lo, hi)
 
 
 @dataclass
@@ -143,14 +147,17 @@ class AlgebraicNumber:
     """A real root of ``poly`` isolated by the interval [lo, hi].
 
     Elements of Q(root) are Fraction tuples of length < deg(poly),
-    little-endian in the root.  The interval shrinks in place as sign
-    queries refine it; every answer is exact regardless of the width.
+    little-endian in the root.  The Sturm chain of the square-free part
+    of ``poly`` is built once, here; the interval still shrinks in place
+    as sign queries bisect it on that chain, and every answer is exact
+    regardless of the width.
     """
 
     poly: tuple
     lo: Fraction
     hi: Fraction
     _sf: tuple = field(init=False, repr=False)
+    _chain: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.poly = poly_norm(self.poly)
@@ -164,7 +171,8 @@ class AlgebraicNumber:
             raise UnsupportedSpecError(
                 "interval endpoints must not be roots; widen or shift the interval")
         self._sf = squarefree_part(self.poly)
-        if count_roots(self._sf, self.lo, self.hi) != 1:
+        self._chain = sturm_chain(self._sf)
+        if _chain_count(self._chain, self.lo, self.hi) != 1:
             raise UnsupportedSpecError("interval must isolate exactly one real root")
 
     # ---- field elements ----------------------------------------------
@@ -205,7 +213,7 @@ class AlgebraicNumber:
             width = (self.hi - self.lo) / 4
             self.lo, self.hi = mid - width, mid + width
             return
-        if count_roots(self._sf, self.lo, mid) == 1:
+        if _chain_count(self._chain, self.lo, mid) == 1:
             self.hi = mid
         else:
             self.lo = mid

@@ -113,14 +113,6 @@ class BetaNumber:
     start_precision: int = 64
     precision_ceiling: int = 1 << 16
 
-    def value_hint(self):
-        """Float approximation for display only."""
-        if self.kind == "rational":
-            return float(self.rational)
-        if self.kind == "algebraic":
-            return self.algebraic.root_float()
-        return float(self.literal)
-
 
 def beta_rational(value):
     value = Fraction(value)

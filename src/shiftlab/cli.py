@@ -11,6 +11,7 @@ are byte-stable for identical inputs.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -540,7 +541,10 @@ def _add_shift_arg(p, count=1):
         p.add_argument("other", help="second shift document file")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The parser, built once per process.  ``parse_args`` returns a fresh
+    ``Namespace`` per call, so nothing carries from one report to the next."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--horizon", type=int, default=16,

@@ -5,6 +5,7 @@ documents and block-code files are written to tmp_path.  Exit codes: 0 on
 success, 1 on domain and file errors, 2 on usage errors.
 """
 
+import argparse
 import json
 import math
 import os
@@ -121,6 +122,62 @@ def test_tau_domain_error(capsys):
     rc, _, err = run(capsys, ["tau", "0"])
     assert rc == 1
     assert "tau is defined" in err
+
+
+# ---- one parser per process --------------------------------------------------
+
+def run_any(capsys, argv):
+    """Like run, but an argparse rejection becomes its exit code."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_back_to_back_reports_share_no_state(capsys, write):
+    doc = write("g.json", GOLDEN_DOC)
+    calls = [
+        ["lang", doc, "--length", "6", "--format", "json"],
+        ["lang", doc, "--format", "json"],
+        ["nu", doc, "--compare-parry", "--format", "json"],
+        ["nu", doc, "--format", "json"],
+        ["lang", doc, "--format", "yaml"],
+        ["entropy", doc],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_any(capsys, argv))
+    reused = [run_any(capsys, argv) for argv in calls]
+    assert reused == fresh
+    assert json.loads(reused[0][1])["length"] == 6
+    assert json.loads(reused[1][1])["length"] == 4
+    assert "parry_distance" in json.loads(reused[2][1])
+    assert "parry_distance" not in json.loads(reused[3][1])
+    assert reused[4][0] == 2 and "invalid choice: 'yaml'" in reused[4][2]
+    assert reused[5][0] == 0 and reused[5][1]
+
+
+def test_parser_is_built_once(capsys, write, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    doc = write("g.json", GOLDEN_DOC)
+    run(capsys, ["entropy", doc])
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["lang", doc], ["beta", "expand", "rational:5/2"], ["tau", "1"]):
+        assert run(capsys, argv)[0] == 0
+    assert run_any(capsys, ["lang", doc, "--format", "yaml"])[0] == 2
+    assert cli.build_parser() is cli.build_parser()
+    assert built == []
+    cli.build_parser.__wrapped__()  # the counter does see a rebuild
+    assert built
 
 
 # ---- language commands -----------------------------------------------------

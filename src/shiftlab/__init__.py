@@ -1,8 +1,9 @@
 """Combinatorial and measure-theoretic invariants of shift spaces.
 
-Words are tuples of string symbols, languages are membership oracles
-bounded by an explicit horizon, and every asymptotic statement made by
-the reporting layer is tagged as evidence at that horizon.
+Words are tuples of string symbols, languages are oracles that read
+words letter by letter up to an explicit horizon, and every asymptotic
+statement made by the reporting layer is tagged as evidence at that
+horizon.
 """
 
 from .errors import (AlphabetMismatchError, AmbiguousDigitError,

@@ -11,6 +11,7 @@ The defining polynomial does not need to be irreducible; nothing here
 factors anything.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -238,7 +239,7 @@ class AlgebraicNumber:
 
     def floor(self, a):
         """Largest integer <= a(root)."""
-        guess = int(self.approx(a))
+        guess = math.floor(poly_eval(a, self.lo))
         while self.compare(a, self.from_rational(guess)) < 0:
             guess -= 1
         while self.compare(a, self.from_rational(guess + 1)) >= 0:
@@ -249,11 +250,6 @@ class AlgebraicNumber:
         width = Fraction(width)
         while self.hi - self.lo > width:
             self._bisect()
-
-    def approx(self, a, width=Fraction(1, 2 ** 40)):
-        """Float estimate of a(root); exactness never depends on it."""
-        self.refine(width)
-        return float(poly_eval(a, (self.lo + self.hi) / 2))
 
     def root_float(self):
         self.refine(Fraction(1, 2 ** 40))

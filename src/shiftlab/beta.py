@@ -110,8 +110,6 @@ class BetaNumber:
     rational: Fraction = None
     algebraic: AlgebraicNumber = None
     literal: str = None
-    start_precision: int = 64
-    precision_ceiling: int = 1 << 16
 
 
 def beta_rational(value):
@@ -129,18 +127,14 @@ def beta_algebraic(coeffs, lo, hi):
     return BetaNumber(kind="algebraic", algebraic=num)
 
 
-def beta_decimal(literal, start_precision=64, precision_ceiling=1 << 16):
+def beta_decimal(literal):
     try:
         value = Fraction(literal)
     except ValueError:
         raise UnsupportedSpecError("cannot parse decimal literal %r" % (literal,))
     if value <= 1:
         raise UnsupportedSpecError("beta must exceed 1")
-    if start_precision > precision_ceiling:
-        raise UnsupportedSpecError("starting precision above the ceiling")
-    return BetaNumber(kind="decimal", literal=literal,
-                      start_precision=start_precision,
-                      precision_ceiling=precision_ceiling)
+    return BetaNumber(kind="decimal", literal=literal)
 
 
 def _expand_rational(beta, n):
@@ -189,12 +183,18 @@ def _expand_algebraic(num, n):
     return digits, "truncated", 0, 0
 
 
-def _expand_decimal(literal, n, start_precision, ceiling):
+# Interval precision (bits) of the decimal engine: doubled from the start
+# until every floor is certified, giving up past the ceiling.
+DECIMAL_START_PRECISION = 64
+DECIMAL_PRECISION_CEILING = 1 << 16
+
+
+def _expand_decimal(literal, n):
     import mpmath  # only decimal literals need interval arithmetic
     iv = mpmath.iv
-    prec = start_precision
+    prec = DECIMAL_START_PRECISION
     last_bad = 0
-    while prec <= ceiling:
+    while prec <= DECIMAL_PRECISION_CEILING:
         saved = iv.prec
         try:
             iv.prec = prec
@@ -235,8 +235,7 @@ def beta_expand(beta, n):
     elif beta.kind == "algebraic":
         digits, status, pre, per = _expand_algebraic(beta.algebraic, n)
     elif beta.kind == "decimal":
-        digits, status, pre, per = _expand_decimal(
-            beta.literal, n, beta.start_precision, beta.precision_ceiling)
+        digits, status, pre, per = _expand_decimal(beta.literal, n)
     else:
         raise UnsupportedSpecError("unknown beta engine %r" % (beta.kind,))
     d0 = digits[0]

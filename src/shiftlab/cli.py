@@ -20,7 +20,7 @@ from .beta import (beta_expand, beta_ls_diagnostic, beta_mfw,
                    beta_presentation, example_betashift, parse_beta_spec)
 from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
     speedup_gap_compare
-from .errors import ShiftlabError, UnsupportedSpecError
+from .errors import NotAnAutomorphismError, ShiftlabError, UnsupportedSpecError
 from .forbidden import ls_report, minimal_forbidden, tau_eval, \
     well_approx_check
 from .language import complexity, format_word, special_words
@@ -30,8 +30,8 @@ from .measures import (automorphism_invariance_check, cylinder_table,
                        weak_star_distance)
 from .shifts import (load_shift_document, parse_block_code,
                      periodic_points_le, realize, shift_entropy)
-from .sofic import determinize, is_sft, language_equal_up_to, sofic_entropy, \
-    theorem1_diagnostic
+from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
+    language_equal_up_to, sofic_entropy, theorem1_diagnostic
 
 
 def _evidence(horizon):
@@ -278,8 +278,11 @@ def cmd_push(args):
 
 def cmd_autocheck(args):
     realized = _load(args)
+    graph = _block_graph(realized, "the automorphism check")
     code = _load_code(args.code, realized.oracle.alphabet)
     inverse = _load_code(args.inverse, code.target_alphabet)
+    if not language_equal_exact(apply_block_code(graph, code), graph):
+        raise NotAnAutomorphismError("the code does not map the shift onto itself")
     points = periodic_points_le(realized, args.period, args.cap)
     report = automorphism_invariance_check(
         realized.oracle, points, args.period, code, inverse,

@@ -6,11 +6,12 @@ two-sided substitutive system; the two differ for non-primitive rules
 and the examples here are deliberately non-primitive.
 
 Induced and sped-up systems are recoded over a superalphabet of
-(2N+1)-windows.  Membership of a superword is decided by scanning the
-base language for a realization: windows placed at the visit times the
-return rule prescribes, with a no-earlier-visit constraint when the rule
-is first-return.  This is pointwise and brute force on purpose; it stays
-inside what a finite horizon certifies.
+(2N+1)-windows.  A superword is allowed when some base word realizes it:
+windows placed at the visit times the return rule prescribes, with a
+no-earlier-visit constraint when the rule is first-return.  The induced
+oracle steps through superletters, carrying the base states that the
+realizations so far reach, so it stays inside what the base horizon
+certifies.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .errors import (HorizonExceededError, InfeasibleSetError,
                      UnsupportedSpecError)
 from .forbidden import ls_report, minimal_forbidden
 from .language import (Alphabet, LanguageOracle, format_word, special_words,
-                       subwords)
+                       stepping_oracle, subwords)
 
 
 @dataclass(frozen=True)
@@ -137,10 +138,11 @@ def subst_oracle(tau, horizon, label=None):
             cache[n] = frozenset(subst_language(tau, n))
         return cache[n]
 
-    def membership(word):
-        return word in words_at(len(word))
+    def step(word, letter):
+        longer = word + (letter,)
+        return longer if longer in words_at(len(longer)) else None
 
-    return LanguageOracle(tau.alphabet, membership, horizon, label)
+    return stepping_oracle(tau.alphabet, (), step, horizon, label)
 
 
 @dataclass(frozen=True)
@@ -319,71 +321,71 @@ def induced_data(spec):
     return letters, rho
 
 
-def induce_recode(spec, n, horizon=None):
+def induce_recode(spec, n):
     """Language oracle of the induced (sped-up) system, reliable to n.
 
     Superletters are the U-windows; a superword is allowed iff some base
     word realizes it, windows landing at the partial sums of the return
     times, never hitting U in between when the rule is first-return.
+
+    The state after a superword is its last window and the set of base
+    states that its realizations reach.  Every realization ends in that
+    window, and the base state carries the rest of it, so one more
+    superletter s after the window w appends rho(w) base letters to each
+    state: the windows they complete must miss U before the last letter
+    (first-return only) and equal s at the last letter.
     """
     letters, rho = induced_data(spec)
     width = 2 * spec.window + 1
-    max_rho = max(rho.values())
-    needed = (n + 2) * max_rho + width
-    if horizon is None:
-        horizon = needed
-    if horizon < needed or spec.base.max_reliable_length < needed:
+    needed = (n + 2) * max(rho.values()) + width
+    if spec.base.max_reliable_length < needed:
         raise HorizonExceededError(
             "induced length %d needs base horizon %d" % (n, needed))
     uset = set(letters)
     first_return = spec.return_rule == "first-return"
-    step = spec.base.step
+    base_step = spec.base.step
+    base_letters = tuple(spec.base.alphabet)
     symbol_for = {w: format_word(w) for w in letters}
     word_for = {format_word(w): w for w in letters}
     alphabet = Alphabet(tuple(symbol_for[w] for w in letters))
 
-    def membership(superword):
-        windows = [word_for[s] for s in superword]
-        m = len(windows)
-        if m == 0:
-            return True
-        centers = [spec.window]
-        for w in windows[:-1]:
-            centers.append(centers[-1] + rho[w])
-        length = centers[-1] + spec.window + 1
-        window_at = dict(zip(centers, windows))
-        blocked = set()
-        if first_return:
-            for i in range(m - 1):
-                blocked.update(range(centers[i] + 1, centers[i + 1]))
+    def step(state, symbol):
+        last, states = state
+        target = word_for[symbol]
+        reached = set()
+        if last is None:
+            for q in states:
+                for a in target:
+                    q = base_step(q, a)
+                    if q is None:
+                        break
+                else:
+                    reached.add(q)
+        else:
+            r = rho[last]
+            frontier = {(last, q) for q in states}
+            for j in range(1, r + 1):
+                # the last `width` letters appended are those of the target
+                forced = j - 1 - (r - width)
+                choices = (target[forced],) if forced >= 0 else base_letters
+                grown = set()
+                for window, q in frontier:
+                    for a in choices:
+                        after = base_step(q, a)
+                        if after is None:
+                            continue
+                        window_after = window[1:] + (a,)
+                        if j < r and first_return and window_after in uset:
+                            continue
+                        if j == r and window_after != target:
+                            continue
+                        grown.add((window_after, after))
+                frontier = grown
+            reached = {q for _, q in frontier}
+        return (target, frozenset(reached)) if reached else None
 
-        # Depth-first search over base words and their base oracle states,
-        # pruning each extension the moment a window (or a blocked
-        # in-between position) is decided.
-        def extend(prefix, state):
-            if len(prefix) == length:
-                return True
-            for a in spec.base.alphabet:
-                after = step(state, a)
-                if after is None:
-                    continue
-                cand = prefix + (a,)
-                c = len(cand) - 1 - spec.window
-                if c >= spec.window:
-                    piece = cand[c - spec.window:]
-                    want = window_at.get(c)
-                    if want is not None and piece != want:
-                        continue
-                    if want is None and c in blocked and piece in uset:
-                        continue
-                if extend(cand, after):
-                    return True
-            return False
-
-        return extend((), spec.base.start)
-
-    return LanguageOracle(alphabet, membership, n,
-                          "induced(%s)" % (spec.base.label,))
+    start = (None, frozenset((spec.base.start,)))
+    return stepping_oracle(alphabet, start, step, n, "induced(%s)" % (spec.base.label,))
 
 
 @dataclass(frozen=True)

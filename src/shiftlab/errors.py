@@ -42,7 +42,8 @@ class EmptySupportError(ShiftlabError):
 
 
 class NotAnAutomorphismError(ShiftlabError):
-    """The supplied pair of block codes does not invert each other on the shift."""
+    """The supplied code does not map the shift onto itself, or the pair of
+    block codes does not invert each other on the shift."""
 
 
 class WrongStatusError(ShiftlabError):

@@ -8,11 +8,12 @@ are never plain strings internally.  ``Alphabet.word`` parses the
 single-character shorthand "0110" into a proper tuple.
 
 A :class:`LanguageOracle` is the universal handle on a shift's language:
-a membership test that is exact up to a declared horizon, the alphabet,
-and a state machine (``start``, ``step``) that reads words one letter at
-a time, so enumeration extends each word's state instead of rescanning
-the word.  Every operation that consumes an oracle checks the horizon
-and refuses to answer beyond it rather than silently degrading.
+the alphabet and a state machine (``start``, ``step``) that reads words
+one letter at a time, exact up to a declared horizon.  Membership is
+the fold of ``step`` from ``start``, and enumeration extends each word's
+state instead of rescanning the word.  Every operation that consumes an
+oracle checks the horizon and refuses to answer beyond it rather than
+silently degrading.
 """
 
 from dataclasses import dataclass, field
@@ -142,41 +143,41 @@ def subwords(word, length=None):
 
 @dataclass(frozen=True)
 class LanguageOracle:
-    """Membership oracle for a factorial language, exact up to a horizon.
+    """Oracle for a factorial language, exact up to a horizon.
+
+    Build one with :func:`stepping_oracle`.
 
     Parameters
     ----------
     alphabet : Alphabet
-    membership : callable
-        Word tuple -> bool.  Must be factorial (subwords of allowed words
-        allowed) on the reliable range; enumeration relies on it.
-    max_reliable_length : int
-        Largest word length for which ``membership`` is exact.
-    label : str
-        Free-form tag used in reports.
     start, step : state machine reading words left to right
         ``step(state, letter)`` is the state after one more letter, or
         None once the word read is forbidden; ``start`` is the state of
-        the empty word.  By default the state is the word read so far and
-        ``step`` asks ``contains`` of the longer word;
-        :func:`stepping_oracle` builds oracles with a real automaton.
+        the empty word, None for the empty language.  The language must
+        be factorial (subwords of allowed words allowed) on the reliable
+        range; enumeration relies on it.
+    max_reliable_length : int
+        Largest word length for which the automaton is exact.
+    label : str
+        Free-form tag used in reports.
     """
 
     alphabet: Alphabet
-    membership: object
+    start: object = field(compare=False, repr=False)
+    step: object = field(compare=False, repr=False)
     max_reliable_length: int
     label: str = ""
-    start: object = field(default=EMPTY_WORD, compare=False, repr=False)
-    step: object = field(default=None, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.step is None:
-            object.__setattr__(self, "step", self._extend)
-
-    def _extend(self, word, letter):
-        longer = word + (letter,)
-        return longer if self.contains(longer) else None
+    def membership(self, word):
+        """Is ``word`` read to a state?  The fold of ``step`` from ``start``."""
+        state = self.start
+        step = self.step
+        for a in word:
+            if state is None:
+                break
+            state = step(state, a)
+        return state is not None
 
     def check_horizon(self, n):
         if n > self.max_reliable_length:
@@ -241,8 +242,7 @@ def stepping_oracle(alphabet, start, step, horizon, label=""):
     ``start`` is the state of the empty word (None for the empty
     language) and ``step(state, letter)`` the next state, None when the
     word is forbidden.  ``step`` is memoized per (state, letter), so an
-    automaton given by a successor rule is determinized lazily, and
-    membership is a fold of ``step`` from ``start``.
+    automaton given by a successor rule is determinized lazily.
     """
     memo = {}
 
@@ -254,16 +254,7 @@ def stepping_oracle(alphabet, start, step, horizon, label=""):
             after = memo[key] = step(state, letter)
             return after
 
-    def membership(word):
-        state = start
-        for a in word:
-            if state is None:
-                break
-            state = cached_step(state, a)
-        return state is not None
-
-    return LanguageOracle(alphabet, membership, horizon, label,
-                          start=start, step=cached_step)
+    return LanguageOracle(alphabet, start, cached_step, horizon, label)
 
 
 def complexity(oracle, n_max):

@@ -390,15 +390,14 @@ def _level_index(n, count, first):
     return first + (n - first) % (count - first)
 
 
-def is_sft(g, memory_bound=None):
+def is_sft(g):
     """Decide whether the presented sofic shift is a shift of finite type.
 
     The shift is an SFT iff it equals its memory-m approximation for
-    m = V^2 + 2, V the determinized state count (pass ``memory_bound``
-    to raise m).  Equality with the approximation is the m-step
-    transitivity property: for every length-m word w and left context u,
-    the follower language after uw equals the follower language after w.
-    Both followers are unions over survivor sets, so the check walks the
+    m = V^2 + 2, V the determinized state count.  Equality with the
+    approximation is the m-step transitivity property: for every
+    length-m word w and left context u, the follower language after uw
+    equals the follower language after w.  Both followers are unions over survivor sets, so the check walks the
     finite pair graph (delta(S, w), delta(Q, w)) for m steps (with cycle
     detection) and compares followers at the end.
     """
@@ -406,7 +405,7 @@ def is_sft(g, memory_bound=None):
     if d.is_empty:
         return SoficClassTag(True, 0, 0)
     v = len(d.states)
-    m = memory_bound if memory_bound is not None else v * v + 2
+    m = v * v + 2
     full = frozenset(d.states)
     # reachable survivor sets
     subsets = {full}

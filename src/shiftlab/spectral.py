@@ -14,6 +14,10 @@ not a rigorous bound.
 
 from .errors import ConvergenceError, ReducibleGraphError
 
+# Stopping rule of the power iteration: Collatz-Wielandt width on A + I.
+TOL = 1e-12
+MAX_ITER = 500000
+
 
 def int_matmul(a, b):
     n, m = len(a), len(b[0])
@@ -111,7 +115,7 @@ def _check_irreducible(matrix):
         raise ReducibleGraphError("matrix is not irreducible")
 
 
-def _power_iteration(matrix, tol, max_iter):
+def _power_iteration(matrix):
     """Perron root of an irreducible ``matrix`` of size >= 2 and a positive
     right eigenvector, L1-normalized, by power iteration on A + I from
     the all-ones vector."""
@@ -120,11 +124,11 @@ def _power_iteration(matrix, tol, max_iter):
              if matrix[i][j] or i == j] for i in range(n)]
     u = [1.0] * n
     lo, hi = 0.0, float("inf")
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         bu = [sum(w * u[j] for j, w in row) for row in rows]
         ratios = [x / y for x, y in zip(bu, u)]
         lo, hi = min(ratios), max(ratios)
-        if hi - lo < tol:
+        if hi - lo < TOL:
             break
         top = max(bu)
         u = [x / top for x in bu]
@@ -136,16 +140,16 @@ def _power_iteration(matrix, tol, max_iter):
     return (lo + hi) / 2.0 - 1.0, [x / total for x in u]
 
 
-def perron_root(matrix, tol=1e-12, max_iter=500000):
+def perron_root(matrix):
     """Perron root of an irreducible nonnegative integer matrix, a float
-    whose Collatz-Wielandt width on A + I is below ``tol``."""
+    whose Collatz-Wielandt width on A + I is below ``TOL``."""
     _check_irreducible(matrix)
     if len(matrix) == 1:
         return float(matrix[0][0])
-    return _power_iteration(matrix, tol, max_iter)[0]
+    return _power_iteration(matrix)[0]
 
 
-def perron_vectors(matrix, tol=1e-12, max_iter=500000):
+def perron_vectors(matrix):
     """Perron root with right and left eigenvectors (L1-normalized).
 
     The root and the right vector come from one iteration on A + I, the
@@ -154,12 +158,12 @@ def perron_vectors(matrix, tol=1e-12, max_iter=500000):
     _check_irreducible(matrix)
     if len(matrix) == 1:
         return float(matrix[0][0]), [1.0], [1.0]
-    value, right = _power_iteration(matrix, tol, max_iter)
-    _, left = _power_iteration([list(col) for col in zip(*matrix)], tol, max_iter)
+    value, right = _power_iteration(matrix)
+    _, left = _power_iteration([list(col) for col in zip(*matrix)])
     return value, right, left
 
 
-def spectral_radius_certified(matrix, tol=1e-12):
+def spectral_radius_certified(matrix):
     """Spectral radius of a nonnegative integer matrix and the strongly
     connected component that carries it.
 
@@ -175,7 +179,7 @@ def spectral_radius_certified(matrix, tol=1e-12):
         if len(comp) == 1:
             radius = float(matrix[comp[0]][comp[0]])
         else:
-            radius = perron_root([[matrix[i][j] for j in comp] for i in comp], tol=tol)
+            radius = perron_root([[matrix[i][j] for j in comp] for i in comp])
         if radius > best[0]:
             best = (radius, comp)
     return best

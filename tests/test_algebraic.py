@@ -47,6 +47,15 @@ def test_sign_and_compare():
     assert num.sign(num.sub(g, g)) == 0
 
 
+def test_floor_corrects_a_far_guess():
+    # on [1, 2] the first guesses for 10*sqrt(2) and -10*sqrt(2) are
+    # 10 and -10, four units below and five above the answers
+    sqrt2 = AlgebraicNumber((-2, 0, 1), Fraction(1), Fraction(2))
+    g = sqrt2.generator
+    assert sqrt2.floor(sqrt2.mul(sqrt2.from_rational(10), g)) == 14
+    assert sqrt2.floor(sqrt2.mul(sqrt2.from_rational(-10), g)) == -15
+
+
 def test_root_float():
     assert abs(phi().root_float() - 1.618033988749895) < 1e-12
 

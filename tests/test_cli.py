@@ -390,14 +390,23 @@ def test_autocheck_flip_on_full_shift(capsys, write):
 
 
 def test_autocheck_flip_not_invariant_on_golden(capsys, write):
-    # flip is its own inverse but does not preserve the no-11 language,
-    # so the pushed measure drifts
+    # flip is its own inverse but maps the no-11 shift onto the no-00
+    # shift, so it is no automorphism and there is nothing to measure
     doc = write("g.json", GOLDEN_DOC)
     code = write("flip.json", FLIP_CODE)
-    report = run_json(capsys, ["autocheck", doc, "--code", code,
-                               "--inverse", code, "--period", "8"])
-    assert report["within_tol"] is False
-    assert report["distance"] > 0.1
+    rc, out, err = run(capsys, ["autocheck", doc, "--code", code,
+                                "--inverse", code, "--period", "8"])
+    assert rc == 1
+    assert out == ""
+    assert err.strip() == "error: the code does not map the shift onto itself"
+
+
+def test_autocheck_needs_finite_type_data(capsys, write):
+    doc = write("even.json", EVEN_DOC)
+    code = write("flip.json", FLIP_CODE)
+    rc, out, err = run(capsys, ["autocheck", doc, "--code", code, "--inverse", code])
+    assert rc == 1
+    assert err.startswith("error: the automorphism check needs finite-type data")
 
 
 # ---- beta commands ---------------------------------------------------------

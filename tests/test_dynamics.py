@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError,
@@ -186,3 +188,86 @@ def test_induced_rho_one_matches_base_window(fib, n):
     spec = InducedSpec(base, 1, None, 1)
     induced = induce_recode(spec, n)
     assert complexity(induced, n)[n] == complexity(base, n + 2)[n + 2]
+
+
+def _realized_superwords(spec, letters, rho, max_length):
+    """Superwords of length <= max_length, by decoding every base word.
+
+    A base word u realizes the superword its windows spell from the
+    first center N on, each next center rho(window) further, when every
+    window sits in U, the last window ends where u ends, and (first
+    return) no window strictly between two centers lies in U.
+    """
+    width = 2 * spec.window + 1
+    uset = set(letters)
+    first_return = spec.return_rule == "first-return"
+    longest = (max_length - 1) * max(rho.values()) + width
+    found = {()}
+    for ell in range(width, longest + 1):
+        for u in spec.base.words_of_length(ell):
+            superword, start = [], 0
+            while start + width <= ell:
+                window = u[start:start + width]
+                if window not in uset:
+                    break
+                superword.append(window)
+                if start + width == ell:
+                    found.add(tuple(superword))
+                    break
+                after = start + rho[window]
+                between = range(start + 1, min(after, ell - width + 1))
+                if first_return and any(u[t:t + width] in uset for t in between):
+                    break
+                start = after
+    return {w for w in found if len(w) <= max_length}
+
+
+SHORT_WORDS = st.lists(st.text("01", min_size=1, max_size=3), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@example(forbidden=["110"], window=0, clopen=None, rule=2, probes=[])  # two base states
+@given(forbidden=SHORT_WORDS, window=st.integers(0, 1),
+       clopen=st.one_of(st.none(), st.sets(st.text("01", min_size=3, max_size=3), min_size=1)),
+       rule=st.one_of(st.integers(1, 3), st.just("first-return"),
+                      st.lists(st.integers(1, 3), min_size=8, max_size=8)),
+       probes=st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=6))
+def test_induced_oracle_matches_realization_search(forbidden, window, clopen, rule, probes):
+    alph = Alphabet(("0", "1"))
+    graph = build_block_graph(FiniteTypeSpec(alph, frozenset(tuple(w) for w in forbidden)))
+    base = sft_oracle(graph, 30)
+    width = 2 * window + 1
+    windows = list(itertools.product("01", repeat=width))
+    if clopen is not None:  # the middle 2N+1 letters of each 3-letter draw
+        clopen = frozenset(tuple(w[1 - window:2 + window]) for w in clopen)
+    if isinstance(rule, list):
+        rule = dict(zip(windows, rule))
+    spec = InducedSpec(base, window, clopen, rule, 6)
+    try:
+        letters, rho = induced_data(spec)
+    except (InfeasibleSetError, ReturnTimeCapError, UnsupportedSpecError):
+        return
+    realized = _realized_superwords(spec, letters, rho, 4)
+    induced = induce_recode(spec, 4)
+    symbols = induced.alphabet.symbols
+    by_symbol = dict(zip(symbols, letters))
+    for n in range(5):
+        got = {tuple(by_symbol[s] for s in w) for w in induced.words_of_length(n)}
+        assert got == {w for w in realized if len(w) == n}
+    fresh = induce_recode(spec, 4)
+    for probe in probes:
+        word = tuple(symbols[i % len(symbols)] for i in probe)
+        assert fresh.contains(word) == (tuple(by_symbol[s] for s in word) in realized)
+
+
+@settings(max_examples=40, deadline=None)
+@given(images=st.lists(st.text("abc", min_size=1, max_size=3), min_size=3, max_size=3),
+       seed=st.sampled_from("abc"))
+def test_subst_oracle_matches_subst_language(images, seed):
+    try:
+        tau = Substitution({a: tuple(w) for a, w in zip("abc", images)}, seed)
+    except NonGrowingSubstitutionError:
+        return
+    oracle = subst_oracle(tau, 6)
+    for n in range(7):
+        assert list(oracle.words_of_length(n)) == subst_language(tau, n)

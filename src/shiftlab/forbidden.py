@@ -7,6 +7,15 @@ stability invariant here: sparse length sets are evidence of a stable
 language, relatively dense ones of instability.  All computations are
 oracle-driven, so every backend (finite type, sofic, beta, substitution,
 recoded) gets the same diagnostics.
+
+``minimal_forbidden`` never enumerates the language.  It walks the pairs
+(state(aw), state(w)) level by level, after Crochemore, Mignosi and
+Restivo ("Automata and forbidden words", IPL 67, 1998), and spells words
+only from the pairs that witness one, so its cost follows the pair space
+and the output.  Survivor sets and tied-length tuples keep that space
+small for finite-type, sofic and beta oracles.  A substitution oracle's
+state is the word read so far, so there the walk pays about what
+enumeration would, and so does an induced oracle over such a base.
 """
 
 from dataclasses import dataclass
@@ -35,32 +44,80 @@ class MFWTable:
 def minimal_forbidden(oracle, n_max):
     """Minimal forbidden words of every length up to ``n_max``.
 
-    Uses only the language up to length n_max.  At length 1 these are
-    the letters missing from the language; for n >= 2 a word awb
-    qualifies when aw and wb are allowed but awb is not (factoriality
-    makes the two maximal proper subwords decisive).  The words aw come
-    with their oracle states, so deciding awb is one ``step``.
+    At length 1 these are the letters missing from the language; for
+    n >= 2 a word awb qualifies when aw and wb are allowed but awb is
+    not.  Whether it does depends only on the pair of states (x, y) =
+    (state(aw), state(w)), so the language is never enumerated: level k
+    holds the pairs of the allowed words aw of length k, each with its
+    in-edges (parent pair, letter), and (x, y) steps to (step(x, c),
+    step(y, c)) while awc stays allowed.  A pair witnesses every b with
+    step(y, b) alive and step(x, b) dead, and the words are spelled
+    backward from the witnessing pairs only: each backward path spells
+    one word aw.  The cost is the pair space times the alphabet per
+    level plus the size of the output.  Uses only the language up to
+    length n_max.
     """
     oracle.check_horizon(n_max)
     table = {}
-    if n_max >= 1:
-        letters = set(oracle.words_of_length(1))
-        missing = tuple(a for a in oracle.alphabet if (a,) not in letters)
-        if missing:
-            table[1] = tuple((a,) for a in missing)
-    step = oracle.step
+    if n_max < 1:
+        return MFWTable(n_max, table)
+    step, start = oracle.step, oracle.start
+    letters = oracle.alphabet.symbols
+    level = {}  # pair (state(aw), state(w)) -> in-edges (parent pair, letter)
+    missing = []
+    for a in letters:
+        x = None if start is None else step(start, a)
+        if x is None:
+            missing.append((a,))
+        else:
+            level.setdefault((x, start), []).append((None, a))
+    if missing:
+        table[1] = tuple(missing)
+    levels = [None]
     for n in range(2, n_max + 1):
-        words, states = oracle.frontier(n - 1)
-        prev = set(words)
-        found = set()
-        for u, state in zip(words, states):
-            w = u[1:]
-            for b in oracle.alphabet:
-                if w + (b,) in prev and step(state, b) is None:
-                    found.add(u + (b,))
-        if found:
-            table[n] = tuple(sorted(found, key=oracle.alphabet.key))
+        levels.append(level)
+        nxt = {}
+        witnessed = []
+        for pair in level:
+            x, y = pair
+            ends = []
+            for c in letters:
+                yc = step(y, c)
+                if yc is None:
+                    continue
+                xc = step(x, c)
+                if xc is None:
+                    ends.append(c)
+                elif n < n_max:
+                    nxt.setdefault((xc, yc), []).append((pair, c))
+            if ends:
+                witnessed.append((pair, ends))
+        if witnessed:
+            words = [w + (b,) for pair, ends in witnessed
+                     for w in _spell(levels, n - 1, pair) for b in ends]
+            table[n] = tuple(sorted(words, key=oracle.alphabet.key))
+        level = nxt
     return MFWTable(n_max, table)
+
+
+def _spell(levels, k, pair):
+    """Every word of length ``k`` whose walk ends at ``pair``, read off
+    the in-edges without recursion; letters are consed back to front."""
+    words = []
+    stack = [(pair, k, None)]
+    while stack:
+        pair, k, tail = stack.pop()
+        for parent, c in levels[k][pair]:
+            cell = (c, tail)
+            if parent is not None:
+                stack.append((parent, k - 1, cell))
+                continue
+            word = []
+            while cell is not None:
+                word.append(cell[0])
+                cell = cell[1]
+            words.append(tuple(word))
+    return words
 
 
 @dataclass(frozen=True)

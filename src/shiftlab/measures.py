@@ -159,15 +159,37 @@ def _measure_alphabet(measure):
     return measure.alphabet
 
 
+def _cylinder_reader(measure, depth):
+    """``word -> measure of [word]`` for words of length <= ``depth``.
+
+    A periodic-support measure is tabulated in one pass: each point adds
+    its weight to the one depth-``depth`` cylinder its orbit starts
+    with, and each shorter cylinder is the sum of its one-letter
+    extensions.  Only cylinders of positive mass are stored.
+    """
+    if not isinstance(measure, PeriodicSupportMeasure):
+        return lambda word: eval_cylinder(measure, word)
+    table = {}
+    for w, q, weight in measure.entries:
+        key = tuple(w[i % q] for i in range(depth))
+        table[key] = table.get(key, 0) + weight
+    for k in range(depth, 0, -1):
+        for word in [u for u in table if len(u) == k]:
+            table[word[:-1]] = table.get(word[:-1], 0) + table[word]
+    zero = Fraction(0)
+    return lambda word: table.get(word, zero)
+
+
 def weak_star_distance(m1, m2, depth):
     """Max cylinder discrepancy over words of length <= depth."""
     alphabet = _measure_alphabet(m1)
     if alphabet != _measure_alphabet(m2):
         raise AlphabetMismatchError("measures live over different alphabets")
+    read1, read2 = _cylinder_reader(m1, depth), _cylinder_reader(m2, depth)
     best = 0
     for k in range(1, depth + 1):
         for word in itertools.product(alphabet.symbols, repeat=k):
-            d = abs(eval_cylinder(m1, word) - eval_cylinder(m2, word))
+            d = abs(read1(word) - read2(word))
             if d > best:
                 best = d
     return float(best)
@@ -176,10 +198,11 @@ def weak_star_distance(m1, m2, depth):
 def cylinder_table(measure, depth, label=""):
     """Tabulate any measure into a CylinderMeasure up to ``depth``."""
     alphabet = _measure_alphabet(measure)
+    read = _cylinder_reader(measure, depth)
     values = {}
     for k in range(depth + 1):
         for word in itertools.product(alphabet.symbols, repeat=k):
-            values[word] = eval_cylinder(measure, word)
+            values[word] = read(word)
     return CylinderMeasure(alphabet, depth, values, label=label)
 
 

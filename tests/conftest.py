@@ -50,3 +50,41 @@ def fib():
 def run_doubler():
     # fixed point 010011010010110100110100..., runs of 1 doubling in length
     return Substitution({"0": ("0", "1", "0"), "1": ("1", "1")}, "0")
+
+
+def _realized_superwords(spec, letters, rho, max_length):
+    """Superwords of length <= max_length, by decoding every base word.
+
+    A base word u realizes the superword its windows spell from the
+    first center N on, each next center rho(window) further, when every
+    window sits in U, the last window ends where u ends, and (first
+    return) no window strictly between two centers lies in U.
+    """
+    width = 2 * spec.window + 1
+    uset = set(letters)
+    first_return = spec.return_rule == "first-return"
+    longest = (max_length - 1) * max(rho.values()) + width
+    found = {()}
+    for ell in range(width, longest + 1):
+        for u in spec.base.words_of_length(ell):
+            superword, start = [], 0
+            while start + width <= ell:
+                window = u[start:start + width]
+                if window not in uset:
+                    break
+                superword.append(window)
+                if start + width == ell:
+                    found.add(tuple(superword))
+                    break
+                after = start + rho[window]
+                between = range(start + 1, min(after, ell - width + 1))
+                if first_return and any(u[t:t + width] in uset for t in between):
+                    break
+                start = after
+    return {w for w in found if len(w) <= max_length}
+
+
+@pytest.fixture(scope="session")
+def realized_superwords():
+    """The induced-language decoder written from the definition."""
+    return _realized_superwords

@@ -229,6 +229,32 @@ def test_ls(capsys, write):
     assert report["window_densities"]["5"] == pytest.approx(0.4)
 
 
+def test_ls_even_far_horizon(capsys, write):
+    # lengths come from the pair walk, so horizon 1000 is quick and the
+    # backward spelling of 0 1^997 0 does not recurse
+    doc = write("e.json", EVEN_DOC)
+    report = run_json(capsys, ["ls", doc, "--horizon", "1000"])
+    assert report["ls_set"] == list(range(3, 1000, 2))
+
+
+R52_MFW_16 = {
+    "2": ["22"], "3": ["211", "212"], "4": ["2102"], "5": ["21012"],
+    "6": ["210112"], "7": ["2101111", "2101112"],
+    "8": ["21011101", "21011102"], "9": ["210111001", "210111002"],
+    "10": ["2101110001", "2101110002"], "11": ["21011100002"],
+    "12": ["210111000012"], "13": ["2101110000111", "2101110000112"],
+    "14": ["21011100001102"]}
+
+
+def test_mfw_beta_rational_table(capsys, write):
+    # pinned from the enumerating implementation at horizon 16
+    doc = write("b.json", {"kind": "beta", "beta": "rational:5/2"})
+    assert run_json(capsys, ["mfw", doc, "--horizon", "16"])["table"] == R52_MFW_16
+    table = run_json(capsys, ["mfw", doc, "--horizon", "18"])["table"]
+    assert {n: w for n, w in table.items() if int(n) <= 16} == R52_MFW_16
+    assert set(table) - set(R52_MFW_16) == {"18"}
+
+
 def test_well_approx(capsys, write):
     doc = write("g.json", GOLDEN_DOC)
     report = run_json(capsys, ["well-approx", doc, "--rate", "3",

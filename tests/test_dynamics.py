@@ -190,38 +190,6 @@ def test_induced_rho_one_matches_base_window(fib, n):
     assert complexity(induced, n)[n] == complexity(base, n + 2)[n + 2]
 
 
-def _realized_superwords(spec, letters, rho, max_length):
-    """Superwords of length <= max_length, by decoding every base word.
-
-    A base word u realizes the superword its windows spell from the
-    first center N on, each next center rho(window) further, when every
-    window sits in U, the last window ends where u ends, and (first
-    return) no window strictly between two centers lies in U.
-    """
-    width = 2 * spec.window + 1
-    uset = set(letters)
-    first_return = spec.return_rule == "first-return"
-    longest = (max_length - 1) * max(rho.values()) + width
-    found = {()}
-    for ell in range(width, longest + 1):
-        for u in spec.base.words_of_length(ell):
-            superword, start = [], 0
-            while start + width <= ell:
-                window = u[start:start + width]
-                if window not in uset:
-                    break
-                superword.append(window)
-                if start + width == ell:
-                    found.add(tuple(superword))
-                    break
-                after = start + rho[window]
-                between = range(start + 1, min(after, ell - width + 1))
-                if first_return and any(u[t:t + width] in uset for t in between):
-                    break
-                start = after
-    return {w for w in found if len(w) <= max_length}
-
-
 SHORT_WORDS = st.lists(st.text("01", min_size=1, max_size=3), max_size=3)
 
 
@@ -232,7 +200,8 @@ SHORT_WORDS = st.lists(st.text("01", min_size=1, max_size=3), max_size=3)
        rule=st.one_of(st.integers(1, 3), st.just("first-return"),
                       st.lists(st.integers(1, 3), min_size=8, max_size=8)),
        probes=st.lists(st.lists(st.integers(0, 7), max_size=4), max_size=6))
-def test_induced_oracle_matches_realization_search(forbidden, window, clopen, rule, probes):
+def test_induced_oracle_matches_realization_search(realized_superwords, forbidden, window,
+                                                    clopen, rule, probes):
     alph = Alphabet(("0", "1"))
     graph = build_block_graph(FiniteTypeSpec(alph, frozenset(tuple(w) for w in forbidden)))
     base = sft_oracle(graph, 30)
@@ -247,7 +216,7 @@ def test_induced_oracle_matches_realization_search(forbidden, window, clopen, ru
         letters, rho = induced_data(spec)
     except (InfeasibleSetError, ReturnTimeCapError, UnsupportedSpecError):
         return
-    realized = _realized_superwords(spec, letters, rho, 4)
+    realized = realized_superwords(spec, letters, rho, 4)
     induced = induce_recode(spec, 4)
     symbols = induced.alphabet.symbols
     by_symbol = dict(zip(symbols, letters))

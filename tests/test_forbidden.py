@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (Alphabet, FiniteTypeSpec, InfeasibleSetError,
-                      build_block_graph, example_nonempty_shift,
-                      finite_type_presentation, format_word, ls_report,
-                      mfw_length_set, minimal_forbidden, sft_oracle,
-                      sofic_oracle, tau_eval, well_approx_check,
+from shiftlab import (Alphabet, FiniteTypeSpec, InducedSpec, InfeasibleSetError,
+                      NonGrowingSubstitutionError, ReturnTimeCapError,
+                      Substitution, UnsupportedSpecError, beta_expand, beta_mfw,
+                      beta_oracle, build_block_graph, example_nonempty_shift,
+                      finite_type_presentation, format_word, induce_recode,
+                      induced_data, ls_report, mfw_length_set, minimal_forbidden,
+                      parse_beta_spec, sft_oracle, sofic_oracle, subst_language,
+                      subst_oracle, tau_eval, well_approx_check,
                       window_density_report)
 
 
@@ -154,3 +157,75 @@ def test_window_density_report_matches_brute_force(ls_lengths, horizon):
 def _all_words(symbols, n):
     from itertools import product
     return product(symbols, repeat=n)
+
+
+def _mfw_by_definition(letters, allowed, n_max):
+    """Words w of length 1..n_max outside the language whose two trims
+    are inside it, over every word of each length; ``allowed(n)`` is the
+    set of allowed words of length n."""
+    table = {}
+    for n in range(1, n_max + 1):
+        shorter, here = allowed(n - 1), allowed(n)
+        found = {w for w in _all_words(letters, n)
+                 if w not in here and w[1:] in shorter and w[:-1] in shorter}
+        if found:
+            table[n] = found
+    return table
+
+
+def _as_sets(table):
+    return {n: set(words) for n, words in table.by_length.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(images=st.lists(st.text("abc", min_size=1, max_size=3), min_size=3, max_size=3),
+       seed=st.sampled_from("abc"))
+def test_mfw_walk_matches_definition_on_substitutions(images, seed):
+    try:
+        tau = Substitution({a: tuple(w) for a, w in zip("abc", images)}, seed)
+    except NonGrowingSubstitutionError:
+        return
+    expect = _mfw_by_definition(
+        "abc", lambda n: set(subst_language(tau, n)), 6)
+    assert _as_sets(minimal_forbidden(subst_oracle(tau, 6), 6)) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(forbidden=st.lists(st.text("01", min_size=1, max_size=3), max_size=3),
+       window=st.integers(0, 1),
+       clopen=st.one_of(st.none(), st.sets(st.text("01", min_size=3, max_size=3), min_size=1)),
+       rule=st.one_of(st.integers(1, 3), st.just("first-return")))
+def test_mfw_walk_matches_definition_on_induced(realized_superwords, forbidden, window,
+                                                clopen, rule):
+    alph = Alphabet(("0", "1"))
+    graph = build_block_graph(FiniteTypeSpec(alph, frozenset(tuple(w) for w in forbidden)))
+    if clopen is not None:  # the middle 2N+1 letters of each 3-letter draw
+        clopen = frozenset(tuple(w[1 - window:2 + window]) for w in clopen)
+    spec = InducedSpec(sft_oracle(graph, 30), window, clopen, rule, 6)
+    try:
+        letters, rho = induced_data(spec)
+    except (InfeasibleSetError, ReturnTimeCapError, UnsupportedSpecError):
+        return
+    realized = realized_superwords(spec, letters, rho, 4)
+    induced = induce_recode(spec, 4)
+    to_windows = dict(zip(induced.alphabet.symbols, letters))
+    got = {n: {tuple(to_windows[s] for s in w) for w in words}
+           for n, words in minimal_forbidden(induced, 4).by_length.items()}
+    expect = _mfw_by_definition(
+        letters, lambda n: {w for w in realized if len(w) == n}, 4)
+    assert got == expect
+
+
+def test_mfw_walk_matches_beta_mfw():
+    stream = beta_expand(parse_beta_spec("rational:5/2"), 18).working_stream()
+    table = minimal_forbidden(beta_oracle(stream, 18), 18)
+    assert table.by_length == beta_mfw(stream, 18).by_length
+    assert len(table.words()) == 20
+
+
+def test_mfw_walk_empty_language_and_zero_horizon():
+    alph = Alphabet(("0", "1"))
+    empty = sofic_oracle(finite_type_presentation(
+        FiniteTypeSpec(alph, frozenset([("0",), ("1",)]))), 5)
+    assert minimal_forbidden(empty, 5).by_length == {1: (("0",), ("1",))}
+    assert minimal_forbidden(empty, 0).by_length == {}

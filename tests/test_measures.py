@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, BlockCode, CylinderMeasure, EmptySupportError,
-                      FiniteTypeSpec, NotAnAutomorphismError, ReducibleGraphError,
+                      FiniteTypeSpec, NotAnAutomorphismError,
+                      PeriodicSupportMeasure, ReducibleGraphError,
                       ShiftlabError, UnsupportedSpecError, make_labeled_graph,
                       automorphism_invariance_check, build_block_graph,
                       cylinder_table, eval_cylinder, full_shift,
@@ -75,6 +76,43 @@ def test_pushforward_flip_on_full_shift(alph2):
     assert float(weak_star_distance(nu, pushed, 3)) == 0.0
     # mass is preserved entry by entry
     assert sum(w for _, _, w in pushed.entries) == 1
+
+
+def _primitive_root(word):
+    q = len(word)
+    return next(word[:p] for p in range(1, q + 1)
+                if q % p == 0 and word == word[:p] * (q // p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.text("012", min_size=1, max_size=6), min_size=1, max_size=8),
+       rotations=st.booleans(),
+       weights=st.lists(st.integers(1, 9), min_size=48, max_size=48),
+       rule=st.lists(st.sampled_from("012"), min_size=27, max_size=27),
+       depth=st.integers(0, 4))
+def test_periodic_tables_match_per_word_sums(words, rotations, weights, rule, depth):
+    # the one-pass tabulation against eval_cylinder word by word, exactly
+    alph = Alphabet(("0", "1", "2"))
+    points = {_primitive_root(tuple(w)) for w in words}
+    if rotations:
+        points |= {p[i:] + p[:i] for p in points for i in range(len(p))}
+    points = sorted(points)
+    raw = weights[:len(points)]
+    nu = PeriodicSupportMeasure(alph, 6, tuple(
+        (p, len(p), Fraction(r, sum(raw))) for p, r in zip(points, raw)))
+    code = BlockCode(alph, alph, 1, dict(zip(itertools.product("012", repeat=3), rule)))
+    pushed = pushforward(nu, code)
+    cylinders = [w for k in range(depth + 1)
+                 for w in itertools.product("012", repeat=k)]
+    for measure in (nu, pushed):
+        values = cylinder_table(measure, depth).values
+        assert set(values) == set(cylinders)
+        for w in cylinders:
+            expect = eval_cylinder(measure, w)
+            assert type(values[w]) is Fraction and values[w] == expect
+    gaps = [abs(eval_cylinder(nu, w) - eval_cylinder(pushed, w))
+            for w in cylinders if w]
+    assert weak_star_distance(nu, pushed, depth) == float(max(gaps, default=0))
 
 
 def test_pushforward_collapse(alph2):

@@ -15,7 +15,7 @@ from .errors import (AlphabetMismatchError, AmbiguousDigitError,
                      ReturnTimeCapError, ShiftlabError, UndefinedEntropyError,
                      UnsupportedSpecError, WrongStatusError)
 from .language import (Alphabet, LanguageOracle, complexity, format_word,
-                       lex_compare, special_words, stepping_oracle, subwords)
+                       special_words, stepping_oracle, subwords)
 from .graph import LabeledGraph, make_labeled_graph, prune_labeled
 from .sft import (BlockGraph, FiniteTypeSpec, build_block_graph, full_shift,
                   per_count, periodic_count_le, scc_subgraphs, sft_cover,
@@ -24,25 +24,22 @@ from .forbidden import (LSReport, MFWTable, example_nonempty_shift, ls_report,
                         minimal_forbidden, tau_eval, well_approx_check,
                         window_density_report)
 from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
-                    finite_type_presentation, identity_code, is_sft,
-                    language_equal_exact, language_equal_up_to,
-                    mfw_length_set, per_le_enumerate, sofic_entropy,
-                    sofic_oracle, theorem1_diagnostic)
+                    finite_type_presentation, is_sft, language_equal_exact,
+                    language_equal_up_to, mfw_length_set, per_le_enumerate,
+                    sofic_entropy, sofic_oracle, theorem1_diagnostic)
 from .measures import (CylinderMeasure, PeriodicSupportMeasure,
                        automorphism_invariance_check, cylinder_table,
                        eval_cylinder, max_entropy_decomposition, mu_y_average,
                        nu_cylinder_measure, nu_measure, parry_measure,
                        pushforward, weak_star_distance)
 from .beta import (BetaExpansion, DigitStream, beta_algebraic, beta_decimal,
-                   beta_expand, beta_language, beta_ls_diagnostic, beta_mfw,
-                   beta_oracle, beta_presentation, beta_rational,
-                   example_betashift, parse_beta_spec, star_expansion,
-                   stream_alphabet, validate_expansion)
+                   beta_expand, beta_ls_diagnostic, beta_mfw, beta_oracle,
+                   beta_presentation, beta_rational, example_betashift,
+                   parse_beta_spec, star_expansion, stream_alphabet)
 from .algebraic import AlgebraicNumber
-from .dynamics import (InducedSpec, Substitution, aperiodicity_check,
-                       bispecial_lengths, cassaigne_profile, induce_recode,
-                       induced_data, speedup_gap_compare, subst_language,
-                       subst_oracle)
+from .dynamics import (InducedSpec, Substitution, bispecial_lengths,
+                       cassaigne_profile, induce_recode, induced_data,
+                       speedup_gap_compare, subst_oracle)
 from .shifts import (RealizedShift, ShiftDocument, document_from_object,
                      load_shift_document, parse_block_code,
                      parse_shift_document, periodic_points_le, realize,

@@ -310,13 +310,6 @@ def beta_oracle(stream, horizon, label="beta"):
     return stepping_oracle(alphabet, (), step, horizon, label)
 
 
-def beta_language(stream, n):
-    """Length-n words of the beta-shift in lexicographic order."""
-    oracle = beta_oracle(stream, n, label="beta-language")
-    alphabet = oracle.alphabet
-    return sorted(oracle.words_of_length(n), key=alphabet.key)
-
-
 def beta_mfw(stream, n_max):
     """Minimal forbidden words up to length n_max, from the stream alone.
 
@@ -342,45 +335,6 @@ def beta_mfw(stream, n_max):
         if found:
             by_length[ell + 1] = tuple(sorted(found))
     return MFWTable(n_max, by_length)
-
-
-def validate_expansion(d, horizon):
-    """Check the admissibility condition: shifted tails sit strictly
-    below the stream.
-
-    Eventually periodic streams are compared exactly, so a genuine tie
-    (a shift equal to the whole stream) fails.  Truncated streams are
-    compared on the window the prefix supports: a strict violation
-    fails, a tie that survives to the cutoff cannot be refuted and
-    passes.
-    """
-    if d.kind == "eventually-periodic":
-        window = d.preperiod + d.period + 1
-        for s in range(1, horizon):
-            verdict = None
-            for i in range(window):
-                a, b = d.digit(s + i), d.digit(i)
-                if a != b:
-                    verdict = a < b
-                    break
-            if verdict is None:
-                # agreement across preperiod + period pins the whole tail
-                verdict = False
-            if not verdict:
-                return False
-        return True
-    n = len(d.digits)
-    if horizon > n:
-        raise InsufficientDigitsError(
-            "validation horizon %d exceeds the %d known digits" % (horizon, n))
-    for s in range(1, horizon):
-        for i in range(n - s):
-            a, b = d.digits[s + i], d.digits[i]
-            if a != b:
-                if a > b:
-                    return False
-                break
-    return True
 
 
 @dataclass(frozen=True)

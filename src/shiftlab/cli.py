@@ -13,6 +13,7 @@ are byte-stable for identical inputs.
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -536,6 +537,7 @@ def _emit(report, fmt):
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print("\n".join(_render_text(report)))
+    sys.stdout.flush()
 
 
 def _add_shift_arg(p, count=1):
@@ -753,7 +755,15 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 1
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); what is still buffered
+        # goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -3,7 +3,9 @@
 The substitution language is the set of subwords of iterates of the seed
 letter (the one-sided closure the worked examples use), not the minimal
 two-sided substitutive system; the two differ for non-primitive rules
-and the examples here are deliberately non-primitive.
+and the examples here are deliberately non-primitive.  It is computed
+exactly, level by level, by ``_factor_levels``; the oracle builds the
+levels on demand as the words it steps grow.
 
 Induced and sped-up systems are recoded over a superalphabet of
 (2N+1)-windows.  A superword is allowed when some base word realizes it:
@@ -100,47 +102,57 @@ class Substitution:
         return any(len(self.rules[a]) >= 2 for a in recurring)
 
 
-def subst_language(tau, n):
-    """Length-n subwords of the iterates of the seed, in lex order.
+def _factor_levels(tau, h):
+    """``levels[n]``: the length-n subwords of the iterates of the seed, n <= h.
 
-    Iterates until the set is unchanged over two consecutive steps; the
-    collected union is monotone and finite, so this terminates.
+    Once |u| >= h, the length-h subwords of tau(u) are those of tau(v)
+    over the length-h subwords v of u: h letters of tau(u) lie in the
+    image of at most h consecutive letters of u.  Iterates never shrink,
+    so the top level is the closure of the first iterate of length >= h
+    under v -> subwords(tau(v), h), a finite set.  A length-n subword of
+    a longer word begins or ends one of length n+1, so each lower level
+    is read off the level above, plus the iterates of exactly length n.
     """
-    if n < 0:
-        raise UnsupportedSpecError("length must be >= 0")
-    if n == 0:
-        return [()]
-    current = (tau.seed,)
-    collected = set(subwords(current, n))
-    stable_steps = 0
-    while stable_steps < 2:
-        current = tau.apply(current)
-        fresh = set(subwords(current, n))
-        if fresh <= collected:
-            if len(current) >= n:
-                stable_steps += 1
-        else:
-            collected |= fresh
-            stable_steps = 0
-    key = tau.alphabet.key
-    return sorted(collected, key=key)
+    short = {}
+    word = (tau.seed,)
+    while len(word) < h:
+        short.setdefault(len(word), set()).add(word)
+        word = tau.apply(word)
+    top = subwords(word, h)
+    todo = list(top)
+    while todo:
+        for w in subwords(tau.apply(todo.pop()), h):
+            if w not in top:
+                top.add(w)
+                todo.append(w)
+    levels = [top]
+    for n in range(h - 1, -1, -1):
+        above = levels[-1]
+        levels.append({w[:-1] for w in above} | {w[1:] for w in above}
+                      | short.get(n, set()))
+    levels.reverse()
+    return levels
 
 
 def subst_oracle(tau, horizon, label=None):
-    """Language oracle of the substitution system, exact to the horizon."""
+    """Language oracle of the substitution system, exact to the horizon.
+
+    The state is the word read so far.  When a step outgrows the factor
+    levels built so far, they are rebuilt to twice their length, capped
+    at the horizon but never short of the step, so the cost follows the
+    lengths stepped, not the horizon.
+    """
     if label is None:
         label = "subst(%s)" % ",".join(
             "%s>%s" % (a, format_word(w)) for a, w in sorted(tau.rules.items()))
-    cache = {}
-
-    def words_at(n):
-        if n not in cache:
-            cache[n] = frozenset(subst_language(tau, n))
-        return cache[n]
+    levels = []
 
     def step(word, letter):
         longer = word + (letter,)
-        return longer if longer in words_at(len(longer)) else None
+        n = len(longer)
+        if n >= len(levels):
+            levels[:] = _factor_levels(tau, max(n, min(horizon, 2 * len(levels))))
+        return longer if longer in levels[n] else None
 
     return stepping_oracle(tau.alphabet, (), step, horizon, label)
 
@@ -176,34 +188,6 @@ def bispecial_lengths(oracle, n_max):
         if special_words(oracle, n).bispecial:
             out.append(n)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class AperiodicityReport:
-    word_length_bound: int
-    horizon: int
-    power: object  # int or None
-
-
-def aperiodicity_check(oracle, k, horizon):
-    """Smallest p with u^p forbidden for every allowed word of length <= k.
-
-    Shifts with a periodic point of small period have no such p (the
-    point's word powers stay allowed); the report then carries None.
-    """
-    if k < 1:
-        raise UnsupportedSpecError("word length bound must be >= 1")
-    oracle.check_horizon(horizon)
-    candidates = []
-    for length in range(1, k + 1):
-        candidates.extend(oracle.words_of_length(length))
-    if not candidates:
-        return AperiodicityReport(k, horizon, None)
-    for p in range(1, horizon // k + 1):
-        if all(not oracle.contains(u * p) for u in candidates
-               if len(u) * p <= horizon):
-            return AperiodicityReport(k, horizon, p)
-    return AperiodicityReport(k, horizon, None)
 
 
 # ---- induced maps and speedups -------------------------------------------

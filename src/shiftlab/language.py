@@ -110,22 +110,6 @@ def format_word(word):
     return ".".join(word)
 
 
-def lex_compare(u, v, alphabet):
-    """Three-way lexicographic comparison of two words.
-
-    Returns LESS, EQUAL or GREATER.  A strict prefix is strictly less than
-    any of its extensions, so comparisons of unequal lengths are total.
-    """
-    alphabet.check_word(u)
-    alphabet.check_word(v)
-    ku, kv = alphabet.key(u), alphabet.key(v)
-    if ku < kv:
-        return LESS
-    if ku > kv:
-        return GREATER
-    return EQUAL
-
-
 def subwords(word, length=None):
     """All distinct subwords of ``word``, optionally only those of one length."""
     n = len(word)

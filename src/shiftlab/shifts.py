@@ -267,7 +267,7 @@ def _realize_induced(doc, horizon):
     _, rho = induced_data(spec)
 
     needed = (horizon + 2) * max(rho.values()) + width
-    base = realize(base_doc, max(needed, probe.horizon))
+    base = probe if needed <= probe.horizon else realize(base_doc, needed)
     spec = InducedSpec(base.oracle, window, clopen, rule, cap)
     oracle = induce_recode(spec, horizon)
     return RealizedShift(doc, horizon, oracle, induced_spec=spec, base=base)

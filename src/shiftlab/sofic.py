@@ -78,10 +78,6 @@ class BlockCode:
         return tuple(out)
 
 
-def identity_code(alphabet):
-    return BlockCode(alphabet, alphabet, 0, {(a,): a for a in alphabet})
-
-
 def compose_codes(outer, inner):
     """The code computing outer(inner(x)); range adds."""
     if inner.target_alphabet != outer.source_alphabet:

@@ -5,11 +5,10 @@ import pytest
 
 from shiftlab import (CannotCloseError, DigitStream, InsufficientDigitsError,
                       UnsupportedSpecError, WrongStatusError, beta_decimal,
-                      beta_expand, beta_language, beta_ls_diagnostic, beta_mfw,
-                      beta_oracle, beta_presentation, beta_rational,
-                      example_betashift, is_sft, language_equal_exact,
-                      parse_beta_spec, sofic_entropy, star_expansion,
-                      stream_alphabet, validate_expansion)
+                      beta_expand, beta_ls_diagnostic, beta_mfw, beta_oracle,
+                      beta_presentation, beta_rational, example_betashift,
+                      is_sft, language_equal_exact, parse_beta_spec,
+                      sofic_entropy, star_expansion, stream_alphabet)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -92,7 +91,7 @@ def test_beta_oracle_and_language():
     oracle = beta_oracle(star, 8)
     assert oracle.contains(("1", "0", "1"))
     assert not oracle.contains(("1", "1"))
-    words = beta_language(star, 3)
+    words = oracle.words_of_length(3)
     assert ("1", "0", "1") in words
     assert len(words) == 5
 
@@ -110,17 +109,6 @@ def test_beta_mfw_silver_like():
     # 22 tops the stream immediately; longer blocks must drop below 2 1^k
     assert ("2", "2") in table.by_length[2]
     assert all(w[0] == "2" for n in table.by_length for w in table.by_length[n])
-
-
-def test_validate_expansion():
-    # certifies greedy expansions of 1: every shifted tail strictly below
-    greedy = DigitStream("eventually-periodic", (2, 1), 1, 1)
-    assert validate_expansion(greedy, 12)
-    bad = DigitStream("eventually-periodic", (1, 2), 0, 2)
-    assert not validate_expansion(bad, 12)
-    # starred streams tie with their own shift, so they are not greedy
-    star = DigitStream("eventually-periodic", (1, 0), 0, 2)
-    assert not validate_expansion(star, 12)
 
 
 def test_decimal_engine_matches_rational():

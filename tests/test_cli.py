@@ -576,3 +576,22 @@ def test_json_output_is_byte_stable(capsys):
     assert rc1 == rc2 == 0
     assert out1 == out2
     assert json.loads(out1) == {"n": 3, "value": 44641050}
+
+
+def test_closed_stdout_exits_quietly(write):
+    # `shiftlab ls fib.json --format json | head`: the reader is gone
+    # before the report is written
+    doc = write("fib.json", FIB_DOC)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", "ls", doc,
+                               "--format", "json"], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError,
                       InducedSpec, InfeasibleSetError,
                       NonGrowingSubstitutionError, ReturnTimeCapError,
-                      Substitution, UnsupportedSpecError, aperiodicity_check,
-                      bispecial_lengths, build_block_graph, cassaigne_profile,
-                      complexity, induce_recode, induced_data, ls_report,
-                      minimal_forbidden, sft_oracle, speedup_gap_compare,
-                      subst_language, subst_oracle)
+                      Substitution, UnsupportedSpecError, bispecial_lengths,
+                      build_block_graph, cassaigne_profile, complexity,
+                      induce_recode, induced_data, ls_report, minimal_forbidden,
+                      sft_oracle, speedup_gap_compare, subst_oracle)
+from shiftlab.dynamics import _factor_levels
 
 
 def test_substitution_validation():
@@ -28,14 +28,14 @@ def test_substitution_validation():
 def test_growth_through_transient():
     # seed letter maps away once; growth lives in the recurring part
     tau = Substitution({"s": ("a",), "a": ("a", "b"), "b": ("a",)}, "s")
-    assert len(subst_language(tau, 4)) > 0
+    assert len(subst_oracle(tau, 4).words_of_length(4)) > 0
 
 
 def test_fib_language(fib):
-    words = subst_language(fib, 3)
-    assert words == [("0", "0", "1"), ("0", "1", "0"),
-                     ("1", "0", "0"), ("1", "0", "1")]
-    assert subst_language(fib, 0) == [()]
+    words = subst_oracle(fib, 3).words_of_length(3)
+    assert words == (("0", "0", "1"), ("0", "1", "0"),
+                     ("1", "0", "0"), ("1", "0", "1"))
+    assert subst_oracle(fib, 0).words_of_length(0) == ((),)
 
 
 def test_fib_complexity_linear(fib):
@@ -58,18 +58,6 @@ def test_fib_mfw_lengths_are_fibonacci(fib):
     assert table.lengths == (2, 3, 5, 8, 13)
     assert table.by_length[2] == (("1", "1"),)
     assert table.by_length[3] == (("0", "0", "0"),)
-
-
-def test_aperiodicity_fib(fib):
-    rep = aperiodicity_check(subst_oracle(fib, 16), 2, 16)
-    assert rep is not None and rep.power == 3
-    assert rep.word_length_bound == 2
-
-
-def test_aperiodicity_golden_has_periodic_points(golden_oracle):
-    # 0^p certifies nothing: every power of 0 is allowed
-    rep = aperiodicity_check(golden_oracle, 2, 16)
-    assert rep.power is None
 
 
 def test_run_doubler_mfw(run_doubler):
@@ -176,7 +164,7 @@ def test_speedup_gap_compare_fib(fib):
 
 def test_subst_language_stops_on_stability(run_doubler):
     # two stable iterations are demanded, not one: 11110 shows up late
-    words = subst_language(run_doubler, 5)
+    words = subst_oracle(run_doubler, 5).words_of_length(5)
     assert ("1", "1", "1", "1", "0") in words
 
 
@@ -229,14 +217,128 @@ def test_induced_oracle_matches_realization_search(realized_superwords, forbidde
         assert fresh.contains(word) == (tuple(by_symbol[s] for s in word) in realized)
 
 
-@settings(max_examples=40, deadline=None)
-@given(images=st.lists(st.text("abc", min_size=1, max_size=3), min_size=3, max_size=3),
-       seed=st.sampled_from("abc"))
-def test_subst_oracle_matches_subst_language(images, seed):
+# The brute force below reads the iterates as strings.  Over every 2- and
+# 3-letter substitution with images of 1 to 3 letters, each subword of
+# length <= 6 of some iterate turns up in an iterate of at most 215,125
+# letters and within 14 steps (an exhaustive search), so these bounds
+# leave room.
+ITERATE_STEPS = 16
+ITERATE_LETTERS = 2 ** 18
+
+
+def _iterates(tau):
+    """The seed's iterates, up to the 16th or the first longer than 2^18."""
+    table = str.maketrans({a: "".join(w) for a, w in tau.rules.items()})
+    out = [tau.seed]
+    while len(out) <= ITERATE_STEPS and len(out[-1]) <= ITERATE_LETTERS:
+        out.append(out[-1].translate(table))
+    return out
+
+
+def _occurs(word, iterates):
+    s = "".join(word)
+    return any(s in u for u in iterates)
+
+
+def _brute_levels(tau, h):
+    """Length-n subwords of the iterates for n <= h, one letter at a time:
+    a subword's prefix is a subword, so extending the level below finds
+    every word of the next."""
+    iterates = _iterates(tau)
+    levels = [{()}]
+    for _ in range(h):
+        levels.append({w + (a,) for w in levels[-1] for a in tau.rules
+                       if _occurs(w + (a,), iterates)})
+    return levels
+
+
+# (letters, images, seed); non-primitive rules come up often, and the
+# tests skip draws whose iterates stay bounded
+SUBSTITUTION_DRAWS = st.sampled_from(("ab", "abc")).flatmap(
+    lambda letters: st.tuples(
+        st.just(letters),
+        st.lists(st.text(letters, min_size=1, max_size=3),
+                 min_size=len(letters), max_size=len(letters)),
+        st.sampled_from(letters)))
+
+
+def _substitution(draw):
+    letters, images, seed = draw
     try:
-        tau = Substitution({a: tuple(w) for a, w in zip("abc", images)}, seed)
+        return Substitution({a: tuple(w) for a, w in zip(letters, images)}, seed)
     except NonGrowingSubstitutionError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@example(draw=("ab", ["ba", "b"], "a"), h=3)  # "ba" only ever ends an iterate
+@example(draw=("abc", ["bc", "bc", "cb"], "a"), h=2)  # the seed leaves for good
+@given(draw=SUBSTITUTION_DRAWS, h=st.integers(0, 5))
+def test_factor_levels_match_iterates(draw, h):
+    tau = _substitution(draw)
+    if tau is None:
+        return
+    levels = _factor_levels(tau, h)
+    assert len(levels) == h + 1
+    iterates = _iterates(tau)
+    early = [tuple(u) for u in iterates if len(u) <= 64]
+    for n, level in enumerate(levels):
+        for u in early:
+            assert {u[i:i + n] for i in range(len(u) - n + 1)} <= level
+        assert all(_occurs(w, iterates) for w in level)
+
+
+def test_factor_levels_keep_a_seed_no_image_contains():
+    tau = Substitution({"a": ("b", "c"), "b": ("b", "c"), "c": ("c", "b")}, "a")
+    assert all(("a",) in _factor_levels(tau, h)[1] for h in range(1, 5))
+    assert subst_oracle(tau, 8).words_of_length(1) == (("a",), ("b",), ("c",))
+
+
+def test_subst_oracle_slow_stabilizer():
+    # the c-runs lengthen by one per step while the iterates triple, so a
+    # rule that waits for the length-10 subwords to settle iterates long
+    tau = Substitution({"a": ("b", "b"), "b": ("c", "a", "b"), "c": ("c",)}, "a")
+    words = ["".join(w) for w in subst_oracle(tau, 16).words_of_length(10)]
+    assert words == SLOW_STABILIZER_10
+
+
+def test_subst_oracle_cost_follows_the_length_stepped(fib):
+    # a horizon of 10^6 must not build the levels out to 10^6
+    words = subst_oracle(fib, 10 ** 6).words_of_length(4)
+    assert ["".join(w) for w in words] == ["0010", "0100", "0101", "1001", "1010"]
+
+
+SLOW_STABILIZER_10 = [
+    "abcabcbbca", "abcbbcabcc", "abccabcabc", "abccbbcabc", "abcccabcab",
+    "abcccbbcab", "abccccabca", "abccccbbca", "abcccccabc", "abcccccbbc",
+    "abccccccab", "abccccccbb", "abccccccca", "abcccccccb", "abcccccccc",
+    "bbcabcbbca", "bbcabccabc", "bbcabccbbc", "bbcabcccab", "bbcabcccbb",
+    "bbcabcccca", "bbcabccccb", "bbcabccccc", "bcabcbbcab", "bcabccabca",
+    "bcabccbbca", "bcabcccabc", "bcabcccbbc", "bcabccccab", "bcabccccbb",
+    "bcabccccca", "bcabcccccb", "bcabcccccc", "bcbbcabcca", "bcbbcabccb",
+    "bcbbcabccc", "bccabcabcb", "bccbbcabcb", "bcccabcabc", "bcccbbcabc",
+    "bccccabcab", "bccccbbcab", "bcccccabca", "bcccccbbca", "bccccccabc",
+    "bccccccbbc", "bcccccccab", "bcccccccbb", "bcccccccca", "bccccccccb",
+    "bccccccccc", "cabcabcbbc", "cabcbbcabc", "cabccabcab", "cabccbbcab",
+    "cabcccabca", "cabcccbbca", "cabccccabc", "cabccccbbc", "cabcccccab",
+    "cabcccccbb", "cabcccccca", "cabccccccb", "cabccccccc", "cbbcabcbbc",
+    "cbbcabccab", "cbbcabccbb", "cbbcabccca", "cbbcabcccb", "cbbcabcccc",
+    "ccabcabcbb", "ccbbcabcbb", "cccabcabcb", "cccbbcabcb", "ccccabcabc",
+    "ccccbbcabc", "cccccabcab", "cccccbbcab", "ccccccabca", "ccccccbbca",
+    "cccccccabc", "cccccccbbc", "ccccccccab", "ccccccccbb", "ccccccccca",
+    "cccccccccb", "cccccccccc",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=SUBSTITUTION_DRAWS)
+def test_subst_oracle_matches_subst_language(draw):
+    """The oracle against the brute force over the iterates, at every
+    length up to its horizon (each doubling of its levels is a rebuild)."""
+    tau = _substitution(draw)
+    if tau is None:
         return
     oracle = subst_oracle(tau, 6)
-    for n in range(7):
-        assert list(oracle.words_of_length(n)) == subst_language(tau, n)
+    key = tau.alphabet.key
+    for n, level in enumerate(_brute_levels(tau, 6)):
+        assert list(oracle.words_of_length(n)) == sorted(level, key=key)

@@ -10,9 +10,8 @@ from shiftlab import (Alphabet, FiniteTypeSpec, InducedSpec, InfeasibleSetError,
                       beta_oracle, build_block_graph, example_nonempty_shift,
                       finite_type_presentation, format_word, induce_recode,
                       induced_data, ls_report, mfw_length_set, minimal_forbidden,
-                      parse_beta_spec, sft_oracle, sofic_oracle, subst_language,
-                      subst_oracle, tau_eval, well_approx_check,
-                      window_density_report)
+                      parse_beta_spec, sft_oracle, sofic_oracle, subst_oracle,
+                      tau_eval, well_approx_check, window_density_report)
 
 
 def test_golden_mfw(golden_oracle):
@@ -186,7 +185,7 @@ def test_mfw_walk_matches_definition_on_substitutions(images, seed):
     except NonGrowingSubstitutionError:
         return
     expect = _mfw_by_definition(
-        "abc", lambda n: set(subst_language(tau, n)), 6)
+        "abc", lambda n: set(subst_oracle(tau, n).words_of_length(n)), 6)
     assert _as_sets(minimal_forbidden(subst_oracle(tau, 6), 6)) == expect
 
 

@@ -66,12 +66,31 @@ EXAMPLE_BETASHIFT = document(
     steps=st.integers(0, 3))
 SIMPLE = st.one_of(FINITE_TYPE, SOFIC, BETA, SUBSTITUTION, EXAMPLE_NONEMPTY,
                    EXAMPLE_BETASHIFT)
-INDUCED = document(
+# well-formed induced documents over binary bases, so that `induce` and
+# `speedup-compare` also get past validation to a report
+BINARY_IMAGE = st.text("01", min_size=1, max_size=3)
+VALID_BASE = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("finite-type"),
+                           "alphabet": st.just(["0", "1"]),
+                           "forbidden": st.lists(st.text("01", min_size=2, max_size=3),
+                                                 max_size=2)}),
+    st.fixed_dictionaries({"kind": st.just("substitution"),
+                           "rules": st.fixed_dictionaries({"0": BINARY_IMAGE,
+                                                           "1": BINARY_IMAGE}),
+                           "seed": st.sampled_from(["0", "1"])}))
+VALID_INDUCED = st.integers(0, 1).flatmap(lambda window: st.fixed_dictionaries(
+    {"kind": st.just("induced"), "base": VALID_BASE, "window": st.just(window),
+     "return_rule": st.one_of(st.just("first-return"), st.integers(1, 2))},
+    optional={"clopen": st.lists(st.text("01", min_size=2 * window + 1,
+                                         max_size=2 * window + 1),
+                                 min_size=1, max_size=4, unique=True),
+              "cap": st.integers(1, 8)}))
+INDUCED = st.one_of(VALID_INDUCED, document(
     "induced", base=SIMPLE, window=st.integers(0, 1),
     return_rule=st.one_of(st.just("first-return"), st.integers(0, 3),
                           st.dictionaries(st.text("01", max_size=3),
                                           st.integers(0, 3), max_size=3)),
-    clopen=st.lists(WORD, max_size=3), cap=st.integers(1, 8))
+    clopen=st.lists(WORD, max_size=3), cap=st.integers(1, 8)))
 
 
 def binary_code(radius):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, AlphabetMismatchError, DigitStream,
                       FiniteTypeSpec, HorizonExceededError, beta_oracle,
-                      build_block_graph, complexity, format_word, lex_compare,
+                      build_block_graph, complexity, format_word,
                       make_labeled_graph, minimal_forbidden, sft_oracle,
                       sofic_oracle, special_words, subwords)
 
@@ -34,12 +34,6 @@ def test_format_word():
     assert format_word(()) == "(empty)"
     assert format_word(("0", "1", "1")) == "011"
     assert format_word(("10", "0")) == "10.0"
-
-
-def test_lex_compare(alph2):
-    assert lex_compare((), ("0",), alph2) < 0
-    assert lex_compare(("0", "1"), ("1",), alph2) < 0
-    assert lex_compare(("1", "0"), ("1", "0"), alph2) == 0
 
 
 def test_subwords():

@@ -277,7 +277,7 @@ def compare_to_prefix(word_digits, stream):
     return EQUAL
 
 
-def beta_oracle(stream, horizon, label="beta"):
+def beta_oracle(stream, horizon):
     """Language oracle of the beta-shift of the working stream.
 
     A word is allowed iff each of its suffixes is at most the stream
@@ -307,7 +307,7 @@ def beta_oracle(stream, horizon, label="beta"):
                 after.append(k + 1)
         return tuple(after)
 
-    return stepping_oracle(alphabet, (), step, horizon, label)
+    return stepping_oracle(alphabet, (), step, horizon)
 
 
 def beta_mfw(stream, n_max):
@@ -323,6 +323,7 @@ def beta_mfw(stream, n_max):
         raise InsufficientDigitsError(
             "need %d digits but only %d were computed" % (n_max, known))
     d0 = stream.digit(0)
+    key = stream_alphabet(stream).key
     by_length = {}
     for ell in range(n_max):
         d_ell = stream.digit(ell)
@@ -333,7 +334,7 @@ def beta_mfw(stream, n_max):
                    for j in range(1, ell + 1)):
                 found.append(tuple(str(c) for c in w + (b,)))
         if found:
-            by_length[ell + 1] = tuple(sorted(found))
+            by_length[ell + 1] = tuple(sorted(found, key=key))
     return MFWTable(n_max, by_length)
 
 
@@ -404,8 +405,7 @@ def beta_presentation(stream):
         edges.append((i, str(digits[i]), succ))
         for b in range(digits[i]):
             edges.append((i, str(b), 0))
-    g = make_labeled_graph(alphabet, tuple(range(m)), edges, label="beta-shift")
-    return prune_labeled(g)
+    return prune_labeled(make_labeled_graph(alphabet, tuple(range(m)), edges))
 
 
 def example_betashift(mode, steps):

@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .beta import (beta_expand, beta_ls_diagnostic, beta_mfw,
+from .beta import (beta_expand, beta_ls_diagnostic, beta_oracle,
                    beta_presentation, example_betashift, parse_beta_spec)
 from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
     speedup_gap_compare
@@ -51,8 +51,8 @@ def _densities(densities):
     return {str(k): densities[k] for k in sorted(densities)}
 
 
-def _cylinders(measure, depth, label=""):
-    table = cylinder_table(measure, depth, label)
+def _cylinders(measure, depth):
+    table = cylinder_table(measure, depth)
     out = {}
     exact = {}
     for k in range(depth + 1):
@@ -213,7 +213,7 @@ def cmd_nu(args):
         points = periodic_points_le(realized, args.period, args.cap)
         measure = nu_measure(points, realized.oracle.alphabet, args.period)
     report = {"period_bound": args.period}
-    report.update(_cylinders(measure, args.depth, "nu_%d" % args.period))
+    report.update(_cylinders(measure, args.depth))
     if args.compare_parry:
         graph = _block_graph(realized, "the Parry comparison")
         parry = parry_measure(graph)
@@ -233,7 +233,7 @@ def cmd_parry(args):
         "stationary": {format_word(v): measure.stationary[v]
                        for v in graph.states},
     }
-    report.update(_cylinders(measure, args.depth, "parry"))
+    report.update(_cylinders(measure, args.depth))
     return report
 
 
@@ -258,7 +258,7 @@ def cmd_decompose(args):
                               args.cap)
         entry = {"weights": [float(w) for w in result.weights],
                  "cutoff": result.cutoff}
-        entry.update(_cylinders(result.measure, args.depth, "mu_Y"))
+        entry.update(_cylinders(result.measure, args.depth))
         report["average"] = entry
     return report
 
@@ -273,7 +273,7 @@ def cmd_push(args):
         "period_bound": args.period,
         "target_alphabet": list(code.target_alphabet.symbols),
     }
-    report.update(_cylinders(image, args.depth, "pushforward"))
+    report.update(_cylinders(image, args.depth))
     return report
 
 
@@ -324,7 +324,7 @@ def cmd_beta_expand(args):
 
 def cmd_beta_mfw(args):
     _, stream = _stream_for(args)
-    table = beta_mfw(stream, args.horizon)
+    table = minimal_forbidden(beta_oracle(stream, args.horizon), args.horizon)
     return {
         "horizon": args.horizon,
         "table": _mfw_table(table),

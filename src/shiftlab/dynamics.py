@@ -134,7 +134,7 @@ def _factor_levels(tau, h):
     return levels
 
 
-def subst_oracle(tau, horizon, label=None):
+def subst_oracle(tau, horizon):
     """Language oracle of the substitution system, exact to the horizon.
 
     The state is the word read so far.  When a step outgrows the factor
@@ -142,9 +142,6 @@ def subst_oracle(tau, horizon, label=None):
     at the horizon but never short of the step, so the cost follows the
     lengths stepped, not the horizon.
     """
-    if label is None:
-        label = "subst(%s)" % ",".join(
-            "%s>%s" % (a, format_word(w)) for a, w in sorted(tau.rules.items()))
     levels = []
 
     def step(word, letter):
@@ -154,7 +151,7 @@ def subst_oracle(tau, horizon, label=None):
             levels[:] = _factor_levels(tau, max(n, min(horizon, 2 * len(levels))))
         return longer if longer in levels[n] else None
 
-    return stepping_oracle(tau.alphabet, (), step, horizon, label)
+    return stepping_oracle(tau.alphabet, (), step, horizon)
 
 
 @dataclass(frozen=True)
@@ -369,7 +366,7 @@ def induce_recode(spec, n):
         return (target, frozenset(reached)) if reached else None
 
     start = (None, frozenset((spec.base.start,)))
-    return stepping_oracle(alphabet, start, step, n, "induced(%s)" % (spec.base.label,))
+    return stepping_oracle(alphabet, start, step, n)
 
 
 @dataclass(frozen=True)

@@ -217,5 +217,4 @@ def example_nonempty_shift(lengths):
         n = ell - 2
         c = "1" if n % 2 == 0 else "2"
         words.add(("0",) + (c,) * n + ("0",))
-    label = "ls-target-%s" % (",".join(str(x) for x in target) or "empty")
-    return FiniteTypeSpec(abc, frozenset(words), label=label)
+    return FiniteTypeSpec(abc, frozenset(words))

@@ -26,7 +26,6 @@ class LabeledGraph:
     alphabet: Alphabet
     states: tuple
     transitions: dict
-    label: str = ""
 
     @property
     def is_empty(self):
@@ -89,7 +88,7 @@ class LabeledGraph:
         return out
 
 
-def make_labeled_graph(alphabet, states, edges, label=""):
+def make_labeled_graph(alphabet, states, edges):
     """Build a LabeledGraph from an edge list of (source, letter, target)."""
     states = tuple(states)
     seen = set(states)
@@ -105,7 +104,7 @@ def make_labeled_graph(alphabet, states, edges, label=""):
         s: {a: tuple(sorted(ts, key=index.__getitem__)) for a, ts in row.items()}
         for s, row in trans.items()
     }
-    return LabeledGraph(alphabet, states, frozen, label=label)
+    return LabeledGraph(alphabet, states, frozen)
 
 
 def prune_labeled(g):
@@ -149,10 +148,10 @@ def _subset_step(g, states, letter):
     return frozenset(out)
 
 
-def _survivor_oracle(g, horizon, label):
+def _survivor_oracle(g, horizon):
     """Language oracle of a pruned presentation, determinized lazily: the
     state after a word is its survivor set, what reading it from the full
     state set leaves, and the word is allowed while that set is nonempty."""
     return stepping_oracle(g.alphabet, frozenset(g.states) or None,
                            lambda states, a: _subset_step(g, states, a) or None,
-                           horizon, label)
+                           horizon)

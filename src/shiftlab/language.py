@@ -142,15 +142,12 @@ class LanguageOracle:
         range; enumeration relies on it.
     max_reliable_length : int
         Largest word length for which the automaton is exact.
-    label : str
-        Free-form tag used in reports.
     """
 
     alphabet: Alphabet
     start: object = field(compare=False, repr=False)
     step: object = field(compare=False, repr=False)
     max_reliable_length: int
-    label: str = ""
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def membership(self, word):
@@ -220,7 +217,7 @@ class LanguageOracle:
         return not self.contains(EMPTY_WORD)
 
 
-def stepping_oracle(alphabet, start, step, horizon, label=""):
+def stepping_oracle(alphabet, start, step, horizon):
     """Oracle of the language an automaton reads.
 
     ``start`` is the state of the empty word (None for the empty
@@ -238,7 +235,7 @@ def stepping_oracle(alphabet, start, step, horizon, label=""):
             after = memo[key] = step(state, letter)
             return after
 
-    return LanguageOracle(alphabet, start, cached_step, horizon, label)
+    return LanguageOracle(alphabet, start, cached_step, horizon)
 
 
 def complexity(oracle, n_max):

@@ -43,7 +43,6 @@ class CylinderMeasure:
     alphabet: object
     depth: int
     values: dict
-    label: str = ""
 
     def __post_init__(self):
         if self.depth < 0:
@@ -195,7 +194,7 @@ def weak_star_distance(m1, m2, depth):
     return float(best)
 
 
-def cylinder_table(measure, depth, label=""):
+def cylinder_table(measure, depth):
     """Tabulate any measure into a CylinderMeasure up to ``depth``."""
     alphabet = _measure_alphabet(measure)
     read = _cylinder_reader(measure, depth)
@@ -203,7 +202,7 @@ def cylinder_table(measure, depth, label=""):
     for k in range(depth + 1):
         for word in itertools.product(alphabet.symbols, repeat=k):
             values[word] = read(word)
-    return CylinderMeasure(alphabet, depth, values, label=label)
+    return CylinderMeasure(alphabet, depth, values)
 
 
 def pushforward(measure, code):
@@ -246,8 +245,7 @@ def nu_cylinder_measure(graph, n, depth):
         for word in itertools.product(graph.alphabet.symbols, repeat=k):
             values[word] = Fraction(periodic_count_le(graph, n, word),
                                     denominator)
-    return CylinderMeasure(graph.alphabet, depth, values,
-                           label="nu_%d(%s)" % (n, graph.label or "sft"))
+    return CylinderMeasure(graph.alphabet, depth, values)
 
 
 # ---- Parry chains --------------------------------------------------------
@@ -373,8 +371,7 @@ def max_entropy_decomposition(graph, code, depth=6, tol=1e-9):
         if any(language_equal_exact(image, c.presentation) for c in components):
             continue
         chain = next(g for g in scc_subgraphs(det) if g.states[0] == det.states[comp[0]])
-        table = cylinder_table(parry_measure(chain), depth,
-                               label="mme-component-%d" % len(components))
+        table = cylinder_table(parry_measure(chain), depth)
         components.append(MaxEntropyComponent(image, table, h))
     return components
 
@@ -418,7 +415,7 @@ def mu_y_average(components, cutoff, depth, cap=DEFAULT_CAP):
             values[word] = float(sum(
                 wt * comp.measure.values[word]
                 for wt, comp in zip(weights, components)))
-    measure = CylinderMeasure(alphabet, depth, values, label="mu_Y")
+    measure = CylinderMeasure(alphabet, depth, values)
     return MuAverageResult(measure, weights, cutoff)
 
 

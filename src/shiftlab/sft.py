@@ -4,10 +4,11 @@ and exact periodic-point counts.
 A finite list of forbidden words over an alphabet determines the shift of
 all bi-infinite sequences avoiding them.  With memory f (the longest
 forbidden length), the shift is presented by the block graph whose
-vertices are the allowed (f-1)-words and whose edges append one letter.
-Vertices that cannot lie on a bi-infinite path are pruned away, so the
+vertices are the allowed (f-1)-words and whose edges are the allowed
+f-words.  Both are read off the shift's language, where every word
+extends both ways, so every vertex lies on a bi-infinite path and the
 label words of finite paths are exactly the words occurring in points of
-the shift.  An empty pruned graph is the empty shift; it is flagged, not
+the shift.  An empty graph is the empty shift; it is flagged, not
 raised, because downstream diagnostics want to report it.
 """
 
@@ -35,7 +36,6 @@ class FiniteTypeSpec:
 
     alphabet: Alphabet
     forbidden: frozenset
-    label: str = ""
 
     def __post_init__(self):
         for w in self.forbidden:
@@ -47,21 +47,6 @@ class FiniteTypeSpec:
     def memory(self):
         lengths = [len(w) for w in self.forbidden]
         return max(lengths, default=1) or 1
-
-    def scan_allows(self, word):
-        """True when ``word`` contains no forbidden subword.
-
-        This is weaker than membership in the shift's language: a scan-
-        allowed word may still fail to extend to a bi-infinite point.
-        """
-        if EMPTY_WORD in self.forbidden:
-            return False
-        lengths = {len(w) for w in self.forbidden}
-        for ell in lengths:
-            for i in range(len(word) - ell + 1):
-                if word[i:i + ell] in self.forbidden:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -82,44 +67,31 @@ class BlockGraph(LabeledGraph):
 
 
 def build_block_graph(spec):
-    """Block presentation of an SFT, pruned to its essential part."""
+    """Block presentation of an SFT, read off its language.
+
+    The states are the allowed (f-1)-words and each allowed f-word ua is
+    an edge u --a--> (ua)[1:].  The oracle over ``finite_type_presentation``
+    reads the language exactly and every allowed word extends both ways,
+    so nothing needs pruning.
+    """
+    from .sofic import finite_type_presentation  # deferred: sofic imports this module
     f = spec.memory
-    alphabet = spec.alphabet
-    if EMPTY_WORD in spec.forbidden:
-        return BlockGraph(alphabet, (), {}, label=spec.label, memory=f)
-    # candidate states: scan-allowed (f-1)-words, built incrementally
-    level = [EMPTY_WORD]
-    for _ in range(f - 1):
-        level = [w + (a,) for w in level for a in alphabet
-                 if spec.scan_allows(w + (a,))]
-    states = tuple(sorted(level))
-    transitions = {}
-    for u in states:
-        row = {}
-        for a in alphabet:
-            ua = u + (a,)
-            if spec.scan_allows(ua):
-                row[a] = (ua[1:] if f >= 2 else EMPTY_WORD,)
-        if row:
-            transitions[u] = row
-    return prune_labeled(BlockGraph(alphabet, states, transitions,
-                                    label=spec.label, memory=f))
+    oracle = _survivor_oracle(finite_type_presentation(spec), f)
+    rows = {}
+    for w in oracle.words_of_length(f):
+        rows.setdefault(w[:-1], {})[w[-1]] = (w[1:],)
+    states = tuple(sorted(oracle.words_of_length(f - 1)))
+    return BlockGraph(spec.alphabet, states, {u: rows[u] for u in states},
+                      memory=f)
 
 
-def sft_oracle(graph, horizon, label=None):
+def sft_oracle(graph, horizon):
     """Language oracle of the shift presented by a pruned block graph.
 
     Words are read by survivor sets of the graph, exact at every length;
     the declared horizon only bounds what callers may ask for.
     """
-    if label is None:
-        label = graph.label or "sft"
-    return _survivor_oracle(graph, horizon, label)
-
-
-def sft_language(graph, n):
-    """Sorted tuple of the length-n words of the shift."""
-    return sft_oracle(graph, n).words_of_length(n)
+    return _survivor_oracle(graph, horizon)
 
 
 def sft_entropy(graph):
@@ -206,8 +178,7 @@ def sft_cover(oracle, n):
     from .forbidden import minimal_forbidden  # deferred: forbidden imports this module
     table = minimal_forbidden(oracle, n)
     words = frozenset(w for ws in table.by_length.values() for w in ws)
-    return FiniteTypeSpec(oracle.alphabet, words,
-                          label="cover-%d(%s)" % (n, oracle.label))
+    return FiniteTypeSpec(oracle.alphabet, words)
 
 
 def scc_subgraphs(graph):
@@ -237,4 +208,4 @@ def scc_subgraphs(graph):
 
 def full_shift(alphabet):
     """The full shift over an alphabet, as a pruned block graph."""
-    return build_block_graph(FiniteTypeSpec(alphabet, frozenset(), label="full"))
+    return build_block_graph(FiniteTypeSpec(alphabet, frozenset()))

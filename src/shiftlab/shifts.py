@@ -210,10 +210,9 @@ def _parse_word(alphabet, item):
 def _realize_finite_type(doc, horizon):
     alphabet = Alphabet(tuple(doc.payload["alphabet"]))
     words = frozenset(_parse_word(alphabet, w) for w in doc.payload["forbidden"])
-    spec = FiniteTypeSpec(alphabet, words, label=doc.label)
+    spec = FiniteTypeSpec(alphabet, words)
     labeled = finite_type_presentation(spec)
-    return RealizedShift(doc, horizon,
-                         sofic_oracle(labeled, horizon, doc.label or None),
+    return RealizedShift(doc, horizon, sofic_oracle(labeled, horizon),
                          spec=spec, labeled=labeled)
 
 
@@ -221,9 +220,8 @@ def _realize_sofic(doc, horizon):
     alphabet = Alphabet(tuple(doc.payload["alphabet"]))
     states = tuple(str(s) for s in doc.payload["states"])
     edges = [(str(s), a, str(t)) for s, a, t in doc.payload["edges"]]
-    g = make_labeled_graph(alphabet, states, edges, label=doc.label)
-    return RealizedShift(doc, horizon, sofic_oracle(g, horizon, doc.label or None),
-                         labeled=g)
+    g = make_labeled_graph(alphabet, states, edges)
+    return RealizedShift(doc, horizon, sofic_oracle(g, horizon), labeled=g)
 
 
 def _realize_beta(doc, horizon):
@@ -236,7 +234,7 @@ def _realize_beta(doc, horizon):
     labeled = None
     if stream.kind == "eventually-periodic":
         labeled = beta_presentation(stream)
-    oracle = beta_oracle(stream, horizon, doc.label or "beta")
+    oracle = beta_oracle(stream, horizon)
     return RealizedShift(doc, horizon, oracle, labeled=labeled,
                          expansion=expansion, stream=stream)
 
@@ -244,7 +242,7 @@ def _realize_beta(doc, horizon):
 def _realize_substitution(doc, horizon):
     rules = {a: tuple(w) for a, w in doc.payload["rules"].items()}
     tau = Substitution(rules, doc.payload["seed"])
-    oracle = subst_oracle(tau, horizon, doc.label or None)
+    oracle = subst_oracle(tau, horizon)
     return RealizedShift(doc, horizon, oracle, substitution=tau)
 
 
@@ -276,14 +274,14 @@ def _realize_induced(doc, horizon):
 def _realize_example_nonempty(doc, horizon):
     spec = example_nonempty_shift(doc.payload["lengths"])
     labeled = finite_type_presentation(spec)
-    return RealizedShift(doc, horizon, sofic_oracle(labeled, horizon, spec.label),
+    return RealizedShift(doc, horizon, sofic_oracle(labeled, horizon),
                          spec=spec, labeled=labeled)
 
 
 def _realize_example_betashift(doc, horizon):
     stream = example_betashift(doc.payload["mode"], doc.payload["steps"])
     horizon = min(horizon, stream.known_length)
-    oracle = beta_oracle(stream, horizon, doc.label or "betashift-example")
+    oracle = beta_oracle(stream, horizon)
     return RealizedShift(doc, horizon, oracle, stream=stream)
 
 

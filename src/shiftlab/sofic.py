@@ -16,6 +16,7 @@ reachability computation, with no language enumeration anywhere.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
 
 from .errors import (AlphabetMismatchError, EnumerationCapError,
@@ -23,7 +24,7 @@ from .errors import (AlphabetMismatchError, EnumerationCapError,
 from .graph import (LabeledGraph, _subset_step, _survivor_oracle,
                     make_labeled_graph, prune_labeled)
 from .language import EMPTY_WORD, Alphabet
-from .sft import DEFAULT_CAP, _minimal_period, sft_language
+from .sft import DEFAULT_CAP, _minimal_period
 from .spectral import spectral_radius_certified
 from .forbidden import window_density_report
 
@@ -84,19 +85,8 @@ def compose_codes(outer, inner):
         raise AlphabetMismatchError("inner code output alphabet must feed the outer code")
     r = outer.range_ + inner.range_
     width = 2 * r + 1
-    rule = {}
-
-    def windows(k):
-        if k == 0:
-            yield EMPTY_WORD
-            return
-        for w in windows(k - 1):
-            for a in inner.source_alphabet:
-                yield w + (a,)
-
-    for w in windows(width):
-        mid = inner.apply_to_word(w)
-        rule[w] = outer.rule[mid]
+    rule = {w: outer.rule[inner.apply_to_word(w)]
+            for w in itertools.product(inner.source_alphabet.symbols, repeat=width)}
     return BlockCode(inner.source_alphabet, outer.target_alphabet, r, rule)
 
 
@@ -112,7 +102,7 @@ def finite_type_presentation(spec):
     for w in words:
         spec.alphabet.check_word(w)
         if not w:
-            return LabeledGraph(spec.alphabet, (), {}, label=spec.label)
+            return LabeledGraph(spec.alphabet, (), {})
     wset = set(words)
 
     def clean(u):
@@ -136,9 +126,7 @@ def finite_type_presentation(spec):
                 if v[i:] in sset:
                     edges.append((u, a, v[i:]))
                     break
-    g = make_labeled_graph(spec.alphabet, tuple(order), edges,
-                           label=spec.label or "sft")
-    return prune_labeled(g)
+    return prune_labeled(make_labeled_graph(spec.alphabet, tuple(order), edges))
 
 
 def apply_block_code(graph, code):
@@ -153,34 +141,24 @@ def apply_block_code(graph, code):
     if graph.alphabet != code.source_alphabet:
         raise AlphabetMismatchError("code source alphabet must match the shift's")
     if graph.is_empty:
-        return LabeledGraph(code.target_alphabet, (), {}, label="image")
+        return LabeledGraph(code.target_alphabet, (), {})
     r = code.range_
     k = 2 * r + graph.memory - 1
-    vertices = sft_language(graph, k)
-    allowed_next = set(sft_language(graph, k + 1))
-    edges = []
-    for u in vertices:
-        for a in graph.alphabet:
-            merged = u + (a,)
-            if merged in allowed_next:
-                v = merged[1:]
-                edges.append((u, code.rule[merged[:2 * r + 1]], v))
-    g = make_labeled_graph(code.target_alphabet, vertices, edges,
-                           label="image(%s)" % (graph.label or "sft"))
+    oracle = _survivor_oracle(graph, k + 1)
+    edges = [(w[:-1], code.rule[w[:2 * r + 1]], w[1:])
+             for w in oracle.words_of_length(k + 1)]
+    g = make_labeled_graph(code.target_alphabet, oracle.words_of_length(k), edges)
     return prune_labeled(g)
 
 
-def sofic_oracle(g, horizon, label=None):
+def sofic_oracle(g, horizon):
     """Language oracle of the presented shift (survivor sets, determinized
     lazily).
 
     Prunes first: a word on a path into a dead end occurs in no point
     of the shift, so unpruned scanning would overcount.
     """
-    if label is None:
-        label = g.label or "sofic"
-    g = prune_labeled(g)
-    return _survivor_oracle(g, horizon, label)
+    return _survivor_oracle(prune_labeled(g), horizon)
 
 
 def determinize(g):
@@ -192,7 +170,7 @@ def determinize(g):
     """
     g = prune_labeled(g)
     if g.is_empty:
-        return LabeledGraph(g.alphabet, (), {}, label=g.label)
+        return LabeledGraph(g.alphabet, (), {})
     start = frozenset(g.states)
     discovered = {start: 0}
     order = [start]
@@ -209,14 +187,11 @@ def determinize(g):
                 order.append(nxt)
                 queue.append(nxt)
             edges.append((discovered[cur], a, discovered[nxt]))
-    det = make_labeled_graph(g.alphabet, tuple(range(len(order))), edges,
-                             label="det(%s)" % (g.label or "sofic"))
-    det = prune_labeled(det)
+    det = prune_labeled(make_labeled_graph(g.alphabet, tuple(range(len(order))), edges))
     # renumber compactly after pruning
     relabel = {s: i for i, s in enumerate(det.states)}
     edges = [(relabel[s], a, relabel[t]) for s, a, t in det.edge_list()]
-    return make_labeled_graph(g.alphabet, tuple(range(len(det.states))), edges,
-                              label=det.label)
+    return make_labeled_graph(g.alphabet, tuple(range(len(det.states))), edges)
 
 
 def _union_symbols(g1, g2):

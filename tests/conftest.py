@@ -11,7 +11,7 @@ def alph2():
 
 @pytest.fixture(scope="session")
 def golden_spec(alph2):
-    return FiniteTypeSpec(alph2, frozenset([("1", "1")]), "golden")
+    return FiniteTypeSpec(alph2, frozenset([("1", "1")]))
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,7 @@ def golden_oracle(golden_graph):
 def even_graph(alph2):
     # runs of 1 between consecutive 0s have even length
     edges = [("e", "0", "e"), ("e", "1", "o"), ("o", "1", "e")]
-    return make_labeled_graph(alph2, ("e", "o"), edges, "even")
+    return make_labeled_graph(alph2, ("e", "o"), edges)
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +38,7 @@ def even_oracle(even_graph):
 
 @pytest.fixture(scope="session")
 def full2_spec(alph2):
-    return FiniteTypeSpec(alph2, frozenset(), "full-2")
+    return FiniteTypeSpec(alph2, frozenset())
 
 
 @pytest.fixture(scope="session")

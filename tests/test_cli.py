@@ -457,6 +457,16 @@ def test_beta_mfw(capsys):
     assert report["table"] == {"2": ["11"]}
 
 
+def test_beta_mfw_matches_mfw_on_the_document(capsys, write):
+    path = write("b.json", {"kind": "beta", "beta": "rational:101/8"})
+    rc, direct, _ = run(capsys, ["beta", "mfw", "rational:101/8", "--horizon", "4"])
+    assert rc == 0
+    rc, via_document, _ = run(capsys, ["mfw", path, "--horizon", "4"])
+    assert rc == 0
+    assert direct == via_document
+    assert direct.index("12.8\n") < direct.index("12.10\n")
+
+
 def test_beta_lsdiag(capsys):
     report = run_json(capsys, ["beta", "lsdiag", SILVER_LIKE_BETA,
                                "--horizon", "24"])

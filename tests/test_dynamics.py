@@ -75,7 +75,7 @@ def test_run_doubler_mfw(run_doubler):
 
 def golden_base(horizon):
     alph = Alphabet(("0", "1"))
-    spec = FiniteTypeSpec(alph, frozenset([("1", "1")]), "golden")
+    spec = FiniteTypeSpec(alph, frozenset([("1", "1")]))
     return sft_oracle(build_block_graph(spec), horizon)
 
 

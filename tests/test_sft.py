@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, EnumerationCapError, FiniteTypeSpec,
-                      UndefinedEntropyError, build_block_graph, full_shift,
-                      language_equal_exact, per_count, per_le_enumerate,
+                      LabeledGraph, UndefinedEntropyError, build_block_graph,
+                      full_shift, language_equal_exact, per_count,
+                      per_le_enumerate, prune_labeled,
                       periodic_count_le, scc_subgraphs, sft_cover, sft_entropy,
-                      sft_language, sft_oracle)
+                      sft_oracle)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -17,6 +18,58 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 def scan_ok(w, forbidden):
     return not any(w[i:i + len(f)] == f
                    for f in forbidden for i in range(len(w) - len(f) + 1))
+
+
+def _scan_and_prune(spec):
+    """Reference block graph: states and edges from the words that scan
+    clean, then pruned to the states on a bi-infinite path."""
+    level = [()]
+    for _ in range(spec.memory - 1):
+        level = [w + (a,) for w in level for a in spec.alphabet
+                 if scan_ok(w + (a,), spec.forbidden)]
+    states = tuple(sorted(level))
+    transitions = {}
+    for u in states:
+        row = {a: ((u + (a,))[1:],) for a in spec.alphabet
+               if scan_ok(u + (a,), spec.forbidden)}
+        if row:
+            transitions[u] = row
+    return prune_labeled(LabeledGraph(spec.alphabet, states, transitions))
+
+
+@st.composite
+def _small_specs(draw):
+    # a shuffled alphabet, so its order and the sorted order can differ
+    letters = draw(st.permutations(("0", "1", "2")))[:draw(st.integers(2, 3))]
+    words = draw(st.sets(st.lists(st.sampled_from(letters), min_size=1,
+                                  max_size=5).map(tuple), max_size=4))
+    return FiniteTypeSpec(Alphabet(tuple(letters)), frozenset(words))
+
+
+def _assert_matches_scan_and_prune(spec):
+    g = build_block_graph(spec)
+    ref = _scan_and_prune(spec)
+    assert g.states == ref.states
+    assert g.transitions == ref.transitions
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_specs())
+def test_block_graph_matches_scan_and_prune(spec):
+    _assert_matches_scan_and_prune(spec)
+
+
+def test_block_graph_edge_cases(alph2):
+    forbid_empty = FiniteTypeSpec(alph2, frozenset([()]))
+    forbid_letters = FiniteTypeSpec(alph2, frozenset([("0",), ("1",)]))
+    memory_one = FiniteTypeSpec(Alphabet(("1", "0", "2")), frozenset([("0",)]))
+    for spec in (forbid_empty, forbid_letters, memory_one):
+        _assert_matches_scan_and_prune(spec)
+    assert build_block_graph(forbid_empty).is_empty
+    assert build_block_graph(forbid_letters).is_empty
+    g = build_block_graph(memory_one)
+    assert g.states == ((),)
+    assert g.transitions == {(): {"1": ((),), "2": ((),)}}
 
 
 def test_golden_graph_shape(golden_graph):
@@ -29,7 +82,7 @@ def test_empty_spec_prunes_to_nothing(alph2):
     spec = FiniteTypeSpec(alph2, frozenset([("0",), ("1",)]))
     g = build_block_graph(spec)
     assert g.is_empty
-    assert sft_language(g, 1) == ()
+    assert sft_oracle(g, 1).words_of_length(1) == ()
     with pytest.raises(UndefinedEntropyError):
         sft_entropy(g)
 

@@ -18,8 +18,8 @@ from .language import (Alphabet, LanguageOracle, complexity, format_word,
                        special_words, stepping_oracle, subwords)
 from .graph import LabeledGraph, make_labeled_graph, prune_labeled
 from .sft import (BlockGraph, FiniteTypeSpec, build_block_graph, full_shift,
-                  per_count, periodic_count_le, scc_subgraphs, sft_cover,
-                  sft_entropy, sft_oracle)
+                  per_count, periodic_count_le, periodic_counts,
+                  scc_subgraphs, sft_cover, sft_entropy, sft_oracle)
 from .forbidden import (LSReport, MFWTable, example_nonempty_shift, ls_report,
                         minimal_forbidden, tau_eval, well_approx_check,
                         window_density_report)

@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .beta import (beta_expand, beta_ls_diagnostic, beta_oracle,
@@ -29,8 +30,9 @@ from .measures import (automorphism_invariance_check, cylinder_table,
                        max_entropy_decomposition, mu_y_average, nu_measure,
                        nu_cylinder_measure, parry_measure, pushforward,
                        weak_star_distance)
-from .shifts import (load_shift_document, parse_block_code,
-                     periodic_points_le, realize, shift_entropy)
+from .shifts import (load_shift_document, minimal_period_counts,
+                     parse_block_code, periodic_points_le, realize,
+                     shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
     language_equal_up_to, sofic_entropy, theorem1_diagnostic
 
@@ -191,16 +193,25 @@ def cmd_entropy(args):
 
 def cmd_periodic(args):
     realized = _load(args)
-    points = periodic_points_le(realized, args.period, args.cap)
-    by_period = {}
-    for _, p in points:
-        by_period[p] = by_period.get(p, 0) + 1
+    if realized.spec is None:
+        # other presentations can carry a point on several cycles, where a
+        # trace count overcounts: enumerate
+        points = periodic_points_le(realized, args.period, args.cap)
+        by_period = Counter(p for _, p in points)
+        count = len(points)
+    else:
+        # exact counts; enumerate only to list the words
+        counts = minimal_period_counts(realized, args.period, args.cap)
+        by_period = {q: c for q, c in enumerate(counts, 1) if c}
+        count = sum(counts)
+        points = periodic_points_le(realized, args.period, args.cap) \
+            if count <= 200 else ()
     report = {
         "period_bound": args.period,
-        "count": len(points),
+        "count": count,
         "by_minimal_period": {str(p): by_period[p] for p in sorted(by_period)},
     }
-    if len(points) <= 200:
+    if count <= 200:
         report["words"] = _words(w for w, _ in points)
     return report
 

@@ -18,8 +18,8 @@ state is the word read so far, so there the walk pays about what
 enumeration would, and so does an induced oracle over such a base.
 """
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InfeasibleSetError
 from .language import Alphabet
@@ -154,9 +154,9 @@ def window_density_report(ls_lengths, horizon):
     densities = {}
     for k in range(1, max(1, horizon // 2) + 1):
         if k <= horizon:
-            fewest = min(counts[start + k] - counts[start]
-                         for start in range(horizon - k + 1))
-            densities[k] = float(Fraction(fewest, k))
+            fewest = min(map(operator.sub, counts[k:],
+                             counts[:horizon - k + 1]))
+            densities[k] = fewest / k
     return tuple(ls), max_gap, densities
 
 

@@ -20,8 +20,8 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EnumerationCapError, UndefinedEntropyError)
 from .graph import LabeledGraph, _survivor_oracle, prune_labeled
 from .language import EMPTY_WORD, Alphabet
-from .spectral import (int_matmul, int_matpow, int_trace,
-                       spectral_radius_certified, strongly_connected_components)
+from .spectral import (int_matmul, int_trace, spectral_radius_certified,
+                       strongly_connected_components)
 
 DEFAULT_CAP = 10 ** 6
 
@@ -112,7 +112,7 @@ def per_count(graph, p):
         raise EnumerationCapError("period must be >= 1")
     if graph.is_empty:
         return 0
-    return int_trace(int_matpow(graph.adjacency, p))
+    return int_trace(graph.adjacency_power(p))
 
 
 def _moebius_table(n):
@@ -159,6 +159,26 @@ def periodic_count_le(graph, n, word=EMPTY_WORD):
             continue
         total += mertens[n // d] * count
     return total
+
+
+def periodic_counts(graph, n):
+    """Exact number of points of each minimal period q = 1..n, as a list
+    indexed by q - 1.
+
+    The points of period d number trace(A^d) on a graph that carries each
+    periodic point on exactly one closed path (see ``periodic_count_le``),
+    so Moebius inversion gives sum_{d | q} mu(q/d) trace(A^d) points of
+    minimal period q.  The powers come from the graph's one table.
+    """
+    if graph.is_empty or n < 1:
+        return [0] * max(n, 0)
+    mu = _moebius_table(n)
+    counts = [0] * (n + 1)
+    for d in range(1, n + 1):
+        trace = int_trace(graph.adjacency_power(d))
+        for q in range(d, n + 1, d):
+            counts[q] += mu[q // d] * trace
+    return counts[1:]
 
 
 def _minimal_period(word):

@@ -23,7 +23,7 @@ from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
 from .sft import (DEFAULT_CAP, FiniteTypeSpec, build_block_graph,
-                  periodic_count_le)
+                  periodic_count_le, periodic_counts)
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
                     sofic_entropy, sofic_oracle)
 
@@ -319,9 +319,27 @@ def periodic_points_le(realized, n, cap=DEFAULT_CAP):
         raise UnsupportedSpecError(
             "periodic enumeration needs a finite presentation; kind %r has none"
             % (realized.document.kind,))
-    if realized.spec is not None and periodic_count_le(realized.labeled, n) > cap:
-        raise EnumerationCapError("per_<=%d exceeds the cap %d" % (n, cap))
+    if realized.spec is not None:
+        _refuse_over_cap(periodic_count_le(realized.labeled, n), n, cap)
     return per_le_enumerate(realized.labeled, n, cap)
+
+
+def minimal_period_counts(realized, n, cap=DEFAULT_CAP):
+    """Number of points of each minimal period q = 1..n, as a list indexed
+    by q - 1, for a document with finite-type data.
+
+    The counts are exact traces on ``finite_type_presentation`` (see
+    ``periodic_points_le``), so nothing is enumerated, and the same cap
+    refuses more than ``cap`` points in all.
+    """
+    counts = periodic_counts(realized.labeled, n)
+    _refuse_over_cap(sum(counts), n, cap)
+    return counts
+
+
+def _refuse_over_cap(count, n, cap):
+    if count > cap:
+        raise EnumerationCapError("per_<=%d exceeds the cap %d" % (n, cap))
 
 
 def shift_entropy(realized):

@@ -26,18 +26,6 @@ def int_matmul(a, b):
     return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
 
 
-def int_matpow(a, p):
-    n = len(a)
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = a
-    while p:
-        if p & 1:
-            result = int_matmul(result, base)
-        base = int_matmul(base, base)
-        p >>= 1
-    return result
-
-
 def int_trace(a):
     return sum(a[i][i] for i in range(len(a)))
 

@@ -6,16 +6,22 @@ success, 1 on domain and file errors, 2 on usage errors.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shiftlab import cli
+from shiftlab import (Alphabet, FiniteTypeSpec, cli, finite_type_presentation,
+                      per_le_enumerate)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -298,6 +304,59 @@ def test_periodic_over_cap_refused_before_enumerating(capsys, write, monkeypatch
     rc, out, err = run(capsys, ["periodic", doc, "--period", "30"])
     assert rc == 1
     assert err.strip() == "error: per_<=30 exceeds the cap 1000000"
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.text(alphabet="01", min_size=1, max_size=4), max_size=3))
+@example([])
+def test_periodic_report_matches_enumeration_random(forbidden):
+    # counted reports (and the listed words up to 200 points) match a report
+    # built from the enumerated points, in both formats; the full 2-shift
+    # has 106 points up to period 6 and 232 up to period 7, and from period
+    # 10 on the text lists "10" after "9" only in numeric key order
+    alph = Alphabet(("0", "1"))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    points = per_le_enumerate(finite_type_presentation(spec), 11)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        with open(path, "w") as fh:
+            json.dump({"kind": "finite-type", "alphabet": ["0", "1"],
+                       "forbidden": sorted(set(forbidden))}, fh)
+        for period in range(1, 12):
+            upto = [(w, q) for w, q in points if q <= period]
+            want = {"period_bound": period, "count": len(upto),
+                    "by_minimal_period": {}}
+            for q in range(1, period + 1):
+                c = sum(1 for _, p in upto if p == q)
+                if c:
+                    want["by_minimal_period"][str(q)] = c
+            if len(upto) <= 200:
+                want["words"] = ["".join(w) for w, _ in upto]
+            for fmt, text in (
+                    ("json", json.dumps(want, sort_keys=True, indent=2)),
+                    ("text", "\n".join(cli._render_text(want)))):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    rc = cli.main(["periodic", path, "--period", str(period),
+                                   "--format", fmt])
+                assert (rc, out.getvalue()) == (0, text + "\n")
+
+
+@pytest.mark.parametrize("doc, period, count, last", [
+    (GOLDEN_DOC, 16, 5622, 2160),
+    ({"kind": "example-nonempty", "lengths": [3, 5, 12]}, 12, 499940, 326424),
+], ids=["golden", "example-nonempty"])
+def test_periodic_counts_without_enumerating(capsys, write, monkeypatch, doc,
+                                             period, count, last):
+    # over 200 points nothing is listed, so finite-type data never enumerate
+    def enumerate_forbidden(*args):
+        raise AssertionError("per_le_enumerate ran")
+    monkeypatch.setattr("shiftlab.shifts.per_le_enumerate", enumerate_forbidden)
+    path = write("d.json", doc)
+    report = run_json(capsys, ["periodic", path, "--period", str(period)])
+    assert report["count"] == count
+    assert report["by_minimal_period"][str(period)] == last
+    assert "words" not in report
 
 
 def test_nu_exact_with_parry_distance(capsys, write):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, EnumerationCapError, FiniteTypeSpec,
                       LabeledGraph, UndefinedEntropyError, build_block_graph,
-                      full_shift, language_equal_exact, per_count,
-                      per_le_enumerate, prune_labeled,
-                      periodic_count_le, scc_subgraphs, sft_cover, sft_entropy,
-                      sft_oracle)
+                      finite_type_presentation, full_shift,
+                      language_equal_exact, per_count, per_le_enumerate,
+                      prune_labeled, periodic_count_le, periodic_counts,
+                      scc_subgraphs, sft_cover, sft_entropy, sft_oracle)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -124,6 +124,26 @@ def test_periodic_count_le_agrees_with_enumeration(golden_graph):
     for n in range(1, 7):
         assert periodic_count_le(golden_graph, n) == \
             len(per_le_enumerate(golden_graph, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just("abc"[:k]),
+    st.lists(st.text(alphabet="abc"[:k], min_size=1, max_size=4), max_size=3))),
+    st.integers(1, 9))
+def test_periodic_counts_match_enumeration_random(spec_data, n):
+    # the Moebius-inverted traces are the minimal-period histogram of the
+    # enumerated points, and they add up to the independent Mertens count
+    letters, forbidden = spec_data
+    alph = Alphabet(tuple(letters))
+    g = finite_type_presentation(
+        FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden)))
+    histogram = [0] * n
+    for _, q in per_le_enumerate(g, n):
+        histogram[q - 1] += 1
+    counts = periodic_counts(g, n)
+    assert counts == histogram
+    assert sum(counts) == periodic_count_le(g, n)
 
 
 def test_enumeration_cap(alph2):

@@ -361,6 +361,8 @@ def beta_ls_diagnostic(stream, horizon):
     is the signature of a stable one.  Anything in between is reported
     as inconclusive rather than guessed.
     """
+    if horizon < 1:
+        raise UnsupportedSpecError("horizon must be >= 1")
     known = stream.known_length
     if known is not None and horizon > known:
         raise InsufficientDigitsError(

@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from .beta import (beta_expand, beta_ls_diagnostic, beta_oracle,
@@ -28,10 +27,9 @@ from .forbidden import ls_report, minimal_forbidden, tau_eval, \
 from .language import complexity, format_word, special_words
 from .measures import (automorphism_invariance_check, cylinder_table,
                        max_entropy_decomposition, mu_y_average, nu_measure,
-                       nu_cylinder_measure, parry_measure, pushforward,
-                       weak_star_distance)
-from .shifts import (load_shift_document, minimal_period_counts,
-                     parse_block_code, periodic_points_le, realize,
+                       parry_measure, pushforward, weak_star_distance)
+from .shifts import (load_shift_document, parse_block_code, periodic_census,
+                     periodic_measure, periodic_points_le, realize,
                      shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
     language_equal_up_to, sofic_entropy, theorem1_diagnostic
@@ -192,37 +190,20 @@ def cmd_entropy(args):
 
 
 def cmd_periodic(args):
-    realized = _load(args)
-    if realized.spec is None:
-        # other presentations can carry a point on several cycles, where a
-        # trace count overcounts: enumerate
-        points = periodic_points_le(realized, args.period, args.cap)
-        by_period = Counter(p for _, p in points)
-        count = len(points)
-    else:
-        # exact counts; enumerate only to list the words
-        counts = minimal_period_counts(realized, args.period, args.cap)
-        by_period = {q: c for q, c in enumerate(counts, 1) if c}
-        count = sum(counts)
-        points = periodic_points_le(realized, args.period, args.cap) \
-            if count <= 200 else ()
+    counts, points = periodic_census(_load(args), args.period, args.cap)
     report = {
         "period_bound": args.period,
-        "count": count,
-        "by_minimal_period": {str(p): by_period[p] for p in sorted(by_period)},
+        "count": sum(counts),
+        "by_minimal_period": {str(q): c for q, c in enumerate(counts, 1) if c},
     }
-    if count <= 200:
+    if points is not None:
         report["words"] = _words(w for w, _ in points)
     return report
 
 
 def cmd_nu(args):
     realized = _load(args)
-    if realized.spec is not None:
-        measure = nu_cylinder_measure(realized.labeled, args.period, args.depth)
-    else:
-        points = periodic_points_le(realized, args.period, args.cap)
-        measure = nu_measure(points, realized.oracle.alphabet, args.period)
+    measure = periodic_measure(realized, args.period, args.depth, args.cap)
     report = {"period_bound": args.period}
     report.update(_cylinders(measure, args.depth))
     if args.compare_parry:
@@ -252,7 +233,7 @@ def cmd_decompose(args):
     realized = _load(args)
     graph = _block_graph(realized, "decomposition")
     code = _load_code(args.code, realized.oracle.alphabet)
-    components = max_entropy_decomposition(graph, code, args.depth, args.tol)
+    components = max_entropy_decomposition(graph, code, args.depth)
     report = {
         "count": len(components),
         "components": [],
@@ -298,7 +279,7 @@ def cmd_autocheck(args):
     points = periodic_points_le(realized, args.period, args.cap)
     report = automorphism_invariance_check(
         realized.oracle, points, args.period, code, inverse,
-        args.depth, args.tol)
+        args.depth)
     return {
         "period_bound": report.period_bound,
         "depth": report.depth,
@@ -561,11 +542,13 @@ def _add_shift_arg(p, count=1):
 def build_parser():
     """The parser, built once per process.  ``parse_args`` returns a fresh
     ``Namespace`` per call, so nothing carries from one report to the next."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    common = argparse.ArgumentParser(add_help=False, parents=[fmt])
     common.add_argument("--horizon", type=int, default=16,
                         help="analysis horizon (default 16)")
-    common.add_argument("--cap", type=int, default=10 ** 6,
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=int, default=10 ** 6,
                         help="enumeration cap (default 1000000)")
 
     parser = argparse.ArgumentParser(
@@ -611,13 +594,13 @@ def build_parser():
     _add_shift_arg(p)
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("periodic", parents=[common],
+    p = sub.add_parser("periodic", parents=[capped],
                        help="periodic points up to a period")
     _add_shift_arg(p)
     p.add_argument("--period", type=int, default=6)
     p.set_defaults(func=cmd_periodic)
 
-    p = sub.add_parser("nu", parents=[common],
+    p = sub.add_parser("nu", parents=[capped],
                        help="empirical measure on periodic points")
     _add_shift_arg(p)
     p.add_argument("--period", type=int, default=8)
@@ -635,17 +618,16 @@ def build_parser():
     p.add_argument("--depth", type=int, default=3)
     p.set_defaults(func=cmd_parry)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[capped],
                        help="maximal-entropy components of a coded image")
     _add_shift_arg(p)
     p.add_argument("--code", required=True, help="block code file")
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--average-cutoff", type=int, default=0,
                    help="include the periodic-weighted average at this cutoff")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("push", parents=[common],
+    p = sub.add_parser("push", parents=[capped],
                        help="pushforward of the empirical measure")
     _add_shift_arg(p)
     p.add_argument("--code", required=True)
@@ -653,20 +635,19 @@ def build_parser():
     p.add_argument("--depth", type=int, default=3)
     p.set_defaults(func=cmd_push)
 
-    p = sub.add_parser("autocheck", parents=[common],
+    p = sub.add_parser("autocheck", parents=[capped],
                        help="automorphism invariance of the empirical measure")
     _add_shift_arg(p)
     p.add_argument("--code", required=True)
     p.add_argument("--inverse", required=True)
     p.add_argument("--period", type=int, default=8)
     p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_autocheck)
 
     beta = sub.add_parser("beta", help="beta-shift commands")
     beta_sub = beta.add_subparsers(dest="beta_command", metavar="subcommand")
 
-    p = beta_sub.add_parser("expand", parents=[common],
+    p = beta_sub.add_parser("expand", parents=[fmt],
                             help="greedy expansion of 1")
     p.add_argument("beta", help="rational:P/Q, poly:...@[lo,hi], or a decimal")
     p.add_argument("--digits", type=int, default=24)
@@ -684,13 +665,13 @@ def build_parser():
     p.add_argument("--digits", type=int, default=64)
     p.set_defaults(func=cmd_beta_lsdiag)
 
-    p = beta_sub.add_parser("graph", parents=[common],
+    p = beta_sub.add_parser("graph", parents=[fmt],
                             help="presentation of a closed-form expansion")
     p.add_argument("beta")
     p.add_argument("--digits", type=int, default=64)
     p.set_defaults(func=cmd_beta_graph)
 
-    p = beta_sub.add_parser("example", parents=[common],
+    p = beta_sub.add_parser("example", parents=[fmt],
                             help="recursive non-sofic expansion prefixes")
     p.add_argument("--mode", choices=("specified", "synchronized"),
                    default="specified")
@@ -744,7 +725,7 @@ def build_parser():
     _add_shift_arg(p)
     p.set_defaults(func=cmd_sofic_thm1)
 
-    p = sub.add_parser("tau", parents=[common],
+    p = sub.add_parser("tau", parents=[fmt],
                        help="the periodicity rate tau(n)")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_tau)

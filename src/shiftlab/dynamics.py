@@ -22,8 +22,8 @@ from .errors import (HorizonExceededError, InfeasibleSetError,
                      NonGrowingSubstitutionError, ReturnTimeCapError,
                      UnsupportedSpecError)
 from .forbidden import ls_report, minimal_forbidden
-from .language import (Alphabet, LanguageOracle, format_word, special_words,
-                       stepping_oracle, subwords)
+from .language import (Alphabet, LanguageOracle, complexity, format_word,
+                       special_words, stepping_oracle, subwords)
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,7 @@ def cassaigne_profile(oracle, n_max):
     A bounded profile is the linear-complexity signature; the summary
     reports the minimum over the last third as liminf evidence.
     """
-    oracle.check_horizon(n_max)
-    counts = [len(oracle.words_of_length(n)) for n in range(n_max + 1)]
+    counts = complexity(oracle, n_max)
     diffs = tuple(counts[n + 1] - counts[n] for n in range(n_max))
     tail = max(1, n_max // 3)
     evidence = min(diffs[-tail:]) if diffs else 0

@@ -265,6 +265,7 @@ def special_words(oracle, n):
     left, right special symmetrically, bispecial when both.
     """
     oracle.check_horizon(n + 1)
+    oracle.check_horizon(n)
     left = {}
     right = {}
     for u in oracle.words_of_length(n + 1):

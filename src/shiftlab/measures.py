@@ -181,6 +181,8 @@ def _cylinder_reader(measure, depth):
 
 def weak_star_distance(m1, m2, depth):
     """Max cylinder discrepancy over words of length <= depth."""
+    if depth < 0:
+        raise UnsupportedSpecError("depth must be >= 0")
     alphabet = _measure_alphabet(m1)
     if alphabet != _measure_alphabet(m2):
         raise AlphabetMismatchError("measures live over different alphabets")
@@ -432,7 +434,7 @@ class AutomorphismReport:
 
 
 def automorphism_invariance_check(oracle, points, cutoff, code, code_inv,
-                                  depth, tol):
+                                  depth, tol=1e-9):
     """Does the code preserve the periodic-point measure nu_n?
 
     First certifies that code and code_inv invert each other on all

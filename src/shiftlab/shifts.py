@@ -22,15 +22,14 @@ from .errors import EnumerationCapError, UnsupportedSpecError
 from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
+from .measures import nu_cylinder_measure, nu_measure
 from .sft import (DEFAULT_CAP, FiniteTypeSpec, build_block_graph,
                   periodic_count_le, periodic_counts)
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
                     sofic_entropy, sofic_oracle)
 
-KINDS = ("finite-type", "sofic", "beta", "substitution", "induced",
-         "example-nonempty", "example-betashift")
-
 DEFAULT_BETA_DIGITS = 64
+LISTED = 200  # periodic reports list the points when there are this few
 
 
 @dataclass(frozen=True)
@@ -324,17 +323,37 @@ def periodic_points_le(realized, n, cap=DEFAULT_CAP):
     return per_le_enumerate(realized.labeled, n, cap)
 
 
-def minimal_period_counts(realized, n, cap=DEFAULT_CAP):
+def periodic_census(realized, n, cap=DEFAULT_CAP):
     """Number of points of each minimal period q = 1..n, as a list indexed
-    by q - 1, for a document with finite-type data.
+    by q - 1, and the (word, period) pairs when there are at most
+    ``LISTED`` of them (None otherwise).
 
-    The counts are exact traces on ``finite_type_presentation`` (see
-    ``periodic_points_le``), so nothing is enumerated, and the same cap
-    refuses more than ``cap`` points in all.
+    Finite-type data are counted exactly by traces (see
+    ``periodic_points_le``), refused over ``cap`` before any word is
+    walked, and enumerated only to list the points.  Other presentations
+    are enumerated once, under the cap.
     """
-    counts = periodic_counts(realized.labeled, n)
-    _refuse_over_cap(sum(counts), n, cap)
-    return counts
+    if realized.spec is None:
+        points = periodic_points_le(realized, n, cap)
+        counts = [0] * max(n, 0)
+        for _, q in points:
+            counts[q - 1] += 1
+    else:
+        counts = periodic_counts(realized.labeled, n)
+        _refuse_over_cap(sum(counts), n, cap)
+        points = per_le_enumerate(realized.labeled, n, cap) \
+            if sum(counts) <= LISTED else None
+    return counts, points if sum(counts) <= LISTED else None
+
+
+def periodic_measure(realized, n, depth, cap=DEFAULT_CAP):
+    """nu_n, the uniform measure on the points of minimal period <= n: its
+    exact cylinder table to ``depth`` from trace counts on finite-type
+    data, the enumerated points (under ``cap``) otherwise."""
+    if realized.spec is not None:
+        return nu_cylinder_measure(realized.labeled, n, depth)
+    points = periodic_points_le(realized, n, cap)
+    return nu_measure(points, realized.oracle.alphabet, n)
 
 
 def _refuse_over_cap(count, n, cap):

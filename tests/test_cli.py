@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, FiniteTypeSpec, cli, finite_type_presentation,
-                      per_le_enumerate)
+                      per_le_enumerate, shifts)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -130,6 +130,23 @@ def test_tau_domain_error(capsys):
     assert "tau is defined" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["special", "GOLDEN", "--length", "-1"],
+    ["beta", "lsdiag", GOLDEN_BETA, "--horizon", "0"],
+    ["beta", "lsdiag", GOLDEN_BETA, "--horizon", "-3"],
+    ["autocheck", "FULL2", "--code", "FLIP", "--inverse", "FLIP", "--depth", "-1"],
+], ids=["special-negative-length", "lsdiag-zero-horizon",
+        "lsdiag-negative-horizon", "autocheck-negative-depth"])
+def test_bad_number_is_error(capsys, write, argv):
+    files = {"GOLDEN": write("g.json", GOLDEN_DOC),
+             "FULL2": write("f2.json", FULL2_DOC),
+             "FLIP": write("flip.json", FLIP_CODE)}
+    rc, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # ---- one parser per process --------------------------------------------------
 
 def run_any(capsys, argv):
@@ -184,6 +201,46 @@ def test_parser_is_built_once(capsys, write, monkeypatch):
     assert built == []
     cli.build_parser.__wrapped__()  # the counter does see a rebuild
     assert built
+
+
+# ---- options -----------------------------------------------------------------
+
+def _leaf_options(parser, path=()):
+    """(command, set of option strings) for every command under ``parser``."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(path), {s for a in parser._actions for s in a.option_strings
+                               if s not in ("-h", "--help")}
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaf_options(child, path + (name,))
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    options = dict(_leaf_options(cli.build_parser()))
+    assert len(options) == 27
+    assert sum(len(o) for o in options.values()) == 81
+    assert all("--format" in o for o in options.values())
+    assert {c for c, o in options.items() if "--horizon" not in o} == {
+        "tau", "beta expand", "beta graph", "beta example"}
+    assert {c for c, o in options.items() if "--cap" in o} == {
+        "periodic", "nu", "decompose", "push", "autocheck"}
+    assert not any("--tol" in o for o in options.values())
+    assert "--exact" in options["nu"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lang", "GOLDEN", "--cap", "5"],
+    ["tau", "3", "--horizon", "4"],
+    ["beta", "expand", GOLDEN_BETA, "--horizon", "3"],
+    ["decompose", "GOLDEN", "--code", "FLIP", "--tol", "1e-3"],
+], ids=["lang-cap", "tau-horizon", "beta-expand-horizon", "decompose-tol"])
+def test_option_the_command_does_not_read_is_usage_error(capsys, write, argv):
+    files = {"GOLDEN": write("g.json", GOLDEN_DOC), "FLIP": write("flip.json", FLIP_CODE)}
+    rc, out, err = run_any(capsys, [files.get(a, a) for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 # ---- language commands -----------------------------------------------------
@@ -357,6 +414,32 @@ def test_periodic_counts_without_enumerating(capsys, write, monkeypatch, doc,
     assert report["count"] == count
     assert report["by_minimal_period"][str(period)] == last
     assert "words" not in report
+
+
+@pytest.mark.parametrize("doc, period, traces, walks", [
+    (GOLDEN_DOC, 6, 1, 1),  # 30 points: counted, then walked to list them
+    (GOLDEN_DOC, 16, 1, 0),  # 5622 points: counted, too many to list
+    (EVEN_DOC, 6, 0, 1),  # sofic: one walk gives counts and words
+], ids=["finite-type-listed", "finite-type-counted", "sofic"])
+def test_periodic_report_counts_and_walks_at_most_once(capsys, write, monkeypatch,
+                                                       doc, period, traces, walks):
+    calls = []
+
+    def spy(name):
+        real = getattr(shifts, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(shifts, name, wrapper)
+
+    for name in ("periodic_counts", "periodic_count_le", "per_le_enumerate"):
+        spy(name)
+    path = write("d.json", doc)
+    report = run_json(capsys, ["periodic", path, "--period", str(period)])
+    assert sum(report["by_minimal_period"].values()) == report["count"]
+    assert len(calls) - calls.count("per_le_enumerate") == traces
+    assert calls.count("per_le_enumerate") == walks
 
 
 def test_nu_exact_with_parry_distance(capsys, write):

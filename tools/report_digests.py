@@ -4,10 +4,12 @@ every report byte-identical.
     python3 tools/report_digests.py [--root REPO] > digests.txt
 
 Builds the four workloads of ``perfbench/workloads.py`` at seeds 1 and
-2, runs each report's argv plus ``--format json`` through ``cli.main`` in
-this process, and prints ``<seed> <report id> <exit code> <sha256 of
-stdout> <sha256 of stderr>``.  The temporary document directory is
-masked in both streams before hashing, so two runs compare line by line.
+2, runs each report's argv through ``cli.main`` in this process once with
+``--format json`` and once with ``--format text``, and prints ``<seed>
+<report id> <format> <exit code> <sha256 of stdout> <sha256 of stderr>``.
+JSON sorts keys but text follows the report's key order, so both are
+checked.  The temporary document directory is masked in both streams
+before hashing, so two runs compare line by line.
 REPO (default: the checkout holding this script) supplies both
 ``src/shiftlab`` and ``perfbench``; run the script once against the
 parent checkout and once against the change, and ``diff`` the outputs.
@@ -22,6 +24,7 @@ import sys
 import tempfile
 
 SEEDS = (1, 2)
+FORMATS = ("json", "text")
 MASK = "<docdir>"
 
 
@@ -29,11 +32,11 @@ def _digest(text, docdir):
     return hashlib.sha256(text.replace(docdir, MASK).encode("utf-8")).hexdigest()
 
 
-def _run(cli, argv):
+def _run(cli, argv, fmt):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = cli.main(argv + ["--format", "json"])
+            rc = cli.main(argv + ["--format", fmt])
         except SystemExit as exc:  # argparse rejects an argv
             rc = exc.code
     return rc, out.getvalue(), err.getvalue()
@@ -56,9 +59,10 @@ def main(argv=None):
                 docdir = os.path.join(tmp, "%s-%d" % (name, seed))
                 os.makedirs(docdir)
                 for report in workloads.build(name, seed, docdir).reports:
-                    rc, out, err = _run(cli, report.argv)
-                    print(seed, report.rid, rc, _digest(out, docdir),
-                          _digest(err, docdir), flush=True)
+                    for fmt in FORMATS:
+                        rc, out, err = _run(cli, report.argv, fmt)
+                        print(seed, report.rid, fmt, rc, _digest(out, docdir),
+                              _digest(err, docdir), flush=True)
     return 0
 
 

@@ -8,10 +8,11 @@ cylinder tables up to a depth.  All limits in sight are
 ineffective, so every operation takes explicit depth and period cutoffs
 and reports what was actually computed.
 
-nu_n cylinder values of an SFT are also available exactly (as Fractions)
-from the transfer-matrix count ``sft.periodic_count_le``, with no point
-enumeration; that is what makes period bounds like 30 on the golden-mean
-shift tractable, where the point count is in the millions.
+nu_n cylinder values of an SFT, and of its images under block codes, are
+also available exactly (as Fractions) from the transfer-matrix count
+``sft.periodic_count_le``, with no point enumeration; that is what makes
+period bounds like 30 on the golden-mean shift tractable, where the point
+count is in the millions.
 """
 
 from dataclasses import dataclass
@@ -25,11 +26,12 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
                      ShiftlabError, UnsupportedSpecError)
 from .sft import (DEFAULT_CAP, _minimal_period, periodic_count_le,
                   scc_subgraphs)
-from .sofic import (apply_block_code, compose_codes, determinize,
+from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
                     language_equal_exact, per_le_enumerate)
 from .spectral import perron_vectors, spectral_radius_certified
 
 PROB_TOL = 1e-9
+INVARIANCE_TOL = 1e-9  # largest weak* distance autocheck reports as invariant
 
 
 @dataclass(frozen=True)
@@ -228,26 +230,33 @@ def pushforward(measure, code):
 
 # ---- exact nu_n cylinders through transfer matrices ---------------------
 
-def nu_cylinder_measure(graph, n, depth):
-    """Exact cylinder table of nu_n on an SFT, without enumerating points.
+def nu_cylinder_measure(graph, n, depth, code=None):
+    """Exact cylinder table of nu_n on an SFT, or of its image under a
+    block code (none means the identity), without enumerating points.
 
     ``graph`` is a block graph or ``finite_type_presentation`` of the SFT.
-    The value on [w] is ``periodic_count_le(graph, n, w)`` over the count
-    of all points of minimal period <= n, a ratio of exact integers.
+    nu_n gives [u] ``periodic_count_le(graph, n, u)`` over the count of
+    all points of minimal period <= n, a ratio of exact integers.  It is
+    shift-invariant, so the image of [w] under a code of range R sums
+    nu_n over the words of length |w| + 2R that the code maps to w.
     """
     if graph.is_empty:
         raise EmptyShiftError("nu_n of the empty shift is undefined")
-    if n < 1:
-        raise EmptySupportError("period bound must be >= 1")
+    if code is None:
+        code = BlockCode(graph.alphabet, graph.alphabet, 0,
+                         {(a,): a for a in graph.alphabet.symbols})
     denominator = periodic_count_le(graph, n)
     if denominator <= 0:
         raise EmptySupportError("no periodic points up to period %d" % n)
-    values = {}
+    counts = {}
     for k in range(depth + 1):
-        for word in itertools.product(graph.alphabet.symbols, repeat=k):
-            values[word] = Fraction(periodic_count_le(graph, n, word),
-                                    denominator)
-    return CylinderMeasure(graph.alphabet, depth, values)
+        counts.update(dict.fromkeys(
+            itertools.product(code.target_alphabet.symbols, repeat=k), 0))
+        for u in itertools.product(graph.alphabet.symbols,
+                                   repeat=k + 2 * code.range_):
+            counts[code.apply_to_word(u)] += periodic_count_le(graph, n, u)
+    values = {w: Fraction(c, denominator) for w, c in counts.items()}
+    return CylinderMeasure(code.target_alphabet, depth, values)
 
 
 # ---- Parry chains --------------------------------------------------------
@@ -433,14 +442,10 @@ class AutomorphismReport:
     identity_checked_to: int
 
 
-def automorphism_invariance_check(oracle, points, cutoff, code, code_inv,
-                                  depth, tol=1e-9):
-    """Does the code preserve the periodic-point measure nu_n?
-
-    First certifies that code and code_inv invert each other on all
-    words up to length 4R+1 (R the composed range); then compares nu_n
-    against its pushforward in weak* distance at the given depth.
-    """
+def certify_inverse_pair(oracle, code, code_inv):
+    """Check that code and code_inv invert each other on all words up to
+    length 4R+1 (R the composed range) and return that length; raise
+    NotAnAutomorphismError on the first word the composition moves."""
     if code.source_alphabet != oracle.alphabet:
         raise AlphabetMismatchError("code does not act on this shift's alphabet")
     r = code.range_ + code_inv.range_
@@ -453,6 +458,18 @@ def automorphism_invariance_check(oracle, points, cutoff, code, code_inv,
                 if composed.apply_to_word(w) != w[r:length - r]:
                     raise NotAnAutomorphismError(
                         "composition moves %r; not an inverse pair" % (w,))
+    return span
+
+
+def automorphism_invariance_check(oracle, points, cutoff, code, code_inv,
+                                  depth, tol=INVARIANCE_TOL):
+    """Does the code preserve the periodic-point measure nu_n?
+
+    First certifies the inverse pair; then compares nu_n on the given
+    points against its pushforward in weak* distance at the given depth.
+    The enumerating reference for the counted tables of ``autocheck``.
+    """
+    span = certify_inverse_pair(oracle, code, code_inv)
     nu = nu_measure(points, oracle.alphabet, cutoff)
     pushed = pushforward(nu, code)
     distance = weak_star_distance(nu, pushed, depth)

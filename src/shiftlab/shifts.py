@@ -22,9 +22,9 @@ from .errors import EnumerationCapError, UnsupportedSpecError
 from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
-from .measures import nu_cylinder_measure, nu_measure
+from .measures import nu_cylinder_measure, nu_measure, pushforward
 from .sft import (DEFAULT_CAP, FiniteTypeSpec, build_block_graph,
-                  periodic_count_le, periodic_counts)
+                  periodic_counts)
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
                     sofic_entropy, sofic_oracle)
 
@@ -305,21 +305,13 @@ def periodic_points_le(realized, n, cap=DEFAULT_CAP):
     """All points of minimal period <= n, as (word, period) pairs.
 
     Needs a finite presentation; an oracle alone only bounds periodicity
-    by evidence, which is not good enough to weight a measure.
-
-    Finite-type documents (and example-nonempty ones) check the cap
-    before enumerating: a path in their ``finite_type_presentation`` is
-    determined by its labels, so the trace count of points is exact.
-    Other presentations can carry one point on several paths, where a
-    trace count overcounts and cannot justify a refusal; the enumerator
-    itself refuses once it finds more than ``cap`` points.
+    by evidence, which is not good enough to weight a measure.  The
+    enumerator refuses once it finds more than ``cap`` points.
     """
     if realized.labeled is None:
         raise UnsupportedSpecError(
             "periodic enumeration needs a finite presentation; kind %r has none"
             % (realized.document.kind,))
-    if realized.spec is not None:
-        _refuse_over_cap(periodic_count_le(realized.labeled, n), n, cap)
     return per_le_enumerate(realized.labeled, n, cap)
 
 
@@ -328,37 +320,43 @@ def periodic_census(realized, n, cap=DEFAULT_CAP):
     by q - 1, and the (word, period) pairs when there are at most
     ``LISTED`` of them (None otherwise).
 
-    Finite-type data are counted exactly by traces (see
-    ``periodic_points_le``), refused over ``cap`` before any word is
-    walked, and enumerated only to list the points.  Other presentations
-    are enumerated once, under the cap.
+    Finite-type data are counted exactly by traces (each point lies on
+    one closed path of their ``finite_type_presentation``), refused over
+    ``cap`` before any word is walked, and enumerated only to list the
+    points.  Other presentations, where a trace count can overcount, are
+    enumerated once, under the cap.
     """
+    _check_period(n)
     if realized.spec is None:
         points = periodic_points_le(realized, n, cap)
-        counts = [0] * max(n, 0)
+        counts = [0] * n
         for _, q in points:
             counts[q - 1] += 1
     else:
         counts = periodic_counts(realized.labeled, n)
-        _refuse_over_cap(sum(counts), n, cap)
+        if sum(counts) > cap:
+            raise EnumerationCapError("per_<=%d exceeds the cap %d" % (n, cap))
         points = per_le_enumerate(realized.labeled, n, cap) \
             if sum(counts) <= LISTED else None
     return counts, points if sum(counts) <= LISTED else None
 
 
-def periodic_measure(realized, n, depth, cap=DEFAULT_CAP):
-    """nu_n, the uniform measure on the points of minimal period <= n: its
-    exact cylinder table to ``depth`` from trace counts on finite-type
-    data, the enumerated points (under ``cap``) otherwise."""
+def periodic_measure(realized, n, depth, cap=DEFAULT_CAP, code=None):
+    """nu_n, the uniform measure on the points of minimal period <= n, or
+    its image under a block code: the exact cylinder table to ``depth``
+    from trace counts on finite-type data, the enumerated points (under
+    ``cap``) pushed forward otherwise."""
+    _check_period(n)
     if realized.spec is not None:
-        return nu_cylinder_measure(realized.labeled, n, depth)
+        return nu_cylinder_measure(realized.labeled, n, depth, code)
     points = periodic_points_le(realized, n, cap)
-    return nu_measure(points, realized.oracle.alphabet, n)
+    measure = nu_measure(points, realized.oracle.alphabet, n)
+    return measure if code is None else pushforward(measure, code)
 
 
-def _refuse_over_cap(count, n, cap):
-    if count > cap:
-        raise EnumerationCapError("per_<=%d exceeds the cap %d" % (n, cap))
+def _check_period(n):
+    if n < 1:
+        raise UnsupportedSpecError("period bound must be >= 1")
 
 
 def shift_entropy(realized):

@@ -219,12 +219,12 @@ def _leaf_options(parser, path=()):
 def test_each_command_takes_only_the_options_it_reads():
     options = dict(_leaf_options(cli.build_parser()))
     assert len(options) == 27
-    assert sum(len(o) for o in options.values()) == 81
+    assert sum(len(o) for o in options.values()) == 80
     assert all("--format" in o for o in options.values())
     assert {c for c, o in options.items() if "--horizon" not in o} == {
         "tau", "beta expand", "beta graph", "beta example"}
     assert {c for c, o in options.items() if "--cap" in o} == {
-        "periodic", "nu", "decompose", "push", "autocheck"}
+        "periodic", "nu", "decompose", "push"}
     assert not any("--tol" in o for o in options.values())
     assert "--exact" in options["nu"]
 
@@ -234,7 +234,9 @@ def test_each_command_takes_only_the_options_it_reads():
     ["tau", "3", "--horizon", "4"],
     ["beta", "expand", GOLDEN_BETA, "--horizon", "3"],
     ["decompose", "GOLDEN", "--code", "FLIP", "--tol", "1e-3"],
-], ids=["lang-cap", "tau-horizon", "beta-expand-horizon", "decompose-tol"])
+    ["autocheck", "GOLDEN", "--code", "FLIP", "--inverse", "FLIP", "--cap", "5"],
+], ids=["lang-cap", "tau-horizon", "beta-expand-horizon", "decompose-tol",
+        "autocheck-cap"])
 def test_option_the_command_does_not_read_is_usage_error(capsys, write, argv):
     files = {"GOLDEN": write("g.json", GOLDEN_DOC), "FLIP": write("flip.json", FLIP_CODE)}
     rc, out, err = run_any(capsys, [files.get(a, a) for a in argv])
@@ -433,7 +435,7 @@ def test_periodic_report_counts_and_walks_at_most_once(capsys, write, monkeypatc
             return real(*args)
         monkeypatch.setattr(shifts, name, wrapper)
 
-    for name in ("periodic_counts", "periodic_count_le", "per_le_enumerate"):
+    for name in ("periodic_counts", "per_le_enumerate"):
         spy(name)
     path = write("d.json", doc)
     report = run_json(capsys, ["periodic", path, "--period", str(period)])
@@ -567,6 +569,53 @@ def test_autocheck_flip_not_invariant_on_golden(capsys, write):
     assert rc == 1
     assert out == ""
     assert err.strip() == "error: the code does not map the shift onto itself"
+
+
+@pytest.mark.parametrize("argv", [
+    ["autocheck", "FULL2", "--code", "FLIP", "--inverse", "FLIP", "--period", "30"],
+    ["push", "GOLDEN", "--code", "FLIP", "--period", "30"],
+], ids=["autocheck", "push"])
+def test_finite_type_images_count_without_enumerating(capsys, write, monkeypatch,
+                                                      argv):
+    # about 2.1e9 points on the full 2-shift and 4.9e6 on the golden mean
+    # shift up to period 30: counted, so no point is listed or pushed
+    def forbidden(*args):
+        raise AssertionError("a point list was built")
+    for name in ("shifts.per_le_enumerate", "shifts.pushforward",
+                 "measures.pushforward"):
+        monkeypatch.setattr("shiftlab." + name, forbidden)
+    files = {"FULL2": write("f2.json", FULL2_DOC),
+             "GOLDEN": write("g.json", GOLDEN_DOC),
+             "FLIP": write("flip.json", FLIP_CODE)}
+    report = run_json(capsys, [files.get(a, a) for a in argv])
+    if argv[0] == "autocheck":
+        assert report["distance"] == 0.0 and report["within_tol"] is True
+    else:
+        nu = run_json(capsys, ["nu", files["GOLDEN"], "--period", "30"])
+        assert report["cylinders_exact"]["0"] == nu["cylinders_exact"]["1"]
+        assert report["cylinders_exact"]["01"] == nu["cylinders_exact"]["10"]
+        assert report["cylinders_exact"]["00"] == nu["cylinders_exact"]["11"] == "0/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["periodic", "EVEN", "--period", "-1"],
+    ["periodic", "GOLDEN", "--period", "0"],
+    ["periodic", "FIB", "--period", "0"],
+    ["nu", "EVEN", "--period", "0"],
+    ["nu", "GOLDEN", "--period", "-1"],
+    ["push", "EVEN", "--code", "FLIP", "--period", "0"],
+    ["push", "GOLDEN", "--code", "FLIP", "--period", "0"],
+    ["autocheck", "FULL2", "--code", "FLIP", "--inverse", "FLIP", "--period", "0"],
+], ids=["periodic-sofic", "periodic-finite-type", "periodic-substitution",
+        "nu-sofic", "nu-finite-type", "push-sofic", "push-finite-type",
+        "autocheck"])
+def test_period_below_one_is_refused(capsys, write, argv):
+    files = {"EVEN": write("even.json", EVEN_DOC), "GOLDEN": write("g.json", GOLDEN_DOC),
+             "FIB": write("fib.json", FIB_DOC), "FULL2": write("f2.json", FULL2_DOC),
+             "FLIP": write("flip.json", FLIP_CODE)}
+    rc, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert (rc, out) == (1, "")
+    assert err.strip() == "error: period bound must be >= 1"
 
 
 def test_autocheck_needs_finite_type_data(capsys, write):

@@ -129,7 +129,7 @@ COMMANDS = [
     (["subst", "profile", "DOC"], SUBSTITUTION),
     (["induce", "DOC"], INDUCED), (["speedup-compare", "DOC"], INDUCED),
 ]
-CAPPED = ("periodic", "nu", "decompose", "push", "autocheck")
+CAPPED = ("periodic", "nu", "decompose", "push")
 COMMAND = st.sampled_from(COMMANDS).flatmap(
     lambda c: st.tuples(st.just(c[0]), maybe(c[1]), maybe(c[1])))
 

@@ -11,7 +11,8 @@ from shiftlab import (Alphabet, BlockCode, CylinderMeasure, EmptySupportError,
                       PeriodicSupportMeasure, ReducibleGraphError,
                       ShiftlabError, UnsupportedSpecError, make_labeled_graph,
                       automorphism_invariance_check, build_block_graph,
-                      cylinder_table, eval_cylinder, full_shift,
+                      cylinder_table, eval_cylinder, finite_type_presentation,
+                      full_shift,
                       max_entropy_decomposition, mu_y_average, nu_cylinder_measure,
                       nu_measure, parry_measure, per_le_enumerate, pushforward,
                       scc_subgraphs, sft_oracle, weak_star_distance)
@@ -46,6 +47,33 @@ def test_nu_cylinder_measure_matches_enumeration(golden_graph, alph2):
     counted = nu_cylinder_measure(golden_graph, 12, 3)
     for w, v in counted.values.items():
         assert direct.values[w] == v
+
+
+@settings(max_examples=40, deadline=None)
+@given(letters=st.integers(2, 3), radius=st.integers(0, 1),
+       n=st.integers(1, 8), depth=st.integers(0, 3), data=st.data())
+def test_counted_image_of_nu_matches_enumeration(letters, radius, n, depth, data):
+    # the counted table of phi_* nu_n against the pushforward of the
+    # enumerated points, Fraction for Fraction; no code is the identity
+    alph = Alphabet(tuple("abc"[:letters]))
+    word = st.lists(st.sampled_from(alph.symbols), min_size=1, max_size=3).map(tuple)
+    graph = finite_type_presentation(
+        FiniteTypeSpec(alph, data.draw(st.frozensets(word, max_size=4))))
+    target = Alphabet(tuple(data.draw(st.sampled_from(["ab", "abc", "xy"]))))
+    windows = list(itertools.product(alph.symbols, repeat=2 * radius + 1))
+    outputs = data.draw(st.lists(st.sampled_from(target.symbols),
+                                 min_size=len(windows), max_size=len(windows)))
+    code = BlockCode(alph, target, radius, dict(zip(windows, outputs)))
+    points = per_le_enumerate(graph, n)
+    if not points:
+        with pytest.raises(ShiftlabError):
+            nu_cylinder_measure(graph, n, depth, code)
+        return
+    nu = nu_measure(points, alph, n)
+    for phi, enumerated in ((None, nu), (code, pushforward(nu, code))):
+        counted = nu_cylinder_measure(graph, n, depth, phi)
+        assert counted.alphabet == enumerated.alphabet
+        assert counted.values == cylinder_table(enumerated, depth).values
 
 
 def test_parry_measure_golden(golden_graph):

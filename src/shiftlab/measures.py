@@ -8,11 +8,10 @@ cylinder tables up to a depth.  All limits in sight are
 ineffective, so every operation takes explicit depth and period cutoffs
 and reports what was actually computed.
 
-nu_n cylinder values of an SFT, and of its images under block codes, are
-also available exactly (as Fractions) from the transfer-matrix count
-``sft.periodic_count_le``, with no point enumeration; that is what makes
-period bounds like 30 on the golden-mean shift tractable, where the point
-count is in the millions.
+nu_n cylinder values of an SFT and of its block-code images are also exact
+(Fractions) from the transfer-matrix counts ``sft.periodic_count_table``,
+with no point enumeration: period bounds like 30 on the golden-mean shift
+are tractable, where the point count is in the millions.
 """
 
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EmptySupportError, HorizonExceededError,
                      NotAnAutomorphismError, ReducibleGraphError,
                      ShiftlabError, UnsupportedSpecError)
-from .sft import (DEFAULT_CAP, _minimal_period, periodic_count_le,
+from .sft import (DEFAULT_CAP, _minimal_period, periodic_count_table,
                   scc_subgraphs)
 from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
                     language_equal_exact, per_le_enumerate)
@@ -231,31 +230,30 @@ def pushforward(measure, code):
 # ---- exact nu_n cylinders through transfer matrices ---------------------
 
 def nu_cylinder_measure(graph, n, depth, code=None):
-    """Exact cylinder table of nu_n on an SFT, or of its image under a
-    block code (none means the identity), without enumerating points.
+    """Exact cylinder table of nu_n on an SFT (``graph`` a block graph or
+    ``finite_type_presentation``) or of its image under a block code.
 
-    ``graph`` is a block graph or ``finite_type_presentation`` of the SFT.
-    nu_n gives [u] ``periodic_count_le(graph, n, u)`` over the count of
-    all points of minimal period <= n, a ratio of exact integers.  It is
-    shift-invariant, so the image of [w] under a code of range R sums
-    nu_n over the words of length |w| + 2R that the code maps to w.
+    nu_n is shift-invariant, so the image of [w] under a code of range R
+    counts the points reading a word of length |w| + 2R mapped to w.
     """
     if graph.is_empty:
         raise EmptyShiftError("nu_n of the empty shift is undefined")
     if code is None:
         code = BlockCode(graph.alphabet, graph.alphabet, 0,
                          {(a,): a for a in graph.alphabet.symbols})
-    denominator = periodic_count_le(graph, n)
-    if denominator <= 0:
-        raise EmptySupportError("no periodic points up to period %d" % n)
     counts = {}
     for k in range(depth + 1):
         counts.update(dict.fromkeys(
             itertools.product(code.target_alphabet.symbols, repeat=k), 0))
-        for u in itertools.product(graph.alphabet.symbols,
-                                   repeat=k + 2 * code.range_):
-            counts[code.apply_to_word(u)] += periodic_count_le(graph, n, u)
-    values = {w: Fraction(c, denominator) for w, c in counts.items()}
+    counts.update(periodic_count_table(
+        graph, n, [graph.alphabet.symbols] * (depth + 2 * code.range_),
+        code.apply_to_word))
+    for w in reversed(counts):
+        if w:
+            counts[w[:-1]] += counts[w]
+    if counts[()] <= 0:
+        raise EmptySupportError("no periodic points up to period %d" % n)
+    values = {w: Fraction(c, counts[()]) for w, c in counts.items()}
     return CylinderMeasure(code.target_alphabet, depth, values)
 
 
@@ -463,12 +461,8 @@ def certify_inverse_pair(oracle, code, code_inv):
 
 def automorphism_invariance_check(oracle, points, cutoff, code, code_inv,
                                   depth, tol=INVARIANCE_TOL):
-    """Does the code preserve the periodic-point measure nu_n?
-
-    First certifies the inverse pair; then compares nu_n on the given
-    points against its pushforward in weak* distance at the given depth.
-    The enumerating reference for the counted tables of ``autocheck``.
-    """
+    """Does the code preserve nu_n on the given points?  Certifies the
+    inverse pair, then compares nu_n with its pushforward at ``depth``."""
     span = certify_inverse_pair(oracle, code, code_inv)
     nu = nu_measure(points, oracle.alphabet, cutoff)
     pushed = pushforward(nu, code)

@@ -12,8 +12,10 @@ the shift.  An empty graph is the empty shift; it is flagged, not
 raised, because downstream diagnostics want to report it.
 """
 
+import collections
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import (AlphabetMismatchError, EmptyShiftError,
@@ -140,25 +142,43 @@ def periodic_count_le(graph, n, word=EMPTY_WORD):
     presentations can carry one point on several paths, and there this
     overcounts.
     """
+    return periodic_count_table(graph, n, [(a,) for a in word], tuple)[word]
+
+
+def periodic_count_table(graph, n, letters, key):
+    """``periodic_count_le(graph, n, u)`` summed over the words u with
+    u[i] in ``letters[i]``, grouped by ``key(u)``, as a Counter.
+
+    Words grow a letter at a time from their prefix products B_u, and a
+    zero product is dropped.  The terms d >= |u| are trace(B_u T) for one
+    T = sum_d M(n // d) A^(d - |u|); a term d < |u| is read off the prefix
+    u[:d] of a d-periodic u, so beyond length n nothing more is walked.
+    """
+    table = collections.Counter()
     if graph.is_empty or n < 1:
-        return 0
-    prefixes = [graph.adjacency_power(0)]
-    for a in word:
-        prefixes.append(int_matmul(prefixes[-1], graph.label_matrix(a)))
-    entries = [(i, j, v) for i, row in enumerate(prefixes[-1])
-               for j, v in enumerate(row) if v]
+        return table
+    length = len(letters)
     mertens = list(itertools.accumulate(_moebius_table(n)))
-    total = 0
-    for d in range(1, n + 1):
-        if d >= len(word):
-            power = graph.adjacency_power(d - len(word))
-            count = sum(v * power[j][i] for i, j, v in entries)
-        elif all(word[i] == word[i % d] for i in range(len(word))):
-            count = int_trace(prefixes[d])
-        else:
-            continue
-        total += mertens[n // d] * count
-    return total
+    matrices = {a: graph.label_matrix(a) for a in set().union(*letters)}
+    layer = [(EMPTY_WORD, graph.adjacency_power(0))]
+    for d in range(1, min(length, n) + 1):
+        layer = [(v + (a,), b) for v, prefix in layer for a in letters[d - 1]
+                 for b in [int_matmul(prefix, matrices[a])] if any(map(any, b))]
+        for v, b in layer if d < length else ():
+            u = (v * length)[:length]
+            if int_trace(b) and all(map(operator.contains, letters, u)):
+                table[key(u)] += mertens[n // d] * int_trace(b)
+    if length > n:
+        return table
+    tail = [[0] * len(graph.states) for _ in graph.states]
+    for d in range(max(length, 1), n + 1):
+        tail = [[t + mertens[n // d] * p for t, p in zip(*rows)]
+                for rows in zip(tail, graph.adjacency_power(d - length))]
+    columns = list(zip(*tail))
+    for u, b in layer:
+        table[key(u)] += sum(map(operator.mul, itertools.chain(*b),
+                                 itertools.chain(*columns)))
+    return table
 
 
 def periodic_counts(graph, n):

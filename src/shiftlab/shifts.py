@@ -306,7 +306,8 @@ def periodic_points_le(realized, n, cap=DEFAULT_CAP):
 
     Needs a finite presentation; an oracle alone only bounds periodicity
     by evidence, which is not good enough to weight a measure.  The
-    enumerator refuses once it finds more than ``cap`` points.
+    enumerator refuses once it finds more than ``cap`` points, so an
+    over-cap call walks cap + 1 points first, on finite-type data too.
     """
     if realized.labeled is None:
         raise UnsupportedSpecError(
@@ -320,11 +321,9 @@ def periodic_census(realized, n, cap=DEFAULT_CAP):
     by q - 1, and the (word, period) pairs when there are at most
     ``LISTED`` of them (None otherwise).
 
-    Finite-type data are counted exactly by traces (each point lies on
-    one closed path of their ``finite_type_presentation``), refused over
-    ``cap`` before any word is walked, and enumerated only to list the
-    points.  Other presentations, where a trace count can overcount, are
-    enumerated once, under the cap.
+    Finite-type data are counted exactly by traces, refused over ``cap``
+    before any word is walked, and enumerated only to list the points.
+    Other presentations are enumerated once, under the cap.
     """
     _check_period(n)
     if realized.spec is None:
@@ -342,10 +341,9 @@ def periodic_census(realized, n, cap=DEFAULT_CAP):
 
 
 def periodic_measure(realized, n, depth, cap=DEFAULT_CAP, code=None):
-    """nu_n, the uniform measure on the points of minimal period <= n, or
-    its image under a block code: the exact cylinder table to ``depth``
-    from trace counts on finite-type data, the enumerated points (under
-    ``cap``) pushed forward otherwise."""
+    """nu_n (uniform on the points of minimal period <= n) or its image
+    under a block code: counted exactly to ``depth`` on finite-type data,
+    else the enumerated points (under ``cap``), pushed forward."""
     _check_period(n)
     if realized.spec is not None:
         return nu_cylinder_measure(realized.labeled, n, depth, code)

@@ -12,6 +12,8 @@ tolerance.  Those quotients are floats, so the width is a stopping rule,
 not a rigorous bound.
 """
 
+import operator
+
 from .errors import ConvergenceError, ReducibleGraphError
 
 # Stopping rule of the power iteration: Collatz-Wielandt width on A + I.
@@ -20,10 +22,8 @@ MAX_ITER = 500000
 
 
 def int_matmul(a, b):
-    n, m = len(a), len(b[0])
-    k = len(b)
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
+    columns = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
 
 
 def int_trace(a):

@@ -76,6 +76,22 @@ def test_counted_image_of_nu_matches_enumeration(letters, radius, n, depth, data
         assert counted.values == cylinder_table(enumerated, depth).values
 
 
+@pytest.mark.parametrize("n", [3, 7])
+@pytest.mark.parametrize("letters, forbidden", [("01", {("1", "1")}), ("012", set())],
+                         ids=["golden", "full3"])
+def test_counted_image_under_range_2_code_matches_enumeration(letters, forbidden, n):
+    # source words of length 6: longer than n = 3, where only their
+    # periodic prefixes count, and shorter than n = 7
+    alph = Alphabet(tuple(letters))
+    graph = finite_type_presentation(FiniteTypeSpec(alph, frozenset(forbidden)))
+    code = BlockCode(alph, Alphabet(("0", "1")), 2, {
+        w: "1" if w.count("1") >= 2 else "0"
+        for w in itertools.product(alph.symbols, repeat=5)})
+    pushed = pushforward(nu_measure(per_le_enumerate(graph, n), alph, n), code)
+    assert nu_cylinder_measure(graph, n, 2, code).values == \
+        cylinder_table(pushed, 2).values
+
+
 def test_parry_measure_golden(golden_graph):
     pm = parry_measure(golden_graph)
     assert pm.perron == pytest.approx(GOLDEN, abs=1e-12)

@@ -11,6 +11,7 @@ from shiftlab import (Alphabet, EnumerationCapError, FiniteTypeSpec,
                       language_equal_exact, per_count, per_le_enumerate,
                       prune_labeled, periodic_count_le, periodic_counts,
                       scc_subgraphs, sft_cover, sft_entropy, sft_oracle)
+from shiftlab import sft
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -144,6 +145,31 @@ def test_periodic_counts_match_enumeration_random(spec_data, n):
     counts = periodic_counts(g, n)
     assert counts == histogram
     assert sum(counts) == periodic_count_le(g, n)
+
+
+def test_count_table_walks_only_words_of_the_shift(monkeypatch):
+    # each golden-mean word of length 0..8 (F_2 + ... + F_10 = 142 of them)
+    # is extended by both letters once; words containing 11 are not
+    g = finite_type_presentation(
+        FiniteTypeSpec(Alphabet(("0", "1")), frozenset({("1", "1")})))
+    products = []
+    real = sft.int_matmul
+    monkeypatch.setattr(sft, "int_matmul",
+                        lambda a, b: products.append(a) or real(a, b))
+    table = sft.periodic_count_table(g, 30, [("0", "1")] * 9, tuple)
+    assert len(products) == 2 * 142
+    assert sum(table.values()) == periodic_count_le(g, 30)
+    assert set(table) <= {w for w in product("01", repeat=9)
+                          if ("1", "1") not in zip(w, w[1:])}
+    # past the period bound only prefixes of length <= n can count
+    products.clear()
+    sft.periodic_count_table(g, 5, [("0", "1")] * 9, tuple)
+    assert len(products) == 2 * (1 + 2 + 3 + 5 + 8)
+    # a periodic prefix counts only where its word keeps to ``letters``:
+    # the prefix 0 stands for 000, which the middle position excludes
+    word = ("0", "1", "0")
+    assert sft.periodic_count_table(g, 30, [(a,) for a in word], len) == \
+        {3: periodic_count_le(g, 30, word)}
 
 
 def test_enumeration_cap(alph2):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (Alphabet, UnsupportedSpecError, complexity,
+from shiftlab import (Alphabet, EnumerationCapError, UnsupportedSpecError,
+                      complexity,
                       document_from_object, load_shift_document,
                       parse_block_code, parse_shift_document, periodic_points_le,
                       realize, serialize_shift_document, shift_entropy)
@@ -73,6 +74,19 @@ def test_realize_sofic():
     assert sorted(pts) == [(("0",), 1), (("1",), 1)]
     with pytest.raises(UnsupportedSpecError):
         r.block_graph()
+
+
+@pytest.mark.parametrize("doc, listed", [(GOLDEN_DOC, 32), (EVEN_DOC, 31)],
+                         ids=["finite-type", "sofic"])
+def test_periodic_points_le_refuses_past_the_cap_while_walking(doc, listed,
+                                                               monkeypatch):
+    # no trace count first, on finite-type data either: the enumerator
+    # walks until it holds cap + 1 points and refuses there
+    r = realize(document_from_object(doc), 8)
+    monkeypatch.setattr("shiftlab.shifts.periodic_counts", None)
+    assert len(periodic_points_le(r, 6, cap=50)) == listed
+    with pytest.raises(EnumerationCapError, match=r"^per_<=30 exceeds the cap 50$"):
+        periodic_points_le(r, 30, cap=50)
 
 
 def test_realize_beta_golden():

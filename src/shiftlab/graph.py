@@ -3,7 +3,9 @@ presentations and sofic presentations.
 
 A state set is a frozenset; reading a letter from a state set gives the
 survivor set of its successors, which is how both the SFT and the sofic
-layers read words, determinize and walk pair spaces.
+layers read words.  ``SubsetTable`` interns the survivor sets of one
+presentation as ints, with one row of successor ids per set, and
+determinization and the pair-space walks read that table.
 """
 
 from dataclasses import dataclass, replace
@@ -146,6 +148,52 @@ def _subset_step(g, states, letter):
     for s in states:
         out.update(g.successors(s, letter))
     return frozenset(out)
+
+
+class SubsetTable:
+    """The subset construction of one presentation, seeded with its full
+    state set: survivor sets interned as ints, 0 for the empty set.
+
+    ``row(i)`` is the tuple of successor ids of set i, one per letter of
+    the alphabet in order, computed on first use.  A row interns the
+    sets it reaches, so the table holds the empty set and the sets
+    reachable from ``start`` (id 1, or 0 when the graph has no state).
+    Asking for rows in increasing id order visits the sets breadth
+    first, in the order of their discovery.  A table belongs to one
+    call; nothing keeps it between calls.
+    """
+
+    def __init__(self, g):
+        self.graph = g
+        self.letters = g.alphabet.symbols
+        self.sets = [frozenset(), frozenset(g.states)] if g.states else [frozenset()]
+        self._ids = {t: i for i, t in enumerate(self.sets)}
+        self._rows = [(0,) * len(self.letters)] + [None] * (len(self.sets) - 1)
+        self.start = len(self.sets) - 1
+
+    def row(self, i):
+        r = self._rows[i]
+        if r is None:
+            g, states, ids, sets = self.graph, self.sets[i], self._ids, self.sets
+            r = []
+            for a in self.letters:
+                t = _subset_step(g, states, a)
+                j = ids.setdefault(t, len(sets))
+                if j == len(sets):
+                    sets.append(t)
+                    self._rows.append(None)
+                r.append(j)
+            r = self._rows[i] = tuple(r)
+        return r
+
+    def close(self):
+        """Compute every row, so that the table holds every set reachable
+        from ``start``; returns their ids, every id but 0."""
+        i = 1
+        while i < len(self.sets):
+            self.row(i)
+            i += 1
+        return range(1, len(self.sets))
 
 
 def _survivor_oracle(g, horizon):

@@ -75,6 +75,9 @@ def _validate_payload(kind, payload):
             _fail("alphabet must be a list of symbols")
         if not isinstance(payload["states"], list) or not payload["states"]:
             _fail("states must be a nonempty list")
+        # states are named by str(), as _realize_sofic names them
+        if len({str(s) for s in payload["states"]}) != len(payload["states"]):
+            _fail("state names must be distinct")
         if not isinstance(payload["edges"], list):
             _fail("edges must be a list of [source, label, target] triples")
         for e in payload["edges"]:

@@ -21,7 +21,7 @@ import math
 
 from .errors import (AlphabetMismatchError, EnumerationCapError,
                      UndefinedEntropyError)
-from .graph import (LabeledGraph, _subset_step, _survivor_oracle,
+from .graph import (LabeledGraph, SubsetTable, _survivor_oracle,
                     make_labeled_graph, prune_labeled)
 from .language import EMPTY_WORD, Alphabet
 from .sft import DEFAULT_CAP, _minimal_period
@@ -171,56 +171,43 @@ def determinize(g):
     g = prune_labeled(g)
     if g.is_empty:
         return LabeledGraph(g.alphabet, (), {})
-    start = frozenset(g.states)
-    discovered = {start: 0}
-    order = [start]
-    edges = []
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        for a in g.alphabet:
-            nxt = _subset_step(g, cur, a)
-            if not nxt:
-                continue
-            if nxt not in discovered:
-                discovered[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            edges.append((discovered[cur], a, discovered[nxt]))
-    det = prune_labeled(make_labeled_graph(g.alphabet, tuple(range(len(order))), edges))
+    table = SubsetTable(g)
+    ids = table.close()
+    # a fresh table discovers its sets breadth first: set i is state i - 1
+    edges = [(i - 1, a, j - 1) for i in ids
+             for a, j in zip(table.letters, table.row(i)) if j]
+    det = prune_labeled(make_labeled_graph(g.alphabet, tuple(range(len(ids))), edges))
     # renumber compactly after pruning
     relabel = {s: i for i, s in enumerate(det.states)}
     edges = [(relabel[s], a, relabel[t]) for s, a, t in det.edge_list()]
     return make_labeled_graph(g.alphabet, tuple(range(len(det.states))), edges)
 
 
-def _union_symbols(g1, g2):
-    seen = list(g1.alphabet.symbols)
-    for s in g2.alphabet.symbols:
-        if s not in seen:
-            seen.append(s)
-    return tuple(seen)
-
-
 def language_equal_up_to(g1, g2, n):
     """Do the two presented shifts share all words of length <= n?"""
-    g1 = prune_labeled(g1)
-    g2 = prune_labeled(g2)
-    return _followers_equal(g1, frozenset(g1.states), g2, frozenset(g2.states), n)
+    t1 = SubsetTable(prune_labeled(g1))
+    t2 = SubsetTable(prune_labeled(g2))
+    return _followers_equal(t1, t1.start, t2, t2.start, n)
 
 
-def _followers_equal(g1, s1, g2, s2, n):
-    """Are the words of length <= n readable from the state set s1 of g1
-    the words readable from s2 of g2?
+def _followers_equal(t1, s1, t2, s2, n):
+    """Are the words of length <= n readable from the set s1 of table t1
+    the words readable from the set s2 of table t2?
 
-    Product reachability over survivor-set pairs; a pair with exactly one
-    empty side at depth d <= n witnesses a length-d word on one side only.
-    When the pair space is exhausted without a witness the followers agree
-    at every length, so large n costs nothing extra.
+    Product reachability over id pairs; a pair with exactly one empty
+    side at depth d <= n witnesses a length-d word on one side only.
+    Each letter of the union alphabet reads the row position it has in
+    each table, and id 0 where its table lacks it.  When the pair space
+    is exhausted without a witness the followers agree at every length,
+    so large n costs nothing extra.
     """
     if not s1 or not s2:
         return (not s1) == (not s2)
-    symbols = _union_symbols(g1, g2)
+    pos1 = {a: i for i, a in enumerate(t1.letters)}
+    pos2 = {a: i for i, a in enumerate(t2.letters)}
+    symbols = t1.letters + tuple(a for a in t2.letters if a not in pos1)
+    columns = [(pos1.get(a), pos2.get(a)) for a in symbols]
+    row1, row2 = t1.row, t2.row
     start = (s1, s2)
     seen = {start}
     frontier = [start]
@@ -229,14 +216,16 @@ def _followers_equal(g1, s1, g2, s2, n):
         depth += 1
         nxt = []
         for x1, x2 in frontier:
-            for a in symbols:
-                t1 = _subset_step(g1, x1, a) if a in g1.alphabet else frozenset()
-                t2 = _subset_step(g2, x2, a) if a in g2.alphabet else frozenset()
-                if not t1 and not t2:
+            r1 = row1(x1)
+            r2 = row2(x2)
+            for c1, c2 in columns:
+                y1 = r1[c1] if c1 is not None else 0
+                y2 = r2[c2] if c2 is not None else 0
+                if not y1 and not y2:
                     continue
-                if not t1 or not t2:
+                if not y1 or not y2:
                     return False
-                pair = (t1, t2)
+                pair = (y1, y2)
                 if pair not in seen:
                     seen.add(pair)
                     nxt.append(pair)
@@ -328,24 +317,25 @@ class SoficClassTag:
     det_states: int
 
 
-def _pair_levels(d, start, steps):
-    """The walk start, F(start), F(F(start)), ... over survivor pairs.
+def _pair_levels(table, start, steps):
+    """The walk start, F(start), F(F(start)), ... over survivor id pairs.
 
     F maps a set of pairs (X, Y) to the pairs (delta(X, a), delta(Y, a))
-    with delta(X, a) nonempty.  F acts on a finite space, so the walk is
-    eventually periodic: it stops after ``steps`` steps or at the first
-    repeated level.  Returns the distinct levels in order and the index
-    the repeat returned to (None when no level repeated).
+    with delta(X, a) nonempty, read off the rows of ``table``.  F acts on
+    a finite space, so the walk is eventually periodic: it stops after
+    ``steps`` steps or at the first repeated level.  Returns the distinct
+    levels in order and the index the repeat returned to (None when no
+    level repeated).
     """
+    row = table.row
     levels = [start]
     seen = {start: 0}
     for _ in range(steps):
         nxt = set()
         for x, y in levels[-1]:
-            for a in d.alphabet:
-                tx = _subset_step(d, x, a)
+            for tx, ty in zip(row(x), row(y)):
                 if tx:
-                    nxt.add((tx, _subset_step(d, y, a)))
+                    nxt.add((tx, ty))
         level = frozenset(nxt)
         if level in seen:
             return levels, seen[level]
@@ -368,33 +358,28 @@ def is_sft(g):
     m = V^2 + 2, V the determinized state count.  Equality with the
     approximation is the m-step transitivity property: for every
     length-m word w and left context u, the follower language after uw
-    equals the follower language after w.  Both followers are unions over survivor sets, so the check walks the
-    finite pair graph (delta(S, w), delta(Q, w)) for m steps (with cycle
-    detection) and compares followers at the end.
+    equals the follower language after w.  Both followers are unions
+    over survivor sets, so the check walks the finite pair graph
+    (delta(S, w), delta(Q, w)) for m steps (with cycle detection), as
+    pairs of ids in the subset table of the determinization, and
+    compares followers at the end.
     """
-    d = determinize(g)
-    if d.is_empty:
+    return _finite_type_tag(SubsetTable(determinize(g)))
+
+
+def _finite_type_tag(table):
+    """``is_sft`` on the subset table of a deterministic presentation."""
+    full = table.start
+    if not full:
         return SoficClassTag(True, 0, 0)
-    v = len(d.states)
+    v = len(table.graph.states)
     m = v * v + 2
-    full = frozenset(d.states)
-    # reachable survivor sets
-    subsets = {full}
-    queue = [full]
-    while queue:
-        cur = queue.pop()
-        for a in d.alphabet:
-            nxt = _subset_step(d, cur, a)
-            if nxt and nxt not in subsets:
-                subsets.add(nxt)
-                queue.append(nxt)
-    levels, first = _pair_levels(d, frozenset((s, full) for s in subsets), m)
+    levels, first = _pair_levels(table, frozenset((s, full) for s in table.close()), m)
     # every target pair has s1 inside s2, so the followers of s1 lie inside
     # those of s2 and "equal" is the containment the criterion asks for
     target = levels[_level_index(m, len(levels), first)]
-    pairs = sorted(target, key=lambda p: (sorted(p[0]), sorted(p[1])))
-    verdict = all(s1 == s2 or _followers_equal(d, s1, d, s2, math.inf)
-                  for s1, s2 in pairs)
+    verdict = all(s1 == s2 or _followers_equal(table, s1, table, s2, math.inf)
+                  for s1, s2 in target)
     return SoficClassTag(verdict, m, v)
 
 
@@ -407,25 +392,23 @@ def mfw_length_set(g, horizon):
     so the walk stops at the first repeated level and the witnessed
     lengths repeat with it up to the horizon; no word is enumerated.
     """
-    d = determinize(g)
+    return _mfw_lengths(SubsetTable(determinize(g)), horizon)
+
+
+def _mfw_lengths(table, horizon):
+    """``mfw_length_set`` on the subset table of a deterministic
+    presentation."""
+    full = table.start
+    if not full:
+        return (1,) if horizon >= 1 else ()
+    row = table.row
     lengths = set()
-    if d.is_empty:
-        if horizon >= 1:
-            lengths.add(1)
-        return tuple(sorted(lengths))
-    full = frozenset(d.states)
-    for a in d.alphabet:
-        if not _subset_step(d, full, a):
-            lengths.add(1)
+    if 0 in row(full):
+        lengths.add(1)
     # level i holds the pairs (delta(Q, a w), delta(Q, w)) with |a w| = i + 1
-    start = set()
-    for a in d.alphabet:
-        x = _subset_step(d, full, a)
-        if x:
-            start.add((x, full))
-    levels, first = _pair_levels(d, frozenset(start), max(horizon - 2, 0))
-    witnessed = [any(_subset_step(d, y, b) and not _subset_step(d, x, b)
-                     for x, y in level for b in d.alphabet)
+    start = frozenset((x, full) for x in row(full) if x)
+    levels, first = _pair_levels(table, start, max(horizon - 2, 0))
+    witnessed = [any(ty and not tx for x, y in level for tx, ty in zip(row(x), row(y)))
                  for level in levels]
     for n in range(2, horizon + 1):
         if witnessed[_level_index(n - 2, len(levels), first)]:
@@ -452,8 +435,9 @@ def theorem1_diagnostic(g, horizon):
     lengths; the report carries the observed window densities as
     evidence at this horizon.
     """
-    tag = is_sft(g)
-    lengths = mfw_length_set(g, horizon)
+    table = SubsetTable(determinize(g))
+    tag = _finite_type_tag(table)
+    lengths = _mfw_lengths(table, horizon)
     _, _, densities = window_density_report(lengths, horizon)
     bound = max(densities.values(), default=0.0)
     return Theorem1Report(horizon, tag, lengths, bound, densities)

@@ -124,6 +124,16 @@ def test_bad_document_is_error(capsys, tmp_path, doc, code):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("states", [["e", "o", "e"], ["e", "o", "1", 1]])
+def test_repeated_state_name_is_error(capsys, write, states):
+    # a repeated name would leave an all-zero adjacency row; names are
+    # compared as the str() realization gives them
+    doc = write("dup.json", dict(EVEN_DOC, states=states))
+    rc, out, err = run(capsys, ["sofic", "det", doc])
+    assert (rc, out) == (1, "")
+    assert err == "error: shift document: state names must be distinct\n"
+
+
 def test_tau_domain_error(capsys):
     rc, _, err = run(capsys, ["tau", "0"])
     assert rc == 1

@@ -2,7 +2,7 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
@@ -12,6 +12,7 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       make_labeled_graph, mfw_length_set, minimal_forbidden,
                       per_le_enumerate, periodic_count_le, prune_labeled,
                       sofic_entropy, sofic_oracle, theorem1_diagnostic)
+from shiftlab.graph import LabeledGraph, SubsetTable, _subset_step
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -240,3 +241,98 @@ def test_periodic_count_le_exact_on_prefix_automaton_random(forbidden, n, w):
                     if all(word[i % p] == w[i] for i in range(len(w))))
     assert periodic_count_le(g, n, w) == reading_w
     assert periodic_count_le(build_block_graph(spec), n, w) == reading_w
+
+
+def labeled_graphs(labels="01"):
+    """Random presentations on 2..5 states over ``labels``, as (n, edges)."""
+    return st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from(labels),
+                          st.integers(0, n - 1)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_graphs())
+def test_is_sft_matches_memory_approximation_random(graph):
+    # independent reference: X is finite type exactly when it equals the SFT
+    # cut out by its minimal forbidden words of length <= m + 1, where
+    # m = decision_bound bounds the memory of any finite-type X
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1")), tuple(range(n)), edges)
+    assume(len(determinize(g).states) <= 3)
+    tag = is_sft(g)
+    m = tag.decision_bound
+    words = minimal_forbidden(sofic_oracle(g, m + 2), m + 1).words()
+    spec = FiniteTypeSpec(g.alphabet, frozenset(words))
+    assert tag.is_sft == language_equal_exact(g, finite_type_presentation(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(labeled_graphs("012"))
+def test_subset_table_rows_are_subset_steps_random(graph):
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1", "2")), tuple(range(n)), edges)
+    table = SubsetTable(g)
+    ids = table.close()
+    assert table.sets[table.start] == frozenset(g.states)
+    assert len(set(table.sets)) == len(table.sets)
+    for i in [0, *ids]:
+        for a, j in zip(g.alphabet, table.row(i)):
+            assert table.sets[j] == _subset_step(g, table.sets[i], a)
+
+
+def _determinize_by_frozenset_bfs(g):
+    """The subset construction as a queue of frozensets, the reference the
+    table-driven ``determinize`` must reproduce state for state."""
+    g = prune_labeled(g)
+    if g.is_empty:
+        return LabeledGraph(g.alphabet, (), {})
+    start = frozenset(g.states)
+    discovered = {start: 0}
+    order = [start]
+    edges = []
+    queue = [start]
+    while queue:
+        cur = queue.pop(0)
+        for a in g.alphabet:
+            nxt = _subset_step(g, cur, a)
+            if not nxt:
+                continue
+            if nxt not in discovered:
+                discovered[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            edges.append((discovered[cur], a, discovered[nxt]))
+    det = prune_labeled(make_labeled_graph(g.alphabet, tuple(range(len(order))), edges))
+    relabel = {s: i for i, s in enumerate(det.states)}
+    edges = [(relabel[s], a, relabel[t]) for s, a, t in det.edge_list()]
+    return make_labeled_graph(g.alphabet, tuple(range(len(det.states))), edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs("012"))
+def test_determinize_matches_frozenset_bfs_random(graph):
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1", "2")), tuple(range(n)), edges)
+    d, ref = determinize(g), _determinize_by_frozenset_bfs(g)
+    assert d.states == ref.states
+    assert d.transitions == ref.transitions
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs(), labeled_graphs(), st.sets(st.tuples(
+    st.integers(0, 4), st.just("2"), st.integers(0, 4)), max_size=2))
+def test_language_equal_up_to_matches_enumeration_random(graph1, graph2, twos):
+    # the second presentation is over {0,1,2}; its 2-edges (possibly none,
+    # possibly pruned away) decide whether a letter outside {0,1} occurs
+    n1, edges1 = graph1
+    n2, edges2 = graph2
+    g1 = make_labeled_graph(Alphabet(("0", "1")), tuple(range(n1)), edges1)
+    g2 = make_labeled_graph(Alphabet(("0", "1", "2")), tuple(range(n2)),
+                            edges2 | {(s, a, t) for s, a, t in twos if max(s, t) < n2})
+    o1, o2 = sofic_oracle(g1, 6), sofic_oracle(g2, 6)
+    for k in range(1, 7):
+        same = all(set(o1.words_of_length(j)) == set(o2.words_of_length(j))
+                   for j in range(1, k + 1))
+        assert language_equal_up_to(g1, g2, k) == same
+        assert language_equal_up_to(g2, g1, k) == same

@@ -4,8 +4,12 @@ A number is given by an integer-coefficient polynomial and a rational
 interval isolating exactly one of its real roots.  Field elements are
 polynomials in that root, reduced mod the defining polynomial and kept
 as Fraction tuples, so equality, sign, and floor are all decided
-exactly: zero via a gcd with the defining polynomial, sign via Sturm
-counts after bisecting the interval clear of the element's roots.
+exactly.  Every query first bounds the element by interval Horner in
+Fractions over the isolating interval, an arithmetic filter in the sense
+of Fortune and Van Wyk (SoCG 1993): an enclosure that excludes 0 settles
+the sign at once.  Only when it straddles 0 is zero decided by a gcd
+with the defining polynomial, and a nonzero element then bisects the
+interval on the stored Sturm chain until its enclosure clears 0.
 
 The defining polynomial does not need to be irreducible; nothing here
 factors anything.
@@ -21,7 +25,7 @@ ZERO_POLY = ()
 
 
 def poly_norm(coeffs):
-    cs = [Fraction(c) for c in coeffs]
+    cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -90,7 +94,8 @@ def poly_deriv(p):
 
 
 def poly_eval(p, x):
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
@@ -117,18 +122,16 @@ def sturm_chain(p):
 
 
 def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    values = [poly_eval(p, x) for p in chain]
+    if values[0] == 0:
+        raise UnsupportedSpecError("interval endpoint is a root; nudge the interval")
+    signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _chain_count(chain, lo, hi):
-    """Distinct real roots in (lo, hi) of the square-free ``chain[0]``."""
-    if poly_eval(chain[0], lo) == 0 or poly_eval(chain[0], hi) == 0:
-        raise UnsupportedSpecError("interval endpoint is a root; nudge the interval")
+    """Distinct real roots in (lo, hi) of the square-free ``chain[0]``;
+    neither endpoint may be one of them."""
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -149,9 +152,11 @@ class AlgebraicNumber:
 
     Elements of Q(root) are Fraction tuples of length < deg(poly),
     little-endian in the root.  The Sturm chain of the square-free part
-    of ``poly`` is built once, here; the interval still shrinks in place
-    as sign queries bisect it on that chain, and every answer is exact
-    regardless of the width.
+    of ``poly`` is built once, here; the interval shrinks in place only
+    when a query's enclosure straddles 0 (or an integer, for ``floor``),
+    by bisection on that chain.  Every answer is exact regardless of the
+    width, and ``sign`` is the comparison primitive: "less" is decided by
+    refining until the enclosures separate.
     """
 
     poly: tuple
@@ -197,7 +202,21 @@ class AlgebraicNumber:
     def mul(self, a, b):
         return poly_mod(poly_mul(a, b), self.poly)
 
-    def is_zero(self, a):
+    def _enclose(self, a):
+        """Rational bounds (l, h) on a(root), by interval Horner over [lo, hi]."""
+        lo, hi = self.lo, self.hi
+        el = eh = a[-1] if a else Fraction(0)
+        for c in a[-2::-1]:
+            if lo >= 0:
+                # on x >= 0, v*x grows with v: the ends come from el and eh
+                el, eh = (el * (lo if el >= 0 else hi) + c,
+                          eh * (hi if eh >= 0 else lo) + c)
+            else:
+                ends = (el * lo, el * hi, eh * lo, eh * hi)
+                el, eh = min(ends) + c, max(ends) + c
+        return el, eh
+
+    def _vanishes(self, a):
         """Exact test of a(root) == 0 via gcd with the defining polynomial."""
         if not a:
             return True
@@ -206,6 +225,12 @@ class AlgebraicNumber:
             return False
         # roots of d sit among roots of poly, so interval endpoints are safe
         return count_roots(d, self.lo, self.hi) == 1
+
+    def is_zero(self, a):
+        """Exact test of a(root) == 0; the gcd runs only when the
+        enclosure holds 0."""
+        el, eh = self._enclose(a)
+        return el <= 0 <= eh and self._vanishes(a)
 
     def _bisect(self):
         mid = (self.lo + self.hi) / 2
@@ -221,27 +246,24 @@ class AlgebraicNumber:
 
     def sign(self, a):
         """Sign of a(root) in {-1, 0, 1}, decided exactly."""
-        if self.is_zero(a):
+        el, eh = self._enclose(a)
+        if el <= 0 <= eh and self._vanishes(a):
             return 0
-        while True:
-            if poly_eval(a, self.lo) != 0 and poly_eval(a, self.hi) != 0 \
-                    and count_roots(a, self.lo, self.hi) == 0:
-                v = poly_eval(a, (self.lo + self.hi) / 2)
-                if v == 0:
-                    # midpoint hit a root of a not counted in the open check
-                    self._bisect()
-                    continue
-                return 1 if v > 0 else -1
+        # a(root) != 0 and the enclosure shrinks onto it as the interval does
+        while el <= 0 <= eh:
             self._bisect()
+            el, eh = self._enclose(a)
+        return 1 if el > 0 else -1
 
     def compare(self, a, b):
         return self.sign(poly_sub(a, b))
 
     def floor(self, a):
         """Largest integer <= a(root)."""
-        guess = math.floor(poly_eval(a, self.lo))
-        while self.compare(a, self.from_rational(guess)) < 0:
-            guess -= 1
+        el, eh = self._enclose(a)
+        guess = math.floor(el)
+        if math.floor(eh) == guess:
+            return guess
         while self.compare(a, self.from_rational(guess + 1)) >= 0:
             guess += 1
         return guess

@@ -8,11 +8,17 @@ lexicographically at most the corresponding prefix of the working
 stream, which is d(1, beta) itself, or its periodic replacement
 d0 .. d_{k-1} (d_k - 1) repeated when the expansion terminates.
 
-Three digit engines, chosen by how beta is described: exact Fractions
-for rationals, exact arithmetic in Q(beta) for algebraic numbers (both
-detect termination and revisits, so status is decided), and interval
-arithmetic for decimal literals, where every floor is certified by
-escalating precision and the status honestly stays truncated.
+Three digit engines, chosen by how beta is described:
+- rationals expand in integers.  An integer beta gives the one digit
+  beta ("finite"); any other rational is no algebraic integer, so by
+  Parry (1960) its expansion neither ends nor repeats, and it is always
+  "truncated".
+- algebraic numbers expand exactly in Q(beta).  Each floor, zero test
+  and revisit test reads rational enclosures of the residues first; a
+  gcd or a bisection runs only when an enclosure straddles the answer.
+- decimal literals use interval arithmetic, where every floor is
+  certified by escalating precision and the status honestly stays
+  truncated.
 """
 
 from dataclasses import dataclass
@@ -138,20 +144,23 @@ def beta_decimal(literal):
 
 
 def _expand_rational(beta, n):
-    x = Fraction(1)
-    seen = {x: 0}
+    # For beta = p/q in lowest terms, T^k(1) = N_k / q^k.  An integer beta
+    # (q = 1) gives T(1) = 0 and the one digit p.  For q >= 2 induct on k:
+    # N_0 = 1, and N_{k+1} = p N_k - d_k q^(k+1) is congruent to p N_k mod q,
+    # so it is prime to q like p and N_k.  Then N_k != 0, so the orbit
+    # never reaches 0, and T^k(1) has denominator exactly q^k in lowest
+    # terms, so no two orbit points are equal.  The expansion is neither
+    # finite nor eventually periodic, as Parry (1960) requires of a beta
+    # that is not an algebraic integer.
+    p, q = beta.numerator, beta.denominator
+    if q == 1:
+        return [p], "finite", 0, 0
     digits = []
-    for step in range(n):
-        y = beta * x
-        d = y.numerator // y.denominator
+    num, den = 1, 1  # T^k(1) = num / den with den = q^k
+    for _ in range(n):
+        den *= q
+        d, num = divmod(p * num, den)
         digits.append(d)
-        x = y - d
-        if x == 0:
-            return digits, "finite", 0, 0
-        j = seen.get(x)
-        if j is not None:
-            return digits, "eventually-periodic", j, step + 1 - j
-        seen[x] = step + 1
     return digits, "truncated", 0, 0
 
 
@@ -159,7 +168,9 @@ def _expand_algebraic(num, n):
     beta_el = num.generator
     x = num.from_rational(1)
     seen = {x: 0}
-    trail = [x]
+    # each earlier residue with rational bounds on its value, computed once
+    # and narrowed only while the residue is a candidate for a revisit
+    trail = [[x, *num._enclose(x)]]
     digits = []
     for step in range(n):
         y = num.mul(beta_el, x)
@@ -168,18 +179,28 @@ def _expand_algebraic(num, n):
         x = num.sub(y, num.from_rational(d))
         if num.is_zero(x):
             return digits, "finite", 0, 0
+        el, eh = num._enclose(x)
         j = seen.get(x)
         if j is None:
             # residue tuples can differ while the values agree when the
-            # defining polynomial is reducible; fall back to exact tests
-            for k, prev in enumerate(trail):
-                if num.is_zero(num.sub(x, prev)):
-                    j = k
-                    break
+            # defining polynomial is reducible.  Earlier residues are
+            # pairwise distinct in value, so at most one equals x: bisect
+            # while two or more enclosures overlap that of x, then test the
+            # one left, if any, exactly.
+            near = [k for k, (_, lo, hi) in enumerate(trail)
+                    if lo <= eh and el <= hi]
+            while len(near) > 1:
+                num._bisect()
+                el, eh = num._enclose(x)
+                for k in near:
+                    trail[k][1:] = num._enclose(trail[k][0])
+                near = [k for k in near if trail[k][1] <= eh and el <= trail[k][2]]
+            if near and num.is_zero(num.sub(x, trail[near[0]][0])):
+                j = near[0]
         if j is not None:
             return digits, "eventually-periodic", j, step + 1 - j
         seen[x] = step + 1
-        trail.append(x)
+        trail.append([x, el, eh])
     return digits, "truncated", 0, 0
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import AlgebraicNumber, UnsupportedSpecError
-from shiftlab.algebraic import count_roots, poly_eval
+from shiftlab.algebraic import (count_roots, degree, poly_eval, poly_gcd, poly_mul,
+                                poly_norm)
 
 PHI_POLY = (Fraction(-1), Fraction(-1), Fraction(1))  # x^2 - x - 1
 
@@ -133,3 +135,94 @@ def test_stored_chain_bisects_like_count_roots(low, lead, pick, ops):
         assert getattr(num, op)(x) == getattr(ref, op)(x)
         assert (num.lo, num.hi) == (ref.lo, ref.hi)
         assert num.lo < num.hi
+
+
+class SturmSign(AlgebraicNumber):
+    """Reference: zero, sign and floor as decided before the enclosure
+    filter.  Every sign query builds the element's own Sturm chain
+    through count_roots and bisects until the element has no root in the
+    interval; every zero test runs the gcd."""
+
+    def is_zero(self, a):
+        if not a:
+            return True
+        d = poly_gcd(self.poly, a)
+        if degree(d) <= 0:
+            return False
+        return count_roots(d, self.lo, self.hi) == 1
+
+    def sign(self, a):
+        if self.is_zero(a):
+            return 0
+        while True:
+            if poly_eval(a, self.lo) != 0 and poly_eval(a, self.hi) != 0 \
+                    and count_roots(a, self.lo, self.hi) == 0:
+                v = poly_eval(a, (self.lo + self.hi) / 2)
+                if v == 0:
+                    self._bisect()
+                    continue
+                return 1 if v > 0 else -1
+            self._bisect()
+
+    def floor(self, a):
+        guess = math.floor(poly_eval(a, self.lo))
+        while self.compare(a, self.from_rational(guess)) < 0:
+            guess -= 1
+        while self.compare(a, self.from_rational(guess + 1)) >= 0:
+            guess += 1
+        return guess
+
+
+def assert_same_answers(num, ref, a, b):
+    assert num.is_zero(a) == ref.is_zero(a)
+    assert num.sign(a) == ref.sign(a)
+    assert num.floor(a) == ref.floor(a)
+    assert num.compare(a, b) == ref.compare(a, b)
+    assert num.lo < num.hi
+
+
+def product(factors):
+    out = (Fraction(1),)
+    for f in factors:
+        out = poly_mul(out, poly_norm(f))
+    return out
+
+
+def test_enclosure_signs_on_a_reducible_polynomial():
+    # (x - 1)(x^2 - 2): the rational root 1 and sqrt(2), with elements
+    # that vanish at one root and not at the other
+    poly = product([(-1, 1), (-2, 0, 1)])
+    for lo, hi in isolating_intervals(poly):
+        num, ref = AlgebraicNumber(poly, lo, hi), SturmSign(poly, lo, hi)
+        elements = [num.element(c) for c in
+                    ((-1, 1), (-2, 0, 1), (0, 1), (-3, 0, 2), (5, -7, 3), (0, 0, 1))]
+        for a in elements:
+            for b in elements:
+                assert_same_answers(num, ref, a, b)
+    num = AlgebraicNumber(poly, Fraction(3, 4), Fraction(5, 4))
+    assert num.is_zero(num.element((-1, 1)))
+    assert num.floor(num.element((-1, 1))) == 0
+    assert num.floor(num.generator) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(small, min_size=2, max_size=3).filter(lambda f: f[-1] != 0),
+                min_size=1, max_size=2),
+       st.integers(min_value=0, max_value=3), queries)
+def test_enclosure_signs_match_sturm_signs(factors, pick, ops):
+    poly = product(factors)
+    intervals = isolating_intervals(poly)
+    assume(intervals)
+    lo, hi = intervals[pick % len(intervals)]
+    num, ref = AlgebraicNumber(poly, lo, hi), SturmSign(poly, lo, hi)
+    # each factor vanishes at the root when the root is one of its roots
+    vanishing = [num.element(f) for f in factors]
+    for op, arg in ops:
+        if op == "refine":
+            num.refine(Fraction(1, 2 ** arg))
+            ref.refine(Fraction(1, 2 ** arg))
+            continue
+        a = num.element(arg)
+        for b in vanishing + [num.element(arg[::-1])]:
+            assert_same_answers(num, ref, a, b)
+            assert_same_answers(num, ref, b, a)

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import (CannotCloseError, DigitStream, InsufficientDigitsError,
                       UnsupportedSpecError, WrongStatusError, beta_decimal,
@@ -9,6 +11,7 @@ from shiftlab import (CannotCloseError, DigitStream, InsufficientDigitsError,
                       beta_presentation, beta_rational, example_betashift,
                       is_sft, language_equal_exact, parse_beta_spec,
                       sofic_entropy, star_expansion, stream_alphabet)
+from shiftlab.beta import _expand_algebraic, _expand_rational
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -147,3 +150,94 @@ def test_parse_beta_spec_forms():
     assert parse_beta_spec("poly:x^2-x-1@[1.5,1.7]").kind == "algebraic"
     with pytest.raises(UnsupportedSpecError):
         parse_beta_spec("poly:x^2-x-1")
+
+
+def fraction_expansion(beta, n):
+    """Reference: the rational engine before it worked in integers, with
+    every orbit point a Fraction and a table of the points seen."""
+    x = Fraction(1)
+    seen = {x: 0}
+    digits = []
+    for step in range(n):
+        y = beta * x
+        d = y.numerator // y.denominator
+        digits.append(d)
+        x = y - d
+        if x == 0:
+            return digits, "finite", 0, 0
+        j = seen.get(x)
+        if j is not None:
+            return digits, "eventually-periodic", j, step + 1 - j
+        seen[x] = step + 1
+    return digits, "truncated", 0, 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.data(),
+       st.integers(min_value=1, max_value=80))
+def test_integer_rational_engine_matches_fractions(q, data, n):
+    p = data.draw(st.integers(min_value=q + 1, max_value=12 * q)
+                  .filter(lambda p: math.gcd(p, q) == 1))
+    beta = Fraction(p, q)
+    assert list(_expand_rational(beta, n)) == list(fraction_expansion(beta, n))
+
+
+def test_rational_betas_are_finite_only_at_integers():
+    # Parry: a non-integer rational is no algebraic integer, so its
+    # expansion of 1 neither ends nor repeats
+    statuses = {}
+    for q in range(1, 51):
+        for p in range(q + 1, 12 * q + 1):
+            if math.gcd(p, q) == 1:
+                statuses[Fraction(p, q)] = beta_expand(beta_rational(Fraction(p, q)), 60).status
+    assert len(statuses) == 8514
+    finite = sorted(b for b, s in statuses.items() if s == "finite")
+    assert finite == list(range(2, 13))
+    assert all(s == "truncated" for b, s in statuses.items() if b.denominator > 1)
+
+
+def trail_scan_expansion(num, n):
+    """Reference: the algebraic engine before enclosures, which tests every
+    earlier residue exactly whenever the residue tuple is new."""
+    beta_el = num.generator
+    x = num.from_rational(1)
+    seen = {x: 0}
+    trail = [x]
+    digits = []
+    for step in range(n):
+        y = num.mul(beta_el, x)
+        d = num.floor(y)
+        digits.append(d)
+        x = num.sub(y, num.from_rational(d))
+        if num.is_zero(x):
+            return digits, "finite", 0, 0
+        j = seen.get(x)
+        if j is None:
+            for k, prev in enumerate(trail):
+                if num.is_zero(num.sub(x, prev)):
+                    j = k
+                    break
+        if j is not None:
+            return digits, "eventually-periodic", j, step + 1 - j
+        seen[x] = step + 1
+        trail.append(x)
+    return digits, "truncated", 0, 0
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("poly:x^2-x-3@[2.3,2.31]", 64),          # not Pisot: truncated
+    ("poly:x^3-8x^2+16x-5@[2.5,2.7]", 24),   # (x^2-3x+1)(x-5): a revisit
+    ("poly:x^3-x-1@[1.3,1.4]", 40),           # smallest Pisot number
+    ("poly:x^3-x^2-x-1@[1.8,1.9]", 24),       # tribonacci: finite
+])
+def test_enclosure_trail_matches_trail_scan(spec, n):
+    got = _expand_algebraic(parse_beta_spec(spec).algebraic, n)
+    assert got == trail_scan_expansion(parse_beta_spec(spec).algebraic, n)
+
+
+def test_reducible_polynomial_revisit_is_found_by_value():
+    # the residue tuples differ mod the cubic, but the values repeat
+    exp = beta_expand(parse_beta_spec("poly:x^3-8x^2+16x-5@[2.5,2.7]"), 8)
+    assert exp.status == "eventually-periodic"
+    assert (exp.preperiod, exp.period) == (1, 1)
+    assert exp.digits == (2, 1, 1, 1, 1, 1, 1, 1)

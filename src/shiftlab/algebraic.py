@@ -176,8 +176,15 @@ class AlgebraicNumber:
         if poly_eval(self.poly, self.lo) == 0 or poly_eval(self.poly, self.hi) == 0:
             raise UnsupportedSpecError(
                 "interval endpoints must not be roots; widen or shift the interval")
-        self._sf = squarefree_part(self.poly)
-        self._chain = sturm_chain(self._sf)
+        # the chain of poly ends in gcd(poly, poly'), up to a constant, so
+        # a constant last entry means poly is square-free and the chain
+        # serves as is; otherwise divide out the gcd and chain again
+        self._chain = sturm_chain(self.poly)
+        if degree(self._chain[-1]) == 0:
+            self._sf = self.poly
+        else:
+            self._sf = squarefree_part(self.poly)
+            self._chain = sturm_chain(self._sf)
         if _chain_count(self._chain, self.lo, self.hi) != 1:
             raise UnsupportedSpecError("interval must isolate exactly one real root")
 

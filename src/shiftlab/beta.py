@@ -16,9 +16,9 @@ Three digit engines, chosen by how beta is described:
 - algebraic numbers expand exactly in Q(beta).  Each floor, zero test
   and revisit test reads rational enclosures of the residues first; a
   gcd or a bisection runs only when an enclosure straddles the answer.
-- decimal literals use interval arithmetic, where every floor is
-  certified by escalating precision and the status honestly stays
-  truncated.
+- decimal literals expand in integers as the rational they spell, with
+  the status always truncated: a literal pins down the number, not its
+  algebraic identity.
 """
 
 from dataclasses import dataclass
@@ -26,9 +26,8 @@ from fractions import Fraction
 import re
 
 from .algebraic import AlgebraicNumber
-from .errors import (AmbiguousDigitError, CannotCloseError,
-                     InsufficientDigitsError, UnsupportedSpecError,
-                     WrongStatusError)
+from .errors import (CannotCloseError, InsufficientDigitsError,
+                     UnsupportedSpecError, WrongStatusError)
 from .forbidden import MFWTable
 from .language import EQUAL, GREATER, LESS, Alphabet, stepping_oracle
 from .graph import make_labeled_graph, prune_labeled
@@ -109,8 +108,8 @@ class BetaExpansion:
 
 @dataclass
 class BetaNumber:
-    """A real beta > 1 given exactly (rational, algebraic) or as a
-    decimal literal taken at face value with certified interval floors."""
+    """A real beta > 1 given as a rational, an algebraic number, or a
+    decimal literal taken at face value as the rational it spells."""
 
     kind: str
     rational: Fraction = None
@@ -143,6 +142,17 @@ def beta_decimal(literal):
     return BetaNumber(kind="decimal", literal=literal)
 
 
+def _greedy_digits(p, q, n):
+    """First n digits of d(1, p/q) for integers p > q >= 1, in integers."""
+    digits = []
+    num, den = 1, 1  # T^k(1) = num / den with den = q^k
+    for _ in range(n):
+        den *= q
+        d, num = divmod(p * num, den)
+        digits.append(d)
+    return digits
+
+
 def _expand_rational(beta, n):
     # For beta = p/q in lowest terms, T^k(1) = N_k / q^k.  An integer beta
     # (q = 1) gives T(1) = 0 and the one digit p.  For q >= 2 induct on k:
@@ -155,13 +165,7 @@ def _expand_rational(beta, n):
     p, q = beta.numerator, beta.denominator
     if q == 1:
         return [p], "finite", 0, 0
-    digits = []
-    num, den = 1, 1  # T^k(1) = num / den with den = q^k
-    for _ in range(n):
-        den *= q
-        d, num = divmod(p * num, den)
-        digits.append(d)
-    return digits, "truncated", 0, 0
+    return _greedy_digits(p, q, n), "truncated", 0, 0
 
 
 def _expand_algebraic(num, n):
@@ -204,50 +208,21 @@ def _expand_algebraic(num, n):
     return digits, "truncated", 0, 0
 
 
-# Interval precision (bits) of the decimal engine: doubled from the start
-# until every floor is certified, giving up past the ceiling.
-DECIMAL_START_PRECISION = 64
-DECIMAL_PRECISION_CEILING = 1 << 16
-
-
 def _expand_decimal(literal, n):
-    import mpmath  # only decimal literals need interval arithmetic
-    iv = mpmath.iv
-    prec = DECIMAL_START_PRECISION
-    last_bad = 0
-    while prec <= DECIMAL_PRECISION_CEILING:
-        saved = iv.prec
-        try:
-            iv.prec = prec
-            beta = iv.mpf(literal)
-            x = iv.mpf(1)
-            digits = []
-            ambiguous = None
-            for i in range(n):
-                y = beta * x
-                flo = int(mpmath.floor(y.a))
-                fhi = int(mpmath.floor(y.b))
-                if flo != fhi:
-                    ambiguous = i
-                    break
-                digits.append(flo)
-                x = y - flo
-            if ambiguous is None:
-                return digits, "truncated", 0, 0
-            last_bad = ambiguous
-        finally:
-            iv.prec = saved
-        prec *= 2
-    raise AmbiguousDigitError(last_bad)
+    # A literal is the exact rational it spells, so its digits are those
+    # of the rational engine.  It pins down the number, not its algebraic
+    # identity, so it never reports "finite": an integer literal gives
+    # its digit followed by zeros, and the stream stays truncated.
+    value = Fraction(literal)
+    return _greedy_digits(value.numerator, value.denominator, n), "truncated", 0, 0
 
 
 def beta_expand(beta, n):
-    """First n digits of d(1, beta) with exact or certified floors.
+    """First n digits of d(1, beta), every floor exact.
 
     Rational and algebraic engines detect a terminating or revisiting
     orbit of 1, settling the status; decimal literals always report
-    truncated, and raise naming the digit index if a floor cannot be
-    certified below the precision ceiling.
+    truncated.
     """
     if n < 1:
         raise UnsupportedSpecError("at least one digit is needed")

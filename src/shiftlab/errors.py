@@ -51,7 +51,11 @@ class WrongStatusError(ShiftlabError):
 
 
 class AmbiguousDigitError(ShiftlabError):
-    """Interval arithmetic could not certify a digit before the precision ceiling."""
+    """A beta digit could not be certified.
+
+    No engine raises it any more: every digit engine decides its floors
+    exactly.  The class stays exported as part of the public API.
+    """
 
     def __init__(self, index, message=None):
         self.index = index

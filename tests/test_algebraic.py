@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import AlgebraicNumber, UnsupportedSpecError
-from shiftlab.algebraic import (count_roots, degree, poly_eval, poly_gcd, poly_mul,
-                                poly_norm)
+from shiftlab.algebraic import (_chain_count, count_roots, degree, poly_eval,
+                                poly_gcd, poly_mul, poly_norm, squarefree_part,
+                                sturm_chain)
 
 PHI_POLY = (Fraction(-1), Fraction(-1), Fraction(1))  # x^2 - x - 1
 
@@ -226,3 +227,29 @@ def test_enclosure_signs_match_sturm_signs(factors, pick, ops):
         for b in vanishing + [num.element(arg[::-1])]:
             assert_same_answers(num, ref, a, b)
             assert_same_answers(num, ref, b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(small, min_size=2, max_size=3)
+                          .filter(lambda f: f[-1] != 0),
+                          st.integers(min_value=1, max_value=3)),
+                min_size=1, max_size=2),
+       st.integers(min_value=0, max_value=3),
+       st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=16),
+                min_size=2, max_size=6))
+def test_one_chain_matches_squarefree_then_chain(factors, pick, points):
+    # repeated factors make poly and poly' share a factor, so the chain of
+    # poly alone ends in a nonconstant gcd
+    poly = product([f for f, mult in factors for _ in range(mult)])
+    intervals = isolating_intervals(poly)
+    assume(intervals)
+    lo, hi = intervals[pick % len(intervals)]
+    num = AlgebraicNumber(poly, lo, hi)
+    sf = squarefree_part(poly)
+    chain = sturm_chain(sf)
+    assert num._sf == sf
+    ends = sorted({x for x in points + [lo, hi] if poly_eval(sf, x) != 0})
+    for a in ends:
+        for b in ends:
+            if a < b:
+                assert _chain_count(num._chain, a, b) == _chain_count(chain, a, b)

@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (CannotCloseError, DigitStream, InsufficientDigitsError,
@@ -11,7 +12,7 @@ from shiftlab import (CannotCloseError, DigitStream, InsufficientDigitsError,
                       beta_presentation, beta_rational, example_betashift,
                       is_sft, language_equal_exact, parse_beta_spec,
                       sofic_entropy, star_expansion, stream_alphabet)
-from shiftlab.beta import _expand_algebraic, _expand_rational
+from shiftlab.beta import _expand_algebraic, _expand_decimal, _expand_rational
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -125,6 +126,62 @@ def test_decimal_engine_status():
     assert exp.status == "truncated"
     assert len(exp.digits) == 12
     assert exp.digits[0] == 1
+
+
+def interval_expansion(literal, n):
+    """Reference: the decimal engine before it worked in integers.  Every
+    floor is certified by mpmath interval arithmetic, and the whole pass
+    reruns at doubled precision while some floor straddles an integer."""
+    iv = mpmath.iv
+    prec = 64
+    while prec <= 1 << 16:
+        saved = iv.prec
+        try:
+            iv.prec = prec
+            beta = iv.mpf(literal)
+            x = iv.mpf(1)
+            digits = []
+            for _ in range(n):
+                y = beta * x
+                flo = int(mpmath.floor(y.a))
+                if flo != int(mpmath.floor(y.b)):
+                    break
+                digits.append(flo)
+                x = y - flo
+            else:
+                return digits, "truncated", 0, 0
+        finally:
+            iv.prec = saved
+        prec *= 2
+    raise AssertionError("no certified floors for %r" % (literal,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"\d{1,2}(\.\d{1,6})?", fullmatch=True),
+       st.integers(min_value=1, max_value=128))
+def test_decimal_engine_matches_interval_engine(literal, n):
+    assume(Fraction(literal) > 1)
+    assert _expand_decimal(literal, n) == interval_expansion(literal, n)
+    assert beta_expand(beta_decimal(literal), n).status == "truncated"
+
+
+def test_decimal_integer_and_trailing_zeros():
+    exp = beta_expand(beta_decimal("3"), 5)
+    assert exp.digits == (3, 0, 0, 0, 0)
+    assert exp.status == "truncated"
+    assert (beta_expand(beta_decimal("2.50"), 40).digits
+            == beta_expand(beta_decimal("2.5"), 40).digits)
+
+
+def test_long_decimal_expansion_is_greedy():
+    beta = Fraction("1.8")
+    digits = beta_expand(beta_decimal("1.8"), 3000).digits
+    assert len(digits) == 3000
+    x = Fraction(1)
+    for d in digits:
+        y = beta * x
+        assert d <= y < d + 1
+        x = y - d
 
 
 def test_truncated_stream_cannot_close():

@@ -524,18 +524,23 @@ def test_decompose_average_honours_cap(capsys, write):
 
 
 def test_commands_run_without_numpy_and_mpmath(tmp_path):
-    # numpy is no runtime dependency, and mpmath serves decimal beta
-    # literals only: a poisoned import of either must not be reached
+    # the runtime needs only the standard library, decimal beta literals
+    # included: a poisoned import of numpy or mpmath must not be reached
     golden = tmp_path / "golden.json"
     golden.write_text(json.dumps(GOLDEN_DOC))
     flip = tmp_path / "flip.json"
     flip.write_text(json.dumps(FLIP_CODE))
+    decimal = tmp_path / "decimal.json"
+    decimal.write_text(json.dumps({"kind": "beta", "beta": "1.8"}))
     argvs = [["entropy", str(golden)],
              ["parry", str(golden), "--depth", "2"],
              ["nu", str(golden), "--exact", "--period", "12", "--compare-parry"],
              ["decompose", str(golden), "--code", str(flip),
               "--average-cutoff", "6"],
-             ["beta", "expand", GOLDEN_BETA]]
+             ["beta", "expand", GOLDEN_BETA],
+             ["beta", "expand", "2.8437", "--digits", "48"],
+             ["beta", "lsdiag", "1.8", "--horizon", "24"],
+             ["mfw", str(decimal)]]
     script = (
         "import json, sys\n"
         "sys.modules['numpy'] = None\n"

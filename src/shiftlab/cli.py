@@ -21,7 +21,8 @@ from .beta import (beta_expand, beta_ls_diagnostic, beta_oracle,
                    beta_presentation, example_betashift, parse_beta_spec)
 from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
     speedup_gap_compare
-from .errors import NotAnAutomorphismError, ShiftlabError, UnsupportedSpecError
+from .errors import EnumerationCapError, NotAnAutomorphismError, ShiftlabError, \
+    UnsupportedSpecError
 from .forbidden import ls_report, minimal_forbidden, tau_eval, \
     well_approx_check
 from .language import complexity, format_word, special_words
@@ -32,6 +33,10 @@ from .shifts import (load_shift_document, parse_block_code, periodic_census,
                      periodic_measure, realize, shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
     language_equal_up_to, sofic_entropy, theorem1_diagnostic
+
+
+# `lang` and `special` list words; past this many words they refuse.
+WORD_LIMIT = 10 ** 6
 
 
 def _evidence(horizon):
@@ -81,6 +86,14 @@ def _require(realized, attr, what):
     return value
 
 
+def _check_word_count(oracle, n):
+    """Refuse before listing the words of length n if there are too many."""
+    count = complexity(oracle, n)[n]
+    if count > WORD_LIMIT:
+        raise EnumerationCapError("%d words of length %d exceed the limit %d"
+                                  % (count, n, WORD_LIMIT))
+
+
 def _block_graph(realized, what):
     if realized.spec is None:
         raise UnsupportedSpecError(
@@ -102,6 +115,7 @@ def _load_code(path, alphabet):
 
 def cmd_lang(args):
     realized = _load(args)
+    _check_word_count(realized.oracle, args.length)
     words = realized.oracle.words_of_length(args.length)
     return {
         "kind": realized.document.kind,
@@ -124,6 +138,7 @@ def cmd_complexity(args):
 
 def cmd_special(args):
     realized = _load(args)
+    _check_word_count(realized.oracle, args.length + 1)
     report = special_words(realized.oracle, args.length)
     return {
         "horizon": realized.horizon,

@@ -23,7 +23,7 @@ from .errors import (HorizonExceededError, InfeasibleSetError,
                      UnsupportedSpecError)
 from .forbidden import ls_report, minimal_forbidden
 from .language import (Alphabet, LanguageOracle, complexity, format_word,
-                       special_words, stepping_oracle, subwords)
+                       stepping_oracle, subwords)
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,41 @@ def cassaigne_profile(oracle, n_max):
 
 
 def bispecial_lengths(oracle, n_max):
-    """Lengths up to n_max carrying at least one bispecial word."""
+    """Lengths up to n_max carrying at least one bispecial word.
+
+    A word w is walked as its state and the states of its left
+    extensions aw, so w is left special when two of those are alive and
+    right special when two letters step its own state.  A word with one
+    left extension has no left-special right extension, so the walk
+    keeps only left-special words, each combined state once.
+    """
     oracle.check_horizon(n_max + 1)
+    if oracle.start is None or n_max < 0:
+        return ()
+    step, letters = oracle.step, oracle.alphabet.symbols
+
+    def left_special(lefts):
+        return sum(q is not None for q in lefts) >= 2
+
+    start = (oracle.start, tuple(step(oracle.start, a) for a in letters))
+    level = {start} if left_special(start[1]) else set()
     out = []
     for n in range(n_max + 1):
-        if special_words(oracle, n).bispecial:
+        if any(sum(step(state, c) is not None for c in letters) >= 2
+               for state, _ in level):
             out.append(n)
+        if n == n_max:
+            break
+        after = set()
+        for state, lefts in level:
+            for c in letters:
+                nxt = step(state, c)
+                if nxt is None:
+                    continue
+                grown = tuple(None if q is None else step(q, c) for q in lefts)
+                if left_special(grown):
+                    after.add((nxt, grown))
+        level = after
     return tuple(out)
 
 

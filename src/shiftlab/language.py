@@ -11,9 +11,10 @@ A :class:`LanguageOracle` is the universal handle on a shift's language:
 the alphabet and a state machine (``start``, ``step``) that reads words
 one letter at a time, exact up to a declared horizon.  Membership is
 the fold of ``step`` from ``start``, and enumeration extends each word's
-state instead of rescanning the word.  Every operation that consumes an
-oracle checks the horizon and refuses to answer beyond it rather than
-silently degrading.
+state instead of rescanning the word.  Words that end in the same state
+have the same extensions, so :func:`complexity` counts words per state
+and lists none.  Every operation that consumes an oracle checks the
+horizon and refuses to answer beyond it rather than silently degrading.
 """
 
 from dataclasses import dataclass, field
@@ -242,10 +243,26 @@ def complexity(oracle, n_max):
     """Complexity profile [p(0), p(1), ..., p(n_max)].
 
     p(0) is 1 for a nonempty shift (the empty word) and 0 for the empty
-    shift.
+    shift.  Words that end in the same state have the same extensions,
+    so each level is a count of words per state, stepped letter by
+    letter, and p(n) is the level's total; no word is built.
     """
     oracle.check_horizon(n_max)
-    return [len(oracle.words_of_length(n)) for n in range(n_max + 1)]
+    if oracle.start is None:
+        return [0] * (n_max + 1)
+    step, letters = oracle.step, oracle.alphabet.symbols
+    level = {oracle.start: 1}
+    counts = [1]
+    for _ in range(n_max):
+        after = {}
+        for state, count in level.items():
+            for a in letters:
+                nxt = step(state, a)
+                if nxt is not None:
+                    after[nxt] = after.get(nxt, 0) + count
+        level = after
+        counts.append(sum(level.values()))
+    return counts
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,22 @@ def test_special(capsys, write):
     assert report["left_special"] == ["0"]
     assert report["right_special"] == ["0"]
     assert report["bispecial"] == ["0"]
+
+
+@pytest.mark.parametrize("argv, n, count", [
+    (["lang", "--length", "2"], 2, 9003001),
+    (["special", "--length", "1"], 2, 9003001),
+])
+def test_word_listing_refused_past_the_limit(capsys, write, argv, n, count):
+    # beta 3000 has 3,001 digits, so 9,003,001 words of length 2: they are
+    # counted on oracle states and refused before any is listed
+    doc = write("b.json", {"kind": "beta", "beta": "3000"})
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv[:1] + [doc] + argv[1:])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 1 and out == ""
+    assert err.strip() == ("error: %d words of length %d exceed the limit %d"
+                           % (count, n, cli.WORD_LIMIT))
 
 
 def test_mfw(capsys, write):

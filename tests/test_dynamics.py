@@ -9,8 +9,10 @@ from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError,
                       NonGrowingSubstitutionError, ReturnTimeCapError,
                       Substitution, UnsupportedSpecError, bispecial_lengths,
                       build_block_graph, cassaigne_profile, complexity,
-                      induce_recode, induced_data, ls_report, minimal_forbidden,
-                      sft_oracle, speedup_gap_compare, subst_oracle)
+                      induce_recode, induced_data, ls_report,
+                      make_labeled_graph, minimal_forbidden, sft_oracle,
+                      sofic_oracle, special_words, speedup_gap_compare,
+                      subst_oracle)
 from shiftlab.dynamics import _factor_levels
 
 
@@ -51,6 +53,40 @@ def test_fib_cassaigne_profile(fib):
 
 def test_fib_bispecial_lengths(fib):
     assert bispecial_lengths(subst_oracle(fib, 7), 6) == (0, 1, 3, 6)
+
+
+def enumerated_bispecial_lengths(oracle, n_max):
+    """The reference for bispecial_lengths: the lengths up to n_max whose
+    enumerated special words include a bispecial one."""
+    oracle.check_horizon(n_max + 1)
+    return tuple(n for n in range(n_max + 1)
+                 if special_words(oracle, n).bispecial)
+
+
+def test_bispecial_lengths_horizon_and_empty_language(fib):
+    oracle = subst_oracle(fib, 7)
+    with pytest.raises(HorizonExceededError):
+        bispecial_lengths(oracle, 7)
+    assert bispecial_lengths(sofic_oracle(make_labeled_graph(
+        Alphabet(("0",)), ("s",), ()), 4), 3) == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.text(alphabet="01", min_size=1, max_size=4), max_size=4),
+       st.integers(1, 4).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("012"),
+                             st.integers(0, n - 1))))))
+def test_bispecial_lengths_match_enumeration_sft_sofic(forbidden, graph):
+    alph = Alphabet(("0", "1"))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    block = build_block_graph(spec)
+    assert (bispecial_lengths(sft_oracle(block, 8), 7)
+            == enumerated_bispecial_lengths(sft_oracle(block, 8), 7))
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1", "2")), tuple(range(n)), edges)
+    assert (bispecial_lengths(sofic_oracle(g, 8), 7)
+            == enumerated_bispecial_lengths(sofic_oracle(g, 8), 7))
 
 
 def test_fib_mfw_lengths_are_fibonacci(fib):
@@ -211,6 +247,10 @@ def test_induced_oracle_matches_realization_search(realized_superwords, forbidde
     for n in range(5):
         got = {tuple(by_symbol[s] for s in w) for w in induced.words_of_length(n)}
         assert got == {w for w in realized if len(w) == n}
+    levels = [{w for w in realized if len(w) == n} for n in range(5)]
+    assert complexity(induce_recode(spec, 4), 4) == [len(l) for l in levels]
+    assert (bispecial_lengths(induce_recode(spec, 4), 3)
+            == enumerated_bispecial_lengths(induce_recode(spec, 4), 3))
     fresh = induce_recode(spec, 4)
     for probe in probes:
         word = tuple(symbols[i % len(symbols)] for i in probe)
@@ -280,6 +320,8 @@ def test_factor_levels_match_iterates(draw, h):
         return
     levels = _factor_levels(tau, h)
     assert len(levels) == h + 1
+    assert (bispecial_lengths(subst_oracle(tau, h + 1), h)
+            == enumerated_bispecial_lengths(subst_oracle(tau, h + 1), h))
     iterates = _iterates(tau)
     early = [tuple(u) for u in iterates if len(u) <= 64]
     for n, level in enumerate(levels):
@@ -340,5 +382,7 @@ def test_subst_oracle_matches_subst_language(draw):
         return
     oracle = subst_oracle(tau, 6)
     key = tau.alphabet.key
-    for n, level in enumerate(_brute_levels(tau, 6)):
+    levels = _brute_levels(tau, 6)
+    assert complexity(subst_oracle(tau, 6), 6) == [len(l) for l in levels]
+    for n, level in enumerate(levels):
         assert list(oracle.words_of_length(n)) == sorted(level, key=key)

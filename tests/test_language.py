@@ -8,7 +8,7 @@ from shiftlab import (Alphabet, AlphabetMismatchError, DigitStream,
                       FiniteTypeSpec, HorizonExceededError, beta_oracle,
                       build_block_graph, complexity, format_word,
                       make_labeled_graph, minimal_forbidden, sft_oracle,
-                      sofic_oracle, special_words, subwords)
+                      sofic_oracle, special_words, stepping_oracle, subwords)
 
 
 def test_alphabet_basics(alph2):
@@ -49,6 +49,13 @@ def test_golden_complexity_is_fibonacci(golden_oracle):
     assert p == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
 
 
+def test_complexity_of_the_empty_language_is_zero(alph2):
+    empty = FiniteTypeSpec(alph2, frozenset([("0",), ("1",)]))
+    assert complexity(sft_oracle(build_block_graph(empty), 5), 5) == [0] * 6
+    none = stepping_oracle(alph2, None, lambda state, a: state, 4)
+    assert complexity(none, 4) == [0] * 5
+
+
 def test_words_sorted_and_factorial(golden_oracle):
     words = golden_oracle.words_of_length(5)
     assert words == tuple(sorted(words, key=golden_oracle.alphabet.key))
@@ -62,6 +69,8 @@ def test_oracle_horizon_guard(golden_oracle):
         golden_oracle.contains(("0",) * 21)
     with pytest.raises(HorizonExceededError):
         golden_oracle.words_of_length(25)
+    with pytest.raises(HorizonExceededError):
+        complexity(golden_oracle, golden_oracle.max_reliable_length + 1)
 
 
 def test_special_words_golden(golden_oracle):
@@ -140,10 +149,13 @@ def _beta_language(digits):
 
 def _check_oracle(oracle, fresh, allowed, probes, n_max=8):
     symbols = oracle.alphabet.symbols
+    counted = complexity(fresh, n_max)
+    assert fresh._cache == {}
     mfw = {}
     for n in range(n_max + 1):
         words = tuple(w for w in product(symbols, repeat=n) if allowed(w))
         assert oracle.words_of_length(n) == words
+        assert counted[n] == len(words)
         found = tuple(w for w in product(symbols, repeat=n)
                       if n >= 1 and not allowed(w)
                       and (n == 1 or (allowed(w[1:]) and allowed(w[:-1]))))
@@ -171,8 +183,8 @@ _PROBES = st.lists(st.lists(st.integers(0, 2), max_size=8), max_size=20)
 @example({"0"}, (2, {(0, "1", 1), (1, "1", 0)}), (1, [0, 1, 1, 0, 0, 0, 0, 0]), [])
 def test_stepping_oracles_match_brute_force_random(forbidden, graph, stream,
                                                    probes):
-    # words_of_length, minimal_forbidden and contains, read off each
-    # backend's start/step, agree with definitions on raw data
+    # words_of_length, complexity, minimal_forbidden and contains, read off
+    # each backend's start/step, agree with definitions on raw data
     alph = Alphabet(("0", "1"))
     spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
     block = build_block_graph(spec)

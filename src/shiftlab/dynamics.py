@@ -4,8 +4,10 @@ The substitution language is the set of subwords of iterates of the seed
 letter (the one-sided closure the worked examples use), not the minimal
 two-sided substitutive system; the two differ for non-primitive rules
 and the examples here are deliberately non-primitive.  It is computed
-exactly, level by level, by ``_factor_levels``; the oracle builds the
-levels on demand as the words it steps grow.
+exactly, level by level, by ``_coded_levels``, on words coded as strings
+of one character per letter (``_coding``); the oracle's state is the
+coded word, and it builds the levels on demand as the words it steps
+grow.
 
 Induced and sped-up systems are recoded over a superalphabet of
 (2N+1)-windows.  A superword is allowed when some base word realizes it:
@@ -23,7 +25,7 @@ from .errors import (HorizonExceededError, InfeasibleSetError,
                      UnsupportedSpecError)
 from .forbidden import ls_report, minimal_forbidden
 from .language import (Alphabet, LanguageOracle, complexity, format_word,
-                       stepping_oracle, subwords)
+                       stepping_oracle)
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,6 @@ class Substitution:
     @property
     def alphabet(self):
         return Alphabet(tuple(sorted(self.rules)))
-
-    def apply(self, word):
-        out = []
-        for a in word:
-            out.extend(self.rules[a])
-        return tuple(out)
 
     def _grows(self):
         # reachable letters from the seed
@@ -102,8 +98,22 @@ class Substitution:
         return any(len(self.rules[a]) >= 2 for a in recurring)
 
 
-def _factor_levels(tau, h):
-    """``levels[n]``: the length-n subwords of the iterates of the seed, n <= h.
+def _coding(tau):
+    """One character per letter, ``chr`` of its index in the alphabet,
+    and the rules as one ``str.translate`` table on that coding.
+
+    Code points follow the alphabet's order, so coded words of one
+    length sort as the words do.
+    """
+    code = {a: chr(i) for i, a in enumerate(tau.alphabet.symbols)}
+    table = {ord(code[a]): "".join(code[b] for b in image)
+             for a, image in tau.rules.items()}
+    return code, table
+
+
+def _coded_levels(tau, h):
+    """``levels[n]``: the length-n subwords of the iterates of the seed,
+    n <= h, as coded strings (see ``_coding``).
 
     Once |u| >= h, the length-h subwords of tau(u) are those of tau(v)
     over the length-h subwords v of u: h letters of tau(u) lie in the
@@ -113,15 +123,18 @@ def _factor_levels(tau, h):
     a longer word begins or ends one of length n+1, so each lower level
     is read off the level above, plus the iterates of exactly length n.
     """
+    code, table = _coding(tau)
     short = {}
-    word = (tau.seed,)
+    word = code[tau.seed]
     while len(word) < h:
         short.setdefault(len(word), set()).add(word)
-        word = tau.apply(word)
-    top = subwords(word, h)
+        word = word.translate(table)
+    top = {word[i:i + h] for i in range(len(word) - h + 1)}
     todo = list(top)
     while todo:
-        for w in subwords(tau.apply(todo.pop()), h):
+        image = todo.pop().translate(table)
+        for i in range(len(image) - h + 1):
+            w = image[i:i + h]
             if w not in top:
                 top.add(w)
                 todo.append(w)
@@ -134,24 +147,33 @@ def _factor_levels(tau, h):
     return levels
 
 
+def _factor_levels(tau, h):
+    """``_coded_levels`` decoded to words, tuples of letters."""
+    symbols = tau.alphabet.symbols
+    return [{tuple(symbols[ord(c)] for c in w) for w in level}
+            for level in _coded_levels(tau, h)]
+
+
 def subst_oracle(tau, horizon):
     """Language oracle of the substitution system, exact to the horizon.
 
-    The state is the word read so far.  When a step outgrows the factor
-    levels built so far, they are rebuilt to twice their length, capped
-    at the horizon but never short of the step, so the cost follows the
-    lengths stepped, not the horizon.
+    The state is the coded word read so far (see ``_coding``), a string,
+    which caches its hash for the step memo.  When a step outgrows
+    the factor levels built so far, they are rebuilt to twice their
+    length, capped at the horizon but never short of the step, so the
+    cost follows the lengths stepped, not the horizon.
     """
+    code, _ = _coding(tau)
     levels = []
 
     def step(word, letter):
-        longer = word + (letter,)
+        longer = word + code[letter]
         n = len(longer)
         if n >= len(levels):
-            levels[:] = _factor_levels(tau, max(n, min(horizon, 2 * len(levels))))
+            levels[:] = _coded_levels(tau, max(n, min(horizon, 2 * len(levels))))
         return longer if longer in levels[n] else None
 
-    return stepping_oracle(tau.alphabet, (), step, horizon)
+    return stepping_oracle(tau.alphabet, "", step, horizon)
 
 
 @dataclass(frozen=True)

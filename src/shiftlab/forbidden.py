@@ -14,7 +14,7 @@ Restivo ("Automata and forbidden words", IPL 67, 1998), and spells words
 only from the pairs that witness one, so its cost follows the pair space
 and the output.  Survivor sets and tied-length tuples keep that space
 small for finite-type, sofic and beta oracles.  A substitution oracle's
-state is the word read so far, so there the walk pays about what
+state is the coded word read so far, so there the walk pays about what
 enumeration would, and so does an induced oracle over such a base.
 """
 

@@ -164,7 +164,8 @@ def sofic_oracle(g, horizon):
 def determinize(g):
     """Deterministic presentation of the same sofic shift.
 
-    Subset construction seeded with the full state set, then pruned.
+    Subset construction seeded with the full state set, then pruned on
+    the table's ids: the same in/out fixpoint as ``prune_labeled``.
     States are renumbered 0..k-1 in discovery order, so the output is
     canonical for a given input.
     """
@@ -172,15 +173,21 @@ def determinize(g):
     if g.is_empty:
         return LabeledGraph(g.alphabet, (), {})
     table = SubsetTable(g)
-    ids = table.close()
-    # a fresh table discovers its sets breadth first: set i is state i - 1
-    edges = [(i - 1, a, j - 1) for i in ids
-             for a, j in zip(table.letters, table.row(i)) if j]
-    det = prune_labeled(make_labeled_graph(g.alphabet, tuple(range(len(ids))), edges))
-    # renumber compactly after pruning
-    relabel = {s: i for i, s in enumerate(det.states)}
-    edges = [(relabel[s], a, relabel[t]) for s, a, t in det.edge_list()]
-    return make_labeled_graph(g.alphabet, tuple(range(len(det.states))), edges)
+    alive = set(table.close())
+    while True:
+        has_out = {i for i in alive if any(j in alive for j in table.row(i))}
+        has_in = {j for i in has_out for j in table.row(i) if j in alive}
+        keep = has_out & has_in
+        if keep == alive:
+            break
+        alive = keep
+    # a fresh table discovers its sets breadth first, in id order
+    kept = sorted(alive)
+    state = {i: k for k, i in enumerate(kept)}
+    trans = {state[i]: {a: (state[j],) for a, j in zip(table.letters, table.row(i))
+                        if j in alive}
+             for i in kept}
+    return LabeledGraph(g.alphabet, tuple(range(len(kept))), trans)
 
 
 def language_equal_up_to(g1, g2, n):

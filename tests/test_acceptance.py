@@ -343,7 +343,10 @@ def test_criterion_11_doubling_substitution_ls(doubling_ls):
 
 def test_criterion_11_regression_doubling_table(doubling_ls):
     # computed truth, frozen: 0 1^m 0 is minimal forbidden exactly when
-    # m is not a power of two, plus 00 at length 2; nothing else appears
+    # m is not a power of two (00 is m = 0).  Other words appear too:
+    # 01010 and 11011 at length 5, and one pair at each of lengths 9 and
+    # 18, where the pair is the only one (16 is a power of two); horizon
+    # 130 adds pairs at 38 and 82
     oracle, report = doubling_ls
     assert report.ls_set == (2, 5, 7, 8, 9) + tuple(range(11, 21))
     assert report.window_densities[8] == 0.5

@@ -344,6 +344,20 @@ def test_subst_oracle_slow_stabilizer():
     assert words == SLOW_STABILIZER_10
 
 
+def test_fibonacci_ls_set_at_horizon_150(fib):
+    report = ls_report(minimal_forbidden(subst_oracle(fib, 151), 150))
+    assert report.ls_set == (2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
+
+
+def test_doubling_runs_at_horizon_64(run_doubler):
+    # criterion 11's pattern, far past the acceptance horizon of 20
+    table = minimal_forbidden(subst_oracle(run_doubler, 64), 64).by_length
+    powers = {1, 2, 4, 8, 16, 32}
+    for m in range(63):
+        word = ("0",) + ("1",) * m + ("0",)
+        assert (word in table.get(m + 2, ())) == (m not in powers)
+
+
 def test_subst_oracle_cost_follows_the_length_stepped(fib):
     # a horizon of 10^6 must not build the levels out to 10^6
     words = subst_oracle(fib, 10 ** 6).words_of_length(4)
@@ -386,3 +400,35 @@ def test_subst_oracle_matches_subst_language(draw):
     assert complexity(subst_oracle(tau, 6), 6) == [len(l) for l in levels]
     for n, level in enumerate(levels):
         assert list(oracle.words_of_length(n)) == sorted(level, key=key)
+
+
+# Renamed letters share first characters and reorder the alphabet
+# ("xa" < "xy" < "y"), so a coding that reads one character per symbol,
+# or sorts by the old names, gives different words.
+RENAMED = {"a": "xa", "b": "y", "c": "xy"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=SUBSTITUTION_DRAWS, h=st.integers(0, 6))
+def test_subst_oracle_on_multi_character_symbols(draw, h):
+    tau = _substitution(draw)
+    if tau is None:
+        return
+    renamed = Substitution(
+        {RENAMED[a]: tuple(RENAMED[b] for b in w) for a, w in tau.rules.items()},
+        RENAMED[tau.seed])
+    back = {v: k for k, v in RENAMED.items()}
+
+    def restore(word):
+        return tuple(back[s] for s in word)
+
+    plain, coded = subst_oracle(tau, h + 1), subst_oracle(renamed, h + 1)
+    for n in range(h + 1):
+        words = coded.words_of_length(n)
+        assert list(words) == sorted(words, key=renamed.alphabet.key)
+        assert {restore(w) for w in words} == set(plain.words_of_length(n))
+    got = minimal_forbidden(coded, h).by_length
+    want = minimal_forbidden(plain, h).by_length
+    assert {n: {restore(w) for w in ws} for n, ws in got.items()} == {
+        n: set(ws) for n, ws in want.items()}
+    assert bispecial_lengths(coded, h) == bispecial_lengths(plain, h)

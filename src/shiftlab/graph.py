@@ -5,7 +5,9 @@ A state set is a frozenset; reading a letter from a state set gives the
 survivor set of its successors, which is how both the SFT and the sofic
 layers read words.  ``SubsetTable`` interns the survivor sets of one
 presentation as ints, with one row of successor ids per set, and
-determinization and the pair-space walks read that table.
+determinization and the pair-space walks read that table.  A graph is
+pruned once: ``prune_labeled`` keeps its result on the graph and marks
+the result as pruned, so later prunes of either cost nothing.
 """
 
 from dataclasses import dataclass, replace
@@ -114,39 +116,65 @@ def prune_labeled(g):
     iterating to a fixpoint.
 
     State order and the graph's type (with any extra fields) are kept.
+    A graph is pruned once: the result is stored on ``g``, as a cached
+    property would be, and marked as its own pruned form, so pruning the
+    same graph or a pruned one again returns the stored graph at once.
+    A copy made with ``dataclasses.replace`` starts without it.
     """
-    alive = set(g.states)
-    while True:
-        has_out = {s for s in alive
-                   if any(t in alive for ts in g.transitions.get(s, {}).values() for t in ts)}
-        has_in = set()
-        for s in has_out:
-            for ts in g.transitions.get(s, {}).values():
-                for t in ts:
-                    if t in alive:
-                        has_in.add(t)
-        keep = has_out & has_in
-        if keep == alive:
-            break
-        alive = keep
+    pruned = g.__dict__.get("_pruned")
+    if pruned is not None:
+        return g if pruned is True else pruned
+    transitions = g.transitions
+    alive = _essential(g.states, lambda s: transitions.get(s, {}).values())
     states = tuple(s for s in g.states if s in alive)
     index = {s: i for i, s in enumerate(states)}
     trans = {}
     for s in states:
         row = {}
-        for a, ts in g.transitions.get(s, {}).items():
-            kept = tuple(sorted((t for t in ts if t in alive), key=index.__getitem__))
+        for a, ts in transitions.get(s, {}).items():
+            kept = tuple(t for t in ts if t in alive)
+            if len(kept) > 1:
+                kept = tuple(sorted(kept, key=index.__getitem__))
             if kept:
                 row[a] = kept
         if row:
             trans[s] = row
-    return replace(g, states=states, transitions=trans)
+    g.__dict__["_pruned"] = out = _mark_pruned(replace(g, states=states, transitions=trans))
+    return out
+
+
+def _essential(nodes, rows):
+    """The nodes with both an in- and an out-edge, iterating to a fixpoint:
+    the states ``prune_labeled`` keeps.  ``rows(u)`` lists u's successors
+    as tuples (one per letter, say); successors outside ``nodes`` do not
+    count."""
+    alive = set(nodes)
+    while True:
+        has_out, has_in = set(), set()
+        for u in alive:
+            targets = [v for vs in rows(u) for v in vs if v in alive]
+            if targets:
+                has_out.add(u)
+                has_in.update(targets)
+        keep = has_out & has_in
+        if keep == alive:
+            return alive
+        alive = keep
+
+
+def _mark_pruned(g):
+    """Record that ``g`` is already pruned, so ``prune_labeled`` returns it
+    as it is; the mark is ``True`` rather than ``g`` to keep ``g`` out of
+    a reference cycle.  Returns ``g``."""
+    g.__dict__["_pruned"] = True
+    return g
 
 
 def _subset_step(g, states, letter):
     out = set()
+    transitions = g.transitions
     for s in states:
-        out.update(g.successors(s, letter))
+        out.update(transitions.get(s, {}).get(letter, ()))
     return frozenset(out)
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EnumerationCapError, UndefinedEntropyError)
-from .graph import LabeledGraph, _survivor_oracle, prune_labeled
+from .graph import (LabeledGraph, _mark_pruned, _survivor_oracle,
+                    prune_labeled)
 from .language import EMPTY_WORD, Alphabet
 from .spectral import (int_matmul, int_trace, spectral_radius_certified,
                        strongly_connected_components)
@@ -69,22 +70,28 @@ class BlockGraph(LabeledGraph):
 
 
 def build_block_graph(spec):
-    """Block presentation of an SFT, read off its language.
-
-    The states are the allowed (f-1)-words and each allowed f-word ua is
-    an edge u --a--> (ua)[1:].  The oracle over ``finite_type_presentation``
-    reads the language exactly and every allowed word extends both ways,
-    so nothing needs pruning.
-    """
+    """Block presentation of an SFT, read off ``finite_type_presentation``
+    by ``block_graph_of``."""
     from .sofic import finite_type_presentation  # deferred: sofic imports this module
-    f = spec.memory
-    oracle = _survivor_oracle(finite_type_presentation(spec), f)
+    return block_graph_of(finite_type_presentation(spec), spec.memory)
+
+
+def block_graph_of(presentation, memory):
+    """Memory-``memory`` block graph of the SFT a pruned presentation
+    presents, read off its language.
+
+    The states are the allowed (memory-1)-words and each allowed
+    memory-word ua is an edge u --a--> (ua)[1:].  The oracle over the
+    presentation reads the language exactly and every allowed word
+    extends both ways, so the result is already pruned.
+    """
+    oracle = _survivor_oracle(presentation, memory)
     rows = {}
-    for w in oracle.words_of_length(f):
+    for w in oracle.words_of_length(memory):
         rows.setdefault(w[:-1], {})[w[-1]] = (w[1:],)
-    states = tuple(sorted(oracle.words_of_length(f - 1)))
-    return BlockGraph(spec.alphabet, states, {u: rows[u] for u in states},
-                      memory=f)
+    states = tuple(sorted(oracle.words_of_length(memory - 1)))
+    return _mark_pruned(BlockGraph(presentation.alphabet, states,
+                                   {u: rows[u] for u in states}, memory=memory))
 
 
 def sft_oracle(graph, horizon):

@@ -23,7 +23,7 @@ from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
 from .measures import nu_cylinder_measure, nu_measure, pushforward
-from .sft import (DEFAULT_CAP, FiniteTypeSpec, build_block_graph,
+from .sft import (DEFAULT_CAP, FiniteTypeSpec, block_graph_of,
                   periodic_counts)
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
                     sofic_entropy, sofic_oracle)
@@ -201,7 +201,7 @@ class RealizedShift:
             if self.spec is None:
                 raise UnsupportedSpecError(
                     "kind %r has no finite-type data" % (self.document.kind,))
-            self._graph = build_block_graph(self.spec)
+            self._graph = block_graph_of(self.labeled, self.spec.memory)
         return self._graph
 
 
@@ -210,9 +210,14 @@ def _parse_word(alphabet, item):
 
 
 def _realize_finite_type(doc, horizon):
-    alphabet = Alphabet(tuple(doc.payload["alphabet"]))
-    words = frozenset(_parse_word(alphabet, w) for w in doc.payload["forbidden"])
-    spec = FiniteTypeSpec(alphabet, words)
+    """Both finite-type kinds: the spec, its presentation (already pruned),
+    and the oracle over that presentation."""
+    if doc.kind == "example-nonempty":
+        spec = example_nonempty_shift(doc.payload["lengths"])
+    else:
+        alphabet = Alphabet(tuple(doc.payload["alphabet"]))
+        words = frozenset(_parse_word(alphabet, w) for w in doc.payload["forbidden"])
+        spec = FiniteTypeSpec(alphabet, words)
     labeled = finite_type_presentation(spec)
     return RealizedShift(doc, horizon, sofic_oracle(labeled, horizon),
                          spec=spec, labeled=labeled)
@@ -273,13 +278,6 @@ def _realize_induced(doc, horizon):
     return RealizedShift(doc, horizon, oracle, induced_spec=spec, base=base)
 
 
-def _realize_example_nonempty(doc, horizon):
-    spec = example_nonempty_shift(doc.payload["lengths"])
-    labeled = finite_type_presentation(spec)
-    return RealizedShift(doc, horizon, sofic_oracle(labeled, horizon),
-                         spec=spec, labeled=labeled)
-
-
 def _realize_example_betashift(doc, horizon):
     stream = example_betashift(doc.payload["mode"], doc.payload["steps"])
     horizon = min(horizon, stream.known_length)
@@ -293,7 +291,7 @@ _REALIZERS = {
     "beta": _realize_beta,
     "substitution": _realize_substitution,
     "induced": _realize_induced,
-    "example-nonempty": _realize_example_nonempty,
+    "example-nonempty": _realize_finite_type,
     "example-betashift": _realize_example_betashift,
 }
 

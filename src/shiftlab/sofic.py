@@ -5,7 +5,10 @@ A sofic shift is the set of bi-infinite label sequences of paths in a
 finite labeled graph, equivalently the image of an SFT under a sliding
 block code.  Everything here works with pruned presentations (every
 state on a bi-infinite path), so a word is in the shift's language
-exactly when it labels some finite path.
+exactly when it labels some finite path.  A pruned graph is marked as
+such (see ``graph.prune_labeled``), so the functions here prune their
+input without paying for it twice.  The presentation of an SFT is the
+Aho-Corasick automaton of its forbidden words, built in one pass.
 
 The finite-type decision uses the m-step transitivity criterion: the
 shift equals its memory-m approximation iff for every word w of length m
@@ -21,8 +24,8 @@ import math
 
 from .errors import (AlphabetMismatchError, EnumerationCapError,
                      UndefinedEntropyError)
-from .graph import (LabeledGraph, SubsetTable, _survivor_oracle,
-                    make_labeled_graph, prune_labeled)
+from .graph import (LabeledGraph, SubsetTable, _essential, _mark_pruned,
+                    _survivor_oracle, make_labeled_graph, prune_labeled)
 from .language import EMPTY_WORD, Alphabet
 from .sft import DEFAULT_CAP, _minimal_period
 from .spectral import spectral_radius_certified
@@ -93,40 +96,55 @@ def compose_codes(outer, inner):
 def finite_type_presentation(spec):
     """Right-resolving presentation of an SFT from its forbidden words.
 
-    States are the proper prefixes of the forbidden words (with the
-    usual longest-suffix transitions), so the size is linear in the
-    total forbidden length where the block presentation is exponential
-    in the memory.  Pruned, so the presented language is the shift's.
+    States are the empty word and the proper prefixes of forbidden words
+    with no forbidden factor; u --a--> the longest suffix of ua that is a
+    state, with no edge when a suffix of ua is forbidden.  Pruned, so the
+    presented language is the shift's.
+
+    This is the Aho-Corasick automaton of the words (Crochemore, Mignosi
+    and Restivo 1998), built in one breadth-first pass over their trie:
+    ``goto[u][a]``, the longest suffix of ua in the trie, is ua or is read
+    off u's failure node, and a node is dead when it is forbidden or its
+    failure node is dead.  Linear in the total forbidden length times the
+    alphabet, besides spelling the states.
     """
-    words = sorted(tuple(w) for w in spec.forbidden)
-    for w in words:
-        spec.alphabet.check_word(w)
-        if not w:
-            return LabeledGraph(spec.alphabet, (), {})
-    wset = set(words)
-
-    def clean(u):
-        return not any(u[i:j] in wset
-                       for i in range(len(u)) for j in range(i + 1, len(u) + 1))
-
-    states = {()}
-    for w in words:
-        for k in range(1, len(w)):
-            if clean(w[:k]):
-                states.add(w[:k])
-    order = sorted(states)
-    sset = set(order)
-    edges = []
-    for u in order:
-        for a in spec.alphabet:
-            v = u + (a,)
-            if any(v[i:] in wset for i in range(len(v))):
-                continue
-            for i in range(len(v) + 1):
-                if v[i:] in sset:
-                    edges.append((u, a, v[i:]))
-                    break
-    return prune_labeled(make_labeled_graph(spec.alphabet, tuple(order), edges))
+    letters = spec.alphabet.symbols
+    # the trie, one entry per node; node 0 is the empty word
+    children, names, dead = [{}], [()], [False]
+    for w in spec.forbidden:
+        node = 0
+        for k, a in enumerate(w):
+            child = children[node].get(a)
+            if child is None:
+                child = children[node][a] = len(names)
+                children.append({})
+                names.append(w[:k + 1])
+                dead.append(False)
+            node = child
+        dead[node] = True
+    if dead[0]:
+        return _mark_pruned(LabeledGraph(spec.alphabet, (), {}))
+    # breadth first over the live nodes; what lies below a dead node
+    # contains a forbidden word and is never visited
+    fail = [0] * len(names)
+    goto = {}
+    live = [0]
+    for u in live:
+        back = goto[fail[u]] if u else [0] * len(letters)
+        goto[u] = [children[u].get(a, v) for a, v in zip(letters, back)]
+        for a, v in zip(letters, back):
+            child = children[u].get(a)
+            if child is not None:
+                fail[child] = v
+                dead[child] = dead[child] or dead[v]
+                if not dead[child]:
+                    live.append(child)
+    # pruned on node ids; dead nodes are not live and do not count
+    alive = _essential(live, lambda u: (goto[u],))
+    kept = sorted(alive, key=names.__getitem__)
+    trans = {names[u]: {a: (names[v],) for a, v in zip(letters, goto[u]) if v in alive}
+             for u in kept}
+    return _mark_pruned(LabeledGraph(spec.alphabet, tuple(names[u] for u in kept), trans))
 
 
 def apply_block_code(graph, code):
@@ -165,29 +183,23 @@ def determinize(g):
     """Deterministic presentation of the same sofic shift.
 
     Subset construction seeded with the full state set, then pruned on
-    the table's ids: the same in/out fixpoint as ``prune_labeled``.
-    States are renumbered 0..k-1 in discovery order, so the output is
-    canonical for a given input.
+    the table's ids: the same in/out fixpoint as ``prune_labeled``, so
+    the result is marked pruned and is not pruned again.  States are
+    renumbered 0..k-1 in discovery order, so the output is canonical for
+    a given input.
     """
     g = prune_labeled(g)
     if g.is_empty:
-        return LabeledGraph(g.alphabet, (), {})
+        return _mark_pruned(LabeledGraph(g.alphabet, (), {}))
     table = SubsetTable(g)
-    alive = set(table.close())
-    while True:
-        has_out = {i for i in alive if any(j in alive for j in table.row(i))}
-        has_in = {j for i in has_out for j in table.row(i) if j in alive}
-        keep = has_out & has_in
-        if keep == alive:
-            break
-        alive = keep
+    alive = _essential(table.close(), lambda i: (table.row(i),))
     # a fresh table discovers its sets breadth first, in id order
     kept = sorted(alive)
     state = {i: k for k, i in enumerate(kept)}
     trans = {state[i]: {a: (state[j],) for a, j in zip(table.letters, table.row(i))
                         if j in alive}
              for i in kept}
-    return LabeledGraph(g.alphabet, tuple(range(len(kept))), trans)
+    return _mark_pruned(LabeledGraph(g.alphabet, tuple(range(len(kept))), trans))
 
 
 def language_equal_up_to(g1, g2, n):

@@ -1,17 +1,19 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       FiniteTypeSpec, apply_block_code, build_block_graph,
-                      compose_codes, determinize, finite_type_presentation,
-                      is_sft, language_equal_exact, language_equal_up_to,
-                      make_labeled_graph, mfw_length_set, minimal_forbidden,
-                      per_le_enumerate, periodic_count_le, prune_labeled,
-                      sofic_entropy, sofic_oracle, theorem1_diagnostic)
+                      compose_codes, determinize, example_nonempty_shift,
+                      finite_type_presentation, is_sft, language_equal_exact,
+                      language_equal_up_to, ls_report, make_labeled_graph,
+                      mfw_length_set, minimal_forbidden, per_le_enumerate,
+                      periodic_count_le, prune_labeled, sofic_entropy,
+                      sofic_oracle, theorem1_diagnostic)
 from shiftlab.graph import LabeledGraph, SubsetTable, _subset_step
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -104,6 +106,70 @@ def test_finite_type_presentation_golden(golden_spec, golden_oracle):
 def test_finite_type_presentation_empty(alph2):
     spec = FiniteTypeSpec(alph2, frozenset([()]))
     assert finite_type_presentation(spec).states == ()
+
+
+def _prefix_automaton_by_definition(spec):
+    """The prefix automaton straight from its definition, the reference the
+    one-pass construction must reproduce: the states are the empty word and
+    the proper prefixes of forbidden words with no forbidden factor; u --a-->
+    the longest suffix of ua that is a state, unless a suffix of ua is
+    forbidden."""
+    words = set(spec.forbidden)
+    if () in words:
+        return LabeledGraph(spec.alphabet, (), {})
+
+    def clean(u):
+        return not any(u[i:j] in words
+                       for i in range(len(u)) for j in range(i + 1, len(u) + 1))
+
+    states = {()} | {w[:k] for w in words for k in range(1, len(w)) if clean(w[:k])}
+    edges = []
+    for u in states:
+        for a in spec.alphabet:
+            v = u + (a,)
+            if any(v[i:] in words for i in range(len(v))):
+                continue
+            edges.append((u, a, next(v[i:] for i in range(len(v) + 1) if v[i:] in states)))
+    return prune_labeled(make_labeled_graph(spec.alphabet, tuple(sorted(states)), edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.just("abc"[:k]),
+    st.sets(st.text(alphabet="abc"[:k], min_size=1, max_size=8), max_size=6))))
+@example(("ab", set()))                    # the full shift
+@example(("abc", {"b"}))                   # a one-letter word
+@example(("ab", {"ab", "abba", "b"}))      # words that are prefixes of others
+@example(("ab", {"aab", "ab"}))            # a word that is a suffix of another
+def test_finite_type_presentation_matches_definition_random(draw):
+    letters, words = draw
+    alph = Alphabet(tuple(letters))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(w) for w in words))
+    g, ref = finite_type_presentation(spec), _prefix_automaton_by_definition(spec)
+    assert g.states == ref.states
+    assert g.transitions == ref.transitions
+
+
+def test_finite_type_presentation_long_words():
+    spec = example_nonempty_shift([3, 100, 200])
+    g = finite_type_presentation(spec)
+    assert len(g.states) == 201
+    report = ls_report(minimal_forbidden(sofic_oracle(g, 201), 201))
+    assert report.ls_set == (3, 100, 200)
+
+
+def test_prune_labeled_prunes_once(alph2):
+    g = make_labeled_graph(alph2, ("a", "b", "c"),
+                           [("a", "0", "a"), ("a", "1", "b"), ("c", "0", "a")])
+    p = prune_labeled(g)
+    assert p.states == ("a",)
+    assert prune_labeled(g) is p
+    assert prune_labeled(p) is p
+    copy = replace(g)
+    assert prune_labeled(copy) is not p
+    assert prune_labeled(copy) == p
+    # a pruned copy is pruned again: the copy does not inherit the mark
+    assert prune_labeled(replace(p)) is not p
 
 
 def test_block_code_validation(alph2):
@@ -336,3 +402,18 @@ def test_language_equal_up_to_matches_enumeration_random(graph1, graph2, twos):
                    for j in range(1, k + 1))
         assert language_equal_up_to(g1, g2, k) == same
         assert language_equal_up_to(g2, g1, k) == same
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_graphs("012"))
+def test_cached_prune_and_determinize_match_a_fresh_prune_random(graph):
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1", "2")), tuple(range(n)), edges)
+    p = prune_labeled(g)
+    fresh = prune_labeled(replace(g))
+    assert prune_labeled(g) is p
+    assert (p.states, p.transitions) == (fresh.states, fresh.transitions)
+    d = determinize(g)
+    assert prune_labeled(d) is d
+    fresh = prune_labeled(replace(d))
+    assert (d.states, d.transitions) == (fresh.states, fresh.transitions)

@@ -15,7 +15,7 @@ from .errors import (AlphabetMismatchError, AmbiguousDigitError,
                      ReturnTimeCapError, ShiftlabError, UndefinedEntropyError,
                      UnsupportedSpecError, WrongStatusError)
 from .language import (Alphabet, LanguageOracle, complexity, format_word,
-                       special_words, stepping_oracle, subwords)
+                       special_words, stepping_oracle)
 from .graph import LabeledGraph, make_labeled_graph, prune_labeled
 from .sft import (BlockGraph, FiniteTypeSpec, build_block_graph, full_shift,
                   per_count, periodic_count_le, periodic_counts,

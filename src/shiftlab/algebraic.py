@@ -279,7 +279,3 @@ class AlgebraicNumber:
         width = Fraction(width)
         while self.hi - self.lo > width:
             self._bisect()
-
-    def root_float(self):
-        self.refine(Fraction(1, 2 ** 40))
-        return float((self.lo + self.hi) / 2)

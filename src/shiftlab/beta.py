@@ -80,6 +80,12 @@ class DigitStream:
             return None
         return len(self.digits)
 
+    def check_known(self, n):
+        """Refuse work that reads the first n digits when fewer are known."""
+        if self.known_length is not None and n > self.known_length:
+            raise InsufficientDigitsError("%d digits needed but only %d are known"
+                                          % (n, self.known_length))
+
 
 @dataclass(frozen=True)
 class BetaExpansion:
@@ -286,10 +292,7 @@ def beta_oracle(stream, horizon):
     tied k and the new k = 0: b > d_k rejects, b = d_k keeps k + 1, and
     b < d_k drops k.  This holds for every stream, admissible or not.
     """
-    known = stream.known_length
-    if known is not None and horizon > known:
-        raise InsufficientDigitsError(
-            "oracle horizon %d exceeds the %d known digits" % (horizon, known))
+    stream.check_known(horizon)
     alphabet = stream_alphabet(stream)
 
     def step(tied, letter):
@@ -314,10 +317,7 @@ def beta_mfw(stream, n_max):
     w' b at most d; the suffix condition is what makes the one-letter
     extensions minimal rather than merely forbidden.
     """
-    known = stream.known_length
-    if known is not None and n_max > known:
-        raise InsufficientDigitsError(
-            "need %d digits but only %d were computed" % (n_max, known))
+    stream.check_known(n_max)
     d0 = stream.digit(0)
     key = stream_alphabet(stream).key
     by_length = {}
@@ -359,10 +359,7 @@ def beta_ls_diagnostic(stream, horizon):
     """
     if horizon < 1:
         raise UnsupportedSpecError("horizon must be >= 1")
-    known = stream.known_length
-    if known is not None and horizon > known:
-        raise InsufficientDigitsError(
-            "horizon %d exceeds the %d known digits" % (horizon, known))
+    stream.check_known(horizon)
     d = [stream.digit(i) for i in range(horizon)]
     d0 = d[0]
     d0_positions = tuple(i for i in range(horizon) if d[i] == d0)

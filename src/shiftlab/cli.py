@@ -47,8 +47,15 @@ def _words(seq):
     return [format_word(w) for w in seq]
 
 
-def _mfw_table(table):
-    return {str(n): _words(table.by_length[n]) for n in sorted(table.by_length)}
+def _mfw_report(oracle, horizon):
+    """The `mfw` and `beta mfw` report: minimal forbidden words by length."""
+    table = minimal_forbidden(oracle, horizon)
+    return {
+        "horizon": horizon,
+        "table": {str(n): _words(table.by_length[n])
+                  for n in sorted(table.by_length)},
+        "note": _evidence(horizon),
+    }
 
 
 def _densities(densities):
@@ -77,29 +84,12 @@ def _load(args):
     return realize(doc, args.horizon)
 
 
-def _require(realized, attr, what):
-    value = getattr(realized, attr)
-    if value is None:
-        raise UnsupportedSpecError(
-            "%s needs %s; kind %r has none"
-            % (what, attr.replace("_", " "), realized.document.kind))
-    return value
-
-
 def _check_word_count(oracle, n):
     """Refuse before listing the words of length n if there are too many."""
     count = complexity(oracle, n)[n]
     if count > WORD_LIMIT:
         raise EnumerationCapError("%d words of length %d exceed the limit %d"
                                   % (count, n, WORD_LIMIT))
-
-
-def _block_graph(realized, what):
-    if realized.spec is None:
-        raise UnsupportedSpecError(
-            "%s needs finite-type data; kind %r has none"
-            % (what, realized.document.kind))
-    return realized.block_graph()
 
 
 def _load_code(path, alphabet):
@@ -151,12 +141,7 @@ def cmd_special(args):
 
 def cmd_mfw(args):
     realized = _load(args)
-    table = minimal_forbidden(realized.oracle, realized.horizon)
-    return {
-        "horizon": realized.horizon,
-        "table": _mfw_table(table),
-        "note": _evidence(realized.horizon),
-    }
+    return _mfw_report(realized.oracle, realized.horizon)
 
 
 def cmd_ls(args):
@@ -221,7 +206,8 @@ def cmd_nu(args):
     report = {"period_bound": args.period}
     report.update(_cylinders(measure, args.depth))
     if args.compare_parry:
-        graph = _block_graph(realized, "the Parry comparison")
+        realized.need("spec", "the Parry comparison")
+        graph = realized.block_graph()
         parry = parry_measure(graph)
         report["parry_distance"] = weak_star_distance(measure, parry,
                                                       args.depth)
@@ -232,7 +218,8 @@ def cmd_nu(args):
 
 def cmd_parry(args):
     realized = _load(args)
-    graph = _block_graph(realized, "the Parry measure")
+    realized.need("spec", "the Parry measure")
+    graph = realized.block_graph()
     measure = parry_measure(graph)
     report = {
         "perron": measure.perron,
@@ -245,7 +232,8 @@ def cmd_parry(args):
 
 def cmd_decompose(args):
     realized = _load(args)
-    graph = _block_graph(realized, "decomposition")
+    realized.need("spec", "decomposition")
+    graph = realized.block_graph()
     code = _load_code(args.code, realized.oracle.alphabet)
     components = max_entropy_decomposition(graph, code, args.depth)
     report = {
@@ -283,7 +271,8 @@ def cmd_push(args):
 
 def cmd_autocheck(args):
     realized = _load(args)
-    graph = _block_graph(realized, "the automorphism check")
+    realized.need("spec", "the automorphism check")
+    graph = realized.block_graph()
     code = _load_code(args.code, realized.oracle.alphabet)
     inverse = _load_code(args.inverse, code.target_alphabet)
     if not language_equal_exact(apply_block_code(graph, code), graph):
@@ -302,15 +291,12 @@ def cmd_autocheck(args):
     }
 
 
-def _stream_for(args):
-    number = parse_beta_spec(args.beta)
-    expansion = beta_expand(number, args.digits)
-    return expansion, expansion.working_stream()
+def _expansion(args):
+    return beta_expand(parse_beta_spec(args.beta), args.digits)
 
 
 def cmd_beta_expand(args):
-    number = parse_beta_spec(args.beta)
-    expansion = beta_expand(number, args.digits)
+    expansion = _expansion(args)
     report = {
         "status": expansion.status,
         "digits": list(expansion.digits),
@@ -327,17 +313,12 @@ def cmd_beta_expand(args):
 
 
 def cmd_beta_mfw(args):
-    _, stream = _stream_for(args)
-    table = minimal_forbidden(beta_oracle(stream, args.horizon), args.horizon)
-    return {
-        "horizon": args.horizon,
-        "table": _mfw_table(table),
-        "note": _evidence(args.horizon),
-    }
+    stream = _expansion(args).working_stream()
+    return _mfw_report(beta_oracle(stream, args.horizon), args.horizon)
 
 
 def cmd_beta_lsdiag(args):
-    _, stream = _stream_for(args)
+    stream = _expansion(args).working_stream()
     report = beta_ls_diagnostic(stream, args.horizon)
     return {
         "horizon": report.horizon,
@@ -350,7 +331,7 @@ def cmd_beta_lsdiag(args):
 
 
 def cmd_beta_graph(args):
-    _, stream = _stream_for(args)
+    stream = _expansion(args).working_stream()
     g = beta_presentation(stream)
     edges = []
     for s in g.states:
@@ -376,7 +357,7 @@ def cmd_beta_example(args):
 
 def cmd_subst_lang(args):
     realized = _load(args)
-    tau = _require(realized, "substitution", "substitution language")
+    tau = realized.need("substitution", "substitution language")
     words = realized.oracle.words_of_length(args.length)
     return {
         "rules": {a: format_word(w) for a, w in sorted(tau.rules.items())},
@@ -388,7 +369,7 @@ def cmd_subst_lang(args):
 
 def cmd_subst_profile(args):
     realized = _load(args)
-    _require(realized, "substitution", "the complexity profile")
+    realized.need("substitution", "the complexity profile")
     profile = cassaigne_profile(realized.oracle, realized.horizon)
     lengths = bispecial_lengths(realized.oracle, realized.horizon - 1)
     return {
@@ -403,7 +384,7 @@ def cmd_subst_profile(args):
 
 def cmd_induce(args):
     realized = _load(args)
-    spec = _require(realized, "induced_spec", "induction data")
+    spec = realized.need("induced_spec", "induction data")
     letters, rho = induced_data(spec)
     return {
         "horizon": realized.horizon,
@@ -415,7 +396,7 @@ def cmd_induce(args):
 
 def cmd_speedup_compare(args):
     realized = _load(args)
-    spec = _require(realized, "induced_spec", "speedup comparison")
+    spec = realized.need("induced_spec", "speedup comparison")
     report = speedup_gap_compare(realized.base.oracle, spec, args.horizon)
     rows = []
     for row in report.rows:
@@ -441,7 +422,7 @@ def cmd_speedup_compare(args):
 
 def cmd_sofic_det(args):
     realized = _load(args)
-    g = _require(realized, "labeled", "determinization")
+    g = realized.need("labeled", "determinization")
     d = determinize(g)
     edge_count = sum(len(ts) for row in d.transitions.values()
                      for ts in row.values())
@@ -457,8 +438,8 @@ def cmd_sofic_eq(args):
     doc2 = load_shift_document(args.other)
     r1 = realize(doc1, args.horizon)
     r2 = realize(doc2, args.horizon)
-    g1 = _require(r1, "labeled", "language comparison")
-    g2 = _require(r2, "labeled", "language comparison")
+    g1 = r1.need("labeled", "language comparison")
+    g2 = r2.need("labeled", "language comparison")
     equal = language_equal_up_to(g1, g2, args.horizon)
     return {
         "horizon": args.horizon,
@@ -468,7 +449,7 @@ def cmd_sofic_eq(args):
 
 def cmd_sofic_issft(args):
     realized = _load(args)
-    g = _require(realized, "labeled", "the finite-type test")
+    g = realized.need("labeled", "the finite-type test")
     tag = is_sft(g)
     return {
         "is_sft": tag.is_sft,
@@ -479,7 +460,7 @@ def cmd_sofic_issft(args):
 
 def cmd_sofic_thm1(args):
     realized = _load(args)
-    g = _require(realized, "labeled", "the stability diagnostic")
+    g = realized.need("labeled", "the stability diagnostic")
     report = theorem1_diagnostic(g, args.horizon)
     return {
         "horizon": report.horizon,

@@ -15,7 +15,9 @@ windows placed at the visit times the return rule prescribes, with a
 no-earlier-visit constraint when the rule is first-return.  The induced
 oracle steps through superletters, carrying the base states that the
 realizations so far reach, so it stays inside what the base horizon
-certifies.
+certifies.  A spec resolves its superletters and return times once, on
+first demand (``induced_data``), and keeps them; ``base_horizon`` is the
+one statement of how much base horizon an induced length needs.
 """
 
 from dataclasses import dataclass
@@ -248,7 +250,8 @@ class InducedSpec:
     ``return_rule`` is a constant, a per-window map, or "first-return";
     either way the return time must be constant on (2N+1)-cylinders,
     which first-return resolution verifies by extending windows by
-    ``cap`` letters.
+    ``cap`` letters.  ``induced_data`` resolves a spec once and keeps
+    the result on it; a ``replace``d copy resolves afresh.
     """
 
     base: LanguageOracle
@@ -333,7 +336,12 @@ def _resolve_first_return(spec, letters):
 
 
 def induced_data(spec):
-    """(superletter windows, return-time map) for the recoding."""
+    """(superletter windows, return-time map) for the recoding, resolved
+    on the first call and kept on the spec, so every later call returns
+    the same pair."""
+    data = spec.__dict__.get("_data")
+    if data is not None:
+        return data
     letters = _superletters(spec)
     if spec.return_rule == "first-return":
         rho = _resolve_first_return(spec, letters)
@@ -349,7 +357,20 @@ def induced_data(spec):
             rho[w] = value
     else:
         rho = {w: spec.return_rule for w in letters}
-    return letters, rho
+    spec.__dict__["_data"] = data = (letters, rho)
+    return data
+
+
+def base_horizon(spec, n):
+    """Base horizon that certifies induced words up to length n: n + 2
+    returns of the longest return time, plus one window."""
+    return (n + 2) * max(induced_data(spec)[1].values()) + 2 * spec.window + 1
+
+
+def _induced_length(spec, horizon):
+    """The inverse of ``base_horizon``: the longest induced length that a
+    base horizon certifies."""
+    return (horizon - 2 * spec.window - 1) // max(induced_data(spec)[1].values()) - 2
 
 
 def induce_recode(spec, n):
@@ -368,7 +389,7 @@ def induce_recode(spec, n):
     """
     letters, rho = induced_data(spec)
     width = 2 * spec.window + 1
-    needed = (n + 2) * max(rho.values()) + width
+    needed = base_horizon(spec, n)
     if spec.base.max_reliable_length < needed:
         raise HorizonExceededError(
             "induced length %d needs base horizon %d" % (n, needed))
@@ -442,11 +463,11 @@ def speedup_gap_compare(base_oracle, spec, horizon):
     """Compare minimal-forbidden-length patterns across a speedup."""
     base_table = minimal_forbidden(base_oracle, horizon)
     base_report = ls_report(base_table)
-    letters, rho = induced_data(spec)
+    _, rho = induced_data(spec)
     width = 2 * spec.window + 1
     max_rho = max(rho.values())
     min_rho = min(rho.values())
-    n_ind = (base_oracle.max_reliable_length - width) // max_rho - 2
+    n_ind = _induced_length(spec, base_oracle.max_reliable_length)
     if n_ind < 2:
         raise HorizonExceededError("base horizon too small for any induced words")
     induced = induce_recode(spec, n_ind)

@@ -83,14 +83,6 @@ class LabeledGraph:
                 m[idx[s]][idx[t]] = 1
         return m
 
-    def edge_list(self):
-        out = []
-        for s in self.states:
-            for a in self.alphabet:
-                for t in self.successors(s, a):
-                    out.append((s, a, t))
-        return out
-
 
 def make_labeled_graph(alphabet, states, edges):
     """Build a LabeledGraph from an edge list of (source, letter, target)."""

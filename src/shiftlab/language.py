@@ -111,21 +111,6 @@ def format_word(word):
     return ".".join(word)
 
 
-def subwords(word, length=None):
-    """All distinct subwords of ``word``, optionally only those of one length."""
-    n = len(word)
-    out = set()
-    if length is None:
-        out.add(EMPTY_WORD)
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                out.add(word[i:j])
-    else:
-        for i in range(n - length + 1):
-            out.add(word[i:i + length])
-    return out
-
-
 @dataclass(frozen=True)
 class LanguageOracle:
     """Oracle for a factorial language, exact up to a horizon.
@@ -213,9 +198,6 @@ class LanguageOracle:
         on them, as two aligned tuples."""
         words = self.words_of_length(n)
         return words, self._cache[("S", n)]
-
-    def is_empty_language(self):
-        return not self.contains(EMPTY_WORD)
 
 
 def stepping_oracle(alphabet, start, step, horizon):

@@ -7,8 +7,10 @@ whatever finite presentation the kind affords, bounded by a horizon.
 
 Realization is the seam between descriptions and computation: every
 command downstream works off a RealizedShift and never re-dispatches on
-the kind, except where a capability (periodic enumeration, entropy)
-genuinely needs a finite presentation.
+the kind.  A command that needs data a kind lacks (finite-type data, a
+finite presentation, substitution rules, an induced recoding) asks the
+realized shift for it with ``RealizedShift.need``, which is the one place
+that refuses.
 """
 
 import json
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 from .beta import (beta_expand, beta_oracle, beta_presentation,
                    example_betashift, parse_beta_spec)
-from .dynamics import (InducedSpec, Substitution, induce_recode,
-                       induced_data, subst_oracle)
+from .dynamics import (InducedSpec, Substitution, base_horizon,
+                       induce_recode, subst_oracle)
 from .errors import EnumerationCapError, UnsupportedSpecError
 from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
@@ -173,6 +175,12 @@ def load_shift_document(path):
 
 # ---- realization ----------------------------------------------------------
 
+# what each optional field of a RealizedShift holds, as refusals name it
+_NEEDS = {"spec": "finite-type data", "labeled": "a finite presentation",
+          "substitution": "substitution rules",
+          "induced_spec": "an induced recoding"}
+
+
 @dataclass
 class RealizedShift:
     """A document made computable: oracle plus whatever structure exists.
@@ -181,7 +189,8 @@ class RealizedShift:
     includes eventually periodic beta expansions), ``spec`` the
     finite-type data when the kind has it, the rest are kind artifacts.
     The block presentation is exponential in the memory, so it is built
-    on first demand, not at realization.
+    on first demand, not at realization.  ``need`` hands out a field or
+    refuses, in one wording, when the kind lacks it.
     """
 
     document: ShiftDocument
@@ -196,12 +205,17 @@ class RealizedShift:
     base: object = None
     _graph: object = None
 
+    def need(self, field, what):
+        value = getattr(self, field)
+        if value is None:
+            raise UnsupportedSpecError("%s needs %s; kind %r has none"
+                                       % (what, _NEEDS[field], self.document.kind))
+        return value
+
     def block_graph(self):
         if self._graph is None:
-            if self.spec is None:
-                raise UnsupportedSpecError(
-                    "kind %r has no finite-type data" % (self.document.kind,))
-            self._graph = block_graph_of(self.labeled, self.spec.memory)
+            spec = self.need("spec", "the block graph")
+            self._graph = block_graph_of(self.labeled, spec.memory)
         return self._graph
 
 
@@ -269,11 +283,11 @@ def _realize_induced(doc, horizon):
     if isinstance(rule, dict):
         rule = {_parse_word(alphabet, w): int(t) for w, t in rule.items()}
     spec = InducedSpec(probe.oracle, window, clopen, rule, cap)
-    _, rho = induced_data(spec)
-
-    needed = (horizon + 2) * max(rho.values()) + width
-    base = probe if needed <= probe.horizon else realize(base_doc, needed)
-    spec = InducedSpec(base.oracle, window, clopen, rule, cap)
+    needed = base_horizon(spec, horizon)
+    base = probe
+    if needed > probe.horizon:
+        base = realize(base_doc, needed)
+        spec = InducedSpec(base.oracle, window, clopen, rule, cap)
     oracle = induce_recode(spec, horizon)
     return RealizedShift(doc, horizon, oracle, induced_spec=spec, base=base)
 
@@ -310,11 +324,8 @@ def periodic_points_le(realized, n, cap=DEFAULT_CAP):
     enumerator refuses once it finds more than ``cap`` points, so an
     over-cap call walks cap + 1 points first, on finite-type data too.
     """
-    if realized.labeled is None:
-        raise UnsupportedSpecError(
-            "periodic enumeration needs a finite presentation; kind %r has none"
-            % (realized.document.kind,))
-    return per_le_enumerate(realized.labeled, n, cap)
+    return per_le_enumerate(realized.need("labeled", "periodic enumeration"),
+                            n, cap)
 
 
 def periodic_census(realized, n, cap=DEFAULT_CAP):
@@ -360,11 +371,7 @@ def _check_period(n):
 
 def shift_entropy(realized):
     """Topological entropy from the finite presentation."""
-    if realized.labeled is not None:
-        return sofic_entropy(realized.labeled)
-    raise UnsupportedSpecError(
-        "entropy needs a finite presentation; kind %r has none"
-        % (realized.document.kind,))
+    return sofic_entropy(realized.need("labeled", "entropy"))
 
 
 def parse_block_code(obj, source_alphabet):

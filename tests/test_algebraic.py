@@ -59,10 +59,6 @@ def test_floor_corrects_a_far_guess():
     assert sqrt2.floor(sqrt2.mul(sqrt2.from_rational(-10), g)) == -15
 
 
-def test_root_float():
-    assert abs(phi().root_float() - 1.618033988749895) < 1e-12
-
-
 def test_rational_root_hit_at_midpoint():
     # (x - 1)(x^2 - 2) on [3/4, 5/4]: the first bisection lands on the root 1
     num = AlgebraicNumber((2, -2, -1, 1), Fraction(3, 4), Fraction(5, 4))

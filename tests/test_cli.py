@@ -650,6 +650,33 @@ def test_period_below_one_is_refused(capsys, write, argv):
     assert err.strip() == "error: period bound must be >= 1"
 
 
+@pytest.mark.parametrize("argv, doc, message", [
+    (["parry", "DOC"], EVEN_DOC,
+     "the Parry measure needs finite-type data; kind 'sofic' has none"),
+    (["decompose", "DOC", "--code", "FLIP"], EVEN_DOC,
+     "decomposition needs finite-type data; kind 'sofic' has none"),
+    (["sofic", "det", "DOC"], FIB_DOC,
+     "determinization needs a finite presentation; kind 'substitution' has none"),
+    (["entropy", "DOC"], FIB_DOC,
+     "entropy needs a finite presentation; kind 'substitution' has none"),
+    (["periodic", "DOC"], INDUCED_GOLDEN_DOC,
+     "periodic enumeration needs a finite presentation; kind 'induced' has none"),
+    (["subst", "lang", "DOC"], GOLDEN_DOC,
+     "substitution language needs substitution rules; kind 'finite-type' has none"),
+    (["induce", "DOC"], EVEN_DOC,
+     "induction data needs an induced recoding; kind 'sofic' has none"),
+    (["speedup-compare", "DOC"], EVEN_DOC,
+     "speedup comparison needs an induced recoding; kind 'sofic' has none"),
+], ids=["parry-sofic", "decompose-sofic", "sofic-det-substitution",
+        "entropy-substitution", "periodic-induced", "subst-lang-finite-type",
+        "induce-sofic", "speedup-compare-sofic"])
+def test_missing_data_is_refused_in_one_form(capsys, write, argv, doc, message):
+    files = {"DOC": write("d.json", doc), "FLIP": write("flip.json", FLIP_CODE)}
+    rc, out, err = run(capsys, [files.get(a, a) for a in argv] + ["--horizon", "6"])
+    assert (rc, out) == (1, "")
+    assert err == "error: %s\n" % message
+
+
 def test_autocheck_needs_finite_type_data(capsys, write):
     doc = write("even.json", EVEN_DOC)
     code = write("flip.json", FLIP_CODE)

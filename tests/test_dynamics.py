@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError,
                       make_labeled_graph, minimal_forbidden, sft_oracle,
                       sofic_oracle, special_words, speedup_gap_compare,
                       subst_oracle)
+from shiftlab import cli, dynamics
 from shiftlab.dynamics import _factor_levels
 
 
@@ -182,6 +184,38 @@ def test_induced_horizon_guard():
     spec = InducedSpec(base, 1, None, 2)
     with pytest.raises(HorizonExceededError):
         induce_recode(spec, 10)
+
+
+def test_induced_data_is_resolved_once_per_spec():
+    base = golden_base(40)
+    clopen = frozenset(w for w in base.words_of_length(3) if w[1] == "0")
+    spec = InducedSpec(base, 1, clopen, "first-return", 8)
+    assert induced_data(spec) is induced_data(spec)
+
+
+# the induced document of the README
+README_INDUCED_DOC = {"kind": "induced",
+                      "base": {"kind": "finite-type", "alphabet": ["0", "1"],
+                               "forbidden": ["11"]},
+                      "window": 1, "clopen": ["000", "001", "100", "101"],
+                      "return_rule": "first-return"}
+
+
+@pytest.mark.parametrize("command", ["induce", "speedup-compare", "complexity"])
+def test_induced_report_resolves_return_times_once(tmp_path, monkeypatch, capsys,
+                                                   command):
+    calls = []
+    resolve = dynamics._resolve_first_return
+
+    def counted(spec, letters):
+        calls.append(spec)
+        return resolve(spec, letters)
+    monkeypatch.setattr(dynamics, "_resolve_first_return", counted)
+    path = tmp_path / "induced.json"
+    path.write_text(json.dumps(README_INDUCED_DOC))
+    assert cli.main([command, str(path), "--horizon", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_speedup_gap_compare_fib(fib):

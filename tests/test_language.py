@@ -8,7 +8,7 @@ from shiftlab import (Alphabet, AlphabetMismatchError, DigitStream,
                       FiniteTypeSpec, HorizonExceededError, beta_oracle,
                       build_block_graph, complexity, format_word,
                       make_labeled_graph, minimal_forbidden, sft_oracle,
-                      sofic_oracle, special_words, stepping_oracle, subwords)
+                      sofic_oracle, special_words, stepping_oracle)
 
 
 def test_alphabet_basics(alph2):
@@ -34,13 +34,6 @@ def test_format_word():
     assert format_word(()) == "(empty)"
     assert format_word(("0", "1", "1")) == "011"
     assert format_word(("10", "0")) == "10.0"
-
-
-def test_subwords():
-    w = ("a", "b", "c")
-    assert subwords(w, 2) == {("a", "b"), ("b", "c")}
-    assert ("b",) in subwords(w)
-    assert () in subwords(w)
 
 
 def test_golden_complexity_is_fibonacci(golden_oracle):

@@ -371,7 +371,8 @@ def _determinize_by_frozenset_bfs(g):
             edges.append((discovered[cur], a, discovered[nxt]))
     det = prune_labeled(make_labeled_graph(g.alphabet, tuple(range(len(order))), edges))
     relabel = {s: i for i, s in enumerate(det.states)}
-    edges = [(relabel[s], a, relabel[t]) for s, a, t in det.edge_list()]
+    edges = [(relabel[s], a, relabel[t]) for s, row in det.transitions.items()
+             for a, targets in row.items() for t in targets]
     return make_labeled_graph(g.alphabet, tuple(range(len(det.states))), edges)
 
 

@@ -1,0 +1,50 @@
+"""Count the options of every command of the command line.
+
+    python3 tools/count_options.py [--root DIR]
+
+Walks ``cli.build_parser()`` down its subcommands and prints one line per
+command (``beta mfw``, ``lang``, ...) with the options it takes, then the
+totals.  ``-h``/``--help`` is not counted, and positional arguments are
+not options.  DIR (default: the checkout holding this script) supplies
+``src/shiftlab``; nothing is written.
+"""
+
+import argparse
+import os
+import sys
+
+
+def commands(parser, name=()):
+    """(command words, parser) for every leaf command, in parser order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                yield from commands(sub, name + (word,))
+            return
+    yield name, parser
+
+
+def options(parser):
+    return [max(action.option_strings, key=len) for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+def main(argv=None):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=here, help="checkout whose src/ is used")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(args.root, "src"))
+    from shiftlab import cli
+
+    total = count = 0
+    for name, sub in commands(cli.build_parser()):
+        opts = options(sub)
+        print("%-18s %2d  %s" % (" ".join(name), len(opts), " ".join(opts)))
+        count += 1
+        total += len(opts)
+    print("%d commands, %d options" % (count, total))
+
+
+if __name__ == "__main__":
+    main()

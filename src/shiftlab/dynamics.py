@@ -12,15 +12,20 @@ grow.
 Induced and sped-up systems are recoded over a superalphabet of
 (2N+1)-windows.  A superword is allowed when some base word realizes it:
 windows placed at the visit times the return rule prescribes, with a
-no-earlier-visit constraint when the rule is first-return.  The induced
-oracle steps through superletters, carrying the base states that the
-realizations so far reach, so it stays inside what the base horizon
-certifies.  A spec resolves its superletters and return times once, on
-first demand (``induced_data``), and keeps them; ``base_horizon`` is the
-one statement of how much base horizon an induced length needs.
+no-earlier-visit constraint when the rule is first-return.  Both the
+first-return times and the induced oracle walk a window's continuations
+as (last window, base state) pairs, one base letter at a time
+(``_extend``): continuations that reach the same pair have the same
+future, so no continuation word is spelled.  The induced oracle's state
+is the last window and the base states the realizations so far reach,
+so it stays inside what the base horizon certifies.  A spec resolves
+its superletters and return times once, on first demand
+(``induced_data``), and keeps them, also across ``rebase`` onto a
+longer realization of its base; ``base_horizon`` is the one statement
+of how much base horizon an induced length needs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (HorizonExceededError, InfeasibleSetError,
                      NonGrowingSubstitutionError, ReturnTimeCapError,
@@ -34,10 +39,12 @@ from .language import (Alphabet, LanguageOracle, complexity, format_word,
 class Substitution:
     """Letter-to-word rules iterated from a seed letter.
 
-    Construction verifies the iterates grow without bound: letters that
-    recur (reachable from a reachable cycle of the occurrence graph)
-    must include one with an image of length >= 2, otherwise every
-    iterate beyond the transient is a bounded word forever.
+    Construction verifies the iterates grow without bound, from the
+    letter counts of the first 2n iterates over n letters: past n steps
+    every letter left recurs (a walk of n steps passes a cycle of the
+    occurrence graph), so bounded lengths are constant from n on, and a
+    recurring letter with an image of length >= 2 occurs at some step in
+    [n, 2n).  So the iterates grow iff |tau^2n(seed)| > |tau^n(seed)|.
     """
 
     rules: dict
@@ -65,39 +72,16 @@ class Substitution:
         return Alphabet(tuple(sorted(self.rules)))
 
     def _grows(self):
-        # reachable letters from the seed
-        reach = {self.seed}
-        frontier = [self.seed]
-        while frontier:
-            a = frontier.pop()
-            for b in self.rules[a]:
-                if b not in reach:
-                    reach.add(b)
-                    frontier.append(b)
-        # letters recurring at arbitrarily late iteration depth: those
-        # reachable from a cycle of the occurrence graph inside reach
-        on_cycle = set()
-        for start in reach:
-            seen = set()
-            frontier = list(self.rules[start])
-            while frontier:
-                a = frontier.pop()
-                if a == start:
-                    on_cycle.add(start)
-                    break
-                if a in seen:
-                    continue
-                seen.add(a)
-                frontier.extend(self.rules[a])
-        recurring = set()
-        frontier = list(on_cycle)
-        while frontier:
-            a = frontier.pop()
-            if a in recurring:
-                continue
-            recurring.add(a)
-            frontier.extend(self.rules[a])
-        return any(len(self.rules[a]) >= 2 for a in recurring)
+        n = len(self.rules)
+        counts, lengths = {self.seed: 1}, [1]
+        for _ in range(2 * n):
+            after = {}
+            for a, c in counts.items():
+                for b in self.rules[a]:
+                    after[b] = after.get(b, 0) + c
+            counts = after
+            lengths.append(sum(counts.values()))
+        return lengths[2 * n] > lengths[n]
 
 
 def _coding(tau):
@@ -249,9 +233,10 @@ class InducedSpec:
     by the (2N+1)-windows it allows (None means every allowed window).
     ``return_rule`` is a constant, a per-window map, or "first-return";
     either way the return time must be constant on (2N+1)-cylinders,
-    which first-return resolution verifies by extending windows by
-    ``cap`` letters.  ``induced_data`` resolves a spec once and keeps
-    the result on it; a ``replace``d copy resolves afresh.
+    which first-return resolution verifies by walking each window's
+    continuations ``cap`` base letters far.  ``induced_data`` resolves a
+    spec once and keeps the result on it; ``rebase`` carries it to a
+    longer base, and any other ``replace``d copy resolves afresh.
     """
 
     base: LanguageOracle
@@ -289,49 +274,55 @@ def _superletters(spec):
     return sorted(chosen, key=spec.base.alphabet.key)
 
 
-def _resolve_first_return(spec, letters):
-    """Return time of each U-window, by exhausting extensions.
+def _extend(pairs, letters, step):
+    """The (last window, base state) pairs one base letter further: each
+    state stepped by each of ``letters`` it can read, the letter shifted
+    into the window."""
+    grown = set()
+    for window, q in pairs:
+        for a in letters:
+            after = step(q, a)
+            if after is not None:
+                grown.add((window[1:] + (a,), after))
+    return grown
 
-    Every continuation of the window by ``cap`` letters must hit U again
-    at the same offset; differing offsets mean the return time is not
-    constant on cylinders, and no hit within the cap is reported as such.
+
+def _resolve_first_return(spec, letters):
+    """Return time of each U-window, by walking its continuations.
+
+    The continuations of a window w are walked as (last window, base
+    state) pairs from (w, state(w)), ``cap`` base letters far.  A pair
+    whose window lies in U has returned at that step and is dropped.  A
+    pair left after ``cap`` steps never returns within the cap; else the
+    times recorded must be one, and none means w has no continuation.
+    A window with two faults reports the cap first.
     """
     width = 2 * spec.window + 1
     uset = set(letters)
     spec.base.check_horizon(width + spec.cap)
     state_of = dict(zip(*spec.base.frontier(width)))
-    step = spec.base.step
+    step, base_letters = spec.base.step, tuple(spec.base.alphabet)
     rho = {}
     for w in letters:
-        agreed = None
-        stack = [(w, state_of[w])]
-        while stack:
-            word, state = stack.pop()
-            hit = None
-            for t in range(1, len(word) - width + 1):
-                if word[t:t + width] in uset:
-                    hit = t
-                    break
-            if hit is not None:
-                if agreed is None:
-                    agreed = hit
-                elif agreed != hit:
-                    raise UnsupportedSpecError(
-                        "first-return time is not constant on the cylinder %r"
-                        % (format_word(w),))
-                continue
-            if len(word) - width >= spec.cap:
-                raise ReturnTimeCapError(
-                    "no return within %d steps after %r" % (spec.cap, format_word(w)))
-            for a in spec.base.alphabet:
-                after = step(state, a)
-                if after is not None:
-                    stack.append((word + (a,), after))
-        if agreed is None:
-            # w has no allowed continuation at all; dead window
+        frontier, times = {(w, state_of[w])}, set()
+        for t in range(1, spec.cap + 1):
+            if not frontier:
+                break
+            grown = _extend(frontier, base_letters, step)
+            frontier = {p for p in grown if p[0] not in uset}
+            if len(frontier) < len(grown):
+                times.add(t)
+        if frontier:
+            raise ReturnTimeCapError(
+                "no return within %d steps after %r" % (spec.cap, format_word(w)))
+        if not times:
             raise ReturnTimeCapError(
                 "window %r admits no continuation" % (format_word(w),))
-        rho[w] = agreed
+        if len(times) > 1:
+            raise UnsupportedSpecError(
+                "first-return time is not constant on the cylinder %r"
+                % (format_word(w),))
+        rho[w] = times.pop()
     return rho
 
 
@@ -361,6 +352,16 @@ def induced_data(spec):
     return data
 
 
+def rebase(spec, oracle):
+    """``spec`` over ``oracle``, a longer realization of the same base
+    document, keeping the resolution of ``spec``.  Resolution reads the
+    base to width + cap letters (first-return) or width (otherwise),
+    where both realizations are exact and agree."""
+    out = replace(spec, base=oracle)
+    out.__dict__["_data"] = induced_data(spec)
+    return out
+
+
 def base_horizon(spec, n):
     """Base horizon that certifies induced words up to length n: n + 2
     returns of the longest return time, plus one window."""
@@ -384,8 +385,10 @@ def induce_recode(spec, n):
     states that its realizations reach.  Every realization ends in that
     window, and the base state carries the rest of it, so one more
     superletter s after the window w appends rho(w) base letters to each
-    state: the windows they complete must miss U before the last letter
-    (first-return only) and equal s at the last letter.
+    state, walked as (window, state) pairs (``_extend``): the windows
+    they complete must miss U before the last letter (first-return only)
+    and equal s at the last letter.  The first superletter is the case
+    rho = width from the window s itself, with no first-return filter.
     """
     letters, rho = induced_data(spec)
     width = 2 * spec.window + 1
@@ -404,37 +407,17 @@ def induce_recode(spec, n):
     def step(state, symbol):
         last, states = state
         target = word_for[symbol]
-        reached = set()
-        if last is None:
-            for q in states:
-                for a in target:
-                    q = base_step(q, a)
-                    if q is None:
-                        break
-                else:
-                    reached.add(q)
-        else:
-            r = rho[last]
-            frontier = {(last, q) for q in states}
-            for j in range(1, r + 1):
-                # the last `width` letters appended are those of the target
-                forced = j - 1 - (r - width)
-                choices = (target[forced],) if forced >= 0 else base_letters
-                grown = set()
-                for window, q in frontier:
-                    for a in choices:
-                        after = base_step(q, a)
-                        if after is None:
-                            continue
-                        window_after = window[1:] + (a,)
-                        if j < r and first_return and window_after in uset:
-                            continue
-                        if j == r and window_after != target:
-                            continue
-                        grown.add((window_after, after))
-                frontier = grown
-            reached = {q for _, q in frontier}
-        return (target, frozenset(reached)) if reached else None
+        r = width if last is None else rho[last]
+        frontier = {(target if last is None else last, q) for q in states}
+        for j in range(1, r + 1):
+            # the last `width` letters appended are those of the target
+            forced = j - 1 - (r - width)
+            choices = (target[forced],) if forced >= 0 else base_letters
+            frontier = _extend(frontier, choices, base_step)
+            if j < r and first_return and last is not None:
+                frontier = {p for p in frontier if p[0] not in uset}
+        reached = frozenset(q for window, q in frontier if window == target)
+        return (target, reached) if reached else None
 
     start = (None, frozenset((spec.base.start,)))
     return stepping_oracle(alphabet, start, step, n)

@@ -157,11 +157,7 @@ class LanguageOracle:
         word = tuple(word)
         self.alphabet.check_word(word)
         self.check_horizon(len(word))
-        hit = self._cache.get(word)
-        if hit is None:
-            hit = bool(self.membership(word))
-            self._cache[word] = hit
-        return hit
+        return self.membership(word)
 
     def words_of_length(self, n):
         """All allowed words of length ``n``, sorted lexicographically.

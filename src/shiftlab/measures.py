@@ -14,7 +14,7 @@ with no point enumeration: period bounds like 30 on the golden-mean shift
 are tractable, where the point count is in the millions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 import itertools
 import math
@@ -23,6 +23,7 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EmptySupportError, HorizonExceededError,
                      NotAnAutomorphismError, ReducibleGraphError,
                      ShiftlabError, UnsupportedSpecError)
+from .graph import prune_labeled
 from .sft import (DEFAULT_CAP, _minimal_period, periodic_count_table,
                   scc_subgraphs)
 from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
@@ -31,6 +32,7 @@ from .spectral import perron_vectors, spectral_radius_certified
 
 PROB_TOL = 1e-9
 INVARIANCE_TOL = 1e-9  # largest weak* distance autocheck reports as invariant
+ENTROPY_TOL = 1e-9  # image entropies this close to the maximum tie with it
 
 
 @dataclass(frozen=True)
@@ -345,7 +347,7 @@ class MaxEntropyComponent:
     entropy: float
 
 
-def max_entropy_decomposition(graph, code, depth=6, tol=1e-9):
+def max_entropy_decomposition(graph, code, depth=6):
     """Entropy-maximal transitive pieces of the image shift, with their
     maximal-entropy measures.
 
@@ -375,11 +377,11 @@ def max_entropy_decomposition(graph, code, depth=6, tol=1e-9):
     top = max(h for _, _, _, h in candidates)
     components = []
     for image, det, comp, h in candidates:
-        if h < top - tol:
+        if h < top - ENTROPY_TOL:
             continue
         if any(language_equal_exact(image, c.presentation) for c in components):
             continue
-        chain = next(g for g in scc_subgraphs(det) if g.states[0] == det.states[comp[0]])
+        chain = prune_labeled(replace(det, states=tuple(det.states[i] for i in comp)))
         table = cylinder_table(parry_measure(chain), depth)
         components.append(MaxEntropyComponent(image, table, h))
     return components

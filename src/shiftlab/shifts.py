@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .beta import (beta_expand, beta_oracle, beta_presentation,
                    example_betashift, parse_beta_spec)
 from .dynamics import (InducedSpec, Substitution, base_horizon,
-                       induce_recode, subst_oracle)
+                       induce_recode, rebase, subst_oracle)
 from .errors import EnumerationCapError, UnsupportedSpecError
 from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
@@ -274,7 +274,7 @@ def _realize_induced(doc, horizon):
     width = 2 * window + 1
     rule = doc.payload["return_rule"]
 
-    # probe pass: enough base horizon to resolve return times
+    # probe pass: enough base horizon to resolve return times, once
     probe = realize(base_doc, width + (cap if rule == "first-return" else 0))
     alphabet = probe.oracle.alphabet
     clopen = doc.payload.get("clopen")
@@ -287,7 +287,7 @@ def _realize_induced(doc, horizon):
     base = probe
     if needed > probe.horizon:
         base = realize(base_doc, needed)
-        spec = InducedSpec(base.oracle, window, clopen, rule, cap)
+        spec = rebase(spec, base.oracle)
     oracle = induce_recode(spec, horizon)
     return RealizedShift(doc, horizon, oracle, induced_spec=spec, base=base)
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +11,12 @@ from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError,
                       NonGrowingSubstitutionError, ReturnTimeCapError,
                       Substitution, UnsupportedSpecError, bispecial_lengths,
                       build_block_graph, cassaigne_profile, complexity,
-                      induce_recode, induced_data, ls_report,
+                      format_word, induce_recode, induced_data, ls_report,
                       make_labeled_graph, minimal_forbidden, sft_oracle,
                       sofic_oracle, special_words, speedup_gap_compare,
                       subst_oracle)
 from shiftlab import cli, dynamics
-from shiftlab.dynamics import _factor_levels
+from shiftlab.dynamics import _factor_levels, rebase
 
 
 def test_substitution_validation():
@@ -27,6 +28,39 @@ def test_substitution_validation():
         Substitution({"0": ("0", "1")}, "0")
     with pytest.raises(UnsupportedSpecError):
         Substitution({"0": ("0", "0")}, "1")
+
+
+def _grows_by_definition(rules, seed):
+    """Some letter reachable from a cycle of the occurrence graph, the
+    cycle reachable from the seed, has an image longer than one letter."""
+    def reach(starts):
+        seen, todo = set(), list(starts)
+        while todo:
+            a = todo.pop()
+            if a not in seen:
+                seen.add(a)
+                todo.extend(rules[a])
+        return seen
+    on_cycle = {a for a in reach([seed]) if a in reach(rules[a])}
+    return any(len(rules[a]) > 1 for a in reach(on_cycle))
+
+
+@settings(max_examples=300, deadline=None)
+@example(draw=("abc", ["b", "c", "cc"], "a"))  # growth only from the third step
+@example(draw=("ab", ["bb", "b"], "a"))  # a long image the iterates leave behind
+@given(draw=st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just("abcdef"[:n]),
+    st.lists(st.text("abcdef"[:n], min_size=1, max_size=3), min_size=n, max_size=n),
+    st.sampled_from("abcdef"[:n]))))
+def test_substitution_growth_matches_definition(draw):
+    letters, images, seed = draw
+    rules = {a: tuple(w) for a, w in zip(letters, images)}
+    try:
+        Substitution(rules, seed)
+        grows = True
+    except NonGrowingSubstitutionError:
+        grows = False
+    assert grows == _grows_by_definition(rules, seed)
 
 
 def test_growth_through_transient():
@@ -201,9 +235,14 @@ README_INDUCED_DOC = {"kind": "induced",
                       "return_rule": "first-return"}
 
 
-@pytest.mark.parametrize("command", ["induce", "speedup-compare", "complexity"])
+@pytest.mark.parametrize("command, doc", [
+    ("induce", README_INDUCED_DOC), ("speedup-compare", README_INDUCED_DOC),
+    ("complexity", README_INDUCED_DOC),
+    # the probe reads 3 + 10 base letters, horizon 6 needs 19: two realizations
+    ("induce", dict(README_INDUCED_DOC, cap=10)),
+], ids=["induce", "speedup-compare", "complexity", "induce-longer-base"])
 def test_induced_report_resolves_return_times_once(tmp_path, monkeypatch, capsys,
-                                                   command):
+                                                   command, doc):
     calls = []
     resolve = dynamics._resolve_first_return
 
@@ -212,7 +251,7 @@ def test_induced_report_resolves_return_times_once(tmp_path, monkeypatch, capsys
         return resolve(spec, letters)
     monkeypatch.setattr(dynamics, "_resolve_first_return", counted)
     path = tmp_path / "induced.json"
-    path.write_text(json.dumps(README_INDUCED_DOC))
+    path.write_text(json.dumps(doc))
     assert cli.main([command, str(path), "--horizon", "6"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
@@ -466,3 +505,114 @@ def test_subst_oracle_on_multi_character_symbols(draw, h):
     assert {n: {restore(w) for w in ws} for n, ws in got.items()} == {
         n: set(ws) for n, ws in want.items()}
     assert bispecial_lengths(coded, h) == bispecial_lengths(plain, h)
+
+
+def _first_return_by_words(spec, letters):
+    """The reference for first-return resolution: every continuation word
+    of each window, depth first, each rescanned for its first return."""
+    width = 2 * spec.window + 1
+    uset = set(letters)
+    spec.base.check_horizon(width + spec.cap)
+    state_of = dict(zip(*spec.base.frontier(width)))
+    rho = {}
+    for w in letters:
+        agreed = None
+        stack = [(w, state_of[w])]
+        while stack:
+            word, state = stack.pop()
+            hit = next((t for t in range(1, len(word) - width + 1)
+                        if word[t:t + width] in uset), None)
+            if hit is not None:
+                if agreed is not None and agreed != hit:
+                    raise UnsupportedSpecError(
+                        "first-return time is not constant on the cylinder %r"
+                        % (format_word(w),))
+                agreed = hit
+                continue
+            if len(word) - width >= spec.cap:
+                raise ReturnTimeCapError(
+                    "no return within %d steps after %r" % (spec.cap, format_word(w)))
+            for a in spec.base.alphabet:
+                after = spec.base.step(state, a)
+                if after is not None:
+                    stack.append((word + (a,), after))
+        if agreed is None:
+            raise ReturnTimeCapError(
+                "window %r admits no continuation" % (format_word(w),))
+        rho[w] = agreed
+    return rho
+
+
+def _resolution(resolve, spec, letters):
+    try:
+        return resolve(spec, letters)
+    except (ReturnTimeCapError, UnsupportedSpecError) as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@example(base=["11"], window=1, picks=[0, 1, 3, 4], cap=8)  # the golden example
+@example(base=[], window=1, picks=[0, 1, 4, 5], cap=8)  # the cap fires
+@given(base=st.one_of(SHORT_WORDS, SUBSTITUTION_DRAWS),
+       window=st.integers(0, 1),
+       picks=st.lists(st.integers(0, 26), min_size=1, max_size=5),
+       cap=st.integers(0, 6))
+def test_first_return_matches_word_search(base, window, picks, cap):
+    """The pair walk against the word-by-word search: the same return
+    times, or both refuse the same window.  Only a window with two faults
+    may differ in which one is reported: the walk reports the cap."""
+    width = 2 * window + 1
+    if isinstance(base, list):
+        alph = Alphabet(("0", "1"))
+        forbidden = frozenset(tuple(w) for w in base)
+        oracle = sft_oracle(build_block_graph(FiniteTypeSpec(alph, forbidden)), width + cap)
+    else:
+        tau = _substitution(base)
+        if tau is None:
+            return
+        oracle = subst_oracle(tau, width + cap)
+    allowed = oracle.words_of_length(width)
+    if not allowed:
+        return
+    clopen = frozenset(allowed[i % len(allowed)] for i in picks)
+    spec = InducedSpec(oracle, window, clopen, "first-return", cap)
+    letters = dynamics._superletters(spec)
+    got = _resolution(dynamics._resolve_first_return, spec, letters)
+    want = _resolution(_first_return_by_words, spec, letters)
+    if isinstance(got, dict):
+        assert got == want
+    elif str(got).startswith("no return within"):
+        assert isinstance(want, Exception)
+        assert str(want) == str(got) or "not constant" in str(want)
+    else:
+        assert (type(want), str(want)) == (type(got), str(got))
+
+
+def test_first_return_walks_pairs_not_words():
+    # a cycle c w_1 ... w_k with every w_i in {a, b}: 2^k continuations of
+    # "c" but two (window, state) pairs per step
+    k = 20
+    edges = [(0, "c", 1)] + [(i, a, (i + 1) % (k + 1))
+                             for i in range(1, k + 1) for a in "ab"]
+    graph = make_labeled_graph(Alphabet(("a", "b", "c")), tuple(range(k + 1)), edges)
+    base = sofic_oracle(graph, 2 * k + 2)
+    calls = []
+
+    def counted(state, letter):
+        calls.append(letter)
+        return base.step(state, letter)
+    spec = InducedSpec(replace(base, step=counted), 0, frozenset([("c",)]),
+                       "first-return", k + 2)
+    assert induced_data(spec)[1] == {("c",): k + 1}
+    assert len(calls) <= 300
+
+
+def test_rebase_keeps_the_resolution():
+    spec = InducedSpec(golden_base(11), 1,
+                       frozenset([("0", "0", "0"), ("0", "0", "1"), ("1", "0", "0"),
+                                  ("1", "0", "1")]), "first-return", 8)
+    longer = golden_base(40)
+    moved = rebase(spec, longer)
+    assert moved.base is longer
+    assert induced_data(moved) is induced_data(spec)
+    assert induced_data(replace(moved)) == induced_data(spec)

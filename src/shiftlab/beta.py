@@ -8,17 +8,15 @@ lexicographically at most the corresponding prefix of the working
 stream, which is d(1, beta) itself, or its periodic replacement
 d0 .. d_{k-1} (d_k - 1) repeated when the expansion terminates.
 
-Three digit engines, chosen by how beta is described:
-- rationals expand in integers.  An integer beta gives the one digit
+Two digit engines, chosen by how beta is described:
+- rationals, decimal literals among them (a literal is the rational it
+  spells), expand in integers.  An integer beta gives the one digit
   beta ("finite"); any other rational is no algebraic integer, so by
   Parry (1960) its expansion neither ends nor repeats, and it is always
   "truncated".
 - algebraic numbers expand exactly in Q(beta).  Each floor, zero test
   and revisit test reads rational enclosures of the residues first; a
   gcd or a bisection runs only when an enclosure straddles the answer.
-- decimal literals expand in integers as the rational they spell, with
-  the status always truncated: a literal pins down the number, not its
-  algebraic identity.
 """
 
 from dataclasses import dataclass
@@ -114,13 +112,11 @@ class BetaExpansion:
 
 @dataclass
 class BetaNumber:
-    """A real beta > 1 given as a rational, an algebraic number, or a
-    decimal literal taken at face value as the rational it spells."""
+    """A real beta > 1 given as a rational or an algebraic number."""
 
     kind: str
     rational: Fraction = None
     algebraic: AlgebraicNumber = None
-    literal: str = None
 
 
 def beta_rational(value):
@@ -139,13 +135,12 @@ def beta_algebraic(coeffs, lo, hi):
 
 
 def beta_decimal(literal):
+    """The rational a decimal literal spells."""
     try:
         value = Fraction(literal)
     except ValueError:
         raise UnsupportedSpecError("cannot parse decimal literal %r" % (literal,))
-    if value <= 1:
-        raise UnsupportedSpecError("beta must exceed 1")
-    return BetaNumber(kind="decimal", literal=literal)
+    return beta_rational(value)
 
 
 def _greedy_digits(p, q, n):
@@ -214,21 +209,11 @@ def _expand_algebraic(num, n):
     return digits, "truncated", 0, 0
 
 
-def _expand_decimal(literal, n):
-    # A literal is the exact rational it spells, so its digits are those
-    # of the rational engine.  It pins down the number, not its algebraic
-    # identity, so it never reports "finite": an integer literal gives
-    # its digit followed by zeros, and the stream stays truncated.
-    value = Fraction(literal)
-    return _greedy_digits(value.numerator, value.denominator, n), "truncated", 0, 0
-
-
 def beta_expand(beta, n):
     """First n digits of d(1, beta), every floor exact.
 
-    Rational and algebraic engines detect a terminating or revisiting
-    orbit of 1, settling the status; decimal literals always report
-    truncated.
+    Both engines detect a terminating or revisiting orbit of 1, settling
+    the status.
     """
     if n < 1:
         raise UnsupportedSpecError("at least one digit is needed")
@@ -236,8 +221,6 @@ def beta_expand(beta, n):
         digits, status, pre, per = _expand_rational(beta.rational, n)
     elif beta.kind == "algebraic":
         digits, status, pre, per = _expand_algebraic(beta.algebraic, n)
-    elif beta.kind == "decimal":
-        digits, status, pre, per = _expand_decimal(beta.literal, n)
     else:
         raise UnsupportedSpecError("unknown beta engine %r" % (beta.kind,))
     d0 = digits[0]

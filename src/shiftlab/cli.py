@@ -27,12 +27,12 @@ from .forbidden import ls_report, minimal_forbidden, tau_eval, \
     well_approx_check
 from .language import complexity, format_word, special_words
 from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
-                       max_entropy_decomposition, mu_y_average, parry_measure,
-                       weak_star_distance)
+                       eval_cylinder, max_entropy_decomposition, mu_y_average,
+                       parry_measure, weak_star_distance)
 from .shifts import (load_shift_document, parse_block_code, periodic_census,
                      periodic_measure, realize, shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
-    language_equal_up_to, sofic_entropy, theorem1_diagnostic
+    language_equal_up_to, sofic_entropy, sofic_oracle, theorem1_diagnostic
 
 
 # `lang` and `special` list words; past this many words they refuse.
@@ -207,8 +207,7 @@ def cmd_nu(args):
     report.update(_cylinders(measure, args.depth))
     if args.compare_parry:
         realized.need("spec", "the Parry comparison")
-        graph = realized.block_graph()
-        parry = parry_measure(graph)
+        parry = parry_measure(realized.labeled)
         report["parry_distance"] = weak_star_distance(measure, parry,
                                                       args.depth)
         report["note"] = "distance is a max over cylinders of depth <= %d" \
@@ -218,13 +217,14 @@ def cmd_nu(args):
 
 def cmd_parry(args):
     realized = _load(args)
-    realized.need("spec", "the Parry measure")
-    graph = realized.block_graph()
-    measure = parry_measure(graph)
+    k = realized.need("spec", "the Parry measure").memory - 1
+    measure = parry_measure(realized.labeled)
+    # the (memory-1)-words, read at their own length: --horizon can be shorter
+    words = sofic_oracle(realized.labeled, k).words_of_length(k)
     report = {
         "perron": measure.perron,
-        "stationary": {format_word(v): measure.stationary[v]
-                       for v in graph.states},
+        "stationary": {format_word(u): eval_cylinder(measure, u)
+                       for u in sorted(words)},
     }
     report.update(_cylinders(measure, args.depth))
     return report
@@ -233,9 +233,8 @@ def cmd_parry(args):
 def cmd_decompose(args):
     realized = _load(args)
     realized.need("spec", "decomposition")
-    graph = realized.block_graph()
     code = _load_code(args.code, realized.oracle.alphabet)
-    components = max_entropy_decomposition(graph, code, args.depth)
+    components = max_entropy_decomposition(realized.labeled, code, args.depth)
     report = {
         "count": len(components),
         "components": [],
@@ -272,7 +271,7 @@ def cmd_push(args):
 def cmd_autocheck(args):
     realized = _load(args)
     realized.need("spec", "the automorphism check")
-    graph = realized.block_graph()
+    graph = realized.labeled
     code = _load_code(args.code, realized.oracle.alphabet)
     inverse = _load_code(args.inverse, code.target_alphabet)
     if not language_equal_exact(apply_block_code(graph, code), graph):

@@ -9,7 +9,9 @@ f-words.  Both are read off the shift's language, where every word
 extends both ways, so every vertex lies on a bi-infinite path and the
 label words of finite paths are exactly the words occurring in points of
 the shift.  An empty graph is the empty shift; it is flagged, not
-raised, because downstream diagnostics want to report it.
+raised, because downstream diagnostics want to report it.  The commands
+read the linear-size ``sofic.finite_type_presentation`` instead; the
+block graph stays as an independent reference.
 """
 
 import collections
@@ -62,8 +64,6 @@ class BlockGraph(LabeledGraph):
     the edges are the allowed letters.
     """
 
-    memory: int = 1
-
     @property
     def vertices(self):
         return self.states
@@ -91,7 +91,7 @@ def block_graph_of(presentation, memory):
         rows.setdefault(w[:-1], {})[w[-1]] = (w[1:],)
     states = tuple(sorted(oracle.words_of_length(memory - 1)))
     return _mark_pruned(BlockGraph(presentation.alphabet, states,
-                                   {u: rows[u] for u in states}, memory=memory))
+                                   {u: rows[u] for u in states}))
 
 
 def sft_oracle(graph, horizon):
@@ -229,9 +229,10 @@ def sft_cover(oracle, n):
 
 
 def scc_subgraphs(graph):
-    """Recurrent strongly connected pieces of the block graph.
+    """Recurrent strongly connected pieces of a labeled graph.
 
-    Every transitive subshift of the SFT lives inside one of these.
+    Every transitive subshift of the presented shift lives inside one of
+    these.
     Loopless single vertices carry no bi-infinite path and are skipped.
     """
     if graph.is_empty:

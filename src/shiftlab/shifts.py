@@ -188,9 +188,8 @@ class RealizedShift:
     ``labeled`` is a sofic presentation when one is available (this
     includes eventually periodic beta expansions), ``spec`` the
     finite-type data when the kind has it, the rest are kind artifacts.
-    The block presentation is exponential in the memory, so it is built
-    on first demand, not at realization.  ``need`` hands out a field or
-    refuses, in one wording, when the kind lacks it.
+    ``need`` hands out a field or refuses, in one wording, when the kind
+    lacks it.
     """
 
     document: ShiftDocument
@@ -213,6 +212,13 @@ class RealizedShift:
         return value
 
     def block_graph(self):
+        """The block graph of finite-type data, built on first demand.
+
+        No command reads it: every command works on ``labeled``, whose
+        size is linear in the forbidden words where the block graph's is
+        exponential in the memory.  It is kept for ``perfbench/``, which
+        draws and checks its documents by it.
+        """
         if self._graph is None:
             spec = self.need("spec", "the block graph")
             self._graph = block_graph_of(self.labeled, spec.memory)

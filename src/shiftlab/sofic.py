@@ -148,25 +148,29 @@ def finite_type_presentation(spec):
 
 
 def apply_block_code(graph, code):
-    """Image of an SFT under a block code, as a pruned labeled graph.
+    """Image of the shift a labeled graph presents under a block code, as
+    a pruned labeled graph.
 
-    Built on the (2R+f-1)-block presentation: vertices are allowed
-    (2R+f-1)-words, an edge extends the window by one letter, and its
-    label is the code output on the first (2R+1) letters of the extended
-    window.  Bi-infinite label sequences are exactly the code images of
-    the points of the source shift.
+    The image's states are the paths of 2R edges, written (s_0, a_1,
+    s_1, ..., a_2R, s_2R); an edge extends a path by one edge and drops
+    its first, and its label is the code's output on the 2R+1 labels of
+    the extended path.  On the pruned graph every path extends both
+    ways, so the bi-infinite label sequences are exactly the code images
+    of the points of the source shift.
     """
     if graph.alphabet != code.source_alphabet:
         raise AlphabetMismatchError("code source alphabet must match the shift's")
-    if graph.is_empty:
-        return LabeledGraph(code.target_alphabet, (), {})
-    r = code.range_
-    k = 2 * r + graph.memory - 1
-    oracle = _survivor_oracle(graph, k + 1)
-    edges = [(w[:-1], code.rule[w[:2 * r + 1]], w[1:])
-             for w in oracle.words_of_length(k + 1)]
-    g = make_labeled_graph(code.target_alphabet, oracle.words_of_length(k), edges)
-    return prune_labeled(g)
+    graph = prune_labeled(graph)
+
+    def extend(path):
+        return [path + (a, t) for a, ts in graph.transitions.get(path[-1], {}).items()
+                for t in ts]
+
+    paths = [(s,) for s in graph.states]
+    for _ in range(2 * code.range_):
+        paths = [q for p in paths for q in extend(p)]
+    edges = [(q[:-2], code.rule[q[1::2]], q[2:]) for p in paths for q in extend(p)]
+    return prune_labeled(make_labeled_graph(code.target_alphabet, paths, edges))
 
 
 def sofic_oracle(g, horizon):

@@ -12,7 +12,7 @@ from shiftlab import (CannotCloseError, DigitStream, InsufficientDigitsError,
                       beta_presentation, beta_rational, example_betashift,
                       is_sft, language_equal_exact, parse_beta_spec,
                       sofic_entropy, star_expansion, stream_alphabet)
-from shiftlab.beta import _expand_algebraic, _expand_decimal, _expand_rational
+from shiftlab.beta import _expand_algebraic, _expand_rational
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -161,14 +161,20 @@ def interval_expansion(literal, n):
        st.integers(min_value=1, max_value=128))
 def test_decimal_engine_matches_interval_engine(literal, n):
     assume(Fraction(literal) > 1)
-    assert _expand_decimal(literal, n) == interval_expansion(literal, n)
-    assert beta_expand(beta_decimal(literal), n).status == "truncated"
+    expansion = beta_expand(beta_decimal(literal), n)
+    reference = interval_expansion(literal, n)[0]
+    assert list(expansion.digits) == reference[:len(expansion.digits)]
+    # an integer literal's expansion ends after its one digit
+    assert (expansion.status == "finite") == (Fraction(literal).denominator == 1)
 
 
 def test_decimal_integer_and_trailing_zeros():
     exp = beta_expand(beta_decimal("3"), 5)
-    assert exp.digits == (3, 0, 0, 0, 0)
-    assert exp.status == "truncated"
+    assert exp == beta_expand(beta_rational(3), 5)
+    assert exp.digits == (3,)
+    assert exp.status == "finite"
+    # the full 3-shift: its working stream is 2, 2, 2, ...
+    assert stream_alphabet(exp.working_stream()).symbols == ("0", "1", "2")
     assert (beta_expand(beta_decimal("2.50"), 40).digits
             == beta_expand(beta_decimal("2.5"), 40).digits)
 
@@ -203,7 +209,7 @@ def test_example_betashift():
 
 def test_parse_beta_spec_forms():
     assert parse_beta_spec("rational:5/2").rational == Fraction(5, 2)
-    assert parse_beta_spec("1.8").kind == "decimal"
+    assert parse_beta_spec("1.8").rational == Fraction(9, 5)
     assert parse_beta_spec("poly:x^2-x-1@[1.5,1.7]").kind == "algebraic"
     with pytest.raises(UnsupportedSpecError):
         parse_beta_spec("poly:x^2-x-1")

@@ -291,12 +291,12 @@ def test_special(capsys, write):
 
 
 @pytest.mark.parametrize("argv, n, count", [
-    (["lang", "--length", "2"], 2, 9003001),
-    (["special", "--length", "1"], 2, 9003001),
+    (["lang", "--length", "2"], 2, 9000000),
+    (["special", "--length", "1"], 2, 9000000),
 ])
 def test_word_listing_refused_past_the_limit(capsys, write, argv, n, count):
-    # beta 3000 has 3,001 digits, so 9,003,001 words of length 2: they are
-    # counted on oracle states and refused before any is listed
+    # beta 3000 is the full 3000-shift, so 9,000,000 words of length 2:
+    # they are counted on oracle states and refused before any is listed
     doc = write("b.json", {"kind": "beta", "beta": "3000"})
     start = time.perf_counter()
     rc, out, err = run(capsys, argv[:1] + [doc] + argv[1:])
@@ -496,18 +496,45 @@ def test_nu_ignores_exact(capsys, write, doc, argv):
     assert plain[0] == (1 if doc is FIB_DOC else 0)
 
 
-def test_nu_counts_long_memory_sft_without_block_graph(capsys, write, monkeypatch):
-    # memory 11 over three letters: the count runs on the prefix automaton
-    def block_graph_forbidden(self):
-        raise AssertionError("block graph built")
-    monkeypatch.setattr("shiftlab.shifts.RealizedShift.block_graph",
-                        block_graph_forbidden)
-    doc = write("ne.json", {"kind": "example-nonempty", "lengths": [3, 5, 12]})
-    report = run_json(capsys, ["nu", doc, "--exact", "--period", "8"])
+def _nu_counts_long_memory(report):
     exact = report["cylinders_exact"]
     assert sum(Fraction(exact[a]) for a in ("0", "1", "2")) == 1
     # 7154 points of minimal period <= 8 (see test_periodic_on_long_memory_sft)
     assert all(7154 % Fraction(v).denominator == 0 for v in exact.values())
+
+
+def _parry_stationary_sums_to_one(report):
+    # one value per allowed 9-word of the memory-10 shift
+    assert len(report["stationary"]) == 15116
+    assert sum(report["stationary"].values()) == pytest.approx(1, abs=1e-9)
+
+
+@pytest.mark.parametrize("doc, argv, check", [
+    # memory 11 over three letters: the count runs on the prefix automaton
+    ({"kind": "example-nonempty", "lengths": [3, 5, 12]},
+     ["nu", "--exact", "--period", "8"], _nu_counts_long_memory),
+    (GOLDEN_DOC, ["parry"], None),
+    (GOLDEN_DOC, ["nu", "--compare-parry"], None),
+    (GOLDEN_DOC, ["decompose", "--code", "FLIP", "--average-cutoff", "6"], None),
+    (FULL2_DOC, ["autocheck", "--code", "FLIP", "--inverse", "FLIP"], None),
+    # memory 10: its block graph has 15,116 states
+    ({"kind": "example-nonempty", "lengths": [3, 6, 10]}, ["parry"],
+     _parry_stationary_sums_to_one),
+], ids=["nu-exact", "parry", "nu-compare-parry", "decompose", "autocheck",
+        "parry-memory-10"])
+def test_nu_counts_long_memory_sft_without_block_graph(capsys, write, monkeypatch,
+                                                       doc, argv, check):
+    # every command reads the presentation; none builds the block graph
+    def block_graph_forbidden(self):
+        raise AssertionError("block graph built")
+    monkeypatch.setattr("shiftlab.shifts.RealizedShift.block_graph",
+                        block_graph_forbidden)
+    path = write("d.json", doc)
+    flip = write("flip.json", FLIP_CODE)
+    argv = [flip if a == "FLIP" else a for a in argv]
+    report = run_json(capsys, argv[:1] + [path] + argv[1:])
+    if check is not None:
+        check(report)
 
 
 def test_parry(capsys, write):
@@ -697,9 +724,21 @@ def test_beta_expand_finite(capsys):
 
 
 def test_beta_expand_decimal_is_truncated(capsys):
-    report = run_json(capsys, ["beta", "expand", "2", "--digits", "12"])
+    # a literal is the rational it spells: truncated unless it is an integer
+    report = run_json(capsys, ["beta", "expand", "2.5", "--digits", "12"])
     assert report["status"] == "truncated"
     assert report["digits"][0] == 2
+    report = run_json(capsys, ["beta", "expand", "3", "--digits", "12"])
+    assert report["status"] == "finite"
+    assert report == run_json(capsys, ["beta", "expand", "rational:3",
+                                       "--digits", "12"])
+
+
+def test_integer_literal_presents_the_full_shift(capsys, write):
+    three = write("b3.json", {"kind": "beta", "beta": "3"})
+    assert run_json(capsys, ["lang", three, "--length", "1"])["words"] == ["0", "1", "2"]
+    two = write("b2.json", {"kind": "beta", "beta": "2"})
+    assert run_json(capsys, ["mfw", two, "--horizon", "8"])["table"] == {}
 
 
 def test_beta_mfw(capsys):

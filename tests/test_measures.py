@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from shiftlab import (Alphabet, BlockCode, CylinderMeasure, EmptySupportError,
                       FiniteTypeSpec, NotAnAutomorphismError,
                       PeriodicSupportMeasure, ReducibleGraphError,
-                      ShiftlabError, UnsupportedSpecError, make_labeled_graph,
+                      ShiftlabError, UnsupportedSpecError, apply_block_code,
                       automorphism_invariance_check, build_block_graph,
                       cylinder_table, eval_cylinder, finite_type_presentation,
-                      full_shift,
+                      full_shift, language_equal_exact, make_labeled_graph,
                       max_entropy_decomposition, mu_y_average, nu_cylinder_measure,
                       nu_measure, parry_measure, per_le_enumerate, pushforward,
                       scc_subgraphs, sft_oracle, weak_star_distance)
@@ -90,6 +90,32 @@ def test_counted_image_under_range_2_code_matches_enumeration(letters, forbidden
     pushed = pushforward(nu_measure(per_le_enumerate(graph, n), alph, n), code)
     assert nu_cylinder_measure(graph, n, 2, code).values == \
         cylinder_table(pushed, 2).values
+
+
+@settings(max_examples=60, deadline=None)
+@given(letters=st.integers(2, 3), radius=st.integers(0, 1), data=st.data())
+def test_presentation_matches_block_graph_reference(letters, radius, data):
+    # code images and Parry chains on the prefix automaton against the
+    # same on the block graph, the independent reference
+    alph = Alphabet(tuple("abc"[:letters]))
+    word = st.lists(st.sampled_from(alph.symbols), min_size=1, max_size=4).map(tuple)
+    spec = FiniteTypeSpec(alph, data.draw(st.frozensets(word, max_size=4)))
+    presentation, blocks = finite_type_presentation(spec), build_block_graph(spec)
+    windows = list(itertools.product(alph.symbols, repeat=2 * radius + 1))
+    outputs = data.draw(st.lists(st.sampled_from(("x", "y")),
+                                 min_size=len(windows), max_size=len(windows)))
+    code = BlockCode(alph, Alphabet(("x", "y")), radius, dict(zip(windows, outputs)))
+    assert language_equal_exact(apply_block_code(presentation, code),
+                                apply_block_code(blocks, code))
+    if blocks.is_empty:
+        assert presentation.is_empty
+        return
+    try:
+        reference = cylinder_table(parry_measure(blocks), 4)
+    except ReducibleGraphError:
+        return
+    table = cylinder_table(parry_measure(presentation), 4)
+    assert all(abs(table.values[w] - v) <= 1e-10 for w, v in reference.values.items())
 
 
 def test_parry_measure_golden(golden_graph):
@@ -259,7 +285,7 @@ def parry_memory_formula(pm, word):
     pi(w[:f-1]) times the edge probabilities of the rest of w, and the
     summed stationary mass of the states extending w when |w| < f - 1."""
     graph = pm.graph
-    f = graph.memory
+    f = len(graph.states[0]) + 1
     if len(word) < f - 1:
         return sum(p for u, p in pm.stationary.items() if u[:len(word)] == word)
     v = word[:f - 1]

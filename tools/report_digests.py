@@ -6,10 +6,11 @@ every report byte-identical.
 Builds the four workloads of ``perfbench/workloads.py`` at seeds 1 and
 2, runs each report's argv through ``cli.main`` in this process once with
 ``--format json`` and once with ``--format text``, and prints ``<seed>
-<report id> <format> <exit code> <sha256 of stdout> <sha256 of stderr>``.
+<report id> <format> <exit code> <sha256 of stdout> <sha256 of stderr>
+<argv>``, so a diff of two runs names the commands whose output changed.
 JSON sorts keys but text follows the report's key order, so both are
 checked.  The temporary document directory is masked in both streams
-before hashing, so two runs compare line by line.
+before hashing, and in the argv, so two runs compare line by line.
 REPO (default: the checkout holding this script) supplies both
 ``src/shiftlab`` and ``perfbench``; run the script once against the
 parent checkout and once against the change, and ``diff`` the outputs.
@@ -62,7 +63,8 @@ def main(argv=None):
                     for fmt in FORMATS:
                         rc, out, err = _run(cli, report.argv, fmt)
                         print(seed, report.rid, fmt, rc, _digest(out, docdir),
-                              _digest(err, docdir), flush=True)
+                              _digest(err, docdir),
+                              " ".join(report.argv).replace(docdir, MASK), flush=True)
     return 0
 
 

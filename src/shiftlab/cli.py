@@ -25,7 +25,7 @@ from .errors import EnumerationCapError, NotAnAutomorphismError, ShiftlabError, 
     UnsupportedSpecError
 from .forbidden import ls_report, minimal_forbidden, tau_eval, \
     well_approx_check
-from .language import complexity, format_word, special_words
+from .language import WORD_LIMIT, complexity, format_word, special_words
 from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
                        eval_cylinder, max_entropy_decomposition, mu_y_average,
                        parry_measure, weak_star_distance)
@@ -33,10 +33,6 @@ from .shifts import (load_shift_document, parse_block_code, periodic_census,
                      periodic_measure, realize, shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
     language_equal_up_to, sofic_entropy, sofic_oracle, theorem1_diagnostic
-
-
-# `lang` and `special` list words; past this many words they refuse.
-WORD_LIMIT = 10 ** 6
 
 
 def _evidence(horizon):
@@ -218,13 +214,14 @@ def cmd_nu(args):
 def cmd_parry(args):
     realized = _load(args)
     k = realized.need("spec", "the Parry measure").memory - 1
-    measure = parry_measure(realized.labeled)
     # the (memory-1)-words, read at their own length: --horizon can be shorter
-    words = sofic_oracle(realized.labeled, k).words_of_length(k)
+    oracle = sofic_oracle(realized.labeled, k)
+    _check_word_count(oracle, k)
+    measure = parry_measure(realized.labeled)
     report = {
         "perron": measure.perron,
         "stationary": {format_word(u): eval_cylinder(measure, u)
-                       for u in sorted(words)},
+                       for u in sorted(oracle.words_of_length(k))},
     }
     report.update(_cylinders(measure, args.depth))
     return report
@@ -276,6 +273,7 @@ def cmd_autocheck(args):
     inverse = _load_code(args.inverse, code.target_alphabet)
     if not language_equal_exact(apply_block_code(graph, code), graph):
         raise NotAnAutomorphismError("the code does not map the shift onto itself")
+    _check_word_count(realized.oracle, 4 * (code.range_ + inverse.range_) + 1)
     span = certify_inverse_pair(realized.oracle, code, inverse)
     nu = periodic_measure(realized, args.period, args.depth)
     image = periodic_measure(realized, args.period, args.depth, code=code)

@@ -26,6 +26,9 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 EMPTY_WORD = ()
 
+# Word listings and cylinder tables refuse past this many entries.
+WORD_LIMIT = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Alphabet:

@@ -19,14 +19,15 @@ from fractions import Fraction
 import itertools
 import math
 
-from .errors import (AlphabetMismatchError, EmptyShiftError,
-                     EmptySupportError, HorizonExceededError,
+from .errors import (AlphabetMismatchError, EmptyShiftError, EmptySupportError,
+                     EnumerationCapError, HorizonExceededError,
                      NotAnAutomorphismError, ReducibleGraphError,
                      ShiftlabError, UnsupportedSpecError)
 from .graph import prune_labeled
+from .language import WORD_LIMIT
 from .sft import (DEFAULT_CAP, _minimal_period, periodic_count_table,
                   scc_subgraphs)
-from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
+from .sofic import (BlockCode, _check_feeds, apply_block_code, determinize,
                     language_equal_exact, per_le_enumerate)
 from .spectral import perron_vectors, spectral_radius_certified
 
@@ -119,6 +120,10 @@ class ParryMeasure:
     transition: tuple
     right: dict
 
+    @property
+    def alphabet(self):
+        return self.graph.alphabet
+
 
 def nu_measure(points, alphabet, cutoff):
     """Uniform empirical measure on the given periodic points.
@@ -155,58 +160,55 @@ def eval_cylinder(measure, word):
     raise UnsupportedSpecError("cannot evaluate cylinders of %r" % (type(measure),))
 
 
-def _measure_alphabet(measure):
-    if isinstance(measure, ParryMeasure):
-        return measure.graph.alphabet
-    return measure.alphabet
-
-
-def _cylinder_reader(measure, depth):
-    """``word -> measure of [word]`` for words of length <= ``depth``.
-
-    A periodic-support measure is tabulated in one pass: each point adds
-    its weight to the one depth-``depth`` cylinder its orbit starts
-    with, and each shorter cylinder is the sum of its one-letter
-    extensions.  Only cylinders of positive mass are stored.
-    """
-    if not isinstance(measure, PeriodicSupportMeasure):
-        return lambda word: eval_cylinder(measure, word)
+def _words_upto(alphabet, depth, value):
+    """``{word: value}`` over the words of length <= ``depth``, shortest
+    first: the one listing of cylinders.  Past ``WORD_LIMIT`` words it
+    refuses before building any, naming the first depth that passes."""
+    if depth < 0:
+        raise UnsupportedSpecError("depth must be >= 0")
+    count = level = 1
+    for k in range(1, depth + 1):
+        level *= len(alphabet)
+        count += level
+        if count > WORD_LIMIT:
+            raise EnumerationCapError("%d cylinders of depth <= %d exceed the limit %d"
+                                      % (count, k, WORD_LIMIT))
     table = {}
-    for w, q, weight in measure.entries:
-        key = tuple(w[i % q] for i in range(depth))
-        table[key] = table.get(key, 0) + weight
-    for k in range(depth, 0, -1):
-        for word in [u for u in table if len(u) == k]:
-            table[word[:-1]] = table.get(word[:-1], 0) + table[word]
-    zero = Fraction(0)
-    return lambda word: table.get(word, zero)
+    for k in range(depth + 1):
+        table.update(dict.fromkeys(itertools.product(alphabet.symbols, repeat=k), value))
+    return table
+
+
+def _summed_down(table):
+    """Add each word's mass into its prefix, longest first (``_words_upto`` order)."""
+    for w in reversed(table):
+        if w:
+            table[w[:-1]] += table[w]
 
 
 def weak_star_distance(m1, m2, depth):
-    """Max cylinder discrepancy over words of length <= depth."""
-    if depth < 0:
-        raise UnsupportedSpecError("depth must be >= 0")
-    alphabet = _measure_alphabet(m1)
-    if alphabet != _measure_alphabet(m2):
+    """Max cylinder discrepancy over nonempty words of length <= depth."""
+    if m1.alphabet != m2.alphabet:
         raise AlphabetMismatchError("measures live over different alphabets")
-    read1, read2 = _cylinder_reader(m1, depth), _cylinder_reader(m2, depth)
-    best = 0
-    for k in range(1, depth + 1):
-        for word in itertools.product(alphabet.symbols, repeat=k):
-            d = abs(read1(word) - read2(word))
-            if d > best:
-                best = d
-    return float(best)
+    t1, t2 = cylinder_table(m1, depth).values, cylinder_table(m2, depth).values
+    return float(max((abs(t1[w] - t2[w]) for w in t1 if w), default=0))
 
 
 def cylinder_table(measure, depth):
-    """Tabulate any measure into a CylinderMeasure up to ``depth``."""
-    alphabet = _measure_alphabet(measure)
-    read = _cylinder_reader(measure, depth)
-    values = {}
-    for k in range(depth + 1):
-        for word in itertools.product(alphabet.symbols, repeat=k):
-            values[word] = read(word)
+    """Tabulate any measure into a CylinderMeasure up to ``depth`` (a table
+    of that depth is its own).  A periodic point adds its weight to the
+    depth-``depth`` cylinder its orbit starts with, and those sum down."""
+    if isinstance(measure, CylinderMeasure) and measure.depth == depth:
+        return measure
+    alphabet = measure.alphabet
+    if isinstance(measure, PeriodicSupportMeasure):
+        values = _words_upto(alphabet, depth, Fraction(0))
+        for w, q, weight in measure.entries:
+            values[tuple(w[i % q] for i in range(depth))] += weight
+        _summed_down(values)
+    else:
+        values = {w: eval_cylinder(measure, w)
+                  for w in _words_upto(alphabet, depth, None)}
     return CylinderMeasure(alphabet, depth, values)
 
 
@@ -243,16 +245,11 @@ def nu_cylinder_measure(graph, n, depth, code=None):
     if code is None:
         code = BlockCode(graph.alphabet, graph.alphabet, 0,
                          {(a,): a for a in graph.alphabet.symbols})
-    counts = {}
-    for k in range(depth + 1):
-        counts.update(dict.fromkeys(
-            itertools.product(code.target_alphabet.symbols, repeat=k), 0))
+    counts = _words_upto(code.target_alphabet, depth, 0)
     counts.update(periodic_count_table(
         graph, n, [graph.alphabet.symbols] * (depth + 2 * code.range_),
         code.apply_to_word))
-    for w in reversed(counts):
-        if w:
-            counts[w[:-1]] += counts[w]
+    _summed_down(counts)
     if counts[()] <= 0:
         raise EmptySupportError("no periodic points up to period %d" % n)
     values = {w: Fraction(c, counts[()]) for w, c in counts.items()}
@@ -420,12 +417,9 @@ def mu_y_average(components, cutoff, depth, cap=DEFAULT_CAP):
         if comp.measure.depth < depth:
             raise HorizonExceededError(
                 "component tables stop at depth %d" % comp.measure.depth)
-    values = {}
-    for k in range(depth + 1):
-        for word in itertools.product(alphabet.symbols, repeat=k):
-            values[word] = float(sum(
-                wt * comp.measure.values[word]
-                for wt, comp in zip(weights, components)))
+    values = {word: float(sum(wt * comp.measure.values[word]
+                              for wt, comp in zip(weights, components)))
+              for word in _words_upto(alphabet, depth, None)}
     measure = CylinderMeasure(alphabet, depth, values)
     return MuAverageResult(measure, weights, cutoff)
 
@@ -445,17 +439,18 @@ class AutomorphismReport:
 def certify_inverse_pair(oracle, code, code_inv):
     """Check that code and code_inv invert each other on all words up to
     length 4R+1 (R the composed range) and return that length; raise
-    NotAnAutomorphismError on the first word the composition moves."""
+    NotAnAutomorphismError on the first word the composition moves.  Each
+    word goes through both codes: no |A|^(2R+1)-window composed table."""
     if code.source_alphabet != oracle.alphabet:
         raise AlphabetMismatchError("code does not act on this shift's alphabet")
     r = code.range_ + code_inv.range_
     span = 4 * r + 1
     oracle.check_horizon(span)
     for outer, inner in ((code, code_inv), (code_inv, code)):
-        composed = compose_codes(outer, inner)
+        _check_feeds(outer, inner)
         for length in range(2 * r + 1, span + 1):
             for w in oracle.words_of_length(length):
-                if composed.apply_to_word(w) != w[r:length - r]:
+                if outer.apply_to_word(inner.apply_to_word(w)) != w[r:length - r]:
                     raise NotAnAutomorphismError(
                         "composition moves %r; not an inverse pair" % (w,))
     return span

@@ -82,10 +82,14 @@ class BlockCode:
         return tuple(out)
 
 
-def compose_codes(outer, inner):
-    """The code computing outer(inner(x)); range adds."""
+def _check_feeds(outer, inner):
     if inner.target_alphabet != outer.source_alphabet:
         raise AlphabetMismatchError("inner code output alphabet must feed the outer code")
+
+
+def compose_codes(outer, inner):
+    """The code computing outer(inner(x)); range adds."""
+    _check_feeds(outer, inner)
     r = outer.range_ + inner.range_
     width = 2 * r + 1
     rule = {w: outer.rule[inner.apply_to_word(w)]

@@ -8,6 +8,7 @@ success, 1 on domain and file errors, 2 on usage errors.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -290,20 +291,46 @@ def test_special(capsys, write):
     assert report["bispecial"] == ["0"]
 
 
-@pytest.mark.parametrize("argv, n, count", [
-    (["lang", "--length", "2"], 2, 9000000),
-    (["special", "--length", "1"], 2, 9000000),
-])
-def test_word_listing_refused_past_the_limit(capsys, write, argv, n, count):
+def identity_code(radius):
+    """The identity on binary sequences as a code of the given range."""
+    return {"range": radius,
+            "rule": {"".join(w): w[radius]
+                     for w in itertools.product("01", repeat=2 * radius + 1)}}
+
+
+# a binary table to depth 28 would hold 2^29 - 1 cylinders; depth 19 is
+# the first past the limit
+DEEP = "1048575 cylinders of depth <= 19"
+
+
+@pytest.mark.parametrize("argv, what", [
     # beta 3000 is the full 3000-shift, so 9,000,000 words of length 2:
     # they are counted on oracle states and refused before any is listed
-    doc = write("b.json", {"kind": "beta", "beta": "3000"})
+    (["lang", "BETA", "--length", "2"], "9000000 words of length 2"),
+    (["special", "BETA", "--length", "1"], "9000000 words of length 2"),
+    (["nu", "GOLDEN", "--depth", "28"], DEEP),
+    (["nu", "GOLDEN", "--compare-parry", "--depth", "28"], DEEP),
+    (["push", "GOLDEN", "--code", "ID0", "--depth", "28"], DEEP),
+    (["autocheck", "GOLDEN", "--code", "ID0", "--inverse", "ID0", "--depth", "28"], DEEP),
+    (["decompose", "GOLDEN", "--code", "ID0", "--depth", "28"], DEEP),
+    (["parry", "GOLDEN", "--depth", "28"], DEEP),
+    # parry lists the allowed (memory-1)-words as its stationary keys
+    (["parry", "LONG"], "625229555 words of length 19"),
+    # the inverse-pair certificate reads every word of length 4(6+6)+1
+    (["autocheck", "FULL2", "--code", "ID6", "--inverse", "ID6", "--horizon", "60"],
+     "562949953421312 words of length 49"),
+], ids=["lang", "special", "nu", "nu-parry", "push", "autocheck", "decompose",
+        "parry", "parry-stationary", "autocheck-certificate"])
+def test_word_listing_refused_past_the_limit(capsys, write, argv, what):
+    docs = {"BETA": {"kind": "beta", "beta": "3000"}, "GOLDEN": GOLDEN_DOC,
+            "FULL2": FULL2_DOC, "LONG": {"kind": "example-nonempty", "lengths": [3, 12, 20]},
+            "ID0": identity_code(0), "ID6": identity_code(6)}
+    argv = [write(t.lower() + ".json", docs[t]) if t in docs else t for t in argv]
     start = time.perf_counter()
-    rc, out, err = run(capsys, argv[:1] + [doc] + argv[1:])
+    rc, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 2.0
     assert rc == 1 and out == ""
-    assert err.strip() == ("error: %d words of length %d exceed the limit %d"
-                           % (count, n, cli.WORD_LIMIT))
+    assert err.strip() == "error: %s exceed the limit %d" % (what, cli.WORD_LIMIT)
 
 
 def test_mfw(capsys, write):

@@ -3,8 +3,12 @@
 Documents follow the shape of each kind, but any field may be replaced by
 a JSON value of the wrong type.  Every command must end with exit code 0,
 1 or 2; no other exception may escape ``cli.main``.  Sizes are capped
-(horizon <= 6, lengths, periods and depths in -2..4, at most 3 states,
-words or rules) so that no draw blows up.
+(horizon <= 6, lengths and periods in -2..4, at most 3 states, words or
+rules) so that no draw blows up.  Two draws reach past the word limit
+instead, and must be refused fast: ``--depth`` is drawn from -2..4 or
+20..40, and ``example-nonempty`` forbidden words from 3..6 or 20..40
+letters.  The lengths between would list up to a million cylinders or
+``parry`` stationary words, which is allowed but slow.
 """
 
 import contextlib
@@ -59,13 +63,15 @@ BETA = document("beta",
 SUBSTITUTION = document("substitution",
                         rules=st.dictionaries(SYMBOL, WORD, min_size=1, max_size=3),
                         seed=SYMBOL)
-EXAMPLE_NONEMPTY = document("example-nonempty",
-                            lengths=st.lists(st.integers(3, 6), max_size=3))
+LONG = st.one_of(st.integers(3, 6), st.integers(20, 40))
+EXAMPLE_NONEMPTY = document("example-nonempty", lengths=st.lists(LONG, max_size=3))
 EXAMPLE_BETASHIFT = document(
     "example-betashift", mode=st.sampled_from(["specified", "synchronized"]),
     steps=st.integers(0, 3))
 SIMPLE = st.one_of(FINITE_TYPE, SOFIC, BETA, SUBSTITUTION, EXAMPLE_NONEMPTY,
                    EXAMPLE_BETASHIFT)
+# the documents that realize to forbidden words
+SPEC = st.one_of(FINITE_TYPE, EXAMPLE_NONEMPTY)
 # well-formed induced documents over binary bases, so that `induce` and
 # `speedup-compare` also get past validation to a report
 BINARY_IMAGE = st.text("01", min_size=1, max_size=3)
@@ -117,12 +123,12 @@ COMMANDS = [
     (["special", "DOC", "--length"], ANY), (["mfw", "DOC"], ANY), (["ls", "DOC"], ANY),
     (["well-approx", "DOC"], ANY), (["entropy", "DOC"], ANY),
     (["periodic", "DOC", "--period"], ANY), (["nu", "DOC", "--period"], ANY),
-    (["nu", "DOC", "--exact", "--compare-parry", "--period"], FINITE_TYPE),
-    (["parry", "DOC", "--depth"], FINITE_TYPE),
-    (["decompose", "DOC", "--code", "CODE", "--average-cutoff"], FINITE_TYPE),
-    (["push", "DOC", "--code", "CODE", "--period"], FINITE_TYPE),
+    (["nu", "DOC", "--exact", "--compare-parry", "--period"], SPEC),
+    (["parry", "DOC"], SPEC),
+    (["decompose", "DOC", "--code", "CODE", "--average-cutoff"], SPEC),
+    (["push", "DOC", "--code", "CODE", "--period"], SPEC),
     (["autocheck", "DOC", "--code", "CODE", "--inverse", "INVERSE", "--period"],
-     FINITE_TYPE),
+     SPEC),
     (["sofic", "det", "DOC"], SOFIC), (["sofic", "eq", "DOC", "OTHER"], SOFIC),
     (["sofic", "issft", "DOC"], SOFIC), (["sofic", "thm1", "DOC"], SOFIC),
     (["subst", "lang", "DOC", "--length"], SUBSTITUTION),
@@ -130,15 +136,17 @@ COMMANDS = [
     (["induce", "DOC"], INDUCED), (["speedup-compare", "DOC"], INDUCED),
 ]
 CAPPED = ("periodic", "nu", "decompose", "push")
+DEEP = ("nu", "parry", "decompose", "push", "autocheck")
 COMMAND = st.sampled_from(COMMANDS).flatmap(
     lambda c: st.tuples(st.just(c[0]), maybe(c[1]), maybe(c[1])))
 
 
 @settings(max_examples=150, deadline=None)
 @given(command=COMMAND, code=CODE, inverse=CODE, number=st.integers(-2, 4),
-       horizon=st.integers(1, 6), cap=st.sampled_from([None, 1, 20]))
+       horizon=st.integers(1, 6), cap=st.sampled_from([None, 1, 20]),
+       depth=st.one_of(st.integers(-2, 4), st.integers(20, 40)))
 def test_cli_never_crashes(tmp_path_factory, command, code, inverse, number,
-                           horizon, cap):
+                           horizon, cap, depth):
     tmp = tmp_path_factory.getbasetemp()
     command, doc, other = command
     files = {"DOC": doc, "OTHER": other, "CODE": code, "INVERSE": inverse}
@@ -154,6 +162,8 @@ def test_cli_never_crashes(tmp_path_factory, command, code, inverse, number,
     argv += ["--horizon", str(horizon), "--format", "json"]
     if cap is not None and command[0] in CAPPED:
         argv += ["--cap", str(cap)]
+    if command[0] in DEEP:
+        argv += ["--depth", str(depth)]
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (Alphabet, BlockCode, CylinderMeasure, EmptySupportError,
+from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
+                      CylinderMeasure, EmptySupportError, EnumerationCapError,
                       FiniteTypeSpec, NotAnAutomorphismError,
                       PeriodicSupportMeasure, ReducibleGraphError,
                       ShiftlabError, UnsupportedSpecError, apply_block_code,
@@ -16,6 +17,7 @@ from shiftlab import (Alphabet, BlockCode, CylinderMeasure, EmptySupportError,
                       max_entropy_decomposition, mu_y_average, nu_cylinder_measure,
                       nu_measure, parry_measure, per_le_enumerate, pushforward,
                       scc_subgraphs, sft_oracle, weak_star_distance)
+from shiftlab.measures import _words_upto, certify_inverse_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -29,6 +31,19 @@ def test_cylinder_measure_validates(alph2):
         CylinderMeasure(alph2, 1, {(): 1.0, ("0",): 0.7, ("1",): 0.4})
     ok = CylinderMeasure(alph2, 1, {(): 1.0, ("0",): 0.7, ("1",): 0.3})
     assert ok.values[("0",)] == 0.7
+
+
+def test_cylinder_listing_holds_the_word_limit(alph2):
+    # 2^19 - 1 cylinders to depth 18 are listed, shortest first; 2^20 - 1
+    # to depth 19 pass the limit and are refused before any is built
+    table = _words_upto(alph2, 18, 0)
+    assert len(table) == 524287
+    assert list(table)[:4] == [(), ("0",), ("1",), ("0", "0")]
+    with pytest.raises(EnumerationCapError,
+                       match=r"^1048575 cylinders of depth <= 19 exceed the limit 1000000$"):
+        _words_upto(alph2, 19, 0)
+    with pytest.raises(EnumerationCapError, match=r"^1048575 cylinders of depth <= 19 "):
+        _words_upto(alph2, 10 ** 9, 0)
 
 
 def test_nu_measure_golden_exact(golden_graph, alph2):
@@ -215,6 +230,22 @@ def test_automorphism_check_rejects_non_inverse(alph2):
     with pytest.raises(NotAnAutomorphismError):
         automorphism_invariance_check(oracle, per_le_enumerate(g, 6), 6,
                                       and_code, and_code, 3, 1e-9)
+
+
+def test_inverse_pair_certified_word_by_word(golden_graph, alph2):
+    # the shift map and its inverse, as range-1 codes: each word goes
+    # through both, so the certificate reaches length 4 * 2 + 1
+    windows = list(itertools.product("01", repeat=3))
+    left = BlockCode(alph2, alph2, 1, {w: w[2] for w in windows})
+    right = BlockCode(alph2, alph2, 1, {w: w[0] for w in windows})
+    oracle = sft_oracle(golden_graph, 12)
+    assert certify_inverse_pair(oracle, left, right) == 9
+    with pytest.raises(NotAnAutomorphismError):
+        certify_inverse_pair(oracle, left, left)
+    wide = BlockCode(alph2, Alphabet(("0", "1", "2")), 1, {w: w[0] for w in windows})
+    with pytest.raises(AlphabetMismatchError,
+                       match="^inner code output alphabet must feed the outer code$"):
+        certify_inverse_pair(oracle, left, wide)
 
 
 def test_max_entropy_decomposition_golden(golden_graph, alph2):

@@ -4,9 +4,10 @@
 
 Walks ``cli.build_parser()`` down its subcommands and prints one line per
 command (``beta mfw``, ``lang``, ...) with the options it takes, then the
-totals.  ``-h``/``--help`` is not counted, and positional arguments are
-not options.  DIR (default: the checkout holding this script) supplies
-``src/shiftlab``; nothing is written.
+totals, then the number of lines in ``src/shiftlab/*.py``.  ``-h``/``--help``
+is not counted, and positional arguments are not options.  DIR (default:
+the checkout holding this script) supplies ``src/shiftlab``; nothing is
+written.
 """
 
 import argparse
@@ -44,6 +45,13 @@ def main(argv=None):
         count += 1
         total += len(opts)
     print("%d commands, %d options" % (count, total))
+    package = os.path.join(args.root, "src", "shiftlab")
+    lines = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                lines += sum(1 for _ in handle)
+    print("%d lines in src/shiftlab" % lines)
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
 from .measures import (CylinderMeasure, PeriodicSupportMeasure,
                        automorphism_invariance_check, cylinder_table,
                        eval_cylinder, max_entropy_decomposition, mu_y_average,
-                       nu_cylinder_measure, nu_measure, parry_measure,
-                       pushforward, weak_star_distance)
+                       nu_cylinder_measure, nu_measure, parry_cylinders,
+                       parry_measure, pushforward, weak_star_distance)
 from .beta import (BetaExpansion, DigitStream, beta_algebraic, beta_decimal,
                    beta_expand, beta_ls_diagnostic, beta_mfw, beta_oracle,
                    beta_presentation, beta_rational, example_betashift,

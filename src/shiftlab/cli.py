@@ -27,7 +27,7 @@ from .forbidden import ls_report, minimal_forbidden, tau_eval, \
     well_approx_check
 from .language import WORD_LIMIT, complexity, format_word, special_words
 from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
-                       eval_cylinder, max_entropy_decomposition, mu_y_average,
+                       max_entropy_decomposition, mu_y_average, parry_cylinders,
                        parry_measure, weak_star_distance)
 from .shifts import (load_shift_document, parse_block_code, periodic_census,
                      periodic_measure, realize, shift_entropy)
@@ -220,8 +220,8 @@ def cmd_parry(args):
     measure = parry_measure(realized.labeled)
     report = {
         "perron": measure.perron,
-        "stationary": {format_word(u): eval_cylinder(measure, u)
-                       for u in sorted(oracle.words_of_length(k))},
+        "stationary": {format_word(u): value for u, value in parry_cylinders(
+            measure, sorted(oracle.words_of_length(k))).items()},
     }
     report.update(_cylinders(measure, args.depth))
     return report

@@ -6,8 +6,8 @@ two-sided substitutive system; the two differ for non-primitive rules
 and the examples here are deliberately non-primitive.  It is computed
 exactly, level by level, by ``_coded_levels``, on words coded as strings
 of one character per letter (``_coding``); the oracle's state is the
-coded word, and it builds the levels on demand as the words it steps
-grow.
+coded word, and it grows the levels on demand as the words it steps
+grow, keeping those already built.
 
 Induced and sped-up systems are recoded over a superalphabet of
 (2N+1)-windows.  A superword is allowed when some base word realizes it:
@@ -99,7 +99,16 @@ def _coding(tau):
 
 def _coded_levels(tau, h):
     """``levels[n]``: the length-n subwords of the iterates of the seed,
-    n <= h, as coded strings (see ``_coding``).
+    n <= h, as coded strings (see ``_coding``)."""
+    code, table = _coding(tau)
+    levels = []
+    _grow_levels(levels, code[tau.seed], table, h)
+    return levels
+
+
+def _grow_levels(levels, seed, table, h):
+    """Extend ``levels``, the coded levels below some height, to height
+    ``h``: ``seed`` is the coded seed and ``table`` the coded rules.
 
     Once |u| >= h, the length-h subwords of tau(u) are those of tau(v)
     over the length-h subwords v of u: h letters of tau(u) lie in the
@@ -108,10 +117,12 @@ def _coded_levels(tau, h):
     under v -> subwords(tau(v), h), a finite set.  A length-n subword of
     a longer word begins or ends one of length n+1, so each lower level
     is read off the level above, plus the iterates of exactly length n.
+    A level is the same set whatever the height it is read down from, so
+    the levels already built stay, and only those above them are read.
     """
-    code, table = _coding(tau)
+    low = len(levels)
     short = {}
-    word = code[tau.seed]
+    word = seed
     while len(word) < h:
         short.setdefault(len(word), set()).add(word)
         word = word.translate(table)
@@ -124,13 +135,12 @@ def _coded_levels(tau, h):
             if w not in top:
                 top.add(w)
                 todo.append(w)
-    levels = [top]
-    for n in range(h - 1, -1, -1):
-        above = levels[-1]
-        levels.append({w[:-1] for w in above} | {w[1:] for w in above}
-                      | short.get(n, set()))
-    levels.reverse()
-    return levels
+    grown = [top]
+    for n in range(h - 1, low - 1, -1):
+        above = grown[-1]
+        grown.append({w[:-1] for w in above} | {w[1:] for w in above}
+                     | short.get(n, set()))
+    levels.extend(reversed(grown))
 
 
 def _factor_levels(tau, h):
@@ -144,22 +154,24 @@ def subst_oracle(tau, horizon):
     """Language oracle of the substitution system, exact to the horizon.
 
     The state is the coded word read so far (see ``_coding``), a string,
-    which caches its hash for the step memo.  When a step outgrows
-    the factor levels built so far, they are rebuilt to twice their
-    length, capped at the horizon but never short of the step, so the
-    cost follows the lengths stepped, not the horizon.
+    and a step is one concatenation and one set lookup, cheaper than a
+    memo of it.  When a step outgrows the factor levels built so far,
+    they grow to twice their length, capped at the horizon but never
+    short of the step, so the cost follows the lengths stepped, not the
+    horizon.
     """
-    code, _ = _coding(tau)
+    code, table = _coding(tau)
+    seed = code[tau.seed]
     levels = []
 
     def step(word, letter):
         longer = word + code[letter]
         n = len(longer)
         if n >= len(levels):
-            levels[:] = _coded_levels(tau, max(n, min(horizon, 2 * len(levels))))
+            _grow_levels(levels, seed, table, max(n, min(horizon, 2 * len(levels))))
         return longer if longer in levels[n] else None
 
-    return stepping_oracle(tau.alphabet, "", step, horizon)
+    return LanguageOracle(tau.alphabet, "", step, horizon)
 
 
 @dataclass(frozen=True)

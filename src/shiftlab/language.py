@@ -118,7 +118,9 @@ def format_word(word):
 class LanguageOracle:
     """Oracle for a factorial language, exact up to a horizon.
 
-    Build one with :func:`stepping_oracle`.
+    Build one directly when ``step`` is cheaper than a memo lookup (the
+    substitution oracle's is one concatenation and one set lookup), or
+    with :func:`stepping_oracle`, which memoizes ``step``.
 
     Parameters
     ----------

@@ -162,17 +162,24 @@ def eval_cylinder(measure, word):
 
 def _words_upto(alphabet, depth, value):
     """``{word: value}`` over the words of length <= ``depth``, shortest
-    first: the one listing of cylinders.  Past ``WORD_LIMIT`` words it
-    refuses before building any, naming the first depth that passes."""
+    first: the one listing of cylinders.  Past ``WORD_LIMIT`` words, or
+    10 * ``WORD_LIMIT`` letters in all, it refuses before building any,
+    naming the first depth that passes."""
     if depth < 0:
         raise UnsupportedSpecError("depth must be >= 0")
     count = level = 1
+    letters = 0
     for k in range(1, depth + 1):
         level *= len(alphabet)
         count += level
+        letters += k * level
         if count > WORD_LIMIT:
             raise EnumerationCapError("%d cylinders of depth <= %d exceed the limit %d"
                                       % (count, k, WORD_LIMIT))
+        if letters > 10 * WORD_LIMIT:
+            raise EnumerationCapError(
+                "%d letters in the cylinders of depth <= %d exceed the limit %d"
+                % (letters, k, 10 * WORD_LIMIT))
     table = {}
     for k in range(depth + 1):
         table.update(dict.fromkeys(itertools.product(alphabet.symbols, repeat=k), value))
@@ -206,6 +213,8 @@ def cylinder_table(measure, depth):
         for w, q, weight in measure.entries:
             values[tuple(w[i % q] for i in range(depth))] += weight
         _summed_down(values)
+    elif isinstance(measure, ParryMeasure):
+        values = parry_cylinders(measure, _words_upto(alphabet, depth, None))
     else:
         values = {w: eval_cylinder(measure, w)
                   for w in _words_upto(alphabet, depth, None)}
@@ -333,6 +342,48 @@ def _parry_eval(measure, word):
         else:
             total += prob
     return total
+
+
+def parry_cylinders(measure, words):
+    """``{word: cylinder value}`` over ``words``, as ``_parry_eval`` gives
+    each, in one depth-first walk over the words in sorted order.
+
+    The walk keeps, for each prefix of the last word, the (state,
+    product) pairs of the start states whose path is still alive, in
+    ``stationary`` order, so a word steps only past the prefix it shares
+    with the word before.  Each product is multiplied in the order
+    ``_parry_eval`` uses, and each word's terms are added in
+    ``stationary`` order from 0.0, so the floats are the same.
+    """
+    graph = measure.graph
+    lam, right = measure.perron, measure.right
+    # (successor, factor) per state and letter: the factor is the
+    # quotient _parry_eval multiplies by
+    edges = {u: {a: (ts[0], right[ts[0]] / (lam * right[u]))
+                 for a, ts in graph.transitions.get(u, {}).items() if ts}
+             for u in graph.states}
+    values = dict.fromkeys(words)
+    path = [list(measure.stationary.items())]  # path[i]: the pairs after i letters
+    last = ()
+    for w in sorted(values):
+        graph.alphabet.check_word(w)
+        k, most = 0, min(len(last), len(w))
+        while k < most and last[k] == w[k]:
+            k += 1
+        del path[k + 1:]
+        for a in w[k:]:
+            alive = []
+            for cur, prob in path[-1]:
+                edge = edges[cur].get(a)
+                if edge is not None:
+                    alive.append((edge[0], prob * edge[1]))
+            path.append(alive)
+        total = 0.0
+        for _, prob in path[-1]:
+            total += prob
+        values[w] = total
+        last = w
+    return values
 
 
 # ---- maximal-entropy decomposition of sofic images -----------------------

@@ -333,6 +333,16 @@ def test_word_listing_refused_past_the_limit(capsys, write, argv, what):
     assert err.strip() == "error: %s exceed the limit %d" % (what, cli.WORD_LIMIT)
 
 
+def test_one_letter_cylinder_table_refused_by_its_letters(capsys, write):
+    # 100,001 cylinders are within the word limit, but their letters
+    # pass 10 * WORD_LIMIT from depth 4,472 on
+    doc = write("one.json", {"kind": "finite-type", "alphabet": ["0"], "forbidden": []})
+    rc, out, err = run(capsys, ["nu", doc, "--depth", "100000"])
+    assert rc == 1 and out == ""
+    assert err == ("error: 10001628 letters in the cylinders of depth <= 4472 "
+                   "exceed the limit 10000000\n")
+
+
 def test_mfw(capsys, write):
     doc = write("g.json", GOLDEN_DOC)
     report = run_json(capsys, ["mfw", doc, "--horizon", "8"])

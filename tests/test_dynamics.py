@@ -16,7 +16,7 @@ from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError,
                       sofic_oracle, special_words, speedup_gap_compare,
                       subst_oracle)
 from shiftlab import cli, dynamics
-from shiftlab.dynamics import _factor_levels, rebase
+from shiftlab.dynamics import _coded_levels, _factor_levels, rebase
 
 
 def test_substitution_validation():
@@ -473,6 +473,60 @@ def test_subst_oracle_matches_subst_language(draw):
     assert complexity(subst_oracle(tau, 6), 6) == [len(l) for l in levels]
     for n, level in enumerate(levels):
         assert list(oracle.words_of_length(n)) == sorted(level, key=key)
+
+
+def _grown_levels(oracle):
+    """The coded factor levels a substitution oracle has grown so far."""
+    cells = dict(zip(oracle.step.__code__.co_freevars, oracle.step.__closure__))
+    return cells["levels"].cell_contents
+
+
+@settings(max_examples=80, deadline=None)
+@example(draw=("ab", ["ba", "b"], "a"))
+@given(draw=SUBSTITUTION_DRAWS)
+def test_grown_levels_match_levels_built_at_once(draw):
+    """The oracle grows its levels at heights 1, 4, 10, 22 and 24 as it
+    steps; each level must be the one read down from any height."""
+    tau = _substitution(draw)
+    if tau is None:
+        return
+    oracle = subst_oracle(tau, 24)
+    for h in range(1, 25):
+        oracle.words_of_length(h)
+        levels = _grown_levels(oracle)
+        assert len(levels) > h
+        assert levels[:h + 1] == _coded_levels(tau, h)
+    assert levels == _coded_levels(tau, 24)
+
+
+@settings(max_examples=80, deadline=None)
+@given(draw=SUBSTITUTION_DRAWS, h=st.integers(1, 8))
+def test_subst_oracle_counts_match_iterates(draw, h):
+    """complexity, bispecial_lengths and minimal_forbidden, each on a
+    fresh oracle that grows its levels as it goes, against the brute
+    force over the iterates."""
+    tau = _substitution(draw)
+    if tau is None:
+        return
+    letters = tau.alphabet.symbols
+    levels = _brute_levels(tau, h + 1)
+    assert complexity(subst_oracle(tau, h), h) == [len(l) for l in levels[:h + 1]]
+
+    def extensions(n, w):
+        return (sum((a,) + w in levels[n + 1] for a in letters),
+                sum(w + (b,) in levels[n + 1] for b in letters))
+
+    bispecial = tuple(n for n in range(h + 1)
+                      if any(min(extensions(n, w)) >= 2 for w in levels[n]))
+    assert bispecial_lengths(subst_oracle(tau, h + 1), h) == bispecial
+    forbidden = {}
+    for n in range(1, h + 1):
+        words = {u for u in (w + (b,) for w in levels[n - 1] for b in letters)
+                 if u not in levels[n] and u[1:] in levels[n - 1]}
+        if words:
+            forbidden[n] = words
+    got = minimal_forbidden(subst_oracle(tau, h), h).by_length
+    assert {n: set(ws) for n, ws in got.items()} == forbidden
 
 
 # Renamed letters share first characters and reorder the alphabet

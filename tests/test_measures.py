@@ -15,9 +15,9 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       cylinder_table, eval_cylinder, finite_type_presentation,
                       full_shift, language_equal_exact, make_labeled_graph,
                       max_entropy_decomposition, mu_y_average, nu_cylinder_measure,
-                      nu_measure, parry_measure, per_le_enumerate, pushforward,
-                      scc_subgraphs, sft_oracle, weak_star_distance)
-from shiftlab.measures import _words_upto, certify_inverse_pair
+                      nu_measure, parry_cylinders, parry_measure, per_le_enumerate,
+                      pushforward, scc_subgraphs, sft_oracle, weak_star_distance)
+from shiftlab.measures import _parry_eval, _words_upto, certify_inverse_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -44,6 +44,17 @@ def test_cylinder_listing_holds_the_word_limit(alph2):
         _words_upto(alph2, 19, 0)
     with pytest.raises(EnumerationCapError, match=r"^1048575 cylinders of depth <= 19 "):
         _words_upto(alph2, 10 ** 9, 0)
+
+
+def test_cylinder_listing_holds_the_letter_limit(alph2):
+    # binary depth 18 (8,912,898 letters) stays under 10 * WORD_LIMIT, as
+    # above; one letter passes it at depth 4,472, far below the word limit
+    assert sum(k * 2 ** k for k in range(19)) == 8912898
+    one = Alphabet(("0",))
+    assert len(_words_upto(one, 100, 0)) == 101
+    with pytest.raises(EnumerationCapError, match=r"^10001628 letters in the cylinders "
+                       r"of depth <= 4472 exceed the limit 10000000$"):
+        _words_upto(one, 10 ** 5, 0)
 
 
 def test_nu_measure_golden_exact(golden_graph, alph2):
@@ -344,3 +355,22 @@ def test_parry_start_state_sum_matches_memory_formula(letters, data):
         for k in range(4):
             for w in itertools.product(alph.symbols, repeat=k):
                 assert abs(eval_cylinder(pm, w) - parry_memory_formula(pm, w)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(letters=st.integers(1, 3), data=st.data())
+def test_parry_cylinders_match_parry_eval(letters, data):
+    # the one walk over a word list against the per-word evaluation, to
+    # the last bit, on random presentations and word lists with shared
+    # prefixes, dead words and every length up to 5
+    alph = Alphabet(tuple("abc"[:letters]))
+    word = st.lists(st.sampled_from(alph.symbols), max_size=5).map(tuple)
+    spec = FiniteTypeSpec(alph, data.draw(st.frozensets(word.filter(bool), max_size=4)))
+    presentation = finite_type_presentation(spec)
+    for piece in ([] if presentation.is_empty else scc_subgraphs(presentation)):
+        pm = parry_measure(piece)
+        words = data.draw(st.lists(word, max_size=40))
+        got = parry_cylinders(pm, words)
+        assert list(got) == list(dict.fromkeys(words))
+        for w in words:
+            assert got[w] == _parry_eval(pm, w)

@@ -2,10 +2,17 @@
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs N [--trace] > pairs.json
 
+Each checkout is first copied, without its ``__pycache__`` directories
+and dot entries (``.git``, ``.bench_out/``), into a fresh temporary
+directory, and every run goes under ``PYTHONDONTWRITEBYTECODE=1``.  Both
+sides then import from source, in the same bytecode state, so
+``setup_s`` compares the code, not the caches: a stale cache in one
+checkout once read +92 % there.
+
 For each seed K in 1..N, runs the benchmark command of ``BENCHMARK.json``
 (``python3 perfbench/run.py``) with ``--workload all --seconds S --seed K``
-once from each checkout, its working directory set to that checkout, so
-each side runs its own ``perfbench/`` and ``src/``.  S is the
+once from each copy, its working directory set to that copy, so each
+side runs its own ``perfbench/`` and ``src/``.  S is the
 ``run_seconds`` of ``BENCHMARK.json``.  Runs go one at a time, the parent
 first at odd seeds and the change first at even seeds.  With ``--trace``
 every run also takes ``--trace 1``, and the metrics are the per-layer
@@ -22,22 +29,25 @@ Prints one JSON object:
   for per-layer metrics).
 
 ``BENCHMARK.json`` is read from CHANGE_DIR; nothing in either checkout is
-written except what the benchmark itself leaves under ``.bench_out/``.
+written, and the copies are removed at the end.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def run_side(root, command, seed, seconds, trace):
     argv = command + ["--workload", "all", "--seconds", str(seconds), "--seed", str(seed)]
     if trace:
         argv += ["--trace", "1"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit("bench_pairs: %s failed in %s (exit %d): %s"
                  % (" ".join(argv), root, proc.returncode, proc.stderr.strip()[-2000:]))
@@ -81,19 +91,24 @@ def main(argv=None):
     parser.add_argument("--trace", action="store_true",
                         help="run with --trace 1 and summarize the per-layer metrics")
     args = parser.parse_args(argv)
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         bench = json.load(handle)
     command, seconds = bench["command"], bench["run_seconds"]
 
     pairs = []
-    for seed in range(1, args.pairs + 1):
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        entry = {"seed": seed, "first": order[0]}
-        for side in order:
-            print("seed %d: %s" % (seed, side), file=sys.stderr, flush=True)
-            entry[side] = run_side(roots[side], command, seed, seconds, args.trace)
-        pairs.append(entry)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
+        roots = {}
+        for side in ("parent", "change"):
+            roots[side] = os.path.join(scratch, side)
+            shutil.copytree(getattr(args, side), roots[side],
+                            ignore=shutil.ignore_patterns("__pycache__", ".*"))
+        for seed in range(1, args.pairs + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            entry = {"seed": seed, "first": order[0]}
+            for side in order:
+                print("seed %d: %s" % (seed, side), file=sys.stderr, flush=True)
+                entry[side] = run_side(roots[side], command, seed, seconds, args.trace)
+            pairs.append(entry)
 
     shown = " ".join(command + ["--workload", "all", "--seconds", str(seconds),
                                 "--seed", "SEED"] + (["--trace", "1"] if args.trace else []))

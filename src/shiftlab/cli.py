@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .beta import (beta_expand, beta_ls_diagnostic, beta_oracle,
                    beta_presentation, example_betashift, parse_beta_spec)
@@ -59,16 +60,15 @@ def _densities(densities):
 
 
 def _cylinders(measure, depth):
-    table = cylinder_table(measure, depth)
+    values = cylinder_table(measure, depth).values
     out = {}
     exact = {}
-    for k in range(depth + 1):
-        for word in sorted(w for w in table.values if len(w) == k):
-            value = table.values[word]
-            out[format_word(word)] = float(value)
-            if isinstance(value, Fraction):
-                exact[format_word(word)] = "%d/%d" % (value.numerator,
-                                                      value.denominator)
+    for word in sorted(values, key=lambda w: (len(w), w)):
+        value = values[word]
+        name = format_word(word)
+        out[name] = float(value)
+        if isinstance(value, Fraction):
+            exact[name] = "%d/%d" % (value.numerator, value.denominator)
     report = {"depth": depth, "cylinders": out}
     if exact:
         report["cylinders_exact"] = exact
@@ -514,11 +514,45 @@ def _render_text(obj, indent=0):
     return lines
 
 
+_JSON_WORDS = {None: "null", True: "true", False: "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(obj, pad="\n"):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, built with one join per
+    dict and per list; ``pad`` is the newline and indent ``obj`` sits at.
+    Scalars, key conversion, key order and the TypeErrors are json's."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return _JSON_WORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_WORDS.get(text, text)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[%s%s%s]" % (inner, ("," + inner).join([_json(v, inner) for v in obj]), pad)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            if isinstance(key, (int, float)) or key is None:
+                key = _json(key)
+            elif not isinstance(key, str):
+                raise TypeError("keys must be str, int, float, bool or None, not %s"
+                                % type(key).__name__)
+            items.append(encode_basestring_ascii(key) + ": " + _json(value, inner))
+        return "{%s%s%s}" % (inner, ("," + inner).join(items), pad)
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def _emit(report, fmt):
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print("\n".join(_render_text(report)))
+    print(_json(report) if fmt == "json" else "\n".join(_render_text(report)))
     sys.stdout.flush()
 
 
@@ -528,10 +562,92 @@ def _add_shift_arg(p, count=1):
         p.add_argument("other", help="second shift document file")
 
 
+class _Leaf:
+    """One command's own parser, with its actions laid out for ``read``."""
+
+    def __init__(self, parser):
+        self.parser = parser
+        self.options = {}       # option string -> action
+        self.positionals = []
+        self.required = []
+        self.defaults = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if not (isinstance(action, argparse._StoreConstAction) or
+                    isinstance(action, argparse._StoreAction) and action.nargs is None):
+                raise TypeError("%s: no plain read for %s" % (parser.prog, action.dest))
+            self.options.update(dict.fromkeys(action.option_strings, action))
+            if not action.option_strings:
+                self.positionals.append(action)
+            if action.required:
+                self.required.append(action)
+            default = action.default
+            # argparse converts a str default that no argument replaced
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            self.defaults.setdefault(action.dest, default)
+        for dest, value in parser._defaults.items():
+            self.defaults.setdefault(dest, value)
+
+    def read(self, words):
+        """``self.parser.parse_args(words)`` when ``words`` is plain, else None.
+
+        Plain means: exact option strings, each with one value that does not
+        start with "-"; positionals that do not start with "-"; every
+        conversion and choice check succeeding; and every positional and
+        required option present.  Help, abbreviations, "--opt=value", "--",
+        negative values and every usage error are left to argparse."""
+        values = dict(self.defaults)
+        missing = set(self.required)
+        taken = 0
+        words = iter(words)
+        for word in words:
+            if not word.startswith("-"):
+                if taken == len(self.positionals):
+                    return None
+                action = self.positionals[taken]
+                taken += 1
+            else:
+                action = self.options.get(word)
+                if action is None:
+                    return None
+                if action.nargs != 0:
+                    word = next(words, "-")     # a missing value is not plain
+                    if word.startswith("-"):
+                        return None
+            missing.discard(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            try:
+                value = word if action.type is None else action.type(word)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        if missing:
+            return None
+        return argparse.Namespace(**values)
+
+
+def _leaves(parser, words=()):
+    """(command words, parser) for every command under ``parser``, in order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                yield from _leaves(sub, words + (word,))
+            return
+    yield words, parser
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The parser, built once per process.  ``parse_args`` returns a fresh
-    ``Namespace`` per call, so nothing carries from one report to the next."""
+    ``Namespace`` per call, so nothing carries from one report to the next.
+    Its ``leaves`` attribute maps the words of each command (``("lang",)``,
+    ``("beta", "mfw")``, ...) to a ``_Leaf`` of that command's parser."""
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     common = argparse.ArgumentParser(add_help=False, parents=[fmt])
@@ -720,14 +836,31 @@ def build_parser():
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_tau)
 
+    parser.leaves = {words: _Leaf(leaf) for words, leaf in _leaves(parser)}
     return parser
 
 
-def main(argv=None):
+def _parse(argv):
+    """The Namespace of ``argv``: read off its command's own parser when the
+    rest of ``argv`` is plain (``_Leaf.read``), otherwise from the whole
+    parser, so that help and every usage error keep argparse's text (the
+    command's own parser would print its usage, not the top one, for
+    unrecognized arguments)."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    for n in (1, 2):
+        leaf = parser.leaves.get(tuple(argv[:n]))
+        if leaf is not None:
+            args = leaf.read(argv[n:])
+            if args is not None:
+                return args
+            break
+    return parser.parse_args(argv)
+
+
+def main(argv=None):
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return 2
     try:
         report = args.func(args)

@@ -106,11 +106,16 @@ class Alphabet:
 
 
 def format_word(word):
-    """Render a word for reports: concatenated when unambiguous, dotted otherwise."""
+    """Render a word for reports: concatenated when unambiguous, dotted otherwise.
+
+    The word is concatenated when every letter is one character.  Since
+    ``Alphabet`` refuses empty symbols, that holds exactly when the
+    concatenation is as long as the word."""
     if not word:
         return "(empty)"
-    if all(len(s) == 1 for s in word):
-        return "".join(word)
+    joined = "".join(word)
+    if len(joined) == len(word):
+        return joined
     return ".".join(word)
 
 

@@ -203,16 +203,174 @@ def test_parser_is_built_once(capsys, write, monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    leaves = []
+    leaf_init = cli._Leaf.__init__
+
+    def counting_leaf_init(self, parser):
+        leaves.append(parser.prog)
+        leaf_init(self, parser)
+
     doc = write("g.json", GOLDEN_DOC)
     run(capsys, ["entropy", doc])
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli._Leaf, "__init__", counting_leaf_init)
     for argv in (["lang", doc], ["beta", "expand", "rational:5/2"], ["tau", "1"]):
         assert run(capsys, argv)[0] == 0
     assert run_any(capsys, ["lang", doc, "--format", "yaml"])[0] == 2
     assert cli.build_parser() is cli.build_parser()
-    assert built == []
-    cli.build_parser.__wrapped__()  # the counter does see a rebuild
+    assert cli.build_parser().leaves is cli.build_parser().leaves
+    assert built == [] and leaves == []
+    rebuilt = cli.build_parser.__wrapped__()  # the counters do see a rebuild
     assert built
+    assert len(leaves) == len(rebuilt.leaves) == 27
+
+
+# ---- plain argv and the JSON writer --------------------------------------------
+
+LEAVES = sorted(cli.build_parser().leaves)
+VALUE = st.one_of(st.integers(0, 30).map(str), st.integers(-3, 30).map(str), st.sampled_from(
+    ["text", "json", "yaml", "specified", "synchronized", "n", "x", "", "1.5",
+     "g.json", "rational:5/2", "0x10"]))
+ODD = st.sampled_from(["-h", "--help", "--", "--horizon=3", "--hor", "--form", "-"])
+
+
+def _rest(words):
+    """Argument lists for one command: its positionals and required options,
+    then options with and without values, positionals, and what argparse
+    alone reads, all shuffled."""
+    leaf = cli.build_parser().leaves[words]
+    options = st.sampled_from(sorted(leaf.options))
+    needed = [st.tuples(st.sampled_from(a.option_strings), VALUE) if a.option_strings
+              else st.tuples(VALUE) for a in leaf.required]
+    piece = st.one_of(st.tuples(options, VALUE), st.tuples(options),
+                      st.tuples(VALUE), st.tuples(ODD))
+    pieces = st.tuples(st.tuples(*needed), st.lists(piece, max_size=5)).flatmap(
+        lambda parts: st.permutations(list(parts[0]) + parts[1]))
+    return pieces.map(lambda ps: [t for p in ps for t in p])
+
+
+ARGV = st.sampled_from(LEAVES).flatmap(lambda w: st.tuples(st.just(w), _rest(w)))
+
+
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr, Namespace) of ``parse(argv)``; the exit
+    code is None when it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+def _argparse_main(argv):
+    """How ``main`` read argv before it read plain argvs: the top parser
+    routes everything, and a missing command is a usage error (2)."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if not hasattr(args, "func"):
+        parser.print_usage(sys.stderr)
+        return 2
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=ARGV)
+def test_plain_read_matches_argparse(drawn):
+    words, rest = drawn
+    leaf = cli.build_parser().leaves[words]
+    args = leaf.read(rest)
+    if args is None:
+        return
+    expected = _parsed(leaf.parser.parse_args, rest)
+    routed = _parsed(cli.build_parser().parse_args, list(words) + rest)
+    assert expected[:3] == routed[:3] == (None, "", "")
+    assert vars(args) == vars(expected[3]) == {
+        k: v for k, v in vars(routed[3]).items() if not k.endswith("command")}
+
+
+USAGE_ERRORS = [
+    [], ["beta"], ["beta", "nosuch"], ["nosuch"], ["-h"], ["--format", "json"],
+    ["lang", "g.json", "--format", "yaml"], ["lang", "g.json", "--cap", "5"],
+    ["tau", "3", "--horizon", "4"], ["beta", "expand", GOLDEN_BETA, "--horizon", "3"],
+    ["decompose", "g.json", "--code", "f.json", "--tol", "1e-3"],
+    ["autocheck", "g.json", "--code", "f.json", "--inverse", "f.json", "--cap", "5"],
+    ["lang", "g.json", "--horizon"], ["lang", "--length", "4"], ["lang", "a", "b"],
+    ["sofic", "eq", "g.json"], ["decompose", "g.json"], ["tau", "x"],
+    ["beta", "example", "--mode", "free"], ["nu", "g.json", "--exact=1"],
+    ["lang", "g.json", "--horizon", "3.5"], ["lang", "g.json", "-h"],
+]
+
+
+def _outcome(parse, argv):
+    """(exit code or what ``parse`` returned, stdout, stderr)."""
+    code, out, err, result = _parsed(parse, argv)
+    return (result if code is None else code), out, err
+
+
+def _same_as_argparse(argv):
+    """When argparse refuses ``argv`` or prints help, ``main`` does the same."""
+    expected = _outcome(_argparse_main, argv)
+    if not isinstance(expected[0], argparse.Namespace):
+        assert _outcome(cli.main, argv) == expected
+    return expected[0]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_is_argparse_s(argv):
+    assert _same_as_argparse(argv) in (0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=ARGV)
+def test_drawn_usage_error_is_argparse_s(drawn):
+    words, rest = drawn
+    _same_as_argparse(list(words) + rest)
+
+
+def test_every_benchmark_argv_is_plain(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir,
+                                             "perfbench"))
+    import workloads
+    leaves = cli.build_parser().leaves
+    argvs = [report.argv + ["--format", "json"] for name in workloads.PLANS
+             for report in workloads.build(name, 1, str(tmp_path)).reports]
+    assert len(argvs) >= 417
+    for argv in argvs:
+        words = tuple(argv[:1]) if tuple(argv[:1]) in leaves else tuple(argv[:2])
+        args = leaves[words].read(argv[len(words):])
+        assert args is not None, argv
+        assert vars(args) == vars(leaves[words].parser.parse_args(argv[len(words):]))
+
+
+KEY = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+TEXT = st.one_of(st.text(), st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u2028\U0001f600')))
+JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200), st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, math.nan, math.inf, -math.inf]),
+    TEXT, st.sampled_from([Fraction(1, 3), b"x", {1}]))
+JSON_VALUE = st.recursive(JSON_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(TEXT, inner, max_size=4), st.dictionaries(st.integers(), inner, max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.floats()), inner, max_size=4),
+    st.dictionaries(KEY, inner, max_size=3),
+    st.dictionaries(st.tuples(st.integers()), inner, min_size=1, max_size=1)), max_leaves=20)
+
+
+def _written(write, obj):
+    try:
+        return write(obj)
+    except TypeError as exc:
+        return "TypeError: %s" % (exc,)
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=JSON_VALUE)
+def test_json_writer_is_json_dumps(obj):
+    assert _written(cli._json, obj) == _written(
+        lambda o: json.dumps(o, sort_keys=True, indent=2), obj)
 
 
 # ---- options -----------------------------------------------------------------

@@ -2,8 +2,9 @@
 
     python3 tools/count_options.py [--root DIR]
 
-Walks ``cli.build_parser()`` down its subcommands and prints one line per
-command (``beta mfw``, ``lang``, ...) with the options it takes, then the
+Reads the commands off ``cli.build_parser().leaves``, the table ``cli.main``
+looks each command's own parser up in, and prints one line per command
+(``beta mfw``, ``lang``, ...) with the options it takes, then the
 totals, then the number of lines in ``src/shiftlab/*.py``.  ``-h``/``--help``
 is not counted, and positional arguments are not options.  DIR (default:
 the checkout holding this script) supplies ``src/shiftlab``; nothing is
@@ -13,16 +14,6 @@ written.
 import argparse
 import os
 import sys
-
-
-def commands(parser, name=()):
-    """(command words, parser) for every leaf command, in parser order."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for word, sub in action.choices.items():
-                yield from commands(sub, name + (word,))
-            return
-    yield name, parser
 
 
 def options(parser):
@@ -39,8 +30,8 @@ def main(argv=None):
     from shiftlab import cli
 
     total = count = 0
-    for name, sub in commands(cli.build_parser()):
-        opts = options(sub)
+    for name, leaf in cli.build_parser().leaves.items():
+        opts = options(leaf.parser)
         print("%-18s %2d  %s" % (" ".join(name), len(opts), " ".join(opts)))
         count += 1
         total += len(opts)

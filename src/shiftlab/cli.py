@@ -24,8 +24,8 @@ from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
     speedup_gap_compare
 from .errors import EnumerationCapError, NotAnAutomorphismError, ShiftlabError, \
     UnsupportedSpecError
-from .forbidden import ls_report, minimal_forbidden, tau_eval, \
-    well_approx_check
+from .forbidden import ls_report, minimal_forbidden, minimal_forbidden_lengths, \
+    tau_eval, well_approx_check
 from .language import WORD_LIMIT, complexity, format_word, special_words
 from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
                        max_entropy_decomposition, mu_y_average, parry_cylinders,
@@ -142,7 +142,7 @@ def cmd_mfw(args):
 
 def cmd_ls(args):
     realized = _load(args)
-    report = ls_report(minimal_forbidden(realized.oracle, realized.horizon))
+    report = ls_report(minimal_forbidden_lengths(realized.oracle, realized.horizon))
     return {
         "horizon": report.horizon,
         "ls_set": list(report.ls_set),

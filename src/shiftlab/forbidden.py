@@ -16,10 +16,13 @@ and the output.  Survivor sets and tied-length tuples keep that space
 small for finite-type, sofic and beta oracles.  A substitution oracle's
 state is the coded word read so far, so there the walk pays about what
 enumeration would, and so does an induced oracle over such a base.
+``minimal_forbidden_lengths`` is the same walk for callers that read
+only lengths: it spells nothing and stops at its first repeated level.
 """
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InfeasibleSetError
 from .language import Alphabet
@@ -37,8 +40,24 @@ class MFWTable:
     def lengths(self):
         return tuple(sorted(self.by_length))
 
+    repeat = None  # a table lists words, so it claims no repeating block
+
     def words(self):
         return tuple(w for n in sorted(self.by_length) for w in self.by_length[n])
+
+
+@dataclass(frozen=True)
+class LSLengths:
+    """Lengths <= ``horizon`` carrying a minimal forbidden word.
+
+    ``repeat`` is (start, period) when n and n + period are both in the
+    set or both out of it for every n >= start, and None when no
+    repeating block is known.
+    """
+
+    horizon: int
+    lengths: tuple
+    repeat: object = None
 
 
 def minimal_forbidden(oracle, n_max):
@@ -100,6 +119,57 @@ def minimal_forbidden(oracle, n_max):
     return MFWTable(n_max, table)
 
 
+def minimal_forbidden_lengths(oracle, n_max):
+    """``minimal_forbidden(oracle, n_max).lengths`` as an ``LSLengths``.
+
+    The same pair walk, with each level kept as a set of pairs: no
+    in-edges and no spelling.  Level n determines both whether length n
+    is witnessed and level n + 1, so once a level equals an earlier one
+    the lengths repeat with their distance, and the walk reads every
+    longer length up to ``n_max`` off that block.  Survivor-set oracles,
+    and induced oracles over them, repeat within a few levels; beta and
+    substitution oracles walk to ``n_max``.
+    """
+    oracle.check_horizon(n_max)
+    if n_max < 1:
+        return LSLengths(n_max, ())
+    step, start = oracle.step, oracle.start
+    letters = oracle.alphabet.symbols
+    level = set()
+    inside = [False, False]  # inside[n]: some minimal forbidden word has length n
+    for a in letters:
+        x = None if start is None else step(start, a)
+        if x is None:
+            inside[1] = True
+        else:
+            level.add((x, start))
+    seen = {}  # level -> the length it witnesses
+    repeat = None
+    for n in range(2, n_max + 1):
+        key = frozenset(level)
+        if key in seen:
+            repeat = (seen[key], n - seen[key])
+            for m in range(n, n_max + 1):
+                inside.append(inside[m - repeat[1]])
+            break
+        seen[key] = n
+        nxt = set()
+        witnessed = False
+        for x, y in level:
+            for c in letters:
+                yc = step(y, c)
+                if yc is None:
+                    continue
+                xc = step(x, c)
+                if xc is None:
+                    witnessed = True
+                elif n < n_max:
+                    nxt.add((xc, yc))
+        inside.append(witnessed)
+        level = nxt
+    return LSLengths(n_max, tuple(n for n, flag in enumerate(inside) if flag), repeat)
+
+
 def _spell(levels, k, pair):
     """Every word of length ``k`` whose walk ends at ``pair``, read off
     the in-edges without recursion; letters are consed back to front."""
@@ -138,31 +208,33 @@ class LSReport:
     window_densities: dict
 
 
-def window_density_report(ls_lengths, horizon):
+def window_density_report(ls_lengths, horizon, repeat=None):
+    """(sorted lengths, max_gap, window_densities) at ``horizon``.  With
+    ``repeat`` = (start, period), as in ``LSLengths``, a window (n, n + k]
+    holds as many lengths as the one a period earlier once n >= start - 1
+    + period, so only starts n <= start - 2 + period are scanned."""
     ls = sorted(set(ls_lengths))
-    present = set(ls)
-    counts = [0]  # counts[n] = |ls ∩ [1, n]|
-    max_gap = 0
-    run = 0
-    for n in range(1, horizon + 1):
-        if n in present:
-            run = 0
-        else:
-            run += 1
-            max_gap = max(max_gap, run)
-        counts.append(counts[-1] + (n in present))
+    # counts[n] = |ls ∩ [1, n]|; the gaps run between the lengths in
+    # [1, horizon] and the ends 0 and horizon + 1
+    counts = list(accumulate(map(set(ls).__contains__, range(1, horizon + 1)), initial=0))
+    ends = [0] + [n for n in ls if 0 < n <= horizon] + [horizon + 1]
+    max_gap = max(map(operator.sub, ends[1:], ends)) - 1
     densities = {}
     for k in range(1, max(1, horizon // 2) + 1):
         if k <= horizon:
-            fewest = min(map(operator.sub, counts[k:],
-                             counts[:horizon - k + 1]))
+            last = horizon - k
+            if repeat is not None:
+                last = min(last, repeat[0] - 2 + repeat[1])
+            fewest = min(map(operator.sub, counts[k:k + last + 1],
+                             counts[:last + 1]))
             densities[k] = fewest / k
     return tuple(ls), max_gap, densities
 
 
 def ls_report(table):
-    """Stability evidence from a minimal-forbidden-word table."""
-    ls, max_gap, densities = window_density_report(table.lengths, table.horizon)
+    """Stability evidence from an ``MFWTable`` or an ``LSLengths``."""
+    ls, max_gap, densities = window_density_report(table.lengths, table.horizon,
+                                                   table.repeat)
     return LSReport(table.horizon, ls, max_gap, densities)
 
 
@@ -174,8 +246,7 @@ def well_approx_check(oracle, alpha, n_max):
     coincide.  Only n with n + alpha(n) <= n_max are decidable at this
     horizon; others are skipped.
     """
-    table = minimal_forbidden(oracle, n_max)
-    present = set(table.lengths)
+    present = set(minimal_forbidden_lengths(oracle, n_max).lengths)
     witnesses = []
     for n in range(1, n_max + 1):
         a = alpha(n)

@@ -32,6 +32,9 @@ from .sofic import (BlockCode, _check_feeds, apply_block_code, determinize,
 from .spectral import perron_vectors, spectral_radius_certified
 
 PROB_TOL = 1e-9
+NEGATIVE_FLOOR = -1e-12  # cylinder values below this are refused
+# both bounds exactly, so Fraction tables compare without float conversions
+_EXACT_BOUNDS = (Fraction(NEGATIVE_FLOOR), Fraction(PROB_TOL))
 INVARIANCE_TOL = 1e-9  # largest weak* distance autocheck reports as invariant
 ENTROPY_TOL = 1e-9  # image entropies this close to the maximum tie with it
 
@@ -52,7 +55,9 @@ class CylinderMeasure:
         if self.depth < 0:
             raise UnsupportedSpecError("depth must be >= 0")
         root = self.values.get(())
-        if root is None or abs(root - 1) > PROB_TOL:
+        floor, tol = (_EXACT_BOUNDS if isinstance(root, Fraction)
+                      else (NEGATIVE_FLOOR, PROB_TOL))
+        if root is None or abs(root - 1) > tol:
             raise ShiftlabError("cylinder table must give the empty word mass 1")
         words = [()]
         for _ in range(self.depth):
@@ -64,11 +69,11 @@ class CylinderMeasure:
                     v = self.values.get(wa)
                     if v is None:
                         raise ShiftlabError("cylinder table missing %r" % (wa,))
-                    if v < -1e-12:
+                    if v < floor:
                         raise ShiftlabError("negative cylinder value at %r" % (wa,))
                     total += v
                     nxt.append(wa)
-                if abs(self.values[w] - total) > PROB_TOL:
+                if abs(self.values[w] - total) > tol:
                     raise ShiftlabError("cylinder table is not additive at %r" % (w,))
             words = nxt
 

@@ -29,7 +29,7 @@ from .graph import (LabeledGraph, SubsetTable, _essential, _mark_pruned,
 from .language import EMPTY_WORD, Alphabet
 from .sft import DEFAULT_CAP, _minimal_period
 from .spectral import spectral_radius_certified
-from .forbidden import window_density_report
+from .forbidden import LSLengths, window_density_report
 
 
 @dataclass(frozen=True)
@@ -419,15 +419,15 @@ def mfw_length_set(g, horizon):
     so the walk stops at the first repeated level and the witnessed
     lengths repeat with it up to the horizon; no word is enumerated.
     """
-    return _mfw_lengths(SubsetTable(determinize(g)), horizon)
+    return _mfw_lengths(SubsetTable(determinize(g)), horizon).lengths
 
 
 def _mfw_lengths(table, horizon):
     """``mfw_length_set`` on the subset table of a deterministic
-    presentation."""
+    presentation, as an ``LSLengths`` with the block the walk repeats."""
     full = table.start
     if not full:
-        return (1,) if horizon >= 1 else ()
+        return LSLengths(horizon, (1,) if horizon >= 1 else ())
     row = table.row
     lengths = set()
     if 0 in row(full):
@@ -440,7 +440,8 @@ def _mfw_lengths(table, horizon):
     for n in range(2, horizon + 1):
         if witnessed[_level_index(n - 2, len(levels), first)]:
             lengths.add(n)
-    return tuple(sorted(lengths))
+    repeat = None if first is None else (first + 2, len(levels) - first)
+    return LSLengths(horizon, tuple(sorted(lengths)), repeat)
 
 
 @dataclass(frozen=True)
@@ -464,7 +465,7 @@ def theorem1_diagnostic(g, horizon):
     """
     table = SubsetTable(determinize(g))
     tag = _finite_type_tag(table)
-    lengths = _mfw_lengths(table, horizon)
-    _, _, densities = window_density_report(lengths, horizon)
+    ls = _mfw_lengths(table, horizon)
+    _, _, densities = window_density_report(ls.lengths, horizon, ls.repeat)
     bound = max(densities.values(), default=0.0)
-    return Theorem1Report(horizon, tag, lengths, bound, densities)
+    return Theorem1Report(horizon, tag, ls.lengths, bound, densities)

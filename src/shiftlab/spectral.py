@@ -141,13 +141,18 @@ def perron_vectors(matrix):
     """Perron root with right and left eigenvectors (L1-normalized).
 
     The root and the right vector come from one iteration on A + I, the
-    left vector from one iteration on its transpose.
+    left vector from one iteration on its transpose.  A symmetric A is
+    its own transpose, and the second iteration would repeat the first
+    float for float, so its left vector is a copy of the right one.
     """
     _check_irreducible(matrix)
     if len(matrix) == 1:
         return float(matrix[0][0]), [1.0], [1.0]
     value, right = _power_iteration(matrix)
-    _, left = _power_iteration([list(col) for col in zip(*matrix)])
+    transpose = [list(col) for col in zip(*matrix)]
+    if transpose == matrix:
+        return value, right, list(right)
+    _, left = _power_iteration(transpose)
     return value, right, left
 
 

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, FiniteTypeSpec, cli, finite_type_presentation,
-                      per_le_enumerate, shifts)
+                      per_le_enumerate, shifts, window_density_report)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -522,6 +522,23 @@ def test_ls_even_far_horizon(capsys, write):
     doc = write("e.json", EVEN_DOC)
     report = run_json(capsys, ["ls", doc, "--horizon", "1000"])
     assert report["ls_set"] == list(range(3, 1000, 2))
+
+
+def test_ls_and_thm1_even_at_4000_match_the_full_scan(capsys, write):
+    # both reports scan one period of the LS set's block; the scan over
+    # every window at horizon 4000 gives the same densities
+    doc = write("e.json", EVEN_DOC)
+    odd = list(range(3, 4000, 2))
+    _, max_gap, densities = window_density_report(odd, 4000)
+    expect = {str(k): densities[k] for k in sorted(densities)}
+    report = run_json(capsys, ["ls", doc, "--horizon", "4000"])
+    assert report["ls_set"] == odd
+    assert report["max_gap"] == max_gap
+    assert report["window_densities"] == expect
+    report = run_json(capsys, ["sofic", "thm1", doc, "--horizon", "4000"])
+    assert report["mfw_lengths"] == odd
+    assert report["window_densities"] == expect
+    assert report["density_lower_bound"] == max(densities.values())
 
 
 R52_MFW_16 = {

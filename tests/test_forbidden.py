@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (Alphabet, FiniteTypeSpec, InducedSpec, InfeasibleSetError,
-                      NonGrowingSubstitutionError, ReturnTimeCapError,
-                      Substitution, UnsupportedSpecError, beta_expand, beta_mfw,
-                      beta_oracle, build_block_graph, example_nonempty_shift,
-                      finite_type_presentation, format_word, induce_recode,
-                      induced_data, ls_report, mfw_length_set, minimal_forbidden,
-                      parse_beta_spec, sft_oracle, sofic_oracle, subst_oracle,
-                      tau_eval, well_approx_check, window_density_report)
+from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError, InducedSpec,
+                      InfeasibleSetError, NonGrowingSubstitutionError,
+                      ReturnTimeCapError, Substitution, UnsupportedSpecError,
+                      beta_expand, beta_mfw, beta_oracle, build_block_graph,
+                      example_nonempty_shift, finite_type_presentation,
+                      format_word, induce_recode, induced_data, ls_report,
+                      mfw_length_set, minimal_forbidden,
+                      minimal_forbidden_lengths, parse_beta_spec, sft_oracle,
+                      sofic_oracle, subst_oracle, tau_eval, well_approx_check,
+                      window_density_report)
 
 
 def test_golden_mfw(golden_oracle):
@@ -145,11 +147,31 @@ def _window_density_brute(ls_lengths, horizon):
     return tuple(sorted(present)), max(runs), densities
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sets(st.integers(min_value=1, max_value=40), max_size=12),
-       st.integers(min_value=0, max_value=40))
-def test_window_density_report_matches_brute_force(ls_lengths, horizon):
-    got = window_density_report(ls_lengths, horizon)
+@st.composite
+def eventually_periodic_sets(draw):
+    """(lengths <= horizon, repeat): n and n + period are both in the set
+    or both out of it for every n >= start."""
+    start, period = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    flags = draw(st.lists(st.booleans(), min_size=start + period - 1,
+                          max_size=start + period - 1))
+    horizon = draw(st.integers(0, 40))
+    flags = [False] + flags
+    while len(flags) <= horizon:
+        flags.append(flags[-period])
+    lengths = {n for n in range(1, horizon + 1) if flags[n]}
+    return lengths, horizon, (start, period)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sets(st.integers(min_value=1, max_value=40), max_size=12),
+              st.integers(min_value=0, max_value=40), st.none()),
+    eventually_periodic_sets()))
+def test_window_density_report_matches_brute_force(drawn):
+    # the scan over one period gives the full scan's report, byte for byte
+    ls_lengths, horizon, repeat = drawn
+    got = window_density_report(ls_lengths, horizon, repeat)
+    assert repr(got) == repr(window_density_report(ls_lengths, horizon))
     assert repr(got) == repr(_window_density_brute(ls_lengths, horizon))
 
 
@@ -213,6 +235,7 @@ def test_mfw_walk_matches_definition_on_induced(realized_superwords, forbidden, 
     expect = _mfw_by_definition(
         letters, lambda n: {w for w in realized if len(w) == n}, 4)
     assert got == expect
+    _check_length_walk(induced, 4)
 
 
 def test_mfw_walk_matches_beta_mfw():
@@ -230,3 +253,57 @@ def test_mfw_walk_empty_language_and_zero_horizon():
         FiniteTypeSpec(alph, frozenset([("0",), ("1",)]))), 5)
     assert minimal_forbidden(empty, 5).by_length == {1: (("0",), ("1",))}
     assert minimal_forbidden(empty, 0).by_length == {}
+
+
+def _check_length_walk(oracle, horizon):
+    """The lengths-only walk lists the word walk's lengths, and its block
+    holds on them."""
+    ls = minimal_forbidden_lengths(oracle, horizon)
+    assert ls.horizon == horizon
+    assert ls.lengths == minimal_forbidden(oracle, horizon).lengths
+    if ls.repeat is not None:
+        start, period = ls.repeat
+        inside = set(ls.lengths)
+        assert all((n in inside) == (n + period in inside)
+                   for n in range(start, horizon - period + 1))
+    return ls
+
+
+@settings(max_examples=60, deadline=None)
+@given(forbidden=st.lists(st.text("012", min_size=1, max_size=4), max_size=4),
+       horizon=st.integers(0, 16))
+def test_length_walk_matches_word_walk_on_finite_type(forbidden, horizon):
+    alph = Alphabet(("0", "1", "2"))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    _check_length_walk(sft_oracle(build_block_graph(spec), horizon), horizon)
+    _check_length_walk(sofic_oracle(finite_type_presentation(spec), horizon), horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(2, 40), q=st.integers(1, 9), horizon=st.integers(1, 14))
+def test_length_walk_matches_word_walk_on_beta(p, q, horizon):
+    if not 1 < Fraction(p, q) < 4:
+        return
+    stream = beta_expand(parse_beta_spec("rational:%d/%d" % (p, q)), horizon).working_stream()
+    _check_length_walk(beta_oracle(stream, horizon), horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(images=st.lists(st.text("abc", min_size=1, max_size=3), min_size=3, max_size=3),
+       seed=st.sampled_from("abc"), horizon=st.integers(0, 8))
+def test_length_walk_matches_word_walk_on_substitutions(images, seed, horizon):
+    try:
+        tau = Substitution({a: tuple(w) for a, w in zip("abc", images)}, seed)
+    except NonGrowingSubstitutionError:
+        return
+    _check_length_walk(subst_oracle(tau, horizon), horizon)
+
+
+def test_length_walk_reads_the_even_shift_off_its_block(even_oracle):
+    ls = _check_length_walk(even_oracle, 22)
+    assert ls.lengths == tuple(range(3, 22, 2))
+    assert ls.repeat == (4, 2)
+    assert repr(ls_report(ls)) == repr(ls_report(minimal_forbidden(even_oracle, 22)))
+    assert minimal_forbidden_lengths(even_oracle, 0).lengths == ()
+    with pytest.raises(HorizonExceededError):
+        minimal_forbidden_lengths(even_oracle, 23)

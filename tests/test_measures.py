@@ -17,7 +17,7 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       max_entropy_decomposition, mu_y_average, nu_cylinder_measure,
                       nu_measure, parry_cylinders, parry_measure, per_le_enumerate,
                       pushforward, scc_subgraphs, sft_oracle, weak_star_distance)
-from shiftlab.measures import _parry_eval, _words_upto, certify_inverse_pair
+from shiftlab.measures import PROB_TOL, _parry_eval, _words_upto, certify_inverse_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -31,6 +31,31 @@ def test_cylinder_measure_validates(alph2):
         CylinderMeasure(alph2, 1, {(): 1.0, ("0",): 0.7, ("1",): 0.4})
     ok = CylinderMeasure(alph2, 1, {(): 1.0, ("0",): 0.7, ("1",): 0.3})
     assert ok.values[("0",)] == 0.7
+
+
+@pytest.mark.parametrize("nudge", [-1, 0, 1])
+@pytest.mark.parametrize("bound", ["root", "floor", "additivity"])
+def test_fraction_tables_meet_the_float_bounds_exactly(alph2, bound, nudge):
+    # tables just inside, on, and just outside each bound are accepted or
+    # refused as a comparison with the float bound itself decides
+    eps = Fraction(nudge, 10 ** 30)
+    tol, floor = Fraction(PROB_TOL), Fraction(-1e-12)
+    half = Fraction(1, 2)
+    if bound == "root":
+        values = {(): 1 + tol + eps, ("0",): half, ("1",): half}
+        refused = abs(values[()] - 1) > PROB_TOL
+    elif bound == "floor":
+        values = {(): Fraction(1), ("0",): floor + eps, ("1",): 1 - floor - eps}
+        refused = values[("0",)] < -1e-12
+    else:
+        values = {(): Fraction(1), ("0",): half, ("1",): half + tol + eps}
+        refused = abs(1 - values[("0",)] - values[("1",)]) > PROB_TOL
+    assert refused == (nudge > 0 if bound != "floor" else nudge < 0)
+    if refused:
+        with pytest.raises(ShiftlabError):
+            CylinderMeasure(alph2, 1, values)
+    else:
+        assert CylinderMeasure(alph2, 1, values).values == values
 
 
 def test_cylinder_listing_holds_the_word_limit(alph2):

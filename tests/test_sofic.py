@@ -11,10 +11,12 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       compose_codes, determinize, example_nonempty_shift,
                       finite_type_presentation, is_sft, language_equal_exact,
                       language_equal_up_to, ls_report, make_labeled_graph,
-                      mfw_length_set, minimal_forbidden, per_le_enumerate,
+                      mfw_length_set, minimal_forbidden,
+                      minimal_forbidden_lengths, per_le_enumerate,
                       periodic_count_le, prune_labeled, sofic_entropy,
                       sofic_oracle, theorem1_diagnostic)
 from shiftlab.graph import LabeledGraph, SubsetTable, _subset_step
+from shiftlab.sofic import _mfw_lengths
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -315,6 +317,30 @@ def labeled_graphs(labels="01"):
         st.just(n),
         st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from(labels),
                           st.integers(0, n - 1)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_graphs(), st.integers(1, 40))
+@example((2, {(0, "0", 0), (0, "1", 1), (1, "1", 0)}), 30)  # the even shift
+def test_length_walk_matches_pair_walk_random(graph, horizon):
+    # two walks over different state spaces: survivor sets of the
+    # presentation, and ids of its determinization's subset table
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1")), tuple(range(n)), edges)
+    ls = minimal_forbidden_lengths(sofic_oracle(g, horizon), horizon)
+    assert ls.lengths == mfw_length_set(g, horizon)
+    short = min(horizon, 14)  # the word walk spells every word
+    assert (minimal_forbidden_lengths(sofic_oracle(g, short), short).lengths
+            == minimal_forbidden(sofic_oracle(g, short), short).lengths)
+    report = theorem1_diagnostic(g, horizon)
+    assert report.mfw_lengths == ls.lengths
+    assert repr(report.window_densities) == repr(ls_report(ls).window_densities)
+    for found in (ls, _mfw_lengths(SubsetTable(determinize(g)), horizon)):
+        if found.repeat is not None:  # the block holds on the lengths
+            start, period = found.repeat
+            inside = set(found.lengths)
+            assert all((n in inside) == (n + period in inside)
+                       for n in range(start, horizon - period + 1))
 
 
 @settings(max_examples=150, deadline=None)

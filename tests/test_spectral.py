@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import ReducibleGraphError
-from shiftlab.spectral import (is_irreducible, perron_root, perron_vectors,
-                               spectral_radius_certified)
+from shiftlab.spectral import (_power_iteration, is_irreducible, perron_root,
+                               perron_vectors, spectral_radius_certified)
 
 
 @st.composite
@@ -61,3 +61,17 @@ def test_reducible_matrix_is_refused():
         perron_root([[1, 1], [0, 1]])
     with pytest.raises(ReducibleGraphError):
         perron_vectors([[0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_matrices())
+def test_symmetric_left_vector_is_the_transpose_iteration(m):
+    # A + A^T is symmetric and irreducible; its left vector is the right
+    # one copied, equal float for float to an iteration on the transpose
+    n = len(m)
+    sym = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    value, right, left = perron_vectors(sym)
+    assert left == right and left is not right
+    if n > 1:
+        assert (value, right) == _power_iteration(sym)
+        assert left == _power_iteration([list(col) for col in zip(*sym)])[1]

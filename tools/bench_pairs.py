@@ -1,6 +1,7 @@
 """Alternating benchmark pairs of a parent checkout and a change.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs N [--trace] > pairs.json
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs N [--workload W]
+        [--trace] > pairs.json
 
 Each checkout is first copied, without its ``__pycache__`` directories
 and dot entries (``.git``, ``.bench_out/``), into a fresh temporary
@@ -10,10 +11,13 @@ sides then import from source, in the same bytecode state, so
 checkout once read +92 % there.
 
 For each seed K in 1..N, runs the benchmark command of ``BENCHMARK.json``
-(``python3 perfbench/run.py``) with ``--workload all --seconds S --seed K``
+(``python3 perfbench/run.py``) with ``--workload W --seconds S --seed K``
 once from each copy, its working directory set to that copy, so each
 side runs its own ``perfbench/`` and ``src/``.  S is the
-``run_seconds`` of ``BENCHMARK.json``.  Runs go one at a time, the parent
+``run_seconds`` of ``BENCHMARK.json``.  W is ``all`` by default, which
+gives each of the four workloads about a quarter of S and prefixes each
+metric with its workload; a single workload (``--workload automata``)
+gets all of S, and only its runs show its own ``peak_mem_mb``.  Runs go one at a time, the parent
 first at odd seeds and the change first at even seeds.  With ``--trace``
 every run also takes ``--trace 1``, and the metrics are the per-layer
 ones.
@@ -42,8 +46,8 @@ import sys
 import tempfile
 
 
-def run_side(root, command, seed, seconds, trace):
-    argv = command + ["--workload", "all", "--seconds", str(seconds), "--seed", str(seed)]
+def run_side(root, command, workload, seed, seconds, trace):
+    argv = command + ["--workload", workload, "--seconds", str(seconds), "--seed", str(seed)]
     if trace:
         argv += ["--trace", "1"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -64,7 +68,9 @@ def metric_rules(bench):
 def summarize(pairs, rules):
     summary = {}
     for key in sorted(pairs[0]["parent"]["metrics"]):
-        better, bound = rules.get(key.split(".", 1)[1], ("lower", None))
+        # "automata.wall_s" under --workload all, "wall_s" under one workload
+        rule = rules.get(key) or rules.get(key.split(".", 1)[-1], ("lower", None))
+        better, bound = rule
         parent = [p["parent"]["metrics"][key]["value"] for p in pairs]
         change = [p["change"]["metrics"][key]["value"] for p in pairs]
         wins = sum((c < p) if better == "lower" else (c > p)
@@ -88,6 +94,8 @@ def main(argv=None):
     parser.add_argument("parent", metavar="PARENT_DIR")
     parser.add_argument("change", metavar="CHANGE_DIR")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", default="all",
+                        choices=("enumerate", "automata", "recode", "batch", "all"))
     parser.add_argument("--trace", action="store_true",
                         help="run with --trace 1 and summarize the per-layer metrics")
     args = parser.parse_args(argv)
@@ -107,10 +115,11 @@ def main(argv=None):
             entry = {"seed": seed, "first": order[0]}
             for side in order:
                 print("seed %d: %s" % (seed, side), file=sys.stderr, flush=True)
-                entry[side] = run_side(roots[side], command, seed, seconds, args.trace)
+                entry[side] = run_side(roots[side], command, args.workload, seed, seconds,
+                                       args.trace)
             pairs.append(entry)
 
-    shown = " ".join(command + ["--workload", "all", "--seconds", str(seconds),
+    shown = " ".join(command + ["--workload", args.workload, "--seconds", str(seconds),
                                 "--seed", "SEED"] + (["--trace", "1"] if args.trace else []))
     json.dump({"command": shown, "pairs": pairs,
                "summary": summarize(pairs, metric_rules(bench))},

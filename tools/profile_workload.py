@@ -1,7 +1,7 @@
 """Profile one benchmark workload in process.
 
     python3 tools/profile_workload.py WORKLOAD [--seed N] [--passes K]
-        [--sort tottime|cumtime] [--root DIR]
+        [--sort tottime|cumtime] [--time MODULE.FUNC[,...]] [--root DIR]
 
 Builds the documents and reports of WORKLOAD (enumerate, automata, recode
 or batch) with ``perfbench/workloads.build`` at seed N into a temporary
@@ -15,6 +15,14 @@ measured under the profiler, with the part of it spent reading the argv
 loading documents (``cli._load``) and writing the report (``cli._emit``).
 A report that exits nonzero is counted and named.
 
+With ``--time`` (for example ``--time forbidden.window_density_report``,
+a function of ``shiftlab.forbidden``), the K passes run without the
+profiler, with ``gc.collect()`` before each report, and it prints each
+named function's share of the workload's wall time instead.  Each
+function is replaced in every ``shiftlab`` module that holds it by name,
+and only its outermost calls are timed, so a recursive or nested call is
+not counted twice.
+
 DIR (default: the checkout holding this script) supplies both
 ``src/shiftlab`` and ``perfbench``; nothing is written there.
 """
@@ -24,6 +32,7 @@ import collections
 import contextlib
 import cProfile
 import gc
+import importlib
 import io
 import os
 import pstats
@@ -50,15 +59,70 @@ def _run(cli, argv):
 PARTS = ("parse", "load", "emit")
 
 
-def _timed(seconds, part, fn):
-    """``fn``, adding the time of each call to ``seconds[part]``."""
+def _timed(seconds, part, fn, calls=None):
+    """``fn``, adding the time of each outermost call to ``seconds[part]``
+    and counting it in ``calls[part]``."""
+    depth = [0]
+
     def timed(*args, **kwargs):
+        if depth[0]:
+            return fn(*args, **kwargs)
+        depth[0] += 1
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             seconds[part] += time.perf_counter() - t0
+            depth[0] -= 1
+            if calls is not None:
+                calls[part] += 1
     return timed
+
+
+def _time_functions(cli, reports, names, passes):
+    """Seconds and outermost calls of each ``module.function`` in
+    ``names`` over ``passes`` passes, and the passes' wall time."""
+    seconds, calls = collections.Counter(), collections.Counter()
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        fn = getattr(importlib.import_module("shiftlab." + module), attr)
+        timed = _timed(seconds, name, fn, calls)
+        for holder in [m for key, m in sys.modules.items() if key.startswith("shiftlab")]:
+            for key, value in list(vars(holder).items()):
+                if value is fn:
+                    setattr(holder, key, timed)
+    total = 0.0
+    for _ in range(passes):
+        for report in reports:
+            gc.collect()
+            t0 = time.perf_counter()
+            _run(cli, report.argv)
+            total += time.perf_counter() - t0
+    return seconds, calls, total
+
+
+def _profile(cli, reports, passes):
+    """Per-command seconds, with their parse, load and emit parts, and the
+    profile of ``passes`` passes under ``cProfile``."""
+    per_command = collections.defaultdict(collections.Counter)
+    parts = collections.Counter()
+    parse = ((cli, "_parse") if hasattr(cli, "_parse")
+             else (argparse.ArgumentParser, "parse_args"))
+    for owner, name, part in (parse + ("parse",), (cli, "_load", "load"),
+                              (cli, "_emit", "emit")):
+        setattr(owner, name, _timed(parts, part, getattr(owner, name)))
+    profile = cProfile.Profile()
+    for _ in range(passes):
+        for report in reports:
+            gc.collect()
+            parts.clear()
+            t0 = time.perf_counter()
+            profile.enable()
+            _run(cli, report.argv)
+            profile.disable()
+            parts["all"] = time.perf_counter() - t0
+            per_command[_command(report.argv)].update(parts)
+    return per_command, profile
 
 
 def main(argv=None):
@@ -67,6 +131,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--passes", type=int, default=3)
     parser.add_argument("--sort", choices=("tottime", "cumtime"), default="tottime")
+    parser.add_argument("--time", metavar="MODULE.FUNC[,...]",
+                        help="print these functions' shares of the wall time, unprofiled")
     parser.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     args = parser.parse_args(argv)
     sys.path[:0] = [os.path.join(args.root, "src"), os.path.join(args.root, "perfbench")]
@@ -76,28 +142,21 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as docdir:
         reports = workloads.build(args.workload, args.seed, docdir).reports
         failed = {r.rid for r in reports if _run(cli, r.argv) != 0}
-        per_command = collections.defaultdict(collections.Counter)
-        parts = collections.Counter()
-        parse = ((cli, "_parse") if hasattr(cli, "_parse")
-                 else (argparse.ArgumentParser, "parse_args"))
-        for owner, name, part in (parse + ("parse",), (cli, "_load", "load"),
-                                  (cli, "_emit", "emit")):
-            setattr(owner, name, _timed(parts, part, getattr(owner, name)))
-        profile = cProfile.Profile()
-        for _ in range(args.passes):
-            for report in reports:
-                gc.collect()
-                parts.clear()
-                t0 = time.perf_counter()
-                profile.enable()
-                _run(cli, report.argv)
-                profile.disable()
-                parts["all"] = time.perf_counter() - t0
-                per_command[_command(report.argv)].update(parts)
+        if args.time:
+            names = args.time.split(",")
+            seconds, calls, total = _time_functions(cli, reports, names, args.passes)
+        else:
+            per_command, profile = _profile(cli, reports, args.passes)
 
     print("%s seed %d: %d reports, %d passes, %d failed%s"
           % (args.workload, args.seed, len(reports), args.passes, len(failed),
              (" (%s)" % ", ".join(sorted(failed))) if failed else ""))
+    if args.time:
+        print("wall time over %d passes, without the profiler: %.3f s" % (args.passes, total))
+        for name in names:
+            print("  %-40s %8.3f s  %5.1f %%  %d outermost calls" % (
+                name, seconds[name], 100 * seconds[name] / total, calls[name]))
+        return
     pstats.Stats(profile, stream=sys.stdout).sort_stats(args.sort).print_stats(TOP)
     total = sum(seconds["all"] for seconds in per_command.values())
     print("time per command over %d passes, under the profiler (%.3f s in all),"

@@ -3,11 +3,12 @@
 The substitution language is the set of subwords of iterates of the seed
 letter (the one-sided closure the worked examples use), not the minimal
 two-sided substitutive system; the two differ for non-primitive rules
-and the examples here are deliberately non-primitive.  It is computed
-exactly, level by level, by ``_coded_levels``, on words coded as strings
-of one character per letter (``_coding``); the oracle's state is the
-coded word, and it grows the levels on demand as the words it steps
-grow, keeping those already built.
+and the examples here are deliberately non-primitive.  Words are coded
+as strings of one character per letter (``_coding``).  The oracle
+recognizes the language exactly with one suffix automaton that only
+grows (``subst_oracle``), its state a node and the length read, so a
+step spells no word; ``_coded_levels`` computes the same language level
+by level, as the tests' independent reference.
 
 Induced and sped-up systems are recoded over a superalphabet of
 (2N+1)-windows.  A superword is allowed when some base word realizes it:
@@ -99,16 +100,7 @@ def _coding(tau):
 
 def _coded_levels(tau, h):
     """``levels[n]``: the length-n subwords of the iterates of the seed,
-    n <= h, as coded strings (see ``_coding``)."""
-    code, table = _coding(tau)
-    levels = []
-    _grow_levels(levels, code[tau.seed], table, h)
-    return levels
-
-
-def _grow_levels(levels, seed, table, h):
-    """Extend ``levels``, the coded levels below some height, to height
-    ``h``: ``seed`` is the coded seed and ``table`` the coded rules.
+    n <= h, as coded strings (see ``_coding``).
 
     Once |u| >= h, the length-h subwords of tau(u) are those of tau(v)
     over the length-h subwords v of u: h letters of tau(u) lie in the
@@ -117,12 +109,11 @@ def _grow_levels(levels, seed, table, h):
     under v -> subwords(tau(v), h), a finite set.  A length-n subword of
     a longer word begins or ends one of length n+1, so each lower level
     is read off the level above, plus the iterates of exactly length n.
-    A level is the same set whatever the height it is read down from, so
-    the levels already built stay, and only those above them are read.
+    The oracle does not read these levels; they are the tests' reference.
     """
-    low = len(levels)
+    code, table = _coding(tau)
     short = {}
-    word = seed
+    word = code[tau.seed]
     while len(word) < h:
         short.setdefault(len(word), set()).add(word)
         word = word.translate(table)
@@ -135,12 +126,13 @@ def _grow_levels(levels, seed, table, h):
             if w not in top:
                 top.add(w)
                 todo.append(w)
-    grown = [top]
-    for n in range(h - 1, low - 1, -1):
-        above = grown[-1]
-        grown.append({w[:-1] for w in above} | {w[1:] for w in above}
-                     | short.get(n, set()))
-    levels.extend(reversed(grown))
+    levels = [top]
+    for n in range(h - 1, -1, -1):
+        above = levels[-1]
+        levels.append({w[:-1] for w in above} | {w[1:] for w in above}
+                      | short.get(n, set()))
+    levels.reverse()
+    return levels
 
 
 def _factor_levels(tau, h):
@@ -150,28 +142,121 @@ def _factor_levels(tau, h):
             for level in _coded_levels(tau, h)]
 
 
+def _cover(word, table, h):
+    """Pieces whose length-h windows are exactly the length-h subwords of
+    the iterates, from ``word``, the first coded iterate of length >= h.
+
+    Each frontier word's windows are scanned against those seen, and each
+    maximal run of new windows is one piece; the next frontier is the
+    images of the pieces.  A window of tau(c) lies in tau(v) for some
+    window v of c (see ``_coded_levels``), so every window of the closure
+    is scanned, and each new one is emitted once.
+    """
+    seen, frontier = set(), [word]
+    while frontier:
+        pieces = []
+        for c in frontier:
+            run = None
+            for i in range(len(c) - h + 1):
+                w = c[i:i + h]
+                if w not in seen:
+                    seen.add(w)
+                    if run is None:
+                        run = i
+                elif run is not None:
+                    pieces.append(c[run:i - 1 + h])
+                    run = None
+            if run is not None:
+                pieces.append(c[run:])
+        yield from pieces
+        frontier = [c.translate(table) for c in pieces]
+
+
 def subst_oracle(tau, horizon):
     """Language oracle of the substitution system, exact to the horizon.
 
-    The state is the coded word read so far (see ``_coding``), a string,
-    and a step is one concatenation and one set lookup, cheaper than a
-    memo of it.  When a step outgrows the factor levels built so far,
-    they grow to twice their length, capped at the horizon but never
-    short of the step, so the cost follows the lengths stepped, not the
-    horizon.
+    The oracle keeps one suffix automaton (Blumer et al., TCS 40, 1985)
+    of a text that only grows.  Growing it to height h appends the
+    pieces of ``_cover`` at h and the iterates shorter than h, but at
+    least the old height, that the first longer iterate does not contain;
+    each is followed by one shared separator, so no letter-only factor
+    spans two pieces.  Every piece is a factor of an iterate, and every
+    factor of length <= h lies in a piece, so the letter-only factors of
+    the text up to the height are exactly the language.
+
+    The state is (node, length read): no word is spelled.  Extending the
+    text can clone a node, and the clone takes its shorter words, so a
+    step first follows suffix links while they still hold its length;
+    that is one comparison when nothing was cloned.  A step that reaches
+    the height grows the text to the longest length a caller has passed
+    to ``check_horizon``, or twice the height, capped at the horizon but
+    never short of the step, so the cost follows the lengths asked for,
+    not the horizon.  Transitions are flat per-letter lists, -1 for none;
+    node 0 is a sentinel of length -1 that steps every letter to the
+    root, node 1.
     """
     code, table = _coding(tau)
     seed = code[tau.seed]
-    levels = []
+    cols = [[1, -1] for _ in range(len(code) + 1)]  # the last: the separator
+    column = {a: cols[ord(c)] for a, c in code.items()}
+    sep = chr(len(code))
+    link, length = [0, 0], [-1, 0]
+    demand = [0]
+    last, height = 1, 0
 
-    def step(word, letter):
-        longer = word + code[letter]
-        n = len(longer)
-        if n >= len(levels):
-            _grow_levels(levels, seed, table, max(n, min(horizon, 2 * len(levels))))
-        return longer if longer in levels[n] else None
+    def append(text):
+        nonlocal last
+        for ch in text:
+            col = cols[ord(ch)]
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(1)
+            for c in cols:
+                c.append(-1)
+            p = last
+            while col[p] < 0:
+                col[p] = cur
+                p = link[p]
+            q = col[p]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                for c in cols:
+                    c.append(c[q])
+                while col[p] == q:
+                    col[p] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+            last = cur
 
-    return LanguageOracle(tau.alphabet, "", step, horizon)
+    def grow(n):
+        nonlocal height
+        h = max(n + 1, min(horizon, max(demand[0], 2 * (height + 1))))
+        word, short = seed, []
+        while len(word) < h:
+            if len(word) >= height:
+                short.append(word)
+            word = word.translate(table)
+        for piece in short:
+            if piece not in word:
+                append(piece + sep)
+        for piece in _cover(word, table, h):
+            append(piece + sep)
+        height = h
+
+    def step(state, letter):
+        node, n = state
+        if n >= height:
+            grow(n)
+        while length[link[node]] >= n:
+            node = link[node]
+        after = column[letter][node]
+        return None if after < 0 else (after, n + 1)
+
+    return LanguageOracle(tau.alphabet, (1, 0), step, horizon, demand=demand)
 
 
 @dataclass(frozen=True)
@@ -408,6 +493,7 @@ def induce_recode(spec, n):
     if spec.base.max_reliable_length < needed:
         raise HorizonExceededError(
             "induced length %d needs base horizon %d" % (n, needed))
+    spec.base.check_horizon(needed)
     uset = set(letters)
     first_return = spec.return_rule == "first-return"
     base_step = spec.base.step

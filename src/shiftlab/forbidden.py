@@ -14,8 +14,10 @@ Restivo ("Automata and forbidden words", IPL 67, 1998), and spells words
 only from the pairs that witness one, so its cost follows the pair space
 and the output.  Survivor sets and tied-length tuples keep that space
 small for finite-type, sofic and beta oracles.  A substitution oracle's
-state is the coded word read so far, so there the walk pays about what
-enumeration would, and so does an induced oracle over such a base.
+state names one word (a suffix-automaton node and its length), so there
+the pairs are as many as the words and the walk steps about as often as
+enumeration would, without spelling them; so does an induced oracle
+over such a base.
 ``minimal_forbidden_lengths`` is the same walk for callers that read
 only lengths: it spells nothing and stops at its first repeated level.
 """

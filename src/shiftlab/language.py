@@ -124,7 +124,7 @@ class LanguageOracle:
     """Oracle for a factorial language, exact up to a horizon.
 
     Build one directly when ``step`` is cheaper than a memo lookup (the
-    substitution oracle's is one concatenation and one set lookup), or
+    substitution oracle's is a few list reads in its suffix automaton), or
     with :func:`stepping_oracle`, which memoizes ``step``.
 
     Parameters
@@ -138,12 +138,17 @@ class LanguageOracle:
         range; enumeration relies on it.
     max_reliable_length : int
         Largest word length for which the automaton is exact.
+    demand : list, optional
+        A one-item list that ``check_horizon`` raises to the longest
+        length asked of it, for an oracle that sizes its work by what its
+        callers will read; every walk checks its length before stepping.
     """
 
     alphabet: Alphabet
     start: object = field(compare=False, repr=False)
     step: object = field(compare=False, repr=False)
     max_reliable_length: int
+    demand: list = field(default=None, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def membership(self, word):
@@ -162,6 +167,9 @@ class LanguageOracle:
                 "length %d exceeds the oracle horizon %d" % (n, self.max_reliable_length))
         if n < 0:
             raise HorizonExceededError("negative word length")
+        demand = self.demand
+        if demand is not None and n > demand[0]:
+            demand[0] = n
 
     def contains(self, word):
         word = tuple(word)

@@ -278,7 +278,7 @@ def sofic_entropy(g):
     d = determinize(g)
     if d.is_empty:
         raise UndefinedEntropyError("entropy of the empty shift is undefined")
-    radius, _ = spectral_radius_certified(d.adjacency)
+    radius = spectral_radius_certified(d.adjacency)[0]
     return math.log(radius)
 
 
@@ -430,7 +430,7 @@ def _mfw_lengths(table, horizon):
         return LSLengths(horizon, (1,) if horizon >= 1 else ())
     row = table.row
     lengths = set()
-    if 0 in row(full):
+    if 0 in row(full) and horizon >= 1:
         lengths.add(1)
     # level i holds the pairs (delta(Q, a w), delta(Q, w)) with |a w| = i + 1
     start = frozenset((x, full) for x in row(full) if x)

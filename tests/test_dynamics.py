@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError,
-                      InducedSpec, InfeasibleSetError,
+                      InducedSpec, InfeasibleSetError, LanguageOracle,
                       NonGrowingSubstitutionError, ReturnTimeCapError,
                       Substitution, UnsupportedSpecError, bispecial_lengths,
                       build_block_graph, cassaigne_profile, complexity,
                       format_word, induce_recode, induced_data, ls_report,
-                      make_labeled_graph, minimal_forbidden, sft_oracle,
+                      make_labeled_graph, minimal_forbidden,
+                      minimal_forbidden_lengths, sft_oracle,
                       sofic_oracle, special_words, speedup_gap_compare,
                       subst_oracle)
 from shiftlab import cli, dynamics
@@ -475,28 +477,117 @@ def test_subst_oracle_matches_subst_language(draw):
         assert list(oracle.words_of_length(n)) == sorted(level, key=key)
 
 
-def _grown_levels(oracle):
-    """The coded factor levels a substitution oracle has grown so far."""
-    cells = dict(zip(oracle.step.__code__.co_freevars, oracle.step.__closure__))
-    return cells["levels"].cell_contents
+def _coded(tau, word):
+    """``word`` in the coding of ``_coded_levels``."""
+    code, _ = dynamics._coding(tau)
+    return "".join(code[a] for a in word)
 
 
 @settings(max_examples=80, deadline=None)
 @example(draw=("ab", ["ba", "b"], "a"))
 @given(draw=SUBSTITUTION_DRAWS)
 def test_grown_levels_match_levels_built_at_once(draw):
-    """The oracle grows its levels at heights 1, 4, 10, 22 and 24 as it
-    steps; each level must be the one read down from any height."""
+    """One oracle at horizon 24, walked through every length, grows at
+    heights 2, 6, 14 and 24; after each length, the states it holds for
+    every lower level step to exactly the level above, as read down from
+    that height."""
     tau = _substitution(draw)
     if tau is None:
         return
+    letters = tau.alphabet.symbols
     oracle = subst_oracle(tau, 24)
     for h in range(1, 25):
         oracle.words_of_length(h)
-        levels = _grown_levels(oracle)
-        assert len(levels) > h
-        assert levels[:h + 1] == _coded_levels(tau, h)
-    assert levels == _coded_levels(tau, 24)
+        levels = _coded_levels(tau, h)
+        for n in range(h):
+            words, states = oracle.frontier(n)
+            assert {_coded(tau, w) for w in words} == levels[n]
+            stepped = {_coded(tau, w + (a,)) for w, q in zip(words, states)
+                       for a in letters if oracle.step(q, a) is not None}
+            assert stepped == levels[n + 1]
+    assert {_coded(tau, w) for w in oracle.words_of_length(24)} == levels[24]
+
+
+def _walk(oracle, state, d):
+    """Every continuation of length ``d`` that ``state`` reads."""
+    level = [((), state)]
+    for _ in range(d):
+        level = [(u + (a,), after) for u, q in level for a in oracle.alphabet
+                 if (after := oracle.step(q, a)) is not None]
+    return {u for u, _ in level}
+
+
+@settings(max_examples=80, deadline=None)
+@example(draw=("ab", ["ba", "b"], "a"), n=2)
+@given(draw=SUBSTITUTION_DRAWS, n=st.integers(0, 5))
+def test_held_states_survive_growth(draw, n):
+    """States taken from ``frontier(n)`` before the oracle grows to 14
+    read, after it, the same continuations as a fresh oracle's words."""
+    tau = _substitution(draw)
+    if tau is None:
+        return
+    oracle = subst_oracle(tau, 14)
+    held = oracle.frontier(n)
+    oracle.words_of_length(14)
+    walked = {w + u for w, q in zip(*held) for u in _walk(oracle, q, 14 - n)}
+    assert walked == set(subst_oracle(tau, 14).words_of_length(14))
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=SUBSTITUTION_DRAWS, data=st.data())
+def test_contains_interleaved_with_deep_walks(draw, data):
+    tau = _substitution(draw)
+    if tau is None:
+        return
+    levels = _coded_levels(tau, 30)
+    oracle = subst_oracle(tau, 30)
+    letters = st.sampled_from(tau.alphabet.symbols)
+    for _ in range(8):
+        n = data.draw(st.integers(0, 30))
+        kind = data.draw(st.sampled_from(("contains", "complexity", "words")))
+        if kind == "contains":
+            word = tuple(data.draw(st.lists(letters, min_size=n, max_size=n)))
+            assert oracle.contains(word) == (_coded(tau, word) in levels[n])
+        elif kind == "complexity":
+            assert complexity(oracle, n) == [len(l) for l in levels[:n + 1]]
+        else:
+            words = oracle.words_of_length(n)
+            assert {_coded(tau, w) for w in words} == levels[n]
+
+
+def _level_oracle(tau, h):
+    """The reference oracle: the state is the coded word, a step one
+    concatenation and one lookup in ``_coded_levels``."""
+    code, _ = dynamics._coding(tau)
+    levels = _coded_levels(tau, h)
+
+    def step(word, letter):
+        longer = word + code[letter]
+        return longer if longer in levels[len(longer)] else None
+
+    return LanguageOracle(tau.alphabet, "", step, h)
+
+
+@pytest.mark.parametrize("name", ["fib", "run_doubler"])
+def test_length_walks_match_the_level_oracle(name, request):
+    tau = request.getfixturevalue(name)
+    reference = _level_oracle(tau, 120)
+    assert (minimal_forbidden_lengths(subst_oracle(tau, 120), 120)
+            == minimal_forbidden_lengths(reference, 120))
+    assert (bispecial_lengths(subst_oracle(tau, 120), 119)
+            == bispecial_lengths(reference, 119))
+
+
+def test_subst_oracle_stays_lazy_under_a_far_horizon(fib):
+    # a build at the horizon would hold an iterate of 10^5 letters
+    tracemalloc.start()
+    try:
+        words = subst_oracle(fib, 10 ** 5).words_of_length(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 6
+    assert peak < 256 * 1024
 
 
 @settings(max_examples=80, deadline=None)

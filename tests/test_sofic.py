@@ -320,8 +320,9 @@ def labeled_graphs(labels="01"):
 
 
 @settings(max_examples=60, deadline=None)
-@given(labeled_graphs(), st.integers(1, 40))
+@given(labeled_graphs(), st.integers(0, 40))
 @example((2, {(0, "0", 0), (0, "1", 1), (1, "1", 0)}), 30)  # the even shift
+@example((2, {(0, "0", 0)}), 0)  # a missing letter at horizon 0
 def test_length_walk_matches_pair_walk_random(graph, horizon):
     # two walks over different state spaces: survivor sets of the
     # presentation, and ids of its determinization's subset table

@@ -493,7 +493,6 @@ def induce_recode(spec, n):
     if spec.base.max_reliable_length < needed:
         raise HorizonExceededError(
             "induced length %d needs base horizon %d" % (n, needed))
-    spec.base.check_horizon(needed)
     uset = set(letters)
     first_return = spec.return_rule == "first-return"
     base_step = spec.base.step

@@ -272,11 +272,9 @@ def nu_cylinder_measure(graph, n, depth, code=None):
 
 # ---- Parry chains --------------------------------------------------------
 
-def parry_measure(graph, right=None):
+def parry_measure(graph):
     """The measure of maximal entropy of the shift presented by an
-    irreducible deterministic labeled graph.  ``right`` is the Perron
-    root and right vector of its adjacency matrix when the caller already
-    has them (``perron_vectors``).
+    irreducible deterministic labeled graph.
 
     Per-edge probabilities r_v/(lambda r_u) make a stationary chain with
     entropy log lambda, and a right-resolving label map keeps entropy, so
@@ -292,7 +290,7 @@ def parry_measure(graph, right=None):
     adj = graph.adjacency
     size = len(graph.states)
     try:
-        lam, right, left = perron_vectors(adj, right)
+        lam, right, left = perron_vectors(adj)
     except ReducibleGraphError:
         raise ReducibleGraphError(
             "graph is reducible; decompose with max_entropy_decomposition first") from None
@@ -425,21 +423,19 @@ def max_entropy_decomposition(graph, code, depth=6):
         if image.is_empty:
             continue
         det = determinize(image)
-        radius, comp, right = spectral_radius_certified(det.adjacency)
-        candidates.append((image, det, comp, right, math.log(radius)))
+        radius, comp = spectral_radius_certified(det.adjacency)
+        candidates.append((image, det, comp, math.log(radius)))
     if not candidates:
         raise EmptyShiftError("the image shift is empty")
-    top = max(c[-1] for c in candidates)
+    top = max(h for _, _, _, h in candidates)
     components = []
-    for image, det, comp, right, h in candidates:
+    for image, det, comp, h in candidates:
         if h < top - ENTROPY_TOL:
             continue
         if any(language_equal_exact(image, c.presentation) for c in components):
             continue
-        # the chain's adjacency is the component's submatrix, so its
-        # right Perron vector is the one the radius came with
         chain = prune_labeled(replace(det, states=tuple(det.states[i] for i in comp)))
-        table = cylinder_table(parry_measure(chain, right), depth)
+        table = cylinder_table(parry_measure(chain), depth)
         components.append(MaxEntropyComponent(image, table, h))
     return components
 

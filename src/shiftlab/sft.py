@@ -111,7 +111,7 @@ def sft_entropy(graph):
     """
     if graph.is_empty:
         raise UndefinedEntropyError("entropy of the empty shift is undefined")
-    radius = spectral_radius_certified(graph.adjacency)[0]
+    radius, _ = spectral_radius_certified(graph.adjacency)
     return math.log(radius)
 
 

@@ -278,7 +278,7 @@ def sofic_entropy(g):
     d = determinize(g)
     if d.is_empty:
         raise UndefinedEntropyError("entropy of the empty shift is undefined")
-    radius = spectral_radius_certified(d.adjacency)[0]
+    radius, _ = spectral_radius_certified(d.adjacency)
     return math.log(radius)
 
 

@@ -131,56 +131,48 @@ def _power_iteration(matrix):
 def perron_root(matrix):
     """Perron root of an irreducible nonnegative integer matrix, a float
     whose Collatz-Wielandt width on A + I is below ``TOL``."""
-    return perron_right(matrix)[0]
-
-
-def perron_right(matrix):
-    """``perron_root`` and a positive right eigenvector, L1-normalized,
-    from the same iteration."""
     _check_irreducible(matrix)
     if len(matrix) == 1:
-        return float(matrix[0][0]), [1.0]
-    return _power_iteration(matrix)
+        return float(matrix[0][0])
+    return _power_iteration(matrix)[0]
 
 
-def perron_vectors(matrix, right=None):
+def perron_vectors(matrix):
     """Perron root with right and left eigenvectors (L1-normalized).
 
-    The root and the right vector come from one iteration on A + I
-    (``perron_right``, unless the caller passes its result as ``right``),
-    the left vector from one iteration on its transpose.  A symmetric A
-    is its own transpose, and the second iteration would repeat the
-    first float for float, so its left vector is a copy of the right one.
+    The root and the right vector come from one iteration on A + I, the
+    left vector from one iteration on its transpose.  A symmetric A is
+    its own transpose, and the second iteration would repeat the first
+    float for float, so its left vector is a copy of the right one.
     """
-    value, vector = right or perron_right(matrix)
+    _check_irreducible(matrix)
     if len(matrix) == 1:
-        return value, vector, [1.0]
+        return float(matrix[0][0]), [1.0], [1.0]
+    value, right = _power_iteration(matrix)
     transpose = [list(col) for col in zip(*matrix)]
     if transpose == matrix:
-        return value, vector, list(vector)
+        return value, right, list(right)
     _, left = _power_iteration(transpose)
-    return value, vector, left
+    return value, right, left
 
 
 def spectral_radius_certified(matrix):
-    """Spectral radius of a nonnegative integer matrix, the strongly
-    connected component that carries it, and that component's
-    ``perron_right``.
+    """Spectral radius of a nonnegative integer matrix and the strongly
+    connected component that carries it.
 
-    Returns (radius, component, right): the largest Perron root over the
-    components, the first component in ``strongly_connected_components``
-    order that attains it, and the root with the right vector of the
-    component's submatrix.  Single vertices without loops contribute 0,
-    so a matrix without cycles gives (0.0, (), None).
+    Returns (radius, component): the largest Perron root over the
+    components, and the first component in ``strongly_connected_components``
+    order that attains it.  Single vertices without loops contribute 0,
+    so a matrix without cycles gives (0.0, ()).
     """
     n = len(matrix)
     succ = [[j for j in range(n) if matrix[i][j]] for i in range(n)]
-    best = (0.0, (), None)
+    best = (0.0, ())
     for comp in strongly_connected_components(n, succ):
         if len(comp) == 1:
-            right = (float(matrix[comp[0]][comp[0]]), [1.0])
+            radius = float(matrix[comp[0]][comp[0]])
         else:
-            right = perron_right([[matrix[i][j] for j in comp] for i in comp])
-        if right[0] > best[0]:
-            best = (right[0], comp, right)
+            radius = perron_root([[matrix[i][j] for j in comp] for i in comp])
+        if radius > best[0]:
+            best = (radius, comp)
     return best

@@ -12,11 +12,11 @@ from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError,
                       NonGrowingSubstitutionError, ReturnTimeCapError,
                       Substitution, UnsupportedSpecError, bispecial_lengths,
                       build_block_graph, cassaigne_profile, complexity,
-                      format_word, induce_recode, induced_data, ls_report,
-                      make_labeled_graph, minimal_forbidden,
-                      minimal_forbidden_lengths, sft_oracle,
-                      sofic_oracle, special_words, speedup_gap_compare,
-                      subst_oracle)
+                      document_from_object, format_word, induce_recode,
+                      induced_data, ls_report, make_labeled_graph,
+                      minimal_forbidden, minimal_forbidden_lengths, realize,
+                      sft_oracle, sofic_oracle, special_words,
+                      speedup_gap_compare, subst_oracle)
 from shiftlab import cli, dynamics
 from shiftlab.dynamics import _coded_levels, _factor_levels, rebase
 
@@ -587,6 +587,22 @@ def test_subst_oracle_stays_lazy_under_a_far_horizon(fib):
     finally:
         tracemalloc.stop()
     assert len(words) == 6
+    assert peak < 256 * 1024
+
+
+def test_induced_over_subst_stays_lazy_under_a_far_horizon():
+    # the base is realized at about 3 * 10^5; only the steps of length-5
+    # superwords may grow it
+    doc = {"kind": "induced",
+           "base": {"kind": "substitution", "rules": {"0": "01", "1": "0"}, "seed": "0"},
+           "window": 1, "clopen": ["001", "100", "101"], "return_rule": "first-return"}
+    tracemalloc.start()
+    try:
+        words = realize(document_from_object(doc), 10 ** 5).oracle.words_of_length(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 7
     assert peak < 256 * 1024
 
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,15 +12,12 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       PeriodicSupportMeasure, ReducibleGraphError,
                       ShiftlabError, UnsupportedSpecError, apply_block_code,
                       automorphism_invariance_check, build_block_graph,
-                      cylinder_table, determinize, eval_cylinder,
-                      finite_type_presentation,
+                      cylinder_table, eval_cylinder, finite_type_presentation,
                       full_shift, language_equal_exact, make_labeled_graph,
                       max_entropy_decomposition, mu_y_average, nu_cylinder_measure,
                       nu_measure, parry_cylinders, parry_measure, per_le_enumerate,
-                      prune_labeled, pushforward, scc_subgraphs, sft_oracle,
-                      weak_star_distance)
+                      pushforward, scc_subgraphs, sft_oracle, weak_star_distance)
 from shiftlab.measures import PROB_TOL, _parry_eval, _words_upto, certify_inverse_pair
-from shiftlab.spectral import spectral_radius_certified
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -310,25 +306,6 @@ def test_max_entropy_decomposition_reducible():
     avg = mu_y_average(comps, 3, 2)
     assert avg.weights == (Fraction(1, 2), Fraction(1, 2))
     assert avg.measure.values[("a",)] == pytest.approx(0.5)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
-    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("01"),
-                                  st.integers(0, n - 1)), min_size=1))))
-def test_top_component_chain_reuses_the_radius_iteration(graph):
-    # the Parry chain of a top component is its submatrix, so the right
-    # vector the radius came with gives the measure float for float
-    n, edges = graph
-    det = determinize(make_labeled_graph(Alphabet(("0", "1")), tuple(range(n)), edges))
-    radius, comp, right = spectral_radius_certified(det.adjacency)
-    if radius == 0:
-        return
-    chain = prune_labeled(replace(det, states=tuple(det.states[i] for i in comp)))
-    assert chain.adjacency == [[det.adjacency[i][j] for j in comp] for i in comp]
-    again, reused = parry_measure(chain), parry_measure(chain, right)
-    assert (again.perron, again.stationary, again.transition) == (
-        reused.perron, reused.stationary, reused.transition)
 
 
 def test_parry_measure_refuses_reducible_and_nondeterministic(alph2):

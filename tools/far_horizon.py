@@ -1,15 +1,15 @@
 """Run the far-horizon reports, each in a fresh process, and print what
 each one cost.
 
-    python3 tools/far_horizon.py [--root DIR] [--timeout SECONDS]
+    python3 tools/far_horizon.py [--root DIR]
 
 Writes the documents the reports read to a temporary directory, runs
 each report as ``shiftlab`` would (``cli.main`` on its argv) in a new
-Python process under the timeout, and prints one line per report:
+Python process, and prints one line per report:
 ``<exit code> <wall s> <max RSS MB> <sha256 of stdout> <argv>``.  The
-exit code reads ``timeout`` when the report was killed at the timeout.
-Max RSS is the child's own peak (``os.wait4``), not this process's.
-The temporary directory is masked in the argv, and no report prints
+exit code reads ``timeout`` when the report was killed after ``TIMEOUT``
+seconds.  Max RSS is the child's own peak (``os.wait4``), not this
+process's.  The temporary directory is masked in the argv, and no report prints
 it, so two checkouts compare line by line.  DIR (default: the checkout
 holding this script) supplies ``src/shiftlab``; run the script once
 against the parent checkout and once against the change.
@@ -45,9 +45,10 @@ REPORTS = (
 
 CHILD = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"
 MASK = "<docdir>"
+TIMEOUT = 120.0
 
 
-def _run(argv, src, timeout):
+def _run(argv, src):
     """(exit code or "timeout", wall s, max RSS MB, stdout bytes)."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryFile() as out:
@@ -59,7 +60,7 @@ def _run(argv, src, timeout):
             pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
             if pid:
                 break
-            if not killed and time.perf_counter() - t0 > timeout:
+            if not killed and time.perf_counter() - t0 > TIMEOUT:
                 proc.kill()
                 killed = True
             time.sleep(0.005)
@@ -73,8 +74,6 @@ def main(argv=None):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=here, help="checkout whose src/ is used")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds before a report is killed (default 120)")
     args = parser.parse_args(argv)
     src = os.path.join(os.path.abspath(args.root), "src")
     with tempfile.TemporaryDirectory(prefix="far-horizon-") as tmp:
@@ -83,7 +82,7 @@ def main(argv=None):
                 json.dump(doc, f)
         for report in REPORTS:
             argv = [os.path.join(tmp, a) if a in DOCS else a for a in report]
-            code, wall, rss, out = _run(argv, src, args.timeout)
+            code, wall, rss, out = _run(argv, src)
             print(code, "%.2f" % wall, "%.0f" % rss, hashlib.sha256(out).hexdigest(),
                   " ".join(argv).replace(tmp, MASK), flush=True)
     return 0

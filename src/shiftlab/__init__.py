@@ -27,11 +27,10 @@ from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
                     finite_type_presentation, is_sft, language_equal_exact,
                     language_equal_up_to, mfw_length_set, per_le_enumerate,
                     sofic_entropy, sofic_oracle, theorem1_diagnostic)
-from .measures import (CylinderMeasure, PeriodicSupportMeasure,
-                       automorphism_invariance_check, cylinder_table,
-                       eval_cylinder, max_entropy_decomposition, mu_y_average,
-                       nu_cylinder_measure, nu_measure, parry_cylinders,
-                       parry_measure, pushforward, weak_star_distance)
+from .measures import (CylinderMeasure, automorphism_invariance_check,
+                       cylinder_table, eval_cylinder, max_entropy_decomposition,
+                       mu_y_average, nu_cylinder_measure, nu_point_measure,
+                       parry_cylinders, parry_measure, weak_star_distance)
 from .beta import (BetaExpansion, DigitStream, beta_algebraic, beta_decimal,
                    beta_expand, beta_ls_diagnostic, beta_mfw, beta_oracle,
                    beta_presentation, beta_rational, example_betashift,

@@ -75,9 +75,17 @@ def _cylinders(measure, depth):
     return report
 
 
+def _realize(doc, horizon):
+    """``realize``, refusing a document nested past the recursion limit
+    as it refuses any other malformed document."""
+    try:
+        return realize(doc, horizon)
+    except RecursionError:
+        raise UnsupportedSpecError("shift document is nested too deeply") from None
+
+
 def _load(args):
-    doc = load_shift_document(args.shift)
-    return realize(doc, args.horizon)
+    return _realize(load_shift_document(args.shift), args.horizon)
 
 
 def _check_word_count(oracle, n):
@@ -94,6 +102,8 @@ def _load_code(path, alphabet):
             obj = json.load(handle)
         except ValueError as exc:
             raise UnsupportedSpecError("block code is not valid JSON: %s" % (exc,))
+        except RecursionError:
+            raise UnsupportedSpecError("block code is nested too deeply") from None
     return parse_block_code(obj, alphabet)
 
 
@@ -433,8 +443,8 @@ def cmd_sofic_det(args):
 def cmd_sofic_eq(args):
     doc1 = load_shift_document(args.shift)
     doc2 = load_shift_document(args.other)
-    r1 = realize(doc1, args.horizon)
-    r2 = realize(doc2, args.horizon)
+    r1 = _realize(doc1, args.horizon)
+    r2 = _realize(doc2, args.horizon)
     g1 = r1.need("labeled", "language comparison")
     g2 = r2.need("labeled", "language comparison")
     equal = language_equal_up_to(g1, g2, args.horizon)

@@ -182,7 +182,9 @@ class LanguageOracle:
 
         Built incrementally: allowed words of length n are the one-letter
         extensions of allowed words of length n-1 that ``step`` keeps
-        alive, by factoriality.
+        alive, by factoriality.  The missing shorter levels are built
+        bottom up, each one call that finds the level below it cached,
+        so no listing recurses deeper than one level.
         """
         self.check_horizon(n)
         key = ("L", n)
@@ -193,7 +195,11 @@ class LanguageOracle:
             words = (EMPTY_WORD,) if self.contains(EMPTY_WORD) else ()
             states = (self.start,) * len(words)
         else:
-            shorter = self.words_of_length(n - 1)
+            low = n - 1
+            while low > 0 and ("L", low) not in self._cache:
+                low -= 1
+            for m in range(low, n):
+                shorter = self.words_of_length(m)
             step = self.step
             words, states = [], []
             for w, state in zip(shorter, self._cache[("S", n - 1)]):

@@ -1,17 +1,16 @@
 """Measures on subshifts backed by finite data.
 
-Three concrete representations: finite supports on periodic points (the
-empirical measures nu_n), stationary Markov chains on irreducible
+Two representations: stationary Markov chains on irreducible
 deterministic graphs (the Parry measure, the unique measure of maximal
 entropy of an irreducible SFT or a transitive sofic shift), and plain
 cylinder tables up to a depth.  All limits in sight are
 ineffective, so every operation takes explicit depth and period cutoffs
 and reports what was actually computed.
 
-nu_n cylinder values of an SFT and of its block-code images are also exact
-(Fractions) from the transfer-matrix counts ``sft.periodic_count_table``,
-with no point enumeration: period bounds like 30 on the golden-mean shift
-are tractable, where the point count is in the millions.
+nu_n and its block-code images are exact cylinder tables (Fractions) of
+point counts: enumerated points, or on an SFT the transfer-matrix counts
+``sft.periodic_count_table``, where period bounds like 30 on the
+golden-mean shift are tractable with millions of points.
 """
 
 from dataclasses import dataclass, replace
@@ -25,8 +24,7 @@ from .errors import (AlphabetMismatchError, EmptyShiftError, EmptySupportError,
                      ShiftlabError, UnsupportedSpecError)
 from .graph import prune_labeled
 from .language import WORD_LIMIT
-from .sft import (DEFAULT_CAP, _minimal_period, periodic_count_table,
-                  scc_subgraphs)
+from .sft import DEFAULT_CAP, periodic_count_table, scc_subgraphs
 from .sofic import (BlockCode, _check_feeds, apply_block_code, determinize,
                     language_equal_exact, per_le_enumerate)
 from .spectral import perron_vectors, spectral_radius_certified
@@ -79,35 +77,6 @@ class CylinderMeasure:
 
 
 @dataclass(frozen=True)
-class PeriodicSupportMeasure:
-    """Finitely supported measure on periodic points.
-
-    Each entry is (word over one minimal period, minimal period, weight);
-    the word is the point's coordinates 0..q-1, so rotations of a
-    primitive word are distinct entries.
-    """
-
-    alphabet: object
-    cutoff: int
-    entries: tuple
-
-    def __post_init__(self):
-        total = Fraction(0)
-        seen = set()
-        for word, q, weight in self.entries:
-            if len(word) != q or _minimal_period(word) != q:
-                raise ShiftlabError("entry %r is not keyed by its minimal period" % (word,))
-            if weight <= 0:
-                raise ShiftlabError("weights must be positive")
-            if word in seen:
-                raise ShiftlabError("duplicate support point %r" % (word,))
-            seen.add(word)
-            total += weight
-        if self.entries and abs(total - 1) > 1e-12:
-            raise ShiftlabError("support weights must sum to 1")
-
-
-@dataclass(frozen=True)
 class ParryMeasure:
     """Stationary Markov chain realizing maximal entropy on an irreducible
     deterministic labeled graph; a block graph is one.
@@ -130,30 +99,8 @@ class ParryMeasure:
         return self.graph.alphabet
 
 
-def nu_measure(points, alphabet, cutoff):
-    """Uniform empirical measure on the given periodic points.
-
-    ``points`` is a list of (word, minimal period) pairs as produced by
-    the period-<= enumerations: every point of minimal period <= cutoff,
-    one entry per point.
-    """
-    points = list(points)
-    if not points:
-        raise EmptySupportError("no periodic points up to period %d" % cutoff)
-    weight = Fraction(1, len(points))
-    entries = tuple((w, q, weight) for w, q in points)
-    return PeriodicSupportMeasure(alphabet, cutoff, entries)
-
-
 def eval_cylinder(measure, word):
     """Measure of the cylinder [word] at coordinate 0."""
-    if isinstance(measure, PeriodicSupportMeasure):
-        measure.alphabet.check_word(word)
-        total = Fraction(0)
-        for w, q, weight in measure.entries:
-            if all(word[i] == w[i % q] for i in range(len(word))):
-                total += weight
-        return total
     if isinstance(measure, ParryMeasure):
         return _parry_eval(measure, word)
     if isinstance(measure, CylinderMeasure):
@@ -208,17 +155,11 @@ def weak_star_distance(m1, m2, depth):
 
 def cylinder_table(measure, depth):
     """Tabulate any measure into a CylinderMeasure up to ``depth`` (a table
-    of that depth is its own).  A periodic point adds its weight to the
-    depth-``depth`` cylinder its orbit starts with, and those sum down."""
+    of that depth is its own)."""
     if isinstance(measure, CylinderMeasure) and measure.depth == depth:
         return measure
     alphabet = measure.alphabet
-    if isinstance(measure, PeriodicSupportMeasure):
-        values = _words_upto(alphabet, depth, Fraction(0))
-        for w, q, weight in measure.entries:
-            values[tuple(w[i % q] for i in range(depth))] += weight
-        _summed_down(values)
-    elif isinstance(measure, ParryMeasure):
+    if isinstance(measure, ParryMeasure):
         values = parry_cylinders(measure, _words_upto(alphabet, depth, None))
     else:
         values = {w: eval_cylinder(measure, w)
@@ -226,26 +167,7 @@ def cylinder_table(measure, depth):
     return CylinderMeasure(alphabet, depth, values)
 
 
-def pushforward(measure, code):
-    """Image of a periodic-support measure under a block code.
-
-    A period-q point maps to a period-q sequence whose minimal period
-    divides q; colliding images merge by adding weights.
-    """
-    if code.source_alphabet != measure.alphabet:
-        raise AlphabetMismatchError("code is not total on the measure's alphabet")
-    merged = {}
-    for w, q, weight in measure.entries:
-        image = code.apply_to_cycle(w)
-        mp = _minimal_period(image)
-        key = image[:mp]
-        merged[key] = merged.get(key, Fraction(0)) + weight
-    entries = tuple((w, len(w), weight)
-                    for w, weight in sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return PeriodicSupportMeasure(code.target_alphabet, measure.cutoff, entries)
-
-
-# ---- exact nu_n cylinders through transfer matrices ---------------------
+# ---- exact nu_n cylinder tables ------------------------------------------
 
 def nu_cylinder_measure(graph, n, depth, code=None):
     """Exact cylinder table of nu_n on an SFT (``graph`` a block graph or
@@ -263,11 +185,35 @@ def nu_cylinder_measure(graph, n, depth, code=None):
     counts.update(periodic_count_table(
         graph, n, [graph.alphabet.symbols] * (depth + 2 * code.range_),
         code.apply_to_word))
+    return _nu_table(code.target_alphabet, n, depth, counts)
+
+
+def nu_point_measure(points, alphabet, n, depth, code=None):
+    """Exact cylinder table of nu_n, or of its image under a block code,
+    on ``points``: the (word, minimal period) list of a period-<= n
+    enumeration.  Each point adds 1 to the depth-``depth`` cylinder that
+    its orbit, or its coded orbit (``code.apply_to_cycle``), starts with.
+    """
+    target = alphabet if code is None else code.target_alphabet
+    # no points are refused as empty before the table is sized
+    counts = _words_upto(target, depth, 0) if points else {(): 0}
+    for w, q in points:
+        if code is not None:
+            w = code.apply_to_cycle(w)
+        counts[tuple(w[i % q] for i in range(depth))] += 1
+    return _nu_table(target, n, depth, counts)
+
+
+def _nu_table(alphabet, n, depth, counts):
+    """nu_n as a CylinderMeasure, from ``counts``: a ``_words_upto`` table
+    holding the point count of each depth-``depth`` cylinder.  The counts
+    sum down, an empty support is refused, and each count becomes its
+    Fraction of the total."""
     _summed_down(counts)
     if counts[()] <= 0:
         raise EmptySupportError("no periodic points up to period %d" % n)
     values = {w: Fraction(c, counts[()]) for w, c in counts.items()}
-    return CylinderMeasure(code.target_alphabet, depth, values)
+    return CylinderMeasure(alphabet, depth, values)
 
 
 # ---- Parry chains --------------------------------------------------------
@@ -514,11 +460,12 @@ def certify_inverse_pair(oracle, code, code_inv):
 
 def automorphism_invariance_check(oracle, points, cutoff, code, code_inv,
                                   depth, tol=INVARIANCE_TOL):
-    """Does the code preserve nu_n on the given points?  Certifies the
-    inverse pair, then compares nu_n with its pushforward at ``depth``."""
+    """Does the code preserve nu_n on the given points (a list, as
+    ``nu_point_measure`` takes it)?  Certifies the inverse pair, then
+    compares the tables of nu_n and of its image at ``depth``."""
     span = certify_inverse_pair(oracle, code, code_inv)
-    nu = nu_measure(points, oracle.alphabet, cutoff)
-    pushed = pushforward(nu, code)
-    distance = weak_star_distance(nu, pushed, depth)
+    nu = nu_point_measure(points, oracle.alphabet, cutoff, depth)
+    image = nu_point_measure(points, oracle.alphabet, cutoff, depth, code)
+    distance = weak_star_distance(nu, image, depth)
     return AutomorphismReport(cutoff, depth, tol, distance,
                               distance <= tol, span)

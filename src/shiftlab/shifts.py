@@ -24,7 +24,7 @@ from .errors import EnumerationCapError, UnsupportedSpecError
 from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
-from .measures import nu_cylinder_measure, nu_measure, pushforward
+from .measures import nu_cylinder_measure, nu_point_measure
 from .sft import (DEFAULT_CAP, FiniteTypeSpec, block_graph_of,
                   periodic_counts)
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
@@ -153,6 +153,8 @@ def parse_shift_document(text):
         obj = json.loads(text)
     except ValueError as exc:
         raise UnsupportedSpecError("shift document is not valid JSON: %s" % (exc,))
+    except RecursionError:
+        raise UnsupportedSpecError("shift document is nested too deeply") from None
     return document_from_object(obj)
 
 
@@ -289,13 +291,28 @@ def _realize_induced(doc, horizon):
     if isinstance(rule, dict):
         rule = {_parse_word(alphabet, w): int(t) for w, t in rule.items()}
     spec = InducedSpec(probe.oracle, window, clopen, rule, cap)
+    return _induced(doc, spec, probe, horizon)
+
+
+def _induced(doc, spec, base, horizon):
+    """The induced shift of ``spec`` at ``horizon``, over ``base`` (the
+    realization ``spec`` reads) lengthened to the base horizon needed."""
     needed = base_horizon(spec, horizon)
-    base = probe
-    if needed > probe.horizon:
-        base = realize(base_doc, needed)
+    if needed > base.horizon:
+        base = _lengthen(base, needed)
         spec = rebase(spec, base.oracle)
     oracle = induce_recode(spec, horizon)
     return RealizedShift(doc, horizon, oracle, induced_spec=spec, base=base)
+
+
+def _lengthen(realized, horizon):
+    """``realized`` at a longer horizon.  An induced shift keeps its
+    resolved recoding and lengthens only its own base, down to the leaf:
+    the one level realized again from its document."""
+    if realized.induced_spec is None:
+        return realize(realized.document, horizon)
+    return _induced(realized.document, realized.induced_spec,
+                    realized.base, horizon)
 
 
 def _realize_example_betashift(doc, horizon):
@@ -360,14 +377,14 @@ def periodic_census(realized, n, cap=DEFAULT_CAP):
 
 def periodic_measure(realized, n, depth, cap=DEFAULT_CAP, code=None):
     """nu_n (uniform on the points of minimal period <= n) or its image
-    under a block code: counted exactly to ``depth`` on finite-type data,
-    else the enumerated points (under ``cap``), pushed forward."""
+    under a block code, as an exact cylinder table to ``depth``: counted
+    by transfer matrices on finite-type data, else from the enumerated
+    points (under ``cap``)."""
     _check_period(n)
     if realized.spec is not None:
         return nu_cylinder_measure(realized.labeled, n, depth, code)
-    points = periodic_points_le(realized, n, cap)
-    measure = nu_measure(points, realized.oracle.alphabet, n)
-    return measure if code is None else pushforward(measure, code)
+    return nu_point_measure(periodic_points_le(realized, n, cap),
+                            realized.oracle.alphabet, n, depth, code)
 
 
 def _check_period(n):

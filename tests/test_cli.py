@@ -126,6 +126,47 @@ def test_bad_document_is_error(capsys, tmp_path, doc, code):
     assert err.startswith("error:")
 
 
+def _induced_chain(depth):
+    """A chain of ``depth`` induced documents over the one-letter full
+    shift, as text: ``json.dumps`` itself would overflow on deep ones."""
+    head = '{"kind": "induced", "window": 0, "return_rule": 1, "base": '
+    leaf = '{"kind": "finite-type", "alphabet": ["a"], "forbidden": []}'
+    return head * depth + leaf + "}" * depth
+
+
+@pytest.mark.parametrize("doc, code, what", [
+    ("[" * 100000 + "]" * 100000, None, "shift document"),
+    (_induced_chain(3000), None, "shift document"),
+    (_induced_chain(500), None, "shift document"),
+    (json.dumps(FULL2_DOC), "[" * 100000 + "]" * 100000, "block code"),
+], ids=["deep-list", "induced-chain-3000", "induced-chain-500", "deep-code"])
+def test_too_deeply_nested_input_is_error(capsys, tmp_path, doc, code, what):
+    p = tmp_path / "deep.json"
+    p.write_text(doc)
+    argv = ["lang", str(p), "--length", "2"]
+    if code is not None:
+        c = tmp_path / "code.json"
+        c.write_text(code)
+        argv = ["push", str(p), "--code", str(c)]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err == "error: %s is nested too deeply\n" % what
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["lang", "DOC", "--length", "1500", "--horizon", "1500"], 2),
+    (["special", "DOC", "--length", "1500", "--horizon", "1501"], 0),
+], ids=["lang", "special"])
+def test_long_listing_on_a_periodic_shift(capsys, write, argv, count):
+    # 1,500 levels of two words each, built without recursing per level
+    doc = write("p2.json", {"kind": "sofic", "alphabet": ["0", "1"], "states": ["a", "b"],
+                            "edges": [["a", "0", "b"], ["b", "1", "a"]]})
+    report = run_json(capsys, [doc if a == "DOC" else a for a in argv])
+    words = report["words"] if argv[0] == "lang" else report["left_special"]
+    assert len(words) == count
+    assert argv[0] == "special" or words == ["01" * 750, "10" * 750]
+
+
 @pytest.mark.parametrize("states", [["e", "o", "e"], ["e", "o", "1", 1]])
 def test_repeated_state_name_is_error(capsys, write, states):
     # a repeated name would leave an all-zero adjacency row; names are
@@ -849,11 +890,11 @@ def test_autocheck_flip_not_invariant_on_golden(capsys, write):
 def test_finite_type_images_count_without_enumerating(capsys, write, monkeypatch,
                                                       argv):
     # about 2.1e9 points on the full 2-shift and 4.9e6 on the golden mean
-    # shift up to period 30: counted, so no point is listed or pushed
+    # shift up to period 30: counted, so no point is listed or tabulated
     def forbidden(*args):
         raise AssertionError("a point list was built")
-    for name in ("shifts.per_le_enumerate", "shifts.pushforward",
-                 "measures.pushforward"):
+    for name in ("shifts.per_le_enumerate", "shifts.nu_point_measure",
+                 "measures.nu_point_measure"):
         monkeypatch.setattr("shiftlab." + name, forbidden)
     files = {"FULL2": write("f2.json", FULL2_DOC),
              "GOLDEN": write("g.json", GOLDEN_DOC),
@@ -866,6 +907,25 @@ def test_finite_type_images_count_without_enumerating(capsys, write, monkeypatch
         assert report["cylinders_exact"]["0"] == nu["cylinders_exact"]["1"]
         assert report["cylinders_exact"]["01"] == nu["cylinders_exact"]["10"]
         assert report["cylinders_exact"]["00"] == nu["cylinders_exact"]["11"] == "0/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["nu", "DOC", "--period", "12", "--depth", "3"],
+    ["push", "DOC", "--code", "FLIP", "--period", "12", "--depth", "3"],
+], ids=["nu", "push"])
+def test_enumerated_and_counted_nu_print_the_same_table(capsys, write, argv):
+    # the golden mean shift as a sofic document (points enumerated) and as
+    # a finite-type document (points counted)
+    sofic = {"kind": "sofic", "alphabet": ["0", "1"], "states": ["a", "b"],
+             "edges": [["a", "0", "a"], ["a", "1", "b"], ["b", "0", "a"]]}
+    flip = write("flip.json", FLIP_CODE)
+    reports = [run_json(capsys, [{"DOC": write("doc.json", doc), "FLIP": flip}.get(a, a)
+                                 for a in argv])
+               for doc in (sofic, GOLDEN_DOC)]
+    enumerated, counted = reports
+    assert len(counted["cylinders_exact"]) == 15
+    assert enumerated["cylinders"] == counted["cylinders"]
+    assert enumerated["cylinders_exact"] == counted["cylinders_exact"]
 
 
 @pytest.mark.parametrize("argv", [

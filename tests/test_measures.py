@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       CylinderMeasure, EmptySupportError, EnumerationCapError,
-                      FiniteTypeSpec, NotAnAutomorphismError,
-                      PeriodicSupportMeasure, ReducibleGraphError,
+                      FiniteTypeSpec, NotAnAutomorphismError, ReducibleGraphError,
                       ShiftlabError, UnsupportedSpecError, apply_block_code,
                       automorphism_invariance_check, build_block_graph,
                       cylinder_table, eval_cylinder, finite_type_presentation,
                       full_shift, language_equal_exact, make_labeled_graph,
                       max_entropy_decomposition, mu_y_average, nu_cylinder_measure,
-                      nu_measure, parry_cylinders, parry_measure, per_le_enumerate,
-                      pushforward, scc_subgraphs, sft_oracle, weak_star_distance)
+                      nu_point_measure, parry_cylinders, parry_measure,
+                      per_le_enumerate, scc_subgraphs, sft_oracle, weak_star_distance)
 from shiftlab.measures import PROB_TOL, _parry_eval, _words_upto, certify_inverse_pair
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -84,8 +83,7 @@ def test_cylinder_listing_holds_the_letter_limit(alph2):
 
 def test_nu_measure_golden_exact(golden_graph, alph2):
     # 1/14 of the mass on each orbit point through cylinder counting
-    nu = nu_measure(per_le_enumerate(golden_graph, 14), alph2, 14)
-    tab = cylinder_table(nu, 3)
+    tab = nu_point_measure(per_le_enumerate(golden_graph, 14), alph2, 14, 3)
     assert tab.values[("1",)] == Fraction(73, 264)
     assert tab.values[("1", "1")] == 0
     assert tab.values[("0",)] + tab.values[("1",)] == 1
@@ -93,19 +91,23 @@ def test_nu_measure_golden_exact(golden_graph, alph2):
 
 def test_nu_cylinder_measure_matches_enumeration(golden_graph, alph2):
     # transfer-matrix path and explicit enumeration must agree exactly
-    direct = cylinder_table(nu_measure(per_le_enumerate(golden_graph, 12),
-                                       alph2, 12), 3)
+    direct = nu_point_measure(per_le_enumerate(golden_graph, 12), alph2, 12, 3)
     counted = nu_cylinder_measure(golden_graph, 12, 3)
-    for w, v in counted.values.items():
-        assert direct.values[w] == v
+    assert list(direct.values.items()) == list(counted.values.items())
+
+
+def test_no_points_are_refused_before_the_table_is_sized(alph2):
+    # an empty support is named even at a depth past the word limit
+    with pytest.raises(EmptySupportError, match="^no periodic points up to period 3$"):
+        nu_point_measure([], alph2, 3, 10 ** 9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(letters=st.integers(2, 3), radius=st.integers(0, 1),
        n=st.integers(1, 8), depth=st.integers(0, 3), data=st.data())
 def test_counted_image_of_nu_matches_enumeration(letters, radius, n, depth, data):
-    # the counted table of phi_* nu_n against the pushforward of the
-    # enumerated points, Fraction for Fraction; no code is the identity
+    # the counted table of phi_* nu_n against the table of the enumerated
+    # points, Fraction for Fraction; no code is the identity
     alph = Alphabet(tuple("abc"[:letters]))
     word = st.lists(st.sampled_from(alph.symbols), min_size=1, max_size=3).map(tuple)
     graph = finite_type_presentation(
@@ -119,12 +121,14 @@ def test_counted_image_of_nu_matches_enumeration(letters, radius, n, depth, data
     if not points:
         with pytest.raises(ShiftlabError):
             nu_cylinder_measure(graph, n, depth, code)
+        with pytest.raises(EmptySupportError):
+            nu_point_measure(points, alph, n, depth, code)
         return
-    nu = nu_measure(points, alph, n)
-    for phi, enumerated in ((None, nu), (code, pushforward(nu, code))):
+    for phi in (None, code):
         counted = nu_cylinder_measure(graph, n, depth, phi)
+        enumerated = nu_point_measure(points, alph, n, depth, phi)
         assert counted.alphabet == enumerated.alphabet
-        assert counted.values == cylinder_table(enumerated, depth).values
+        assert counted.values == enumerated.values
 
 
 @pytest.mark.parametrize("n", [3, 7])
@@ -138,9 +142,8 @@ def test_counted_image_under_range_2_code_matches_enumeration(letters, forbidden
     code = BlockCode(alph, Alphabet(("0", "1")), 2, {
         w: "1" if w.count("1") >= 2 else "0"
         for w in itertools.product(alph.symbols, repeat=5)})
-    pushed = pushforward(nu_measure(per_le_enumerate(graph, n), alph, n), code)
     assert nu_cylinder_measure(graph, n, 2, code).values == \
-        cylinder_table(pushed, 2).values
+        nu_point_measure(per_le_enumerate(graph, n), alph, n, 2, code).values
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,19 +187,21 @@ def test_nu_converges_to_parry(golden_graph, alph2):
     pm = parry_measure(golden_graph)
     dists = []
     for n in (6, 12, 18):
-        nu = nu_measure(per_le_enumerate(golden_graph, n), alph2, n)
+        nu = nu_point_measure(per_le_enumerate(golden_graph, n), alph2, n, 3)
         dists.append(float(weak_star_distance(nu, pm, 3)))
     assert dists[0] > dists[1] > dists[2]
     assert dists[2] < 2e-4
 
 
 def test_pushforward_flip_on_full_shift(alph2):
-    g = full_shift(alph2)
-    nu = nu_measure(per_le_enumerate(g, 8), alph2, 8)
-    pushed = pushforward(nu, flip_code(alph2))
+    points = per_le_enumerate(full_shift(alph2), 8)
+    nu = nu_point_measure(points, alph2, 8, 3)
+    pushed = nu_point_measure(points, alph2, 8, 3, flip_code(alph2))
     assert float(weak_star_distance(nu, pushed, 3)) == 0.0
-    # mass is preserved entry by entry
-    assert sum(w for _, _, w in pushed.entries) == 1
+    # the flip swaps the letters of every cylinder
+    swap = str.maketrans("01", "10")
+    assert all(pushed.values[tuple("".join(w).translate(swap))] == v
+               for w, v in nu.values.items())
 
 
 def _primitive_root(word):
@@ -208,40 +213,38 @@ def _primitive_root(word):
 @settings(max_examples=60, deadline=None)
 @given(words=st.lists(st.text("012", min_size=1, max_size=6), min_size=1, max_size=8),
        rotations=st.booleans(),
-       weights=st.lists(st.integers(1, 9), min_size=48, max_size=48),
        rule=st.lists(st.sampled_from("012"), min_size=27, max_size=27),
        depth=st.integers(0, 4))
-def test_periodic_tables_match_per_word_sums(words, rotations, weights, rule, depth):
-    # the one-pass tabulation against eval_cylinder word by word, exactly
+def test_periodic_tables_match_per_word_sums(words, rotations, rule, depth):
+    # the one-pass tabulation against a count, word by word, of the points
+    # whose orbit (or coded orbit) starts with the word, exactly
     alph = Alphabet(("0", "1", "2"))
     points = {_primitive_root(tuple(w)) for w in words}
     if rotations:
         points |= {p[i:] + p[:i] for p in points for i in range(len(p))}
-    points = sorted(points)
-    raw = weights[:len(points)]
-    nu = PeriodicSupportMeasure(alph, 6, tuple(
-        (p, len(p), Fraction(r, sum(raw))) for p, r in zip(points, raw)))
+    points = [(p, len(p)) for p in sorted(points)]
     code = BlockCode(alph, alph, 1, dict(zip(itertools.product("012", repeat=3), rule)))
-    pushed = pushforward(nu, code)
     cylinders = [w for k in range(depth + 1)
                  for w in itertools.product("012", repeat=k)]
-    for measure in (nu, pushed):
-        values = cylinder_table(measure, depth).values
-        assert set(values) == set(cylinders)
+    tables = []
+    for phi in (None, code):
+        orbits = [p if phi is None else phi.apply_to_cycle(p) for p, _ in points]
+        values = nu_point_measure(points, alph, 6, depth, phi).values
+        assert list(values) == cylinders
         for w in cylinders:
-            expect = eval_cylinder(measure, w)
-            assert type(values[w]) is Fraction and values[w] == expect
-    gaps = [abs(eval_cylinder(nu, w) - eval_cylinder(pushed, w))
-            for w in cylinders if w]
-    assert weak_star_distance(nu, pushed, depth) == float(max(gaps, default=0))
+            hits = sum(all(w[i] == o[i % len(o)] for i in range(len(w))) for o in orbits)
+            assert type(values[w]) is Fraction and values[w] == Fraction(hits, len(points))
+        tables.append(CylinderMeasure(alph, depth, values))
+    gaps = [abs(tables[0].values[w] - tables[1].values[w]) for w in cylinders if w]
+    assert weak_star_distance(*tables, depth) == float(max(gaps, default=0))
 
 
 def test_pushforward_collapse(alph2):
-    g = full_shift(alph2)
-    nu = nu_measure(per_le_enumerate(g, 6), alph2, 6)
+    # every point maps to the fixed point 0^inf, which takes all the mass
     const = BlockCode(alph2, alph2, 0, {("0",): "0", ("1",): "0"})
-    pushed = pushforward(nu, const)
-    assert pushed.entries == ((("0",), 1, Fraction(1)),)
+    pushed = nu_point_measure(per_le_enumerate(full_shift(alph2), 6), alph2, 6, 2, const)
+    assert pushed.values == {w: Fraction(int(set(w) <= {"0"}))
+                             for w in _words_upto(alph2, 2, None)}
 
 
 def test_automorphism_check_flip(alph2):
@@ -328,7 +331,7 @@ def test_mu_y_average_empty_components():
 @given(n=st.integers(min_value=2, max_value=10))
 def test_nu_cylinder_additivity(golden_graph, n):
     alph = golden_graph.alphabet
-    tab = cylinder_table(nu_measure(per_le_enumerate(golden_graph, n), alph, n), 4)
+    tab = nu_point_measure(per_le_enumerate(golden_graph, n), alph, n, 4)
     for w, v in tab.values.items():
         if len(w) >= 4:
             continue
@@ -340,7 +343,7 @@ def test_nu_cylinder_additivity(golden_graph, n):
 def test_nu_shift_invariance(golden_graph, n):
     # nu is shift invariant: extending on the left splits the mass too
     alph = golden_graph.alphabet
-    tab = cylinder_table(nu_measure(per_le_enumerate(golden_graph, n), alph, n), 4)
+    tab = nu_point_measure(per_le_enumerate(golden_graph, n), alph, n, 4)
     for w, v in tab.values.items():
         if len(w) >= 4:
             continue

@@ -9,7 +9,7 @@ from shiftlab import (Alphabet, EnumerationCapError, UnsupportedSpecError,
                       complexity,
                       document_from_object, load_shift_document,
                       parse_block_code, parse_shift_document, periodic_points_le,
-                      realize, serialize_shift_document, shift_entropy)
+                      realize, serialize_shift_document, shift_entropy, shifts)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -140,6 +140,26 @@ def test_realize_induced_constant_rho():
     base = realize(document_from_object(GOLDEN_DOC), 12)
     p_base = complexity(base.oracle, 8)
     assert complexity(r.oracle, 6) == [1] + p_base[3:]
+
+
+def test_nested_induced_document_realizes_each_level_twice(monkeypatch):
+    # a realized induced base is lengthened along its resolved chain, not
+    # realized again from its document: 2 calls a level, not 2^(d+1) - 2
+    doc = {"kind": "finite-type", "alphabet": ["a"], "forbidden": []}
+    for _ in range(16):
+        doc = {"kind": "induced", "window": 0, "return_rule": 1, "base": doc}
+    calls = []
+    inner = shifts.realize
+    monkeypatch.setattr(shifts, "realize",
+                        lambda doc, horizon: calls.append(horizon) or inner(doc, horizon))
+    r = inner(document_from_object(doc), 5)
+    assert len(calls) == 32
+    assert r.oracle.words_of_length(5) == (("a",) * 5,)
+    depth, base = 0, r
+    while base.base is not None:
+        depth, base = depth + 1, base.base
+        assert base.horizon == 5 + 3 * depth
+    assert depth == 16
 
 
 def test_realize_example_nonempty():

@@ -14,12 +14,20 @@ before hashing, and in the argv, so two runs compare line by line.
 REPO (default: the checkout holding this script) supplies both
 ``src/shiftlab`` and ``perfbench``; run the script once against the
 parent checkout and once against the change, and ``diff`` the outputs.
+
+After the workloads come the fixed ``EXTRA`` argvs, for paths that no
+workload runs: ``nu``, ``push`` and ``periodic`` on points enumerated
+from a sofic and a beta presentation, and ``lang``, ``induce`` and
+``speedup-compare`` on a depth-2 induced chain.  Their lines carry the
+seed ``extra`` and an id of their own, and the same masking.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import itertools
+import json
 import os
 import sys
 import tempfile
@@ -27,6 +35,34 @@ import tempfile
 SEEDS = (1, 2)
 FORMATS = ("json", "text")
 MASK = "<docdir>"
+
+# documents and block codes of the EXTRA argvs, written to their own docdir
+EXTRA_FILES = {
+    "even.json": {"kind": "sofic", "alphabet": ["0", "1"], "states": ["e", "o"],
+                  "edges": [["e", "0", "e"], ["e", "1", "o"], ["o", "1", "e"]]},
+    "beta.json": {"kind": "beta", "beta": "poly:x^3-x^2-x-1@[1.8,1.9]"},
+    "chain.json": {"kind": "induced", "window": 1, "return_rule": 1,
+                   "clopen": ["000", "001", "010", "100"],
+                   "base": {"kind": "induced", "window": 0, "return_rule": 2,
+                            "base": {"kind": "finite-type", "alphabet": ["0", "1"],
+                                     "forbidden": ["11"]}}},
+    "flip.json": {"range": 0, "rule": {"0": "1", "1": "0"}},
+    "xor.json": {"range": 1, "rule": {"".join(w): str(int(w[0] != w[2]))
+                                      for w in itertools.product("01", repeat=3)}},
+}
+EXTRA = [("%s-%s-%d" % (argv[0], argv[1].split(".")[0], i), argv)
+         for i, argv in enumerate([
+             ["nu", "even.json", "--period", "9", "--depth", "3"],
+             ["nu", "even.json", "--period", "4", "--depth", "0"],
+             ["push", "even.json", "--code", "flip.json", "--period", "9", "--depth", "2"],
+             ["periodic", "even.json", "--period", "9"],
+             ["nu", "beta.json", "--period", "9", "--depth", "3"],
+             ["push", "beta.json", "--code", "xor.json", "--period", "7", "--depth", "2"],
+             ["periodic", "beta.json", "--period", "9"],
+             ["lang", "chain.json", "--length", "4", "--horizon", "6"],
+             ["induce", "chain.json", "--horizon", "6"],
+             ["speedup-compare", "chain.json", "--horizon", "8"],
+         ])]
 
 
 def _digest(text, docdir):
@@ -65,6 +101,17 @@ def main(argv=None):
                         print(seed, report.rid, fmt, rc, _digest(out, docdir),
                               _digest(err, docdir),
                               " ".join(report.argv).replace(docdir, MASK), flush=True)
+        docdir = os.path.join(tmp, "extra")
+        os.makedirs(docdir)
+        for name, obj in EXTRA_FILES.items():
+            with open(os.path.join(docdir, name), "w", encoding="utf-8") as handle:
+                json.dump(obj, handle)
+        for rid, argv in EXTRA:
+            argv = [os.path.join(docdir, a) if a in EXTRA_FILES else a for a in argv]
+            for fmt in FORMATS:
+                rc, out, err = _run(cli, argv, fmt)
+                print("extra", rid, fmt, rc, _digest(out, docdir), _digest(err, docdir),
+                      " ".join(argv).replace(docdir, MASK), flush=True)
     return 0
 
 

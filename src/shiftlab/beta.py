@@ -24,10 +24,10 @@ from fractions import Fraction
 import re
 
 from .algebraic import AlgebraicNumber
-from .errors import (CannotCloseError, InsufficientDigitsError,
+from .errors import (CannotCloseError, EnumerationCapError, InsufficientDigitsError,
                      UnsupportedSpecError, WrongStatusError)
 from .forbidden import MFWTable
-from .language import EQUAL, GREATER, LESS, Alphabet, stepping_oracle
+from .language import EQUAL, GREATER, LESS, WORD_LIMIT, Alphabet, stepping_oracle
 from .graph import make_labeled_graph, prune_labeled
 
 
@@ -393,12 +393,20 @@ def example_betashift(mode, steps):
     The separators grow per mode (longer runs of 1, or of 0) and each
     stays lexicographically below u_n w_n, which keeps every computed
     prefix admissible; prefixes of the limit stream reoccur forever, so
-    the stability diagnostic reads stable on these.
+    the stability diagnostic reads stable on these.  A stream of more
+    than 10 * ``WORD_LIMIT`` digits (the letter limit of the cylinder
+    tables) is refused before any digit is built.
     """
     if mode not in ("specified", "synchronized"):
         raise UnsupportedSpecError("mode must be 'specified' or 'synchronized'")
     if steps < 0:
         raise UnsupportedSpecError("steps must be >= 0")
+    length, separator = 3, 3
+    for _ in range(steps):
+        length, separator = 2 * length + separator, separator + 1
+    if length > 10 * WORD_LIMIT:
+        raise EnumerationCapError("%d digits after %d steps exceed the limit %d"
+                                  % (length, steps, 10 * WORD_LIMIT))
     w = (2, 2, 2)
     u = (1, 1, 1)
     for _ in range(steps):

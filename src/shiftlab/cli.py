@@ -22,11 +22,10 @@ from .beta import (beta_expand, beta_ls_diagnostic, beta_oracle,
                    beta_presentation, example_betashift, parse_beta_spec)
 from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
     speedup_gap_compare
-from .errors import EnumerationCapError, NotAnAutomorphismError, ShiftlabError, \
-    UnsupportedSpecError
+from .errors import NotAnAutomorphismError, ShiftlabError, UnsupportedSpecError
 from .forbidden import ls_report, minimal_forbidden, minimal_forbidden_lengths, \
     tau_eval, well_approx_check
-from .language import WORD_LIMIT, complexity, format_word, special_words
+from .language import WORD_LIMIT, complexity, format_word, special_words  # WORD_LIMIT: re-export
 from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
                        max_entropy_decomposition, mu_y_average, parry_cylinders,
                        parry_measure, weak_star_distance)
@@ -88,14 +87,6 @@ def _load(args):
     return _realize(load_shift_document(args.shift), args.horizon)
 
 
-def _check_word_count(oracle, n):
-    """Refuse before listing the words of length n if there are too many."""
-    count = complexity(oracle, n)[n]
-    if count > WORD_LIMIT:
-        raise EnumerationCapError("%d words of length %d exceed the limit %d"
-                                  % (count, n, WORD_LIMIT))
-
-
 def _load_code(path, alphabet):
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -111,7 +102,6 @@ def _load_code(path, alphabet):
 
 def cmd_lang(args):
     realized = _load(args)
-    _check_word_count(realized.oracle, args.length)
     words = realized.oracle.words_of_length(args.length)
     return {
         "kind": realized.document.kind,
@@ -134,7 +124,6 @@ def cmd_complexity(args):
 
 def cmd_special(args):
     realized = _load(args)
-    _check_word_count(realized.oracle, args.length + 1)
     report = special_words(realized.oracle, args.length)
     return {
         "horizon": realized.horizon,
@@ -225,13 +214,12 @@ def cmd_parry(args):
     realized = _load(args)
     k = realized.need("spec", "the Parry measure").memory - 1
     # the (memory-1)-words, read at their own length: --horizon can be shorter
-    oracle = sofic_oracle(realized.labeled, k)
-    _check_word_count(oracle, k)
+    stationary = sorted(sofic_oracle(realized.labeled, k).words_of_length(k))
     measure = parry_measure(realized.labeled)
     report = {
         "perron": measure.perron,
-        "stationary": {format_word(u): value for u, value in parry_cylinders(
-            measure, sorted(oracle.words_of_length(k))).items()},
+        "stationary": {format_word(u): value for u, value
+                       in parry_cylinders(measure, stationary).items()},
     }
     report.update(_cylinders(measure, args.depth))
     return report
@@ -283,7 +271,6 @@ def cmd_autocheck(args):
     inverse = _load_code(args.inverse, code.target_alphabet)
     if not language_equal_exact(apply_block_code(graph, code), graph):
         raise NotAnAutomorphismError("the code does not map the shift onto itself")
-    _check_word_count(realized.oracle, 4 * (code.range_ + inverse.range_) + 1)
     span = certify_inverse_pair(realized.oracle, code, inverse)
     nu = periodic_measure(realized, args.period, args.depth)
     image = periodic_measure(realized, args.period, args.depth, code=code)
@@ -481,8 +468,6 @@ def cmd_sofic_thm1(args):
 
 
 def cmd_tau(args):
-    if args.n < 1:
-        raise UnsupportedSpecError("tau is defined for n >= 1")
     return {"n": args.n, "value": tau_eval(args.n)}
 
 

@@ -20,7 +20,7 @@ horizon and refuses to answer beyond it rather than silently degrading.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import AlphabetMismatchError, HorizonExceededError
+from .errors import AlphabetMismatchError, EnumerationCapError, HorizonExceededError
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -185,6 +185,10 @@ class LanguageOracle:
         alive, by factoriality.  The missing shorter levels are built
         bottom up, each one call that finds the level below it cached,
         so no listing recurses deeper than one level.
+
+        Past ``WORD_LIMIT`` words it refuses before building a level.  It
+        counts level n on states (:func:`complexity`) only when the highest
+        cached level, times |A| per missing level, can pass the limit.
         """
         self.check_horizon(n)
         key = ("L", n)
@@ -198,6 +202,13 @@ class LanguageOracle:
             low = n - 1
             while low > 0 and ("L", low) not in self._cache:
                 low -= 1
+            # an unlisted level 0 holds at most the empty word
+            known = len(self._cache.get(("L", low), (EMPTY_WORD,)))
+            if known * len(self.alphabet) ** (n - low) > WORD_LIMIT:
+                count = complexity(self, n)[n]
+                if count > WORD_LIMIT:
+                    raise EnumerationCapError("%d words of length %d exceed the limit %d"
+                                              % (count, n, WORD_LIMIT))
             for m in range(low, n):
                 shorter = self.words_of_length(m)
             step = self.step

@@ -448,6 +448,7 @@ def certify_inverse_pair(oracle, code, code_inv):
     r = code.range_ + code_inv.range_
     span = 4 * r + 1
     oracle.check_horizon(span)
+    oracle.words_of_length(span)  # past WORD_LIMIT, refused before any check
     for outer, inner in ((code, code_inv), (code_inv, code)):
         _check_feeds(outer, inner)
         for length in range(2 * r + 1, span + 1):

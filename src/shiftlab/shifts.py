@@ -370,9 +370,10 @@ def periodic_census(realized, n, cap=DEFAULT_CAP):
         counts = periodic_counts(realized.labeled, n)
         if sum(counts) > cap:
             raise EnumerationCapError("per_<=%d exceeds the cap %d" % (n, cap))
-        points = per_le_enumerate(realized.labeled, n, cap) \
-            if sum(counts) <= LISTED else None
-    return counts, points if sum(counts) <= LISTED else None
+        points = None
+    if sum(counts) > LISTED:
+        return counts, None
+    return counts, per_le_enumerate(realized.labeled, n, cap) if points is None else points
 
 
 def periodic_measure(realized, n, depth, cap=DEFAULT_CAP, code=None):

@@ -29,7 +29,7 @@ from .graph import (LabeledGraph, SubsetTable, _essential, _mark_pruned,
 from .language import EMPTY_WORD, Alphabet
 from .sft import DEFAULT_CAP, _minimal_period
 from .spectral import spectral_radius_certified
-from .forbidden import LSLengths, window_density_report
+from .forbidden import minimal_forbidden_lengths, window_density_report
 
 
 @dataclass(frozen=True)
@@ -391,11 +391,7 @@ def is_sft(g):
     pairs of ids in the subset table of the determinization, and
     compares followers at the end.
     """
-    return _finite_type_tag(SubsetTable(determinize(g)))
-
-
-def _finite_type_tag(table):
-    """``is_sft`` on the subset table of a deterministic presentation."""
+    table = SubsetTable(determinize(g))
     full = table.start
     if not full:
         return SoficClassTag(True, 0, 0)
@@ -419,15 +415,10 @@ def mfw_length_set(g, horizon):
     so the walk stops at the first repeated level and the witnessed
     lengths repeat with it up to the horizon; no word is enumerated.
     """
-    return _mfw_lengths(SubsetTable(determinize(g)), horizon).lengths
-
-
-def _mfw_lengths(table, horizon):
-    """``mfw_length_set`` on the subset table of a deterministic
-    presentation, as an ``LSLengths`` with the block the walk repeats."""
+    table = SubsetTable(determinize(g))
     full = table.start
     if not full:
-        return LSLengths(horizon, (1,) if horizon >= 1 else ())
+        return (1,) if horizon >= 1 else ()
     row = table.row
     lengths = set()
     if 0 in row(full) and horizon >= 1:
@@ -440,8 +431,7 @@ def _mfw_lengths(table, horizon):
     for n in range(2, horizon + 1):
         if witnessed[_level_index(n - 2, len(levels), first)]:
             lengths.add(n)
-    repeat = None if first is None else (first + 2, len(levels) - first)
-    return LSLengths(horizon, tuple(sorted(lengths)), repeat)
+    return tuple(sorted(lengths))
 
 
 @dataclass(frozen=True)
@@ -461,11 +451,11 @@ def theorem1_diagnostic(g, horizon):
     A sofic shift with a stable language is finite type, so a strictly
     sofic presentation should show relatively dense minimal-forbidden
     lengths; the report carries the observed window densities as
-    evidence at this horizon.
+    evidence at this horizon.  The lengths come from the walk ``ls``
+    runs (``minimal_forbidden_lengths`` on the presentation's oracle).
     """
-    table = SubsetTable(determinize(g))
-    tag = _finite_type_tag(table)
-    ls = _mfw_lengths(table, horizon)
+    tag = is_sft(g)
+    ls = minimal_forbidden_lengths(sofic_oracle(g, horizon), horizon)
     _, _, densities = window_density_report(ls.lengths, horizon, ls.repeat)
     bound = max(densities.values(), default=0.0)
     return Theorem1Report(horizon, tag, ls.lengths, bound, densities)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (CannotCloseError, DigitStream, InsufficientDigitsError,
-                      UnsupportedSpecError, WrongStatusError, beta_decimal,
+from shiftlab import (CannotCloseError, DigitStream, EnumerationCapError,
+                      InsufficientDigitsError, UnsupportedSpecError,
+                      WrongStatusError, beta_decimal,
                       beta_expand, beta_ls_diagnostic, beta_mfw, beta_oracle,
                       beta_presentation, beta_rational, example_betashift,
                       is_sft, language_equal_exact, parse_beta_spec,
@@ -205,6 +206,19 @@ def test_example_betashift():
     assert rep.verdict == "stable-evidence"
     with pytest.raises(UnsupportedSpecError):
         example_betashift("other", 2)
+
+
+def test_example_betashift_length_is_sized_first():
+    # |w_{k+1}| = 2|w_k| + |u_k|, |u_{k+1}| = |u_k| + 1 from |w_0| = |u_0| = 3
+    length, separator = 3, 3
+    for steps in range(8):
+        for mode in ("specified", "synchronized"):
+            assert len(example_betashift(mode, steps).digits) == length
+        length, separator = 2 * length + separator, separator + 1
+    # 14,680,039 digits pass 10 * WORD_LIMIT; no digit is built
+    with pytest.raises(EnumerationCapError,
+                       match=r"^14680039 digits after 21 steps exceed the limit 10000000$"):
+        example_betashift("specified", 21)
 
 
 def test_parse_beta_spec_forms():

@@ -518,18 +518,34 @@ DEEP = "1048575 cylinders of depth <= 19"
     # the inverse-pair certificate reads every word of length 4(6+6)+1
     (["autocheck", "FULL2", "--code", "ID6", "--inverse", "ID6", "--horizon", "60"],
      "562949953421312 words of length 49"),
+    # window 7 over the full 4-shift: every report lists the 15-windows
+    # as superletters, and the oracle refuses the listing itself
+    (["induce", "WIDE"], "1073741824 words of length 15"),
+    (["lang", "WIDE"], "1073741824 words of length 15"),
+    (["speedup-compare", "WIDE"], "1073741824 words of length 15"),
+    # the example stream is sized from its length recurrence and refused
+    # past the cylinder tables' letter limit, 10 * WORD_LIMIT digits
+    (["beta", "example", "--steps", "40"], "7696581394388 digits after 40 steps"),
+    (["ls", "EX40"], "7696581394388 digits after 40 steps"),
 ], ids=["lang", "special", "nu", "nu-parry", "push", "autocheck", "decompose",
-        "parry", "parry-stationary", "autocheck-certificate"])
+        "parry", "parry-stationary", "autocheck-certificate", "induce-window-7",
+        "lang-window-7", "speedup-compare-window-7", "beta-example-steps-40",
+        "example-betashift-steps-40"])
 def test_word_listing_refused_past_the_limit(capsys, write, argv, what):
     docs = {"BETA": {"kind": "beta", "beta": "3000"}, "GOLDEN": GOLDEN_DOC,
             "FULL2": FULL2_DOC, "LONG": {"kind": "example-nonempty", "lengths": [3, 12, 20]},
+            "WIDE": {"kind": "induced", "window": 7, "return_rule": 1,
+                     "base": {"kind": "finite-type", "alphabet": list("0123"),
+                              "forbidden": []}},
+            "EX40": {"kind": "example-betashift", "mode": "specified", "steps": 40},
             "ID0": identity_code(0), "ID6": identity_code(6)}
     argv = [write(t.lower() + ".json", docs[t]) if t in docs else t for t in argv]
+    limit = 10 * cli.WORD_LIMIT if " digits " in what else cli.WORD_LIMIT
     start = time.perf_counter()
     rc, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 2.0
     assert rc == 1 and out == ""
-    assert err.strip() == "error: %s exceed the limit %d" % (what, cli.WORD_LIMIT)
+    assert err.strip() == "error: %s exceed the limit %d" % (what, limit)
 
 
 def test_one_letter_cylinder_table_refused_by_its_letters(capsys, write):

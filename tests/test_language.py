@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -5,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, AlphabetMismatchError, DigitStream,
-                      FiniteTypeSpec, HorizonExceededError, beta_oracle,
-                      build_block_graph, complexity, format_word,
+                      EnumerationCapError, FiniteTypeSpec, HorizonExceededError,
+                      beta_oracle, build_block_graph, complexity, format_word,
                       make_labeled_graph, minimal_forbidden, sft_oracle,
                       sofic_oracle, special_words, stepping_oracle)
+from shiftlab import language
 
 
 def test_alphabet_basics(alph2):
@@ -64,6 +66,59 @@ def test_oracle_horizon_guard(golden_oracle):
         golden_oracle.words_of_length(25)
     with pytest.raises(HorizonExceededError):
         complexity(golden_oracle, golden_oracle.max_reliable_length + 1)
+
+
+def _counted(*args):
+    raise AssertionError("counted although the bound is under the limit")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.text(alphabet="012", min_size=1, max_size=3), max_size=4),
+       st.integers(2, 4).flatmap(lambda n: st.tuples(
+           st.just(n),
+           st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("012"),
+                             st.integers(0, n - 1))))),
+       st.integers(0, 6), st.integers(1, 7), st.integers(1, 60))
+@example(set(), (2, set()), 2, 4, 80)   # the full 3-shift: 81 words of length 4
+@example(set(), (2, set()), 2, 4, 81)
+def test_listing_refused_exactly_past_the_limit_random(forbidden, graph, low, n, limit):
+    # the highest cached level bounds the count and decides only whether
+    # to count; the exact count decides the refusal and is its message.
+    # The limit is positive: the one word of length 0 is never refused
+    alph = Alphabet(("0", "1", "2"))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    states, edges = graph
+    low = min(low, n - 1)  # a cached level n is returned as listed
+    for oracle in (sft_oracle(build_block_graph(spec), 8),
+                   sofic_oracle(make_labeled_graph(alph, tuple(range(states)), edges), 8)):
+        known = len(oracle.words_of_length(low))
+        count = complexity(oracle, n)[n]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(language, "WORD_LIMIT", limit)
+            if known * 3 ** (n - low) <= limit:
+                mp.setattr(language, "complexity", _counted)
+            if count > limit:
+                with pytest.raises(EnumerationCapError) as refused:
+                    oracle.words_of_length(n)
+                assert str(refused.value) == ("%d words of length %d exceed the limit %d"
+                                              % (count, n, limit))
+            else:
+                assert len(oracle.words_of_length(n)) == count
+
+
+def test_refused_listing_builds_no_level():
+    # 4^15 words: counted on the one state of the full 4-shift and refused
+    alph = Alphabet(("0", "1", "2", "3"))
+    oracle = sft_oracle(build_block_graph(FiniteTypeSpec(alph, frozenset())), 15)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError,
+                           match=r"^1073741824 words of length 15 exceed the limit 1000000$"):
+            oracle.words_of_length(15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_special_words_golden(golden_oracle):

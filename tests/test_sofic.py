@@ -16,7 +16,6 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       periodic_count_le, prune_labeled, sofic_entropy,
                       sofic_oracle, theorem1_diagnostic)
 from shiftlab.graph import LabeledGraph, SubsetTable, _subset_step
-from shiftlab.sofic import _mfw_lengths
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -336,12 +335,11 @@ def test_length_walk_matches_pair_walk_random(graph, horizon):
     report = theorem1_diagnostic(g, horizon)
     assert report.mfw_lengths == ls.lengths
     assert repr(report.window_densities) == repr(ls_report(ls).window_densities)
-    for found in (ls, _mfw_lengths(SubsetTable(determinize(g)), horizon)):
-        if found.repeat is not None:  # the block holds on the lengths
-            start, period = found.repeat
-            inside = set(found.lengths)
-            assert all((n in inside) == (n + period in inside)
-                       for n in range(start, horizon - period + 1))
+    if ls.repeat is not None:  # the block holds on the lengths
+        start, period = ls.repeat
+        inside = set(ls.lengths)
+        assert all((n in inside) == (n + period in inside)
+                   for n in range(start, horizon - period + 1))
 
 
 @settings(max_examples=150, deadline=None)

@@ -41,6 +41,9 @@ REPORTS = (
     ["subst", "lang", "abc.json", "--length", "12"],
     ["parry", "ne11.json"],
     ["subst", "lang", "fib.json", "--length", "5", "--horizon", "100000"],
+    # |A|^400 passes WORD_LIMIT, so the 401 words are counted before they
+    # are listed; the listing holds about L^3/2 letters
+    ["subst", "lang", "fib.json", "--length", "400", "--horizon", "400"],
 )
 
 CHILD = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"

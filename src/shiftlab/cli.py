@@ -13,6 +13,7 @@ are byte-stable for identical inputs.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -22,7 +23,8 @@ from .beta import (beta_expand, beta_ls_diagnostic, beta_oracle,
                    beta_presentation, example_betashift, parse_beta_spec)
 from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
     speedup_gap_compare
-from .errors import NotAnAutomorphismError, ShiftlabError, UnsupportedSpecError
+from .errors import (EnumerationCapError, NotAnAutomorphismError, ShiftlabError,
+                     UnsupportedSpecError)
 from .forbidden import ls_report, minimal_forbidden, minimal_forbidden_lengths, \
     tau_eval, well_approx_check
 from .language import WORD_LIMIT, complexity, format_word, special_words  # WORD_LIMIT: re-export
@@ -33,6 +35,18 @@ from .shifts import (load_shift_document, parse_block_code, periodic_census,
                      periodic_measure, realize, shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
     language_equal_up_to, sofic_entropy, sofic_oracle, theorem1_diagnostic
+
+
+_DIGITS = "the decimal digits of a report integer exceed the limit %d"
+
+
+def _decimal(n):
+    """``int.__repr__(n)``, refused past the interpreter's limit on the
+    digits of an int converted to a string (below 8**limit, at once)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+        raise EnumerationCapError(_DIGITS % limit)
+    return int.__repr__(n)
 
 
 def _evidence(horizon):
@@ -67,7 +81,7 @@ def _cylinders(measure, depth):
         name = format_word(word)
         out[name] = float(value)
         if isinstance(value, Fraction):
-            exact[name] = "%d/%d" % (value.numerator, value.denominator)
+            exact[name] = _decimal(value.numerator) + "/" + _decimal(value.denominator)
     report = {"depth": depth, "cylinders": out}
     if exact:
         report["cylinders_exact"] = exact
@@ -203,10 +217,8 @@ def cmd_nu(args):
     if args.compare_parry:
         realized.need("spec", "the Parry comparison")
         parry = parry_measure(realized.labeled)
-        report["parry_distance"] = weak_star_distance(measure, parry,
-                                                      args.depth)
-        report["note"] = "distance is a max over cylinders of depth <= %d" \
-            % args.depth
+        report["parry_distance"] = weak_star_distance(measure, parry, args.depth)
+        report["note"] = "distance is a max over cylinders of depth <= %d" % args.depth
     return report
 
 
@@ -235,10 +247,7 @@ def cmd_decompose(args):
         "components": [],
     }
     for comp in components:
-        entry = {
-            "entropy": comp.entropy,
-            "det_states": len(comp.presentation.states),
-        }
+        entry = {"entropy": comp.entropy, "det_states": len(comp.presentation.states)}
         entry.update(_cylinders(comp.measure, args.depth))
         report["components"].append(entry)
     if args.average_cutoff:
@@ -392,16 +401,14 @@ def cmd_speedup_compare(args):
     realized = _load(args)
     spec = realized.need("induced_spec", "speedup comparison")
     report = speedup_gap_compare(realized.base.oracle, spec, args.horizon)
-    rows = []
-    for row in report.rows:
-        rows.append({
-            "induced_pair": list(row["induced_pair"]),
-            "base_window_low": list(row["base_window_low"]),
-            "base_window_high": list(row["base_window_high"]),
-            "bound": row["bound"],
-            "witness": list(row["witness"]) if row["witness"] else None,
-            "satisfied": row["satisfied"],
-        })
+    rows = [{
+        "induced_pair": list(row["induced_pair"]),
+        "base_window_low": list(row["base_window_low"]),
+        "base_window_high": list(row["base_window_high"]),
+        "bound": row["bound"],
+        "witness": list(row["witness"]) if row["witness"] else None,
+        "satisfied": row["satisfied"],
+    } for row in report.rows]
     return {
         "base_horizon": report.base_ls.horizon,
         "base_ls_set": list(report.base_ls.ls_set),
@@ -415,36 +422,26 @@ def cmd_speedup_compare(args):
 
 
 def cmd_sofic_det(args):
-    realized = _load(args)
-    g = realized.need("labeled", "determinization")
-    d = determinize(g)
-    edge_count = sum(len(ts) for row in d.transitions.values()
-                     for ts in row.values())
+    d = determinize(_load(args).need("labeled", "determinization"))
     return {
         "states": len(d.states),
-        "edges": edge_count,
+        "edges": sum(len(ts) for row in d.transitions.values() for ts in row.values()),
         "alphabet": list(d.alphabet.symbols),
     }
 
 
 def cmd_sofic_eq(args):
-    doc1 = load_shift_document(args.shift)
-    doc2 = load_shift_document(args.other)
-    r1 = _realize(doc1, args.horizon)
-    r2 = _realize(doc2, args.horizon)
-    g1 = r1.need("labeled", "language comparison")
-    g2 = r2.need("labeled", "language comparison")
-    equal = language_equal_up_to(g1, g2, args.horizon)
+    docs = [load_shift_document(path) for path in (args.shift, args.other)]
+    realized = [_realize(doc, args.horizon) for doc in docs]
+    g1, g2 = [r.need("labeled", "language comparison") for r in realized]
     return {
         "horizon": args.horizon,
-        "equal_up_to_horizon": equal,
+        "equal_up_to_horizon": language_equal_up_to(g1, g2, args.horizon),
     }
 
 
 def cmd_sofic_issft(args):
-    realized = _load(args)
-    g = realized.need("labeled", "the finite-type test")
-    tag = is_sft(g)
+    tag = is_sft(_load(args).need("labeled", "the finite-type test"))
     return {
         "is_sft": tag.is_sft,
         "decision_bound": tag.decision_bound,
@@ -453,8 +450,7 @@ def cmd_sofic_issft(args):
 
 
 def cmd_sofic_thm1(args):
-    realized = _load(args)
-    g = realized.need("labeled", "the stability diagnostic")
+    g = _load(args).need("labeled", "the stability diagnostic")
     report = theorem1_diagnostic(g, args.horizon)
     return {
         "horizon": report.horizon,
@@ -468,6 +464,10 @@ def cmd_sofic_thm1(args):
 
 
 def cmd_tau(args):
+    # tau(n) > n^(5n+1), refused uncomputed once that alone is too long
+    limit = sys.get_int_max_str_digits()
+    if limit and args.n > 1 and (5 * min(args.n, limit) + 1) * math.log10(args.n) > limit + 1:
+        raise EnumerationCapError(_DIGITS % limit)
     return {"n": args.n, "value": tau_eval(args.n)}
 
 
@@ -482,7 +482,7 @@ def _render_scalar(value):
         return "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return _decimal(value) if isinstance(value, int) else str(value)
 
 
 def _render_text(obj, indent=0):
@@ -522,7 +522,7 @@ def _json(obj, pad="\n"):
     if obj is None or isinstance(obj, bool):
         return _JSON_WORDS[obj]
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        return _decimal(obj)
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return _JSON_WORDS.get(text, text)
@@ -858,21 +858,17 @@ def main(argv=None):
         build_parser().print_usage(sys.stderr)
         return 2
     try:
-        report = args.func(args)
-    except ShiftlabError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 1
-    try:
-        _emit(report, args.format)
+        # rendered whole before it is written, so a refusal prints no report text
+        _emit(args.func(args), args.format)
     except BrokenPipeError:
         # the reader closed stdout early (`| head`); what is still buffered
         # goes to devnull, so the flush at exit cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except (ShiftlabError, OSError) as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
         return 1
     return 0
 

@@ -566,14 +566,8 @@ def speedup_gap_compare(base_oracle, spec, horizon):
         hits1 = [b for b in base_ls if lo1 <= b <= hi1]
         hits2 = [b for b in base_ls if lo2 <= b <= hi2]
         bound = (l2 - l1 + 2) * max_rho
-        witness = None
-        for b1 in hits1:
-            for b2 in hits2:
-                if b1 <= b2 and b2 - b1 <= bound:
-                    witness = (b1, b2)
-                    break
-            if witness:
-                break
+        witness = next(((b1, b2) for b1 in hits1 for b2 in hits2
+                        if b1 <= b2 and b2 - b1 <= bound), None)
         rows.append({
             "induced_pair": (l1, l2),
             "base_window_low": window_for(l1),

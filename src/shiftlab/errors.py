@@ -26,7 +26,7 @@ class UndefinedEntropyError(EmptyShiftError):
 
 
 class EnumerationCapError(ShiftlabError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration, or a number to print, would exceed a cap or limit."""
 
 
 class ConvergenceError(ShiftlabError):

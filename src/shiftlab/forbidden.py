@@ -12,12 +12,12 @@ recoded) gets the same diagnostics.
 (state(aw), state(w)) level by level, after Crochemore, Mignosi and
 Restivo ("Automata and forbidden words", IPL 67, 1998), and spells words
 only from the pairs that witness one, so its cost follows the pair space
-and the output.  Survivor sets and tied-length tuples keep that space
-small for finite-type, sofic and beta oracles.  A substitution oracle's
-state names one word (a suffix-automaton node and its length), so there
-the pairs are as many as the words and the walk steps about as often as
-enumeration would, without spelling them; so does an induced oracle
-over such a base.
+and the output.  Survivor-set ids keep that space small for finite-type,
+sofic and Parry-beta oracles, and tied-length tuples for the other beta
+streams.  A substitution oracle's state names one word (a suffix-automaton
+node and its length), so there the pairs are as many as the words and the
+walk steps about as often as enumeration would, without spelling them; so
+does an induced oracle over such a base.
 ``minimal_forbidden_lengths`` is the same walk for callers that read
 only lengths: it spells nothing and stops at its first repeated level.
 """
@@ -128,9 +128,10 @@ def minimal_forbidden_lengths(oracle, n_max):
     in-edges and no spelling.  Level n determines both whether length n
     is witnessed and level n + 1, so once a level equals an earlier one
     the lengths repeat with their distance, and the walk reads every
-    longer length up to ``n_max`` off that block.  Survivor-set oracles,
-    and induced oracles over them, repeat within a few levels; beta and
-    substitution oracles walk to ``n_max``.
+    longer length up to ``n_max`` off that block.  Survivor-set oracles
+    (Parry-beta documents among them), and induced oracles over them,
+    repeat within a few levels; digit-rule beta and substitution oracles
+    walk to ``n_max``.
     """
     oracle.check_horizon(n_max)
     if n_max < 1:

@@ -2,10 +2,11 @@
 presentations and sofic presentations.
 
 A state set is a frozenset; reading a letter from a state set gives the
-survivor set of its successors, which is how both the SFT and the sofic
-layers read words.  ``SubsetTable`` interns the survivor sets of one
-presentation as ints, with one row of successor ids per set, and
-determinization and the pair-space walks read that table.  A graph is
+survivor set of its successors.  ``SubsetTable`` interns the survivor
+sets of one presentation as ints, with one row of successor ids per
+set, and every reader of words steps on such a table: the oracles of
+finite-type, sofic and Parry-beta documents (their states are the ids),
+determinization and the pair-space walks.  A graph is
 pruned once: ``prune_labeled`` keeps its result on the graph and marks
 the result as pruned, so later prunes of either cost nothing.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import AlphabetMismatchError
-from .language import Alphabet, stepping_oracle
+from .language import Alphabet, LanguageOracle
 from .spectral import int_matmul
 
 
@@ -180,7 +181,7 @@ class SubsetTable:
     reachable from ``start`` (id 1, or 0 when the graph has no state).
     Asking for rows in increasing id order visits the sets breadth
     first, in the order of their discovery.  A table belongs to one
-    call; nothing keeps it between calls.
+    call, or an oracle keeps its table; nothing is kept on the graph.
     """
 
     def __init__(self, g):
@@ -218,8 +219,13 @@ class SubsetTable:
 
 def _survivor_oracle(g, horizon):
     """Language oracle of a pruned presentation, determinized lazily: the
-    state after a word is its survivor set, what reading it from the full
-    state set leaves, and the word is allowed while that set is nonempty."""
-    return stepping_oracle(g.alphabet, frozenset(g.states) or None,
-                           lambda states, a: _subset_step(g, states, a) or None,
-                           horizon)
+    state after a word is the id in one ``SubsetTable`` of its survivor
+    set, and the word is allowed while that set is nonempty."""
+    table = SubsetTable(g)
+    column = g.alphabet._index.get  # a letter's position in every row
+
+    def step(i, a):
+        k = column(a)
+        return None if k is None else table.row(i)[k] or None
+
+    return LanguageOracle(g.alphabet, table.start or None, step, horizon)

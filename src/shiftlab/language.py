@@ -124,8 +124,9 @@ class LanguageOracle:
     """Oracle for a factorial language, exact up to a horizon.
 
     Build one directly when ``step`` is cheaper than a memo lookup (the
-    substitution oracle's is a few list reads in its suffix automaton), or
-    with :func:`stepping_oracle`, which memoizes ``step``.
+    substitution oracle's is a few list reads in its suffix automaton,
+    the survivor oracle's a row read in its subset table), or with
+    :func:`stepping_oracle`, which memoizes ``step``.
 
     Parameters
     ----------

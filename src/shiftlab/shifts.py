@@ -188,8 +188,9 @@ class RealizedShift:
     """A document made computable: oracle plus whatever structure exists.
 
     ``labeled`` is a sofic presentation when one is available (this
-    includes eventually periodic beta expansions), ``spec`` the
-    finite-type data when the kind has it, the rest are kind artifacts.
+    includes eventually periodic beta expansions), and then ``oracle``
+    steps on it; ``spec`` is the finite-type data when the kind has it,
+    the rest are kind artifacts.
     ``need`` hands out a field or refuses, in one wording, when the kind
     lacks it.
     """
@@ -258,12 +259,12 @@ def _realize_beta(doc, horizon):
     digits = doc.payload.get("digits", max(DEFAULT_BETA_DIGITS, horizon + 2))
     expansion = beta_expand(number, digits)
     stream = expansion.working_stream()
-    if stream.known_length is not None:
-        horizon = min(horizon, stream.known_length)
-    labeled = None
     if stream.kind == "eventually-periodic":
         labeled = beta_presentation(stream)
-    oracle = beta_oracle(stream, horizon)
+        oracle = sofic_oracle(labeled, horizon)
+    else:  # the digit rule, to the digits known
+        horizon = min(horizon, stream.known_length)
+        labeled, oracle = None, beta_oracle(stream, horizon)
     return RealizedShift(doc, horizon, oracle, labeled=labeled,
                          expansion=expansion, stream=stream)
 

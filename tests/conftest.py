@@ -2,6 +2,7 @@ import pytest
 
 from shiftlab import (Alphabet, FiniteTypeSpec, Substitution, build_block_graph,
                       make_labeled_graph, sofic_oracle, sft_oracle, subst_oracle)
+from shiftlab.graph import SubsetTable, _subset_step
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +83,27 @@ def _realized_superwords(spec, letters, rho, max_length):
                     break
                 start = after
     return {w for w in found if len(w) <= max_length}
+
+
+def _check_steps_on_table(oracle, g):
+    """Assert that ``oracle`` steps on the subset table of the pruned
+    presentation ``g``.  Walked in id order, its states are the ids that a
+    fresh ``SubsetTable`` of ``g`` gives, each letter reads as that table's
+    row, whose sets ``_subset_step`` gives, with id 0 as None, and a letter
+    outside the alphabet reads as None."""
+    table = SubsetTable(g)
+    assert oracle.start == (table.start or None)
+    for i in table.close():
+        for a, j in zip(table.letters, table.row(i)):
+            assert oracle.step(i, a) == (j or None)
+            assert table.sets[j] == _subset_step(g, table.sets[i], a)
+        assert oracle.step(i, "#") is None
+
+
+@pytest.fixture(scope="session")
+def steps_on_table():
+    """The check that an oracle is the survivor oracle of a presentation."""
+    return _check_steps_on_table
 
 
 @pytest.fixture(scope="session")

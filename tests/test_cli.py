@@ -500,6 +500,7 @@ def identity_code(radius):
 # a binary table to depth 28 would hold 2^29 - 1 cylinders; depth 19 is
 # the first past the limit
 DEEP = "1048575 cylinders of depth <= 19"
+DIGITS = "the decimal digits of a report integer"
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -527,10 +528,18 @@ DEEP = "1048575 cylinders of depth <= 19"
     # past the cylinder tables' letter limit, 10 * WORD_LIMIT digits
     (["beta", "example", "--steps", "40"], "7696581394388 digits after 40 steps"),
     (["ls", "EX40"], "7696581394388 digits after 40 steps"),
+    # the interpreter converts no int of more digits than its limit to a
+    # string: tau is refused before it is computed, the others while their
+    # report is rendered, before any of it is written
+    (["tau", "340"], DIGITS),
+    (["tau", "10000000"], DIGITS),
+    (["complexity", "FULL10", "--horizon", "4300"], DIGITS),
+    (["nu", "GOLDEN", "--period", "21000", "--depth", "1"], DIGITS),
 ], ids=["lang", "special", "nu", "nu-parry", "push", "autocheck", "decompose",
         "parry", "parry-stationary", "autocheck-certificate", "induce-window-7",
         "lang-window-7", "speedup-compare-window-7", "beta-example-steps-40",
-        "example-betashift-steps-40"])
+        "example-betashift-steps-40", "tau-340", "tau-10000000",
+        "complexity-full-10-shift", "nu-period-21000"])
 def test_word_listing_refused_past_the_limit(capsys, write, argv, what):
     docs = {"BETA": {"kind": "beta", "beta": "3000"}, "GOLDEN": GOLDEN_DOC,
             "FULL2": FULL2_DOC, "LONG": {"kind": "example-nonempty", "lengths": [3, 12, 20]},
@@ -538,9 +547,12 @@ def test_word_listing_refused_past_the_limit(capsys, write, argv, what):
                      "base": {"kind": "finite-type", "alphabet": list("0123"),
                               "forbidden": []}},
             "EX40": {"kind": "example-betashift", "mode": "specified", "steps": 40},
+            "FULL10": {"kind": "finite-type", "alphabet": list("0123456789"),
+                       "forbidden": []},
             "ID0": identity_code(0), "ID6": identity_code(6)}
     argv = [write(t.lower() + ".json", docs[t]) if t in docs else t for t in argv]
-    limit = 10 * cli.WORD_LIMIT if " digits " in what else cli.WORD_LIMIT
+    limit = (sys.get_int_max_str_digits() if what == DIGITS
+             else 10 * cli.WORD_LIMIT if " digits " in what else cli.WORD_LIMIT)
     start = time.perf_counter()
     rc, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 2.0
@@ -1042,6 +1054,22 @@ def test_beta_mfw_matches_mfw_on_the_document(capsys, write):
     assert rc == 0
     assert direct == via_document
     assert direct.index("12.8\n") < direct.index("12.10\n")
+
+
+@pytest.mark.parametrize("spec", [GOLDEN_BETA, SILVER_LIKE_BETA, "poly:x^2-2x-2@[2,3]",
+                                  "poly:x^3-x^2-x-1@[1.8,1.9]"],
+                         ids=["golden", "silver-like", "1+sqrt3", "tribonacci"])
+def test_parry_beta_mfw_same_on_both_machines(capsys, write, spec):
+    # `beta mfw` reads the digit rule of the spec; the document's oracle
+    # steps on its presentation
+    path = write("b.json", {"kind": "beta", "beta": spec})
+    for fmt in ("text", "json"):
+        rc, direct, _ = run(capsys, ["beta", "mfw", spec, "--horizon", "40", "--format", fmt])
+        assert rc == 0
+        rc, via_document, _ = run(capsys, ["mfw", path, "--horizon", "40", "--format", fmt])
+        assert rc == 0
+        assert direct == via_document
+    assert json.loads(direct)["table"]
 
 
 def test_beta_lsdiag(capsys):

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, EnumerationCapError, UnsupportedSpecError,
-                      complexity,
+                      beta_oracle, complexity,
                       document_from_object, load_shift_document,
+                      minimal_forbidden, minimal_forbidden_lengths,
                       parse_block_code, parse_shift_document, periodic_points_le,
-                      realize, serialize_shift_document, shift_entropy, shifts)
+                      prune_labeled, realize, serialize_shift_document,
+                      shift_entropy, shifts)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -98,6 +100,39 @@ def test_realize_beta_golden():
     assert r.labeled is not None
     assert shift_entropy(r) == pytest.approx(math.log(GOLDEN), abs=1e-9)
     assert not r.oracle.contains(("1", "1"))
+
+
+TRIBONACCI = "poly:x^3-x^2-x-1@[1.8,1.9]"
+
+# Parry numbers: quadratic Pisot numbers in (a, a + 1) and in (a - 1, a),
+# integers, and the tribonacci number
+PARRY_BETAS = (["poly:x^2-%dx-%d@[%d,%d]" % (a, b, a, a + 1)
+                for a in range(2, 7) for b in range(1, a + 1)]
+               + ["poly:x^2-%dx+%d@[%d,%d]" % (a, b, a - 1, a)
+                  for a in range(2, 7) for b in range(1, a - 1)]
+               + [str(a) for a in range(2, 7)] + [TRIBONACCI])
+
+
+@pytest.mark.parametrize("doc", [
+    GOLDEN_DOC, EVEN_DOC, {"kind": "example-nonempty", "lengths": [3, 5]},
+    {"kind": "beta", "beta": TRIBONACCI}, {"kind": "beta", "beta": "3"},
+], ids=["finite-type", "sofic", "example-nonempty", "beta-tribonacci", "beta-3"])
+def test_presented_kinds_step_on_their_presentation(steps_on_table, doc):
+    r = realize(document_from_object(doc), 12)
+    steps_on_table(r.oracle, prune_labeled(r.labeled))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PARRY_BETAS))
+def test_parry_beta_documents_walk_their_presentation(spec):
+    # the presentation and the digit rule read one language; only the
+    # presentation's states come back, so only its walk finds a repeat
+    r = realize(document_from_object({"kind": "beta", "beta": spec}), 200)
+    assert r.labeled is not None
+    digits = beta_oracle(r.stream, 25)
+    assert complexity(r.oracle, 25) == complexity(digits, 25)
+    assert minimal_forbidden(r.oracle, 25) == minimal_forbidden(digits, 25)
+    assert minimal_forbidden_lengths(r.oracle, 200).repeat is not None
 
 
 def test_realize_beta_truncated_clamps_horizon():

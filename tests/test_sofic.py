@@ -323,8 +323,8 @@ def labeled_graphs(labels="01"):
 @example((2, {(0, "0", 0), (0, "1", 1), (1, "1", 0)}), 30)  # the even shift
 @example((2, {(0, "0", 0)}), 0)  # a missing letter at horizon 0
 def test_length_walk_matches_pair_walk_random(graph, horizon):
-    # two walks over different state spaces: survivor sets of the
-    # presentation, and ids of its determinization's subset table
+    # two walks over different state spaces: ids of the presentation's
+    # subset table, and ids of its determinization's subset table
     n, edges = graph
     g = make_labeled_graph(Alphabet(("0", "1")), tuple(range(n)), edges)
     ls = minimal_forbidden_lengths(sofic_oracle(g, horizon), horizon)
@@ -370,6 +370,15 @@ def test_subset_table_rows_are_subset_steps_random(graph):
     for i in [0, *ids]:
         for a, j in zip(g.alphabet, table.row(i)):
             assert table.sets[j] == _subset_step(g, table.sets[i], a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_graphs("012"))
+@example((2, set()))  # the empty shift: no start state
+def test_survivor_oracle_steps_on_its_subset_table_random(steps_on_table, graph):
+    n, edges = graph
+    g = make_labeled_graph(Alphabet(("0", "1", "2")), tuple(range(n)), edges)
+    steps_on_table(sofic_oracle(g, 8), prune_labeled(g))
 
 
 def _determinize_by_frozenset_bfs(g):

@@ -32,6 +32,7 @@ DOCS = {
     "abc.json": {"kind": "substitution", "rules": {"a": "bb", "b": "cab", "c": "c"},
                  "seed": "a"},
     "ne11.json": {"kind": "example-nonempty", "lengths": [11]},
+    "trib.json": {"kind": "beta", "beta": "poly:x^3-x^2-x-1@[1.8,1.9]"},
 }
 
 REPORTS = (
@@ -44,6 +45,8 @@ REPORTS = (
     # |A|^400 passes WORD_LIMIT, so the 401 words are counted before they
     # are listed; the listing holds about L^3/2 letters
     ["subst", "lang", "fib.json", "--length", "400", "--horizon", "400"],
+    # a Parry beta: the walk steps on the document's presentation
+    ["ls", "trib.json", "--horizon", "100000"],
 )
 
 CHILD = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -15,11 +15,14 @@ REPO (default: the checkout holding this script) supplies both
 ``src/shiftlab`` and ``perfbench``; run the script once against the
 parent checkout and once against the change, and ``diff`` the outputs.
 
-After the workloads come the fixed ``EXTRA`` argvs, for paths that no
-workload runs: ``nu``, ``push`` and ``periodic`` on points enumerated
-from a sofic and a beta presentation, and ``lang``, ``induce`` and
-``speedup-compare`` on a depth-2 induced chain.  Their lines carry the
-seed ``extra`` and an id of their own, and the same masking.
+After the workloads come the fixed ``EXTRA`` argvs, for paths that the
+workloads run rarely or never: ``nu``, ``push`` and ``periodic`` on points enumerated
+from a sofic and a beta presentation, ``lang``, ``induce`` and
+``speedup-compare`` on a depth-2 induced chain, the enumerating reports on
+a Parry-beta document (whose oracle steps on its presentation), and
+``induce``, ``ls`` and ``speedup-compare`` on an induced document over it.
+Their lines carry the seed ``extra`` and an id of their own, and the same
+masking.
 """
 
 import argparse
@@ -46,6 +49,8 @@ EXTRA_FILES = {
                    "base": {"kind": "induced", "window": 0, "return_rule": 2,
                             "base": {"kind": "finite-type", "alphabet": ["0", "1"],
                                      "forbidden": ["11"]}}},
+    "ibeta.json": {"kind": "induced", "window": 1, "return_rule": 2,
+                   "base": {"kind": "beta", "beta": "poly:x^3-x^2-x-1@[1.8,1.9]"}},
     "flip.json": {"range": 0, "rule": {"0": "1", "1": "0"}},
     "xor.json": {"range": 1, "rule": {"".join(w): str(int(w[0] != w[2]))
                                       for w in itertools.product("01", repeat=3)}},
@@ -62,6 +67,14 @@ EXTRA = [("%s-%s-%d" % (argv[0], argv[1].split(".")[0], i), argv)
              ["lang", "chain.json", "--length", "4", "--horizon", "6"],
              ["induce", "chain.json", "--horizon", "6"],
              ["speedup-compare", "chain.json", "--horizon", "8"],
+             ["mfw", "beta.json", "--horizon", "24"],
+             ["ls", "beta.json", "--horizon", "60"],
+             ["complexity", "beta.json", "--horizon", "20"],
+             ["special", "beta.json", "--length", "8", "--horizon", "12"],
+             ["well-approx", "beta.json", "--horizon", "40"],
+             ["induce", "ibeta.json", "--horizon", "8"],
+             ["ls", "ibeta.json", "--horizon", "12"],
+             ["speedup-compare", "ibeta.json", "--horizon", "10"],
          ])]
 
 

@@ -16,7 +16,6 @@ factors anything.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnsupportedSpecError
@@ -146,7 +145,6 @@ def count_roots(p, lo, hi):
     return _chain_count(sturm_chain(p), lo, hi)
 
 
-@dataclass
 class AlgebraicNumber:
     """A real root of ``poly`` isolated by the interval [lo, hi].
 
@@ -159,16 +157,10 @@ class AlgebraicNumber:
     refining until the enclosures separate.
     """
 
-    poly: tuple
-    lo: Fraction
-    hi: Fraction
-    _sf: tuple = field(init=False, repr=False)
-    _chain: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.poly = poly_norm(self.poly)
-        self.lo = Fraction(self.lo)
-        self.hi = Fraction(self.hi)
+    def __init__(self, poly, lo, hi):
+        self.poly = poly_norm(poly)
+        self.lo = Fraction(lo)
+        self.hi = Fraction(hi)
         if degree(self.poly) < 1:
             raise UnsupportedSpecError("defining polynomial must be nonconstant")
         if not self.lo < self.hi:

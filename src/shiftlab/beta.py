@@ -19,7 +19,6 @@ Two digit engines, chosen by how beta is described:
   gcd or a bisection runs only when an enclosure straddles the answer.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 import re
 
@@ -27,11 +26,12 @@ from .algebraic import AlgebraicNumber
 from .errors import (CannotCloseError, EnumerationCapError, InsufficientDigitsError,
                      UnsupportedSpecError, WrongStatusError)
 from .forbidden import MFWTable
-from .language import EQUAL, GREATER, LESS, WORD_LIMIT, Alphabet, stepping_oracle
+from .language import (EQUAL, GREATER, LESS, WORD_LIMIT, Alphabet, count_text, printable,
+                       stepping_oracle)
 from .graph import make_labeled_graph, prune_labeled
+from .record import Record
 
 
-@dataclass(frozen=True)
 class DigitStream:
     """A digit sequence known either forever or up to a cutoff.
 
@@ -39,23 +39,22 @@ class DigitStream:
     and the tail cycles.  kind "truncated": digits is all that is known.
     """
 
-    kind: str
-    digits: tuple
-    preperiod: int = 0
-    period: int = 0
-
-    def __post_init__(self):
-        if self.kind == "eventually-periodic":
-            if self.period < 1 or self.preperiod < 0:
+    def __init__(self, kind, digits, preperiod=0, period=0):
+        self.kind = kind
+        self.digits = digits
+        self.preperiod = preperiod
+        self.period = period
+        if kind == "eventually-periodic":
+            if period < 1 or preperiod < 0:
                 raise UnsupportedSpecError("bad periodic structure")
-            if len(self.digits) != self.preperiod + self.period:
+            if len(digits) != preperiod + period:
                 raise UnsupportedSpecError(
                     "periodic stream must carry exactly preperiod+period digits")
-        elif self.kind == "truncated":
-            if not self.digits:
+        elif kind == "truncated":
+            if not digits:
                 raise UnsupportedSpecError("empty digit stream")
         else:
-            raise UnsupportedSpecError("unknown stream kind %r" % (self.kind,))
+            raise UnsupportedSpecError("unknown stream kind %r" % (kind,))
 
     def digit(self, i):
         if self.kind == "eventually-periodic":
@@ -85,8 +84,7 @@ class DigitStream:
                                           % (n, self.known_length))
 
 
-@dataclass(frozen=True)
-class BetaExpansion:
+class BetaExpansion(Record):
     """Greedy expansion of 1 in base beta.
 
     status is "finite", "eventually-periodic", or "truncated"; the
@@ -94,11 +92,14 @@ class BetaExpansion:
     the requested count.  alphabet_max is floor(beta), the first digit.
     """
 
-    digits: tuple
-    status: str
-    preperiod: int = 0
-    period: int = 0
-    alphabet_max: int = 0
+    _fields = ("digits", "status", "preperiod", "period", "alphabet_max")
+
+    def __init__(self, digits, status, preperiod=0, period=0, alphabet_max=0):
+        self.digits = digits
+        self.status = status
+        self.preperiod = preperiod
+        self.period = period
+        self.alphabet_max = alphabet_max
 
     def working_stream(self):
         """The stream all language work runs on: d itself, or d* when finite."""
@@ -110,13 +111,13 @@ class BetaExpansion:
         return DigitStream("truncated", self.digits)
 
 
-@dataclass
 class BetaNumber:
     """A real beta > 1 given as a rational or an algebraic number."""
 
-    kind: str
-    rational: Fraction = None
-    algebraic: AlgebraicNumber = None
+    def __init__(self, kind, rational=None, algebraic=None):
+        self.kind = kind
+        self.rational = rational
+        self.algebraic = algebraic
 
 
 def beta_rational(value):
@@ -317,7 +318,6 @@ def beta_mfw(stream, n_max):
     return MFWTable(n_max, by_length)
 
 
-@dataclass(frozen=True)
 class BetaLSReport:
     """Occurrence statistics of stream prefixes, as stability evidence.
 
@@ -326,10 +326,11 @@ class BetaLSReport:
     occurrences at j >= 1.
     """
 
-    horizon: int
-    prefix_reoccurrence: dict
-    d0_positions: tuple
-    verdict: str
+    def __init__(self, horizon, prefix_reoccurrence, d0_positions, verdict):
+        self.horizon = horizon
+        self.prefix_reoccurrence = prefix_reoccurrence
+        self.d0_positions = d0_positions
+        self.verdict = verdict
 
 
 def beta_ls_diagnostic(stream, horizon):
@@ -395,7 +396,9 @@ def example_betashift(mode, steps):
     prefix admissible; prefixes of the limit stream reoccur forever, so
     the stability diagnostic reads stable on these.  A stream of more
     than 10 * ``WORD_LIMIT`` digits (the letter limit of the cylinder
-    tables) is refused before any digit is built.
+    tables) is refused before any digit is built.  The lengths grow, so
+    the recurrence stops once a length has too many digits to print: the
+    refusal then names that lower bound.
     """
     if mode not in ("specified", "synchronized"):
         raise UnsupportedSpecError("mode must be 'specified' or 'synchronized'")
@@ -404,9 +407,11 @@ def example_betashift(mode, steps):
     length, separator = 3, 3
     for _ in range(steps):
         length, separator = 2 * length + separator, separator + 1
+        if not printable(length):
+            break
     if length > 10 * WORD_LIMIT:
-        raise EnumerationCapError("%d digits after %d steps exceed the limit %d"
-                                  % (length, steps, 10 * WORD_LIMIT))
+        raise EnumerationCapError("%s digits after %d steps exceed the limit %d"
+                                  % (count_text(length), steps, 10 * WORD_LIMIT))
     w = (2, 2, 2)
     u = (1, 1, 1)
     for _ in range(steps):

@@ -27,12 +27,13 @@ from .errors import (EnumerationCapError, NotAnAutomorphismError, ShiftlabError,
                      UnsupportedSpecError)
 from .forbidden import ls_report, minimal_forbidden, minimal_forbidden_lengths, \
     tau_eval, well_approx_check
-from .language import WORD_LIMIT, complexity, format_word, special_words  # WORD_LIMIT: re-export
+from .language import (WORD_LIMIT, complexity, format_word, printable,  # WORD_LIMIT: re-export
+                       special_words)
 from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
                        max_entropy_decomposition, mu_y_average, parry_cylinders,
                        parry_measure, weak_star_distance)
 from .shifts import (load_shift_document, parse_block_code, periodic_census,
-                     periodic_measure, realize, shift_entropy)
+                     periodic_measure, read_text, realize, shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
     language_equal_up_to, sofic_entropy, sofic_oracle, theorem1_diagnostic
 
@@ -42,10 +43,9 @@ _DIGITS = "the decimal digits of a report integer exceed the limit %d"
 
 def _decimal(n):
     """``int.__repr__(n)``, refused past the interpreter's limit on the
-    digits of an int converted to a string (below 8**limit, at once)."""
-    limit = sys.get_int_max_str_digits()
-    if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-        raise EnumerationCapError(_DIGITS % limit)
+    digits of an int converted to a string."""
+    if not printable(n):
+        raise EnumerationCapError(_DIGITS % sys.get_int_max_str_digits())
     return int.__repr__(n)
 
 
@@ -102,13 +102,12 @@ def _load(args):
 
 
 def _load_code(path, alphabet):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except ValueError as exc:
-            raise UnsupportedSpecError("block code is not valid JSON: %s" % (exc,))
-        except RecursionError:
-            raise UnsupportedSpecError("block code is nested too deeply") from None
+    try:
+        obj = json.loads(read_text(path))
+    except ValueError as exc:  # UnicodeDecodeError too, as under json.load
+        raise UnsupportedSpecError("block code is not valid JSON: %s" % (exc,))
+    except RecursionError:
+        raise UnsupportedSpecError("block code is nested too deeply") from None
     return parse_block_code(obj, alphabet)
 
 

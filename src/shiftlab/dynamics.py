@@ -26,17 +26,15 @@ longer realization of its base; ``base_horizon`` is the one statement
 of how much base horizon an induced length needs.
 """
 
-from dataclasses import dataclass, replace
-
 from .errors import (HorizonExceededError, InfeasibleSetError,
                      NonGrowingSubstitutionError, ReturnTimeCapError,
                      UnsupportedSpecError)
 from .forbidden import ls_report, minimal_forbidden_lengths
 from .language import (Alphabet, LanguageOracle, complexity, format_word,
                        stepping_oracle)
+from .record import Record
 
 
-@dataclass(frozen=True)
 class Substitution:
     """Letter-to-word rules iterated from a seed letter.
 
@@ -48,25 +46,23 @@ class Substitution:
     [n, 2n).  So the iterates grow iff |tau^2n(seed)| > |tau^n(seed)|.
     """
 
-    rules: dict
-    seed: str
-
-    def __post_init__(self):
-        letters = tuple(sorted(self.rules))
-        if not letters:
+    def __init__(self, rules, seed):
+        self.rules = rules
+        self.seed = seed
+        if not rules:
             raise UnsupportedSpecError("substitution needs at least one letter")
-        if self.seed not in self.rules:
-            raise UnsupportedSpecError("seed %r has no rule" % (self.seed,))
-        for a, image in self.rules.items():
+        if seed not in rules:
+            raise UnsupportedSpecError("seed %r has no rule" % (seed,))
+        for a, image in rules.items():
             if not image:
                 raise NonGrowingSubstitutionError("empty image for %r" % (a,))
             for b in image:
-                if b not in self.rules:
+                if b not in rules:
                     raise UnsupportedSpecError(
                         "image letter %r of %r has no rule" % (b, a))
         if not self._grows():
             raise NonGrowingSubstitutionError(
-                "iterates of %r stay bounded" % (self.seed,))
+                "iterates of %r stay bounded" % (seed,))
 
     @property
     def alphabet(self):
@@ -259,13 +255,13 @@ def subst_oracle(tau, horizon):
     return LanguageOracle(tau.alphabet, (1, 0), step, horizon, demand=demand)
 
 
-@dataclass(frozen=True)
 class ComplexityProfile:
     """First differences of the complexity function with a tail summary."""
 
-    differences: tuple
-    liminf_evidence: int
-    tail_window: int
+    def __init__(self, differences, liminf_evidence, tail_window):
+        self.differences = differences
+        self.liminf_evidence = liminf_evidence
+        self.tail_window = tail_window
 
 
 def cassaigne_profile(oracle, n_max):
@@ -322,8 +318,7 @@ def bispecial_lengths(oracle, n_max):
 
 # ---- induced maps and speedups -------------------------------------------
 
-@dataclass(frozen=True)
-class InducedSpec:
+class InducedSpec(Record):
     """Recoding data for an induced or sped-up system.
 
     ``base`` is a language oracle of the base shift.  The set U is given
@@ -333,19 +328,20 @@ class InducedSpec:
     which first-return resolution verifies by walking each window's
     continuations ``cap`` base letters far.  ``induced_data`` resolves a
     spec once and keeps the result on it; ``rebase`` carries it to a
-    longer base, and any other ``replace``d copy resolves afresh.
+    longer base, and any other copy made with ``replace`` resolves afresh.
     """
 
-    base: LanguageOracle
-    window: int
-    clopen_set: object = None
-    return_rule: object = 1
-    cap: int = 32
+    _fields = ("base", "window", "clopen_set", "return_rule", "cap")
 
-    def __post_init__(self):
-        if self.window < 0:
+    def __init__(self, base, window, clopen_set=None, return_rule=1, cap=32):
+        self.base = base
+        self.window = window
+        self.clopen_set = clopen_set
+        self.return_rule = return_rule
+        self.cap = cap
+        if window < 0:
             raise UnsupportedSpecError("window radius must be >= 0")
-        if isinstance(self.return_rule, int) and self.return_rule < 1:
+        if isinstance(return_rule, int) and return_rule < 1:
             raise UnsupportedSpecError("return times must be >= 1")
 
 
@@ -454,7 +450,7 @@ def rebase(spec, oracle):
     document, keeping the resolution of ``spec``.  Resolution reads the
     base to width + cap letters (first-return) or width (otherwise),
     where both realizations are exact and agree."""
-    out = replace(spec, base=oracle)
+    out = spec.replace(base=oracle)
     out.__dict__["_data"] = induced_data(spec)
     return out
 
@@ -520,7 +516,6 @@ def induce_recode(spec, n):
     return stepping_oracle(alphabet, start, step, n)
 
 
-@dataclass(frozen=True)
 class SpeedupReport:
     """Side-by-side stability evidence for a base shift and its speedup.
 
@@ -531,12 +526,14 @@ class SpeedupReport:
     that hypothesis is taken on faith and recorded here.
     """
 
-    base_ls: object
-    induced_ls: object
-    rows: tuple
-    min_rho: int
-    max_rho: int
-    note: str = "return map assumed to induce a homeomorphism; not verified"
+    def __init__(self, base_ls, induced_ls, rows, min_rho, max_rho,
+                 note="return map assumed to induce a homeomorphism; not verified"):
+        self.base_ls = base_ls
+        self.induced_ls = induced_ls
+        self.rows = rows
+        self.min_rho = min_rho
+        self.max_rho = max_rho
+        self.note = note
 
 
 def speedup_gap_compare(base_oracle, spec, horizon):

@@ -23,20 +23,22 @@ only lengths: it spells nothing and stops at its first repeated level.
 """
 
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InfeasibleSetError
 from .language import Alphabet
+from .record import Record
 from .sft import FiniteTypeSpec
 
 
-@dataclass(frozen=True)
-class MFWTable:
+class MFWTable(Record):
     """Minimal forbidden words indexed by length, up to a horizon."""
 
-    horizon: int
-    by_length: dict  # length -> tuple of words (sorted); only nonempty lengths
+    _fields = ("horizon", "by_length")
+
+    def __init__(self, horizon, by_length):
+        self.horizon = horizon
+        self.by_length = by_length  # length -> tuple of words (sorted); only nonempty lengths
 
     @property
     def lengths(self):
@@ -48,8 +50,7 @@ class MFWTable:
         return tuple(w for n in sorted(self.by_length) for w in self.by_length[n])
 
 
-@dataclass(frozen=True)
-class LSLengths:
+class LSLengths(Record):
     """Lengths <= ``horizon`` carrying a minimal forbidden word.
 
     ``repeat`` is (start, period) when n and n + period are both in the
@@ -57,9 +58,12 @@ class LSLengths:
     repeating block is known.
     """
 
-    horizon: int
-    lengths: tuple
-    repeat: object = None
+    _fields = ("horizon", "lengths", "repeat")
+
+    def __init__(self, horizon, lengths, repeat=None):
+        self.horizon = horizon
+        self.lengths = lengths
+        self.repeat = repeat
 
 
 def minimal_forbidden(oracle, n_max):
@@ -193,8 +197,7 @@ def _spell(levels, k, pair):
     return words
 
 
-@dataclass(frozen=True)
-class LSReport:
+class LSReport(Record):
     """Lengths of minimal forbidden words with density evidence.
 
     ``window_densities[k]`` is the minimum over placements of
@@ -205,10 +208,13 @@ class LSReport:
     free of minimal forbidden words.
     """
 
-    horizon: int
-    ls_set: tuple
-    max_gap: int
-    window_densities: dict
+    _fields = ("horizon", "ls_set", "max_gap", "window_densities")
+
+    def __init__(self, horizon, ls_set, max_gap, window_densities):
+        self.horizon = horizon
+        self.ls_set = ls_set
+        self.max_gap = max_gap
+        self.window_densities = window_densities
 
 
 def window_density_report(ls_lengths, horizon, repeat=None):

@@ -11,16 +11,15 @@ pruned once: ``prune_labeled`` keeps its result on the graph and marks
 the result as pruned, so later prunes of either cost nothing.
 """
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import AlphabetMismatchError
-from .language import Alphabet, LanguageOracle
+from .language import LanguageOracle
+from .record import Record
 from .spectral import int_matmul
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Record):
     """Finite labeled graph presenting a sofic shift.
 
     ``transitions[s][a]`` is the tuple of successors of state s under
@@ -28,9 +27,12 @@ class LabeledGraph:
     deterministic when every (state, letter) has at most one successor.
     """
 
-    alphabet: Alphabet
-    states: tuple
-    transitions: dict
+    _fields = ("alphabet", "states", "transitions")
+
+    def __init__(self, alphabet, states, transitions):
+        self.alphabet = alphabet
+        self.states = states
+        self.transitions = transitions
 
     @property
     def is_empty(self):
@@ -112,7 +114,7 @@ def prune_labeled(g):
     A graph is pruned once: the result is stored on ``g``, as a cached
     property would be, and marked as its own pruned form, so pruning the
     same graph or a pruned one again returns the stored graph at once.
-    A copy made with ``dataclasses.replace`` starts without it.
+    A copy made with ``replace`` starts without it.
     """
     pruned = g.__dict__.get("_pruned")
     if pruned is not None:
@@ -132,7 +134,7 @@ def prune_labeled(g):
                 row[a] = kept
         if row:
             trans[s] = row
-    g.__dict__["_pruned"] = out = _mark_pruned(replace(g, states=states, transitions=trans))
+    g.__dict__["_pruned"] = out = _mark_pruned(g.replace(states=states, transitions=trans))
     return out
 
 

@@ -17,10 +17,11 @@ and lists none.  Every operation that consumes an oracle checks the
 horizon and refuses to answer beyond it rather than silently degrading.
 """
 
-from dataclasses import dataclass, field
+import sys
 from functools import cached_property
 
 from .errors import AlphabetMismatchError, EnumerationCapError, HorizonExceededError
+from .record import Record
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -30,8 +31,31 @@ EMPTY_WORD = ()
 WORD_LIMIT = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Alphabet:
+def printable(n):
+    """Is the int ``n`` within the interpreter's limit on the decimal
+    digits of an int converted to a string?  10**limit has between
+    3.321 * limit and 3.322 * limit bits, so only a length in between
+    is compared with it."""
+    limit = sys.get_int_max_str_digits()
+    bits = n.bit_length()
+    if not limit or bits * 1000 <= limit * 3321:
+        return True
+    return (bits - 1) * 1000 < limit * 3322 and abs(n) < 10 ** limit
+
+
+def count_text(n):
+    """A count ``n`` >= 1 as a refusal message prints it: in decimal, or
+    as "at least 10^k" (k the floor of log10 n) when it has more digits
+    than the interpreter converts."""
+    if printable(n):
+        return "%d" % n
+    k = (n.bit_length() - 1) * 301029 // 1000000  # at most log10 n
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return "at least 10^%d" % k
+
+
+class Alphabet(Record):
     """Ordered, finite set of distinct symbols.
 
     The ordering of ``symbols`` is the lexicographic base order.
@@ -45,15 +69,16 @@ class Alphabet:
     ('0', '1', '0')
     """
 
-    symbols: tuple
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols):
+        self.symbols = symbols
+        if not symbols:
             raise AlphabetMismatchError("alphabet must be nonempty")
-        for s in self.symbols:
+        for s in symbols:
             if not isinstance(s, str) or not s:
                 raise AlphabetMismatchError("alphabet symbols must be nonempty strings")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise AlphabetMismatchError("alphabet symbols must be distinct")
 
     @cached_property
@@ -119,8 +144,7 @@ def format_word(word):
     return ".".join(word)
 
 
-@dataclass(frozen=True)
-class LanguageOracle:
+class LanguageOracle(Record):
     """Oracle for a factorial language, exact up to a horizon.
 
     Build one directly when ``step`` is cheaper than a memo lookup (the
@@ -145,12 +169,15 @@ class LanguageOracle:
         callers will read; every walk checks its length before stepping.
     """
 
-    alphabet: Alphabet
-    start: object = field(compare=False, repr=False)
-    step: object = field(compare=False, repr=False)
-    max_reliable_length: int
-    demand: list = field(default=None, compare=False, repr=False)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("alphabet", "start", "step", "max_reliable_length", "demand")
+
+    def __init__(self, alphabet, start, step, max_reliable_length, demand=None):
+        self.alphabet = alphabet
+        self.start = start
+        self.step = step
+        self.max_reliable_length = max_reliable_length
+        self.demand = demand
+        self._cache = {}
 
     def membership(self, word):
         """Is ``word`` read to a state?  The fold of ``step`` from ``start``."""
@@ -208,8 +235,8 @@ class LanguageOracle:
             if known * len(self.alphabet) ** (n - low) > WORD_LIMIT:
                 count = complexity(self, n)[n]
                 if count > WORD_LIMIT:
-                    raise EnumerationCapError("%d words of length %d exceed the limit %d"
-                                              % (count, n, WORD_LIMIT))
+                    raise EnumerationCapError("%s words of length %d exceed the limit %d"
+                                              % (count_text(count), n, WORD_LIMIT))
             for m in range(low, n):
                 shorter = self.words_of_length(m)
             step = self.step
@@ -279,14 +306,14 @@ def complexity(oracle, n_max):
     return counts
 
 
-@dataclass(frozen=True)
 class SpecialReport:
     """Left-special, right-special and bispecial words of one length."""
 
-    length: int
-    left_special: tuple
-    right_special: tuple
-    bispecial: tuple
+    def __init__(self, length, left_special, right_special, bispecial):
+        self.length = length
+        self.left_special = left_special
+        self.right_special = right_special
+        self.bispecial = bispecial
 
 
 def special_words(oracle, n):

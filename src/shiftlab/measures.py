@@ -13,7 +13,6 @@ point counts: enumerated points, or on an SFT the transfer-matrix counts
 golden-mean shift are tractable with millions of points.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 import itertools
 import math
@@ -37,7 +36,6 @@ INVARIANCE_TOL = 1e-9  # largest weak* distance autocheck reports as invariant
 ENTROPY_TOL = 1e-9  # image entropies this close to the maximum tie with it
 
 
-@dataclass(frozen=True)
 class CylinderMeasure:
     """A measure known through its values on cylinders up to ``depth``.
 
@@ -45,38 +43,36 @@ class CylinderMeasure:
     each value splits over one-letter extensions.
     """
 
-    alphabet: object
-    depth: int
-    values: dict
-
-    def __post_init__(self):
-        if self.depth < 0:
+    def __init__(self, alphabet, depth, values):
+        self.alphabet = alphabet
+        self.depth = depth
+        self.values = values
+        if depth < 0:
             raise UnsupportedSpecError("depth must be >= 0")
-        root = self.values.get(())
+        root = values.get(())
         floor, tol = (_EXACT_BOUNDS if isinstance(root, Fraction)
                       else (NEGATIVE_FLOOR, PROB_TOL))
         if root is None or abs(root - 1) > tol:
             raise ShiftlabError("cylinder table must give the empty word mass 1")
         words = [()]
-        for _ in range(self.depth):
+        for _ in range(depth):
             nxt = []
             for w in words:
                 total = 0
-                for a in self.alphabet:
+                for a in alphabet:
                     wa = w + (a,)
-                    v = self.values.get(wa)
+                    v = values.get(wa)
                     if v is None:
                         raise ShiftlabError("cylinder table missing %r" % (wa,))
                     if v < floor:
                         raise ShiftlabError("negative cylinder value at %r" % (wa,))
                     total += v
                     nxt.append(wa)
-                if abs(self.values[w] - total) > tol:
+                if abs(values[w] - total) > tol:
                     raise ShiftlabError("cylinder table is not additive at %r" % (w,))
             words = nxt
 
 
-@dataclass(frozen=True)
 class ParryMeasure:
     """Stationary Markov chain realizing maximal entropy on an irreducible
     deterministic labeled graph; a block graph is one.
@@ -88,11 +84,12 @@ class ParryMeasure:
     labels (memory-1 graphs) are resolved by their labels.
     """
 
-    graph: object
-    perron: float
-    stationary: dict
-    transition: tuple
-    right: dict
+    def __init__(self, graph, perron, stationary, transition, right):
+        self.graph = graph
+        self.perron = perron
+        self.stationary = stationary
+        self.transition = transition
+        self.right = right
 
     @property
     def alphabet(self):
@@ -339,11 +336,11 @@ def parry_cylinders(measure, words):
 
 # ---- maximal-entropy decomposition of sofic images -----------------------
 
-@dataclass(frozen=True)
 class MaxEntropyComponent:
-    presentation: object
-    measure: CylinderMeasure
-    entropy: float
+    def __init__(self, presentation, measure, entropy):
+        self.presentation = presentation
+        self.measure = measure
+        self.entropy = entropy
 
 
 def max_entropy_decomposition(graph, code, depth=6):
@@ -380,17 +377,17 @@ def max_entropy_decomposition(graph, code, depth=6):
             continue
         if any(language_equal_exact(image, c.presentation) for c in components):
             continue
-        chain = prune_labeled(replace(det, states=tuple(det.states[i] for i in comp)))
+        chain = prune_labeled(det.replace(states=tuple(det.states[i] for i in comp)))
         table = cylinder_table(parry_measure(chain), depth)
         components.append(MaxEntropyComponent(image, table, h))
     return components
 
 
-@dataclass(frozen=True)
 class MuAverageResult:
-    measure: CylinderMeasure
-    weights: tuple
-    cutoff: int
+    def __init__(self, measure, weights, cutoff):
+        self.measure = measure
+        self.weights = weights
+        self.cutoff = cutoff
 
 
 def mu_y_average(components, cutoff, depth, cap=DEFAULT_CAP):
@@ -428,14 +425,14 @@ def mu_y_average(components, cutoff, depth, cap=DEFAULT_CAP):
 
 # ---- automorphism invariance ---------------------------------------------
 
-@dataclass(frozen=True)
 class AutomorphismReport:
-    period_bound: int
-    depth: int
-    tol: float
-    distance: float
-    within_tol: bool
-    identity_checked_to: int
+    def __init__(self, period_bound, depth, tol, distance, within_tol, identity_checked_to):
+        self.period_bound = period_bound
+        self.depth = depth
+        self.tol = tol
+        self.distance = distance
+        self.within_tol = within_tol
+        self.identity_checked_to = identity_checked_to
 
 
 def certify_inverse_pair(oracle, code, code_inv):

@@ -18,20 +18,18 @@ import collections
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
 
 from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EnumerationCapError, UndefinedEntropyError)
 from .graph import (LabeledGraph, _mark_pruned, _survivor_oracle,
                     prune_labeled)
-from .language import EMPTY_WORD, Alphabet
+from .language import EMPTY_WORD
 from .spectral import (int_matmul, int_trace, spectral_radius_certified,
                        strongly_connected_components)
 
 DEFAULT_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
 class FiniteTypeSpec:
     """Finite description of an SFT: alphabet plus forbidden words.
 
@@ -39,14 +37,13 @@ class FiniteTypeSpec:
     so the block presentation below is always well defined.
     """
 
-    alphabet: Alphabet
-    forbidden: frozenset
-
-    def __post_init__(self):
-        for w in self.forbidden:
+    def __init__(self, alphabet, forbidden):
+        self.alphabet = alphabet
+        self.forbidden = forbidden
+        for w in forbidden:
             if not isinstance(w, tuple):
                 raise AlphabetMismatchError("forbidden words must be tuples; got %r" % (w,))
-            self.alphabet.check_word(w)
+            alphabet.check_word(w)
 
     @property
     def memory(self):
@@ -54,7 +51,6 @@ class FiniteTypeSpec:
         return max(lengths, default=1) or 1
 
 
-@dataclass(frozen=True)
 class BlockGraph(LabeledGraph):
     """Pruned higher-block presentation of an SFT.
 
@@ -250,7 +246,7 @@ def scc_subgraphs(graph):
         # a recurrent component has no dead ends, so pruning the restriction
         # only drops the edges that leave it
         states = tuple(graph.states[i] for i in sorted(comp))
-        out.append(prune_labeled(replace(graph, states=states)))
+        out.append(prune_labeled(graph.replace(states=states)))
     return out
 
 

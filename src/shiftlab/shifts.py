@@ -14,7 +14,6 @@ that refuses.
 """
 
 import json
-from dataclasses import dataclass
 
 from .beta import (beta_expand, beta_oracle, beta_presentation,
                    example_betashift, parse_beta_spec)
@@ -25,6 +24,7 @@ from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
 from .language import Alphabet
 from .measures import nu_cylinder_measure, nu_point_measure
+from .record import Record
 from .sft import (DEFAULT_CAP, FiniteTypeSpec, block_graph_of,
                   periodic_counts)
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
@@ -34,11 +34,13 @@ DEFAULT_BETA_DIGITS = 64
 LISTED = 200  # periodic reports list the points when there are this few
 
 
-@dataclass(frozen=True)
-class ShiftDocument:
-    kind: str
-    payload: dict
-    label: str = ""
+class ShiftDocument(Record):
+    _fields = ("kind", "payload", "label")
+
+    def __init__(self, kind, payload, label=""):
+        self.kind = kind
+        self.payload = payload
+        self.label = label
 
 
 def _fail(msg):
@@ -166,12 +168,22 @@ def serialize_shift_document(doc):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def read_text(path):
+    r"""A file's text as text mode reads it: its bytes decoded as UTF-8,
+    with ``\r\n`` and ``\r`` read as ``\n``.  Raises
+    ``UnicodeDecodeError`` on bytes that are not UTF-8."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def load_shift_document(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise UnsupportedSpecError("shift document is not UTF-8 text: %s" % (exc,))
+    try:
+        text = read_text(path)
+    except UnicodeDecodeError as exc:
+        raise UnsupportedSpecError("shift document is not UTF-8 text: %s" % (exc,))
     return parse_shift_document(text)
 
 
@@ -183,7 +195,6 @@ _NEEDS = {"spec": "finite-type data", "labeled": "a finite presentation",
           "induced_spec": "an induced recoding"}
 
 
-@dataclass
 class RealizedShift:
     """A document made computable: oracle plus whatever structure exists.
 
@@ -195,17 +206,19 @@ class RealizedShift:
     lacks it.
     """
 
-    document: ShiftDocument
-    horizon: int
-    oracle: object
-    spec: object = None
-    labeled: object = None
-    expansion: object = None
-    stream: object = None
-    substitution: object = None
-    induced_spec: object = None
-    base: object = None
-    _graph: object = None
+    def __init__(self, document, horizon, oracle, spec=None, labeled=None, expansion=None,
+                 stream=None, substitution=None, induced_spec=None, base=None):
+        self.document = document
+        self.horizon = horizon
+        self.oracle = oracle
+        self.spec = spec
+        self.labeled = labeled
+        self.expansion = expansion
+        self.stream = stream
+        self.substitution = substitution
+        self.induced_spec = induced_spec
+        self.base = base
+        self._graph = None
 
     def need(self, field, what):
         value = getattr(self, field)

@@ -18,7 +18,6 @@ sets of the determinized presentation, so the test is a finite
 reachability computation, with no language enumeration anywhere.
 """
 
-from dataclasses import dataclass
 import itertools
 import math
 
@@ -26,13 +25,12 @@ from .errors import (AlphabetMismatchError, EnumerationCapError,
                      UndefinedEntropyError)
 from .graph import (LabeledGraph, SubsetTable, _essential, _mark_pruned,
                     _survivor_oracle, make_labeled_graph, prune_labeled)
-from .language import EMPTY_WORD, Alphabet
+from .language import EMPTY_WORD
 from .sft import DEFAULT_CAP, _minimal_period
 from .spectral import spectral_radius_certified
 from .forbidden import minimal_forbidden_lengths, window_density_report
 
 
-@dataclass(frozen=True)
 class BlockCode:
     """Sliding block code with symmetric range R.
 
@@ -41,24 +39,23 @@ class BlockCode:
     window x_{t-R} .. x_{t+R}.
     """
 
-    source_alphabet: Alphabet
-    target_alphabet: Alphabet
-    range_: int
-    rule: dict
-
-    def __post_init__(self):
-        if self.range_ < 0:
+    def __init__(self, source_alphabet, target_alphabet, range_, rule):
+        self.source_alphabet = source_alphabet
+        self.target_alphabet = target_alphabet
+        self.range_ = range_
+        self.rule = rule
+        if range_ < 0:
             raise AlphabetMismatchError("code range must be >= 0")
-        width = 2 * self.range_ + 1
-        expected = len(self.source_alphabet) ** width
-        if len(self.rule) != expected:
+        width = 2 * range_ + 1
+        expected = len(source_alphabet) ** width
+        if len(rule) != expected:
             raise AlphabetMismatchError(
-                "rule must be total: expected %d windows, got %d" % (expected, len(self.rule)))
-        for window, out in self.rule.items():
+                "rule must be total: expected %d windows, got %d" % (expected, len(rule)))
+        for window, out in rule.items():
             if len(window) != width:
                 raise AlphabetMismatchError("rule window %r has wrong width" % (window,))
-            self.source_alphabet.check_word(window)
-            if out not in self.target_alphabet:
+            source_alphabet.check_word(window)
+            if out not in target_alphabet:
                 raise AlphabetMismatchError("rule output %r outside target alphabet" % (out,))
 
     def apply_to_word(self, word):
@@ -335,13 +332,13 @@ def per_le_enumerate(g, n, cap=DEFAULT_CAP):
     return [(w, p) for p in range(1, n + 1) for w in by_period[p]]
 
 
-@dataclass(frozen=True)
 class SoficClassTag:
     """Outcome of the finite-type decision, with the bound that was used."""
 
-    is_sft: bool
-    decision_bound: int
-    det_states: int
+    def __init__(self, is_sft, decision_bound, det_states):
+        self.is_sft = is_sft
+        self.decision_bound = decision_bound
+        self.det_states = det_states
 
 
 def _pair_levels(table, start, steps):
@@ -434,15 +431,15 @@ def mfw_length_set(g, horizon):
     return tuple(sorted(lengths))
 
 
-@dataclass(frozen=True)
 class Theorem1Report:
     """Finite-horizon evidence for the stability/finite-type dichotomy."""
 
-    horizon: int
-    tag: SoficClassTag
-    mfw_lengths: tuple
-    density_lower_bound: float
-    window_densities: dict
+    def __init__(self, horizon, tag, mfw_lengths, density_lower_bound, window_densities):
+        self.horizon = horizon
+        self.tag = tag
+        self.mfw_lengths = mfw_lengths
+        self.density_lower_bound = density_lower_bound
+        self.window_densities = window_densities
 
 
 def theorem1_diagnostic(g, horizon):

@@ -57,6 +57,14 @@ def write(tmp_path):
     return _write
 
 
+def _src_env():
+    """The environment for a child interpreter that imports this shiftlab."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def run(capsys, argv):
     rc = cli.main(argv)
     captured = capsys.readouterr()
@@ -90,6 +98,22 @@ def test_missing_file_is_error(capsys, tmp_path):
     assert out == ""
 
 
+CRLF_JSON = b'{"kind":\r\n "sofic",\r\n x}'
+# what follows "is not" in the error for each undecodable or malformed file
+BAD_BYTES = {
+    b"\xff\xfe{": "UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                  "invalid start byte",
+    CRLF_JSON: "valid JSON: Expecting property name enclosed in double quotes: "
+               "line 3 column 2 (char 20)",
+    CRLF_JSON.replace(b"\n", b""): "valid JSON: Expecting property name enclosed in "
+                                   "double quotes: line 3 column 2 (char 20)",
+    b"\xef\xbb\xbf{}": "valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                       "line 1 column 1 (char 0)",
+    b"{\"range\": \xff}": "valid JSON: 'utf-8' codec can't decode byte 0xff in "
+                         "position 10: invalid start byte",
+}
+
+
 @pytest.mark.parametrize("doc, code", [
     ("{not json", None),
     (json.dumps(dict(EVEN_DOC, edges=5)), None),
@@ -106,24 +130,38 @@ def test_missing_file_is_error(capsys, tmp_path):
     (json.dumps(GOLDEN_DOC), json.dumps(dict(FLIP_CODE, target=[["0"]]))),
     (json.dumps(GOLDEN_DOC), "{not json"),
     (b"\xff\xfe{", None),
+    # files are read as bytes; the text must be what text mode reads, so
+    # the JSON error counts one character per line break
+    (CRLF_JSON, None),
+    (CRLF_JSON.replace(b"\n", b""), None),
+    (b"\xef\xbb\xbf{}", None),
+    (json.dumps(GOLDEN_DOC), CRLF_JSON),
+    (json.dumps(GOLDEN_DOC), CRLF_JSON.replace(b"\n", b"")),
+    (json.dumps(GOLDEN_DOC), b"\xef\xbb\xbf{}"),
+    (json.dumps(GOLDEN_DOC), b"{\"range\": \xff}"),
 ], ids=["not-json", "sofic-edges-not-list", "code-rule-not-object",
         "beta-rational-not-a-number", "beta-rational-zero-denominator",
         "beta-interval-not-a-number", "beta-poly-zero-denominator",
         "induced-clopen-not-list", "induced-return-time-not-int",
         "sofic-alphabet-null", "alphabet-symbols-not-strings",
         "code-target-null", "code-target-symbols-not-strings", "code-not-json",
-        "not-utf8"])
+        "not-utf8", "crlf", "cr", "bom", "code-crlf", "code-cr", "code-bom",
+        "code-not-utf8"])
 def test_bad_document_is_error(capsys, tmp_path, doc, code):
     p = tmp_path / "bad.json"
     p.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     argv = ["mfw", str(p)]
     if code is not None:
         c = tmp_path / "code.json"
-        c.write_text(code)
+        c.write_bytes(code if isinstance(code, bytes) else code.encode())
         argv = ["decompose", str(p), "--code", str(c)]
     rc, _, err = run(capsys, argv)
     assert rc == 1
     assert err.startswith("error:")
+    bad = code if code is not None else doc
+    if isinstance(bad, bytes):
+        what = "shift document" if code is None else "block code"
+        assert err == "error: %s is not %s\n" % (what, BAD_BYTES[bad])
 
 
 def _induced_chain(depth):
@@ -535,11 +573,22 @@ DIGITS = "the decimal digits of a report integer"
     (["tau", "10000000"], DIGITS),
     (["complexity", "FULL10", "--horizon", "4300"], DIGITS),
     (["nu", "GOLDEN", "--period", "21000", "--depth", "1"], DIGITS),
+    # a count with more digits than the interpreter converts is named by
+    # its order of magnitude; the example's lengths are a lower bound from
+    # the first length past that limit on
+    (["lang", "FULL10", "--length", "4400", "--horizon", "4400"],
+     "at least 10^4400 words of length 4400"),
+    (["special", "FULL10", "--length", "4400", "--horizon", "4401"],
+     "at least 10^4401 words of length 4401"),
+    (["beta", "example", "--steps", "20000"], "at least 10^4300 digits after 20000 steps"),
+    (["beta", "example", "--steps", "100000"], "at least 10^4300 digits after 100000 steps"),
 ], ids=["lang", "special", "nu", "nu-parry", "push", "autocheck", "decompose",
         "parry", "parry-stationary", "autocheck-certificate", "induce-window-7",
         "lang-window-7", "speedup-compare-window-7", "beta-example-steps-40",
         "example-betashift-steps-40", "tau-340", "tau-10000000",
-        "complexity-full-10-shift", "nu-period-21000"])
+        "complexity-full-10-shift", "nu-period-21000", "lang-count-past-4300-digits",
+        "special-count-past-4300-digits", "beta-example-steps-20000",
+        "beta-example-steps-100000"])
 def test_word_listing_refused_past_the_limit(capsys, write, argv, what):
     docs = {"BETA": {"kind": "beta", "beta": "3000"}, "GOLDEN": GOLDEN_DOC,
             "FULL2": FULL2_DOC, "LONG": {"kind": "example-nonempty", "lengths": [3, 12, 20]},
@@ -872,12 +921,22 @@ def test_commands_run_without_numpy_and_mpmath(tmp_path):
         "sys.modules['mpmath'] = None\n"
         "from shiftlab import cli\n"
         "sys.exit(max(cli.main(a) for a in json.loads(sys.argv[1])))\n")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_start_up_loads_no_dataclass_machinery():
+    # a fresh process that imports the CLI and builds its parser loads
+    # neither dataclasses nor the modules it pulls in
+    script = ("import sys\n"
+              "from shiftlab import cli\n"
+              "cli.build_parser()\n"
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+              " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_push(capsys, write):
@@ -1197,9 +1256,7 @@ def test_closed_stdout_exits_quietly(write):
     # `shiftlab ls fib.json --format json | head`: the reader is gone
     # before the report is written
     doc = write("fib.json", FIB_DOC)
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _src_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -1,7 +1,6 @@
 import itertools
 import json
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -762,7 +761,7 @@ def test_first_return_walks_pairs_not_words():
     def counted(state, letter):
         calls.append(letter)
         return base.step(state, letter)
-    spec = InducedSpec(replace(base, step=counted), 0, frozenset([("c",)]),
+    spec = InducedSpec(base.replace(step=counted), 0, frozenset([("c",)]),
                        "first-return", k + 2)
     assert induced_data(spec)[1] == {("c",): k + 1}
     assert len(calls) <= 300
@@ -776,4 +775,4 @@ def test_rebase_keeps_the_resolution():
     moved = rebase(spec, longer)
     assert moved.base is longer
     assert induced_data(moved) is induced_data(spec)
-    assert induced_data(replace(moved)) == induced_data(spec)
+    assert induced_data(moved.replace()) == induced_data(spec)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from itertools import product
 
@@ -30,6 +31,26 @@ def test_alphabet_rejects_junk():
     a = Alphabet(("0", "1"))
     with pytest.raises(AlphabetMismatchError):
         a.check_word(("0", "2"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations("abc"), st.integers(1, 3), st.permutations("abc"), st.integers(1, 3))
+def test_alphabets_equal_exactly_when_their_symbols_are(first, m, second, n):
+    a, b = Alphabet(tuple(first[:m])), Alphabet(tuple(second[:n]))
+    same = first[:m] == second[:n]
+    assert (a == b) is same and (a != b) is not same
+    assert len({a, b}) == (1 if same else 2)
+    if same:
+        assert hash(a) == hash(b)
+    assert a != tuple(first[:m])
+
+
+def test_count_text_names_the_order_of_unprintable_counts():
+    limit = sys.get_int_max_str_digits()
+    assert language.count_text(10 ** limit - 1) == "9" * limit
+    for e in (limit, limit + 1, 3 * limit):
+        assert language.count_text(10 ** e) == "at least 10^%d" % e
+        assert language.count_text(10 ** (e + 1) - 1) == "at least 10^%d" % e
 
 
 def test_format_word():

@@ -1,12 +1,11 @@
 import math
-from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
+from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode, BlockGraph,
                       FiniteTypeSpec, apply_block_code, build_block_graph,
                       compose_codes, determinize, example_nonempty_shift,
                       finite_type_presentation, is_sft, language_equal_exact,
@@ -16,6 +15,7 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode,
                       periodic_count_le, prune_labeled, sofic_entropy,
                       sofic_oracle, theorem1_diagnostic)
 from shiftlab.graph import LabeledGraph, SubsetTable, _subset_step
+from shiftlab.sft import block_graph_of
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -166,11 +166,19 @@ def test_prune_labeled_prunes_once(alph2):
     assert p.states == ("a",)
     assert prune_labeled(g) is p
     assert prune_labeled(p) is p
-    copy = replace(g)
+    copy = g.replace()
     assert prune_labeled(copy) is not p
     assert prune_labeled(copy) == p
     # a pruned copy is pruned again: the copy does not inherit the mark
-    assert prune_labeled(replace(p)) is not p
+    assert prune_labeled(p.replace()) is not p
+    # a copy is built by its type's constructor: a block graph stays one,
+    # with the same (memory-1)-word states, and starts unmarked
+    block = build_block_graph(FiniteTypeSpec(alph2, frozenset([("1", "1", "1")])))
+    copy = block.replace()
+    assert type(copy) is BlockGraph and copy == block
+    assert copy.vertices == block.vertices == (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
+    assert block.__dict__["_pruned"] is True and "_pruned" not in copy.__dict__
+    assert prune_labeled(copy) is not copy and prune_labeled(copy) == block
 
 
 def test_block_code_validation(alph2):
@@ -445,10 +453,17 @@ def test_cached_prune_and_determinize_match_a_fresh_prune_random(graph):
     n, edges = graph
     g = make_labeled_graph(Alphabet(("0", "1", "2")), tuple(range(n)), edges)
     p = prune_labeled(g)
-    fresh = prune_labeled(replace(g))
+    fresh = prune_labeled(g.replace())
     assert prune_labeled(g) is p
     assert (p.states, p.transitions) == (fresh.states, fresh.transitions)
     d = determinize(g)
     assert prune_labeled(d) is d
-    fresh = prune_labeled(replace(d))
+    fresh = prune_labeled(d.replace())
     assert (d.states, d.transitions) == (fresh.states, fresh.transitions)
+    # copies keep the type and drop what is cached on the original
+    block = block_graph_of(p, 3)
+    assert block.adjacency is block.adjacency  # cached on the block graph
+    for h in (g, d, block):
+        copy = h.replace()
+        assert type(copy) is type(h) and copy == h and copy is not h
+        assert not {"_pruned", "adjacency", "state_index"} & copy.__dict__.keys()

@@ -5,15 +5,29 @@
 Reads the commands off ``cli.build_parser().leaves``, the table ``cli.main``
 looks each command's own parser up in, and prints one line per command
 (``beta mfw``, ``lang``, ...) with the options it takes, then the
-totals, then the number of lines in ``src/shiftlab/*.py``.  ``-h``/``--help``
-is not counted, and positional arguments are not options.  DIR (default:
-the checkout holding this script) supplies ``src/shiftlab``; nothing is
-written.
+totals, then the number of lines in ``src/shiftlab/*.py``, then the
+modules outside ``shiftlab`` that ``import shiftlab.cli`` loads in a fresh
+``python3 -c`` process (read in a child, so this script's own imports
+hide none).  ``-h``/``--help`` is not counted, and positional arguments
+are not options.  DIR (default: the checkout holding this script)
+supplies ``src/shiftlab``; nothing is written.
 """
 
 import argparse
 import os
+import subprocess
 import sys
+
+LOADED = ("import sys; before = set(sys.modules); import shiftlab.cli; "
+          "print(*sorted(m for m in set(sys.modules) - before "
+          "if m.partition('.')[0] != 'shiftlab'))")
+
+
+def loaded_modules(src):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", LOADED], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
 
 
 def options(parser):
@@ -43,6 +57,9 @@ def main(argv=None):
             with open(os.path.join(package, name), encoding="utf-8") as handle:
                 lines += sum(1 for _ in handle)
     print("%d lines in src/shiftlab" % lines)
+    modules = loaded_modules(os.path.join(args.root, "src"))
+    print("%d modules outside shiftlab loaded by import shiftlab.cli: %s"
+          % (len(modules), " ".join(modules)))
 
 
 if __name__ == "__main__":

@@ -31,9 +31,9 @@ from .measures import (CylinderMeasure, automorphism_invariance_check,
                        cylinder_table, eval_cylinder, max_entropy_decomposition,
                        mu_y_average, nu_cylinder_measure, nu_point_measure,
                        parry_cylinders, parry_measure, weak_star_distance)
-from .beta import (BetaExpansion, DigitStream, beta_algebraic, beta_decimal,
-                   beta_expand, beta_ls_diagnostic, beta_mfw, beta_oracle,
-                   beta_presentation, beta_rational, example_betashift,
+from .beta import (DigitStream, beta_algebraic, beta_decimal, beta_expand,
+                   beta_ls_diagnostic, beta_mfw, beta_oracle, beta_presentation,
+                   beta_rational, beta_stream, example_betashift,
                    parse_beta_spec, star_expansion, stream_alphabet)
 from .algebraic import AlgebraicNumber
 from .dynamics import (InducedSpec, Substitution, bispecial_lengths,

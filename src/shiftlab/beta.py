@@ -8,7 +8,8 @@ lexicographically at most the corresponding prefix of the working
 stream, which is d(1, beta) itself, or its periodic replacement
 d0 .. d_{k-1} (d_k - 1) repeated when the expansion terminates.
 
-Two digit engines, chosen by how beta is described:
+beta is a ``Fraction`` or an ``AlgebraicNumber``, and its type picks one
+of two digit engines:
 - rationals, decimal literals among them (a literal is the rational it
   spells), expand in integers.  An integer beta gives the one digit
   beta ("finite"); any other rational is no algebraic integer, so by
@@ -26,46 +27,53 @@ from .algebraic import AlgebraicNumber
 from .errors import (CannotCloseError, EnumerationCapError, InsufficientDigitsError,
                      UnsupportedSpecError, WrongStatusError)
 from .forbidden import MFWTable
-from .language import (EQUAL, GREATER, LESS, WORD_LIMIT, Alphabet, count_text, printable,
+from .language import (EQUAL, GREATER, LESS, LETTER_LIMIT, Alphabet, count_text, printable,
                        stepping_oracle)
 from .graph import make_labeled_graph, prune_labeled
 from .record import Record
 
+# digits a beta report expands by default, and at least (see beta_stream)
+BETA_DIGITS = 64
 
-class DigitStream:
-    """A digit sequence known either forever or up to a cutoff.
 
-    kind "eventually-periodic": digits holds preperiod + period entries
-    and the tail cycles.  kind "truncated": digits is all that is known.
+class DigitStream(Record):
+    """A digit sequence d_0 d_1 ..., such as d(1, beta).
+
+    status "finite": the digits end (zeros follow, and language work reads
+    ``working_stream()``, the starred stream, instead).
+    "eventually-periodic": from index preperiod on the digits cycle with
+    period ``period``; digits holds at least preperiod + period entries.
+    "truncated": digits is all that is known.
     """
 
-    def __init__(self, kind, digits, preperiod=0, period=0):
-        self.kind = kind
+    _fields = ("digits", "status", "preperiod", "period")
+
+    def __init__(self, digits, status, preperiod=0, period=0):
         self.digits = digits
+        self.status = status
         self.preperiod = preperiod
         self.period = period
-        if kind == "eventually-periodic":
+        if not digits:
+            raise UnsupportedSpecError("empty digit stream")
+        if status == "eventually-periodic":
             if period < 1 or preperiod < 0:
                 raise UnsupportedSpecError("bad periodic structure")
-            if len(digits) != preperiod + period:
+            if len(digits) < preperiod + period or any(
+                    digits[i] != digits[i - period]
+                    for i in range(preperiod + period, len(digits))):
                 raise UnsupportedSpecError(
-                    "periodic stream must carry exactly preperiod+period digits")
-        elif kind == "truncated":
-            if not digits:
-                raise UnsupportedSpecError("empty digit stream")
-        else:
-            raise UnsupportedSpecError("unknown stream kind %r" % (kind,))
+                    "periodic stream must carry preperiod+period digits and then cycle")
+        elif status not in ("finite", "truncated"):
+            raise UnsupportedSpecError("unknown stream status %r" % (status,))
 
     def digit(self, i):
-        if self.kind == "eventually-periodic":
-            if i < self.preperiod:
-                return self.digits[i]
+        if i < len(self.digits):
+            return self.digits[i]
+        if self.status == "eventually-periodic":
             return self.digits[self.preperiod + (i - self.preperiod) % self.period]
-        if i >= len(self.digits):
-            raise InsufficientDigitsError(
-                "digit %d lies beyond the computed prefix (length %d)"
-                % (i, len(self.digits)))
-        return self.digits[i]
+        raise InsufficientDigitsError(
+            "digit %d lies beyond the computed prefix (length %d)"
+            % (i, len(self.digits)))
 
     def prefix(self, n):
         return tuple(self.digit(i) for i in range(n))
@@ -73,9 +81,7 @@ class DigitStream:
     @property
     def known_length(self):
         """Length of the reliable prefix; None means unbounded."""
-        if self.kind == "eventually-periodic":
-            return None
-        return len(self.digits)
+        return None if self.status == "eventually-periodic" else len(self.digits)
 
     def check_known(self, n):
         """Refuse work that reads the first n digits when fewer are known."""
@@ -83,48 +89,16 @@ class DigitStream:
             raise InsufficientDigitsError("%d digits needed but only %d are known"
                                           % (n, self.known_length))
 
-
-class BetaExpansion(Record):
-    """Greedy expansion of 1 in base beta.
-
-    status is "finite", "eventually-periodic", or "truncated"; the
-    periodic case carries (preperiod, period) and digits extended out to
-    the requested count.  alphabet_max is floor(beta), the first digit.
-    """
-
-    _fields = ("digits", "status", "preperiod", "period", "alphabet_max")
-
-    def __init__(self, digits, status, preperiod=0, period=0, alphabet_max=0):
-        self.digits = digits
-        self.status = status
-        self.preperiod = preperiod
-        self.period = period
-        self.alphabet_max = alphabet_max
-
     def working_stream(self):
         """The stream all language work runs on: d itself, or d* when finite."""
-        if self.status == "finite":
-            return star_expansion(self)
-        if self.status == "eventually-periodic":
-            head = self.digits[:self.preperiod + self.period]
-            return DigitStream("eventually-periodic", head, self.preperiod, self.period)
-        return DigitStream("truncated", self.digits)
-
-
-class BetaNumber:
-    """A real beta > 1 given as a rational or an algebraic number."""
-
-    def __init__(self, kind, rational=None, algebraic=None):
-        self.kind = kind
-        self.rational = rational
-        self.algebraic = algebraic
+        return star_expansion(self) if self.status == "finite" else self
 
 
 def beta_rational(value):
     value = Fraction(value)
     if value <= 1:
         raise UnsupportedSpecError("beta must exceed 1")
-    return BetaNumber(kind="rational", rational=value)
+    return value
 
 
 def beta_algebraic(coeffs, lo, hi):
@@ -132,7 +106,7 @@ def beta_algebraic(coeffs, lo, hi):
     one = num.from_rational(1)
     if num.compare(num.generator, one) <= 0:
         raise UnsupportedSpecError("the isolated root must exceed 1")
-    return BetaNumber(kind="algebraic", algebraic=num)
+    return num
 
 
 def beta_decimal(literal):
@@ -211,26 +185,33 @@ def _expand_algebraic(num, n):
 
 
 def beta_expand(beta, n):
-    """First n digits of d(1, beta), every floor exact.
+    """First n digits of d(1, beta), every floor exact, for beta a
+    ``Fraction`` or an ``AlgebraicNumber``.
 
     Both engines detect a terminating or revisiting orbit of 1, settling
-    the status.
+    the status; a periodic expansion is cycled out to n digits.
     """
     if n < 1:
         raise UnsupportedSpecError("at least one digit is needed")
-    if beta.kind == "rational":
-        digits, status, pre, per = _expand_rational(beta.rational, n)
-    elif beta.kind == "algebraic":
-        digits, status, pre, per = _expand_algebraic(beta.algebraic, n)
-    else:
-        raise UnsupportedSpecError("unknown beta engine %r" % (beta.kind,))
+    expand = _expand_rational if isinstance(beta, Fraction) else _expand_algebraic
+    digits, status, pre, per = expand(beta, n)
     d0 = digits[0]
     if any(d < 0 or d > d0 for d in digits):
         raise UnsupportedSpecError("digit outside [0, %d]; is beta > 1?" % d0)
-    if status == "eventually-periodic" and len(digits) < n:
-        stream = DigitStream("eventually-periodic", tuple(digits), pre, per)
-        digits = [stream.digit(i) for i in range(n)]
-    return BetaExpansion(tuple(digits), status, pre, per, alphabet_max=d0)
+    while status == "eventually-periodic" and len(digits) < n:
+        digits.append(digits[-per])
+    return DigitStream(tuple(digits), status, pre, per)
+
+
+def beta_stream(spec, horizon=None, digits=None):
+    """d(1, beta) for the beta that ``spec`` describes, to ``digits``
+    digits, or by default to those a report at ``horizon`` reads:
+    max(BETA_DIGITS, horizon + 2)."""
+    if digits is None:
+        if horizon < 1:
+            raise UnsupportedSpecError("horizon must be >= 1")
+        digits = max(BETA_DIGITS, horizon + 2)
+    return beta_expand(parse_beta_spec(spec), digits)
 
 
 def star_expansion(expansion):
@@ -246,7 +227,7 @@ def star_expansion(expansion):
     if expansion.digits[-1] < 1:
         raise WrongStatusError("finite expansion must end in a positive digit")
     block = expansion.digits[:-1] + (expansion.digits[-1] - 1,)
-    return DigitStream("eventually-periodic", block, 0, len(block))
+    return DigitStream(block, "eventually-periodic", 0, len(block))
 
 
 def stream_alphabet(stream):
@@ -371,7 +352,7 @@ def beta_presentation(stream):
     any smaller digit.  Bi-infinite label sequences are exactly the
     sequences all of whose tails sit at most the stream.
     """
-    if stream.kind != "eventually-periodic":
+    if stream.status != "eventually-periodic":
         raise CannotCloseError(
             "a truncated stream cannot be closed into a finite presentation")
     p, q = stream.preperiod, stream.period
@@ -395,7 +376,7 @@ def example_betashift(mode, steps):
     stays lexicographically below u_n w_n, which keeps every computed
     prefix admissible; prefixes of the limit stream reoccur forever, so
     the stability diagnostic reads stable on these.  A stream of more
-    than 10 * ``WORD_LIMIT`` digits (the letter limit of the cylinder
+    than ``LETTER_LIMIT`` digits (the letter limit of the cylinder
     tables) is refused before any digit is built.  The lengths grow, so
     the recurrence stops once a length has too many digits to print: the
     refusal then names that lower bound.
@@ -409,18 +390,18 @@ def example_betashift(mode, steps):
         length, separator = 2 * length + separator, separator + 1
         if not printable(length):
             break
-    if length > 10 * WORD_LIMIT:
+    if length > LETTER_LIMIT:
         raise EnumerationCapError("%s digits after %d steps exceed the limit %d"
-                                  % (count_text(length), steps, 10 * WORD_LIMIT))
+                                  % (count_text(length), steps, LETTER_LIMIT))
     w = (2, 2, 2)
     u = (1, 1, 1)
     for _ in range(steps):
         tail = u + w
         w = w + u + w
         u = ((1,) if mode == "specified" else (0,)) * (len(u) + 1)
-        if compare_to_prefix(u, DigitStream("truncated", tail)) == GREATER:
+        if u > tail[:len(u)]:
             raise UnsupportedSpecError("separator escaped its lexicographic bound")
-    return DigitStream("truncated", w)
+    return DigitStream(w, "truncated")
 
 
 def _parse_fraction(text, what):

@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .beta import (beta_expand, beta_ls_diagnostic, beta_oracle,
-                   beta_presentation, example_betashift, parse_beta_spec)
+from .beta import (BETA_DIGITS, beta_ls_diagnostic, beta_oracle, beta_presentation,
+                   beta_stream, example_betashift)
 from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
     speedup_gap_compare
 from .errors import (EnumerationCapError, NotAnAutomorphismError, ShiftlabError,
@@ -32,6 +32,7 @@ from .language import (WORD_LIMIT, complexity, format_word, printable,  # WORD_L
 from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
                        max_entropy_decomposition, mu_y_average, parry_cylinders,
                        parry_measure, weak_star_distance)
+from .sft import DEFAULT_CAP
 from .shifts import (load_shift_document, parse_block_code, periodic_census,
                      periodic_measure, read_text, realize, shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
@@ -293,16 +294,12 @@ def cmd_autocheck(args):
     }
 
 
-def _expansion(args):
-    return beta_expand(parse_beta_spec(args.beta), args.digits)
-
-
 def cmd_beta_expand(args):
-    expansion = _expansion(args)
+    expansion = beta_stream(args.beta, digits=args.digits)
     report = {
         "status": expansion.status,
         "digits": list(expansion.digits),
-        "alphabet_max": expansion.alphabet_max,
+        "alphabet_max": expansion.digits[0],
     }
     if expansion.status == "eventually-periodic":
         report["preperiod"] = expansion.preperiod
@@ -315,12 +312,12 @@ def cmd_beta_expand(args):
 
 
 def cmd_beta_mfw(args):
-    stream = _expansion(args).working_stream()
+    stream = beta_stream(args.beta, args.horizon).working_stream()
     return _mfw_report(beta_oracle(stream, args.horizon), args.horizon)
 
 
 def cmd_beta_lsdiag(args):
-    stream = _expansion(args).working_stream()
+    stream = beta_stream(args.beta, args.horizon).working_stream()
     report = beta_ls_diagnostic(stream, args.horizon)
     return {
         "horizon": report.horizon,
@@ -333,7 +330,7 @@ def cmd_beta_lsdiag(args):
 
 
 def cmd_beta_graph(args):
-    stream = _expansion(args).working_stream()
+    stream = beta_stream(args.beta, digits=args.digits).working_stream()
     g = beta_presentation(stream)
     edges = []
     for s in g.states:
@@ -648,8 +645,8 @@ def build_parser():
     common.add_argument("--horizon", type=int, default=16,
                         help="analysis horizon (default 16)")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=int, default=10 ** 6,
-                        help="enumeration cap (default 1000000)")
+    capped.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help="enumeration cap (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="shiftlab",
@@ -756,19 +753,17 @@ def build_parser():
     p = beta_sub.add_parser("mfw", parents=[common],
                             help="minimal forbidden words of the beta-shift")
     p.add_argument("beta")
-    p.add_argument("--digits", type=int, default=64)
     p.set_defaults(func=cmd_beta_mfw)
 
     p = beta_sub.add_parser("lsdiag", parents=[common],
                             help="stability evidence for the beta-shift")
     p.add_argument("beta")
-    p.add_argument("--digits", type=int, default=64)
     p.set_defaults(func=cmd_beta_lsdiag)
 
     p = beta_sub.add_parser("graph", parents=[fmt],
                             help="presentation of a closed-form expansion")
     p.add_argument("beta")
-    p.add_argument("--digits", type=int, default=64)
+    p.add_argument("--digits", type=int, default=BETA_DIGITS)
     p.set_defaults(func=cmd_beta_graph)
 
     p = beta_sub.add_parser("example", parents=[fmt],

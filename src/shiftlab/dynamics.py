@@ -318,6 +318,10 @@ def bispecial_lengths(oracle, n_max):
 
 # ---- induced maps and speedups -------------------------------------------
 
+# base letters first-return resolution walks past a window by default
+RETURN_CAP = 32
+
+
 class InducedSpec(Record):
     """Recoding data for an induced or sped-up system.
 
@@ -333,7 +337,7 @@ class InducedSpec(Record):
 
     _fields = ("base", "window", "clopen_set", "return_rule", "cap")
 
-    def __init__(self, base, window, clopen_set=None, return_rule=1, cap=32):
+    def __init__(self, base, window, clopen_set=None, return_rule=1, cap=RETURN_CAP):
         self.base = base
         self.window = window
         self.clopen_set = clopen_set

@@ -27,8 +27,10 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 EMPTY_WORD = ()
 
-# Word listings and cylinder tables refuse past this many entries.
+# Word listings and cylinder tables refuse past this many entries, and
+# cylinder tables and digit streams past this many letters.
 WORD_LIMIT = 10 ** 6
+LETTER_LIMIT = 10 * WORD_LIMIT
 
 
 def printable(n):

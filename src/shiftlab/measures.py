@@ -22,7 +22,7 @@ from .errors import (AlphabetMismatchError, EmptyShiftError, EmptySupportError,
                      NotAnAutomorphismError, ReducibleGraphError,
                      ShiftlabError, UnsupportedSpecError)
 from .graph import prune_labeled
-from .language import WORD_LIMIT
+from .language import LETTER_LIMIT, WORD_LIMIT
 from .sft import DEFAULT_CAP, periodic_count_table, scc_subgraphs
 from .sofic import (BlockCode, _check_feeds, apply_block_code, determinize,
                     language_equal_exact, per_le_enumerate)
@@ -112,7 +112,7 @@ def eval_cylinder(measure, word):
 def _words_upto(alphabet, depth, value):
     """``{word: value}`` over the words of length <= ``depth``, shortest
     first: the one listing of cylinders.  Past ``WORD_LIMIT`` words, or
-    10 * ``WORD_LIMIT`` letters in all, it refuses before building any,
+    ``LETTER_LIMIT`` letters in all, it refuses before building any,
     naming the first depth that passes."""
     if depth < 0:
         raise UnsupportedSpecError("depth must be >= 0")
@@ -125,10 +125,10 @@ def _words_upto(alphabet, depth, value):
         if count > WORD_LIMIT:
             raise EnumerationCapError("%d cylinders of depth <= %d exceed the limit %d"
                                       % (count, k, WORD_LIMIT))
-        if letters > 10 * WORD_LIMIT:
+        if letters > LETTER_LIMIT:
             raise EnumerationCapError(
                 "%d letters in the cylinders of depth <= %d exceed the limit %d"
-                % (letters, k, 10 * WORD_LIMIT))
+                % (letters, k, LETTER_LIMIT))
     table = {}
     for k in range(depth + 1):
         table.update(dict.fromkeys(itertools.product(alphabet.symbols, repeat=k), value))

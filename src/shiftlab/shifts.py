@@ -15,9 +15,8 @@ that refuses.
 
 import json
 
-from .beta import (beta_expand, beta_oracle, beta_presentation,
-                   example_betashift, parse_beta_spec)
-from .dynamics import (InducedSpec, Substitution, base_horizon,
+from .beta import beta_oracle, beta_presentation, beta_stream, example_betashift
+from .dynamics import (RETURN_CAP, InducedSpec, Substitution, base_horizon,
                        induce_recode, rebase, subst_oracle)
 from .errors import EnumerationCapError, UnsupportedSpecError
 from .forbidden import example_nonempty_shift
@@ -30,7 +29,6 @@ from .sft import (DEFAULT_CAP, FiniteTypeSpec, block_graph_of,
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
                     sofic_entropy, sofic_oracle)
 
-DEFAULT_BETA_DIGITS = 64
 LISTED = 200  # periodic reports list the points when there are this few
 
 
@@ -268,11 +266,9 @@ def _realize_sofic(doc, horizon):
 
 
 def _realize_beta(doc, horizon):
-    number = parse_beta_spec(doc.payload["beta"])
-    digits = doc.payload.get("digits", max(DEFAULT_BETA_DIGITS, horizon + 2))
-    expansion = beta_expand(number, digits)
+    expansion = beta_stream(doc.payload["beta"], horizon, doc.payload.get("digits"))
     stream = expansion.working_stream()
-    if stream.kind == "eventually-periodic":
+    if stream.status == "eventually-periodic":
         labeled = beta_presentation(stream)
         oracle = sofic_oracle(labeled, horizon)
     else:  # the digit rule, to the digits known
@@ -292,7 +288,7 @@ def _realize_substitution(doc, horizon):
 def _realize_induced(doc, horizon):
     base_doc = document_from_object(doc.payload["base"])
     window = doc.payload["window"]
-    cap = doc.payload.get("cap", 32)
+    cap = doc.payload.get("cap", RETURN_CAP)
     width = 2 * window + 1
     rule = doc.payload["return_rule"]
 

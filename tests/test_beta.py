@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftlab import (CannotCloseError, DigitStream, EnumerationCapError,
+from shiftlab import (AlgebraicNumber, CannotCloseError, DigitStream, EnumerationCapError,
                       InsufficientDigitsError, UnsupportedSpecError,
                       WrongStatusError, beta_decimal,
                       beta_expand, beta_ls_diagnostic, beta_mfw, beta_oracle,
@@ -23,15 +23,17 @@ def golden_beta():
 
 
 def test_digit_stream_basics():
-    ep = DigitStream("eventually-periodic", (2, 1), 1, 1)
+    ep = DigitStream((2, 1), "eventually-periodic", 1, 1)
     assert [ep.digit(i) for i in range(5)] == [2, 1, 1, 1, 1]
     assert ep.known_length is None
-    tr = DigitStream("truncated", (1, 0, 1))
+    assert ep == DigitStream((2, 1), "eventually-periodic", 1, 1)
+    assert ep != DigitStream((2, 1), "truncated")
+    tr = DigitStream((1, 0, 1), "truncated")
     assert tr.known_length == 3
     with pytest.raises(InsufficientDigitsError):
         tr.digit(3)
     with pytest.raises(UnsupportedSpecError):
-        DigitStream("eventually-periodic", (1, 0), 0, 1)
+        DigitStream((1, 0), "eventually-periodic", 0, 1)
 
 
 def test_golden_expansion_is_finite():
@@ -39,7 +41,7 @@ def test_golden_expansion_is_finite():
     assert exp.status == "finite"
     assert exp.digits[:2] == (1, 1)
     star = exp.working_stream()
-    assert star.kind == "eventually-periodic"
+    assert star.status == "eventually-periodic"
     assert (star.preperiod, star.period) == (0, 2)
     assert star.prefix(6) == (1, 0, 1, 0, 1, 0)
 
@@ -193,14 +195,14 @@ def test_long_decimal_expansion_is_greedy():
 
 def test_truncated_stream_cannot_close():
     with pytest.raises(CannotCloseError):
-        beta_presentation(DigitStream("truncated", (1, 1, 0)))
+        beta_presentation(DigitStream((1, 1, 0), "truncated"))
     with pytest.raises(InsufficientDigitsError):
-        beta_oracle(DigitStream("truncated", (1, 1, 0)), 10)
+        beta_oracle(DigitStream((1, 1, 0), "truncated"), 10)
 
 
 def test_example_betashift():
     stream = example_betashift("specified", 2)
-    assert stream.kind == "truncated"
+    assert stream.status == "truncated"
     assert stream.known_length == 22
     rep = beta_ls_diagnostic(stream, 22)
     assert rep.verdict == "stable-evidence"
@@ -222,9 +224,9 @@ def test_example_betashift_length_is_sized_first():
 
 
 def test_parse_beta_spec_forms():
-    assert parse_beta_spec("rational:5/2").rational == Fraction(5, 2)
-    assert parse_beta_spec("1.8").rational == Fraction(9, 5)
-    assert parse_beta_spec("poly:x^2-x-1@[1.5,1.7]").kind == "algebraic"
+    assert parse_beta_spec("rational:5/2") == Fraction(5, 2)
+    assert parse_beta_spec("1.8") == Fraction(9, 5)
+    assert isinstance(parse_beta_spec("poly:x^2-x-1@[1.5,1.7]"), AlgebraicNumber)
     with pytest.raises(UnsupportedSpecError):
         parse_beta_spec("poly:x^2-x-1")
 
@@ -308,8 +310,8 @@ def trail_scan_expansion(num, n):
     ("poly:x^3-x^2-x-1@[1.8,1.9]", 24),       # tribonacci: finite
 ])
 def test_enclosure_trail_matches_trail_scan(spec, n):
-    got = _expand_algebraic(parse_beta_spec(spec).algebraic, n)
-    assert got == trail_scan_expansion(parse_beta_spec(spec).algebraic, n)
+    got = _expand_algebraic(parse_beta_spec(spec), n)
+    assert got == trail_scan_expansion(parse_beta_spec(spec), n)
 
 
 def test_reducible_polynomial_revisit_is_found_by_value():

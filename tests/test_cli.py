@@ -225,9 +225,10 @@ def test_tau_domain_error(capsys):
     ["special", "GOLDEN", "--length", "-1"],
     ["beta", "lsdiag", GOLDEN_BETA, "--horizon", "0"],
     ["beta", "lsdiag", GOLDEN_BETA, "--horizon", "-3"],
+    ["beta", "mfw", "1.8", "--horizon", "0"],
     ["autocheck", "FULL2", "--code", "FLIP", "--inverse", "FLIP", "--depth", "-1"],
 ], ids=["special-negative-length", "lsdiag-zero-horizon",
-        "lsdiag-negative-horizon", "autocheck-negative-depth"])
+        "lsdiag-negative-horizon", "beta-mfw-zero-horizon", "autocheck-negative-depth"])
 def test_bad_number_is_error(capsys, write, argv):
     files = {"GOLDEN": write("g.json", GOLDEN_DOC),
              "FULL2": write("f2.json", FULL2_DOC),
@@ -468,7 +469,7 @@ def _leaf_options(parser, path=()):
 def test_each_command_takes_only_the_options_it_reads():
     options = dict(_leaf_options(cli.build_parser()))
     assert len(options) == 27
-    assert sum(len(o) for o in options.values()) == 80
+    assert sum(len(o) for o in options.values()) == 78
     assert all("--format" in o for o in options.values())
     assert {c for c, o in options.items() if "--horizon" not in o} == {
         "tau", "beta expand", "beta graph", "beta example"}
@@ -1129,6 +1130,28 @@ def test_parry_beta_mfw_same_on_both_machines(capsys, write, spec):
         assert rc == 0
         assert direct == via_document
     assert json.loads(direct)["table"]
+
+
+@pytest.mark.parametrize("spec", ["1.8", "rational:5/2", SILVER_LIKE_BETA])
+def test_beta_mfw_past_64_digits_matches_the_document(capsys, write, spec):
+    # both expand max(64, horizon + 2) digits, so neither runs out at 100
+    path = write("b.json", {"kind": "beta", "beta": spec})
+    rc, direct, _ = run(capsys, ["beta", "mfw", spec, "--horizon", "100"])
+    assert rc == 0
+    rc, via_document, _ = run(capsys, ["mfw", path, "--horizon", "100"])
+    assert (rc, direct) == (0, via_document)
+
+
+def test_beta_lsdiag_past_64_digits(capsys):
+    report = run_json(capsys, ["beta", "lsdiag", "1.8", "--horizon", "100"])
+    assert report["horizon"] == 100
+    assert report["d0_positions"][-1] < 100
+
+
+def test_beta_mfw_takes_no_digit_count(capsys):
+    rc, out, err = run_any(capsys, ["beta", "mfw", "1.8", "--digits", "80"])
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --digits 80" in err
 
 
 def test_beta_lsdiag(capsys):

@@ -269,6 +269,6 @@ def test_stepping_oracles_match_brute_force_random(forbidden, graph, stream,
     # validate_expansion, and so do most draws
     d0, tail = stream
     digits = (d0,) + tuple(tail)
-    d = DigitStream("truncated", digits)
+    d = DigitStream(digits, "truncated")
     _check_oracle(beta_oracle(d, 8), beta_oracle(d, 8),
                   _beta_language(digits), probes)

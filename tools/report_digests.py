@@ -19,10 +19,13 @@ After the workloads come the fixed ``EXTRA`` argvs, for paths that the
 workloads run rarely or never: ``nu``, ``push`` and ``periodic`` on points enumerated
 from a sofic and a beta presentation, ``lang``, ``induce`` and
 ``speedup-compare`` on a depth-2 induced chain, the enumerating reports on
-a Parry-beta document (whose oracle steps on its presentation), and
-``induce``, ``ls`` and ``speedup-compare`` on an induced document over it.
-Their lines carry the seed ``extra`` and an id of their own, and the same
-masking.
+a Parry-beta document (whose oracle steps on its presentation),
+``induce``, ``ls`` and ``speedup-compare`` on an induced document over it,
+``beta mfw`` on a rational, a decimal, a finite and a Parry ``poly:`` spec,
+``beta example`` in both modes, ``lang``, ``mfw`` and ``ls`` on an
+``example-betashift`` document, and ``ls`` on a beta document whose
+``digits`` fall short of the horizon, which clips it.  Their lines carry
+the seed ``extra`` and an id of their own, and the same masking.
 """
 
 import argparse
@@ -51,6 +54,8 @@ EXTRA_FILES = {
                                      "forbidden": ["11"]}}},
     "ibeta.json": {"kind": "induced", "window": 1, "return_rule": 2,
                    "base": {"kind": "beta", "beta": "poly:x^3-x^2-x-1@[1.8,1.9]"}},
+    "example.json": {"kind": "example-betashift", "mode": "synchronized", "steps": 3},
+    "short.json": {"kind": "beta", "beta": "1.8", "digits": 10},
     "flip.json": {"range": 0, "rule": {"0": "1", "1": "0"}},
     "xor.json": {"range": 1, "rule": {"".join(w): str(int(w[0] != w[2]))
                                       for w in itertools.product("01", repeat=3)}},
@@ -75,6 +80,16 @@ EXTRA = [("%s-%s-%d" % (argv[0], argv[1].split(".")[0], i), argv)
              ["induce", "ibeta.json", "--horizon", "8"],
              ["ls", "ibeta.json", "--horizon", "12"],
              ["speedup-compare", "ibeta.json", "--horizon", "10"],
+             ["beta", "mfw", "rational:5/2", "--horizon", "12"],
+             ["beta", "mfw", "1.8", "--horizon", "40"],
+             ["beta", "mfw", "poly:x^2-x-1@[1.6,1.7]", "--horizon", "10"],
+             ["beta", "mfw", "poly:x^2-3x+1@[2.5,2.7]", "--horizon", "16"],
+             ["beta", "example", "--mode", "specified", "--steps", "3"],
+             ["beta", "example", "--mode", "synchronized", "--steps", "4"],
+             ["lang", "example.json", "--length", "6", "--horizon", "12"],
+             ["mfw", "example.json", "--horizon", "20"],
+             ["ls", "example.json", "--horizon", "40"],
+             ["ls", "short.json", "--horizon", "20"],
          ])]
 
 

@@ -166,24 +166,25 @@ def cmd_ls(args):
 
 
 def _parse_rate(text):
+    """(the rate as printed, the rate as a function of n)."""
     if text == "n":
-        return lambda n: n
+        return text, lambda n: n
     try:
         value = int(text)
     except ValueError:
         raise UnsupportedSpecError("rate must be an integer or \"n\"")
     if value < 0:
         raise UnsupportedSpecError("rate must be nonnegative")
-    return lambda n: value
+    return str(value), lambda n: value
 
 
 def cmd_well_approx(args):
     realized = _load(args)
-    witnesses = well_approx_check(realized.oracle, _parse_rate(args.rate),
-                                  realized.horizon)
+    rate, rate_fn = _parse_rate(args.rate)
+    witnesses = well_approx_check(realized.oracle, rate_fn, realized.horizon)
     return {
         "horizon": realized.horizon,
-        "rate": args.rate,
+        "rate": rate,
         "witnesses": list(witnesses),
         "note": _evidence(realized.horizon),
     }
@@ -467,7 +468,7 @@ def cmd_tau(args):
     return {"n": args.n, "value": tau_eval(args.n)}
 
 
-# ---- parser and rendering --------------------------------------------------
+# ---- rendering -------------------------------------------------------------
 
 def _render_scalar(value):
     if value is None:
@@ -547,303 +548,198 @@ def _emit(report, fmt):
     sys.stdout.flush()
 
 
-def _add_shift_arg(p, count=1):
-    p.add_argument("shift", help="shift document file")
-    if count == 2:
-        p.add_argument("other", help="second shift document file")
+# ---- the command table -----------------------------------------------------
+
+# An argument is (name, the keywords of ``add_argument``): a name starting
+# with "-" is an option, any other a positional.
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_HORIZON = ("--horizon", {"type": int, "default": 16,
+                          "help": "analysis horizon (default 16)"})
+_CAP = ("--cap", {"type": int, "default": DEFAULT_CAP,
+                  "help": "enumeration cap (default %(default)s)"})
+_SHIFT = ("shift", {"help": "shift document file"})
+_DOC = (_FORMAT, _HORIZON, _SHIFT)
+_DOC_CAPPED = (_FORMAT, _HORIZON, _CAP, _SHIFT)
+_BETA = ("beta", {})
 
 
-class _Leaf:
-    """One command's own parser, with its actions laid out for ``read``."""
+def _int(name, default, **more):
+    return name, dict(type=int, default=default, **more)
 
-    def __init__(self, parser):
-        self.parser = parser
-        self.options = {}       # option string -> action
-        self.positionals = []
-        self.required = []
-        self.defaults = {}
-        for action in parser._actions:
-            if isinstance(action, argparse._HelpAction):
-                continue
-            if not (isinstance(action, argparse._StoreConstAction) or
-                    isinstance(action, argparse._StoreAction) and action.nargs is None):
-                raise TypeError("%s: no plain read for %s" % (parser.prog, action.dest))
-            self.options.update(dict.fromkeys(action.option_strings, action))
-            if not action.option_strings:
-                self.positionals.append(action)
-            if action.required:
-                self.required.append(action)
-            default = action.default
-            # argparse converts a str default that no argument replaced
-            if isinstance(default, str) and action.type is not None:
-                default = action.type(default)
-            self.defaults.setdefault(action.dest, default)
-        for dest, value in parser._defaults.items():
-            self.defaults.setdefault(dest, value)
 
-    def read(self, words):
-        """``self.parser.parse_args(words)`` when ``words`` is plain, else None.
+_GROUPS = {"beta": "beta-shift commands", "subst": "substitution commands",
+           "sofic": "labeled-graph commands"}
 
-        Plain means: exact option strings, each with one value that does not
-        start with "-"; positionals that do not start with "-"; every
-        conversion and choice check succeeding; and every positional and
-        required option present.  Help, abbreviations, "--opt=value", "--",
-        negative values and every usage error are left to argparse."""
-        values = dict(self.defaults)
-        missing = set(self.required)
-        taken = 0
-        words = iter(words)
-        for word in words:
-            if not word.startswith("-"):
-                if taken == len(self.positionals):
-                    return None
-                action = self.positionals[taken]
-                taken += 1
-            else:
-                action = self.options.get(word)
-                if action is None:
-                    return None
-                if action.nargs != 0:
-                    word = next(words, "-")     # a missing value is not plain
-                    if word.startswith("-"):
-                        return None
-            missing.discard(action)
-            if action.nargs == 0:
-                values[action.dest] = action.const
-                continue
-            try:
-                value = word if action.type is None else action.type(word)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+# command words -> (help, handler, arguments), in the order of the help
+COMMANDS = {
+    ("lang",): ("words of one length", cmd_lang, _DOC + (_int("--length", 4),)),
+    ("complexity",): ("word counts up to the horizon", cmd_complexity, _DOC),
+    ("special",): ("left/right special and bispecial words", cmd_special,
+                   _DOC + (_int("--length", 4),)),
+    ("mfw",): ("minimal forbidden words up to the horizon", cmd_mfw, _DOC),
+    ("ls",): ("length set and density evidence", cmd_ls, _DOC),
+    ("well-approx",): ("approximation witnesses at a rate", cmd_well_approx, _DOC + (
+        ("--rate", {"default": "n", "help": "a nonnegative integer or \"n\" (default n)"}),)),
+    ("entropy",): ("topological entropy of a presented shift", cmd_entropy, _DOC),
+    ("periodic",): ("periodic points up to a period", cmd_periodic,
+                    _DOC_CAPPED + (_int("--period", 6),)),
+    ("nu",): ("empirical measure on periodic points", cmd_nu, _DOC_CAPPED + (
+        _int("--period", 8), _int("--depth", 3),
+        ("--exact", {"action": "store_true",
+                     "help": "accepted and ignored: values are always exact, counted "
+                             "by transfer matrices on finite-type data and "
+                             "enumerated otherwise"}),
+        ("--compare-parry", {"action": "store_true"}))),
+    ("parry",): ("measure of maximal entropy of an SFT", cmd_parry,
+                 _DOC + (_int("--depth", 3),)),
+    ("decompose",): ("maximal-entropy components of a coded image", cmd_decompose,
+                     _DOC_CAPPED + (
+        ("--code", {"required": True, "help": "block code file"}), _int("--depth", 3),
+        _int("--average-cutoff", 0,
+             help="include the periodic-weighted average at this cutoff"))),
+    ("push",): ("pushforward of the empirical measure", cmd_push, _DOC_CAPPED + (
+        ("--code", {"required": True}), _int("--period", 8), _int("--depth", 3))),
+    ("autocheck",): ("automorphism invariance of the empirical measure", cmd_autocheck,
+                     _DOC + (("--code", {"required": True}),
+                             ("--inverse", {"required": True}),
+                             _int("--period", 8), _int("--depth", 3))),
+    ("beta", "expand"): ("greedy expansion of 1", cmd_beta_expand, (
+        _FORMAT, ("beta", {"help": "rational:P/Q, poly:...@[lo,hi], or a decimal"}),
+        _int("--digits", 24))),
+    ("beta", "mfw"): ("minimal forbidden words of the beta-shift", cmd_beta_mfw,
+                      (_FORMAT, _HORIZON, _BETA)),
+    ("beta", "lsdiag"): ("stability evidence for the beta-shift", cmd_beta_lsdiag,
+                         (_FORMAT, _HORIZON, _BETA)),
+    ("beta", "graph"): ("presentation of a closed-form expansion", cmd_beta_graph,
+                        (_FORMAT, _BETA, _int("--digits", BETA_DIGITS))),
+    ("beta", "example"): ("recursive non-sofic expansion prefixes", cmd_beta_example, (
+        _FORMAT, ("--mode", {"choices": ("specified", "synchronized"),
+                             "default": "specified"}),
+        _int("--steps", 3))),
+    ("subst", "lang"): ("language of a substitution document", cmd_subst_lang,
+                        _DOC + (_int("--length", 4),)),
+    ("subst", "profile"): ("complexity differences and bispecials", cmd_subst_profile,
+                           _DOC),
+    ("induce",): ("recoded induced system of a document", cmd_induce, _DOC),
+    ("speedup-compare",): ("stability evidence across an induced recoding",
+                           cmd_speedup_compare, _DOC),
+    ("sofic", "det"): ("determinize the presentation", cmd_sofic_det, _DOC),
+    ("sofic", "eq"): ("language equality of two presentations", cmd_sofic_eq,
+                      _DOC + (("other", {"help": "second shift document file"}),)),
+    ("sofic", "issft"): ("finite-type test for a presentation", cmd_sofic_issft, _DOC),
+    ("sofic", "thm1"): ("finite-type status against LS density", cmd_sofic_thm1, _DOC),
+    ("tau",): ("the periodicity rate tau(n)", cmd_tau, (_FORMAT, ("n", {"type": int}))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(words):
+    """The arguments of the command ``words`` as ``_read`` looks them up:
+    the Namespace values before any is read, option string -> (dest, spec),
+    the positionals' (dest, spec) in order, and the dests required."""
+    _, func, arguments = COMMANDS[words]
+    defaults = {"command": words[0], "func": func}
+    if len(words) == 2:
+        defaults[words[0] + "_command"] = words[1]
+    options, positionals, required = {}, [], set()
+    for name, spec in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name.startswith("-"):
+            options[name] = dest, spec
+        else:
+            positionals.append((dest, spec))
+        if spec.get("required") or not name.startswith("-"):
+            required.add(dest)
+        default = spec.get("default", False if "action" in spec else None)
+        # argparse converts a str default that no argument replaced
+        if isinstance(default, str) and "type" in spec:
+            default = spec["type"](default)
+        defaults[dest] = default
+    return defaults, options, positionals, required
+
+
+def _read(words, argv):
+    """The Namespace ``build_parser().parse_args(words + argv)`` returns,
+    read straight off ``COMMANDS``, when ``argv`` is plain; else None.
+
+    Plain means: exact option strings, each with one value that does not
+    start with "-"; positionals that do not start with "-"; every
+    conversion and choice check succeeding; and every positional and
+    required option present.  Help, abbreviations, "--opt=value", "--",
+    negative values and every usage error are left to argparse."""
+    defaults, options, positionals, required = _layout(words)
+    values = dict(defaults)
+    missing = set(required)
+    taken = 0
+    argv = iter(argv)
+    for word in argv:
+        if not word.startswith("-"):
+            if taken == len(positionals):
                 return None
-            if action.choices is not None and value not in action.choices:
+            dest, spec = positionals[taken]
+            taken += 1
+        else:
+            if word not in options:
                 return None
-            values[action.dest] = value
-        if missing:
+            dest, spec = options[word]
+            if "action" in spec:        # store_true
+                values[dest] = True
+                continue
+            word = next(argv, "-")      # a missing value is not plain
+            if word.startswith("-"):
+                return None
+        missing.discard(dest)
+        try:
+            value = spec["type"](word) if "type" in spec else word
+        except ValueError:
             return None
-        return argparse.Namespace(**values)
-
-
-def _leaves(parser, words=()):
-    """(command words, parser) for every command under ``parser``, in order."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for word, sub in action.choices.items():
-                yield from _leaves(sub, words + (word,))
-            return
-    yield words, parser
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    if missing:
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser():
-    """The parser, built once per process.  ``parse_args`` returns a fresh
-    ``Namespace`` per call, so nothing carries from one report to the next.
-    Its ``leaves`` attribute maps the words of each command (``("lang",)``,
-    ``("beta", "mfw")``, ...) to a ``_Leaf`` of that command's parser."""
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text")
-    common = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    common.add_argument("--horizon", type=int, default=16,
-                        help="analysis horizon (default 16)")
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="enumeration cap (default %(default)s)")
-
+    """The argparse tree of ``COMMANDS``, built once per process, for help
+    and usage errors: ``_parse`` reads a plain argv without it.
+    ``parse_args`` returns a fresh ``Namespace`` per call, so nothing
+    carries from one report to the next."""
     parser = argparse.ArgumentParser(
         prog="shiftlab",
         description="Combinatorial and measure-theoretic invariants of shifts")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("lang", parents=[common], help="words of one length")
-    _add_shift_arg(p)
-    p.add_argument("--length", type=int, default=4)
-    p.set_defaults(func=cmd_lang)
-
-    p = sub.add_parser("complexity", parents=[common],
-                       help="word counts up to the horizon")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_complexity)
-
-    p = sub.add_parser("special", parents=[common],
-                       help="left/right special and bispecial words")
-    _add_shift_arg(p)
-    p.add_argument("--length", type=int, default=4)
-    p.set_defaults(func=cmd_special)
-
-    p = sub.add_parser("mfw", parents=[common],
-                       help="minimal forbidden words up to the horizon")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_mfw)
-
-    p = sub.add_parser("ls", parents=[common],
-                       help="length set and density evidence")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_ls)
-
-    p = sub.add_parser("well-approx", parents=[common],
-                       help="approximation witnesses at a rate")
-    _add_shift_arg(p)
-    p.add_argument("--rate", default="n",
-                   help="a nonnegative integer or \"n\" (default n)")
-    p.set_defaults(func=cmd_well_approx)
-
-    p = sub.add_parser("entropy", parents=[common],
-                       help="topological entropy of a presented shift")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("periodic", parents=[capped],
-                       help="periodic points up to a period")
-    _add_shift_arg(p)
-    p.add_argument("--period", type=int, default=6)
-    p.set_defaults(func=cmd_periodic)
-
-    p = sub.add_parser("nu", parents=[capped],
-                       help="empirical measure on periodic points")
-    _add_shift_arg(p)
-    p.add_argument("--period", type=int, default=8)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--exact", action="store_true",
-                   help="accepted and ignored: values are always exact, counted "
-                        "by transfer matrices on finite-type data and "
-                        "enumerated otherwise")
-    p.add_argument("--compare-parry", action="store_true")
-    p.set_defaults(func=cmd_nu)
-
-    p = sub.add_parser("parry", parents=[common],
-                       help="measure of maximal entropy of an SFT")
-    _add_shift_arg(p)
-    p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(func=cmd_parry)
-
-    p = sub.add_parser("decompose", parents=[capped],
-                       help="maximal-entropy components of a coded image")
-    _add_shift_arg(p)
-    p.add_argument("--code", required=True, help="block code file")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--average-cutoff", type=int, default=0,
-                   help="include the periodic-weighted average at this cutoff")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("push", parents=[capped],
-                       help="pushforward of the empirical measure")
-    _add_shift_arg(p)
-    p.add_argument("--code", required=True)
-    p.add_argument("--period", type=int, default=8)
-    p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(func=cmd_push)
-
-    p = sub.add_parser("autocheck", parents=[common],
-                       help="automorphism invariance of the empirical measure")
-    _add_shift_arg(p)
-    p.add_argument("--code", required=True)
-    p.add_argument("--inverse", required=True)
-    p.add_argument("--period", type=int, default=8)
-    p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(func=cmd_autocheck)
-
-    beta = sub.add_parser("beta", help="beta-shift commands")
-    beta_sub = beta.add_subparsers(dest="beta_command", metavar="subcommand")
-
-    p = beta_sub.add_parser("expand", parents=[fmt],
-                            help="greedy expansion of 1")
-    p.add_argument("beta", help="rational:P/Q, poly:...@[lo,hi], or a decimal")
-    p.add_argument("--digits", type=int, default=24)
-    p.set_defaults(func=cmd_beta_expand)
-
-    p = beta_sub.add_parser("mfw", parents=[common],
-                            help="minimal forbidden words of the beta-shift")
-    p.add_argument("beta")
-    p.set_defaults(func=cmd_beta_mfw)
-
-    p = beta_sub.add_parser("lsdiag", parents=[common],
-                            help="stability evidence for the beta-shift")
-    p.add_argument("beta")
-    p.set_defaults(func=cmd_beta_lsdiag)
-
-    p = beta_sub.add_parser("graph", parents=[fmt],
-                            help="presentation of a closed-form expansion")
-    p.add_argument("beta")
-    p.add_argument("--digits", type=int, default=BETA_DIGITS)
-    p.set_defaults(func=cmd_beta_graph)
-
-    p = beta_sub.add_parser("example", parents=[fmt],
-                            help="recursive non-sofic expansion prefixes")
-    p.add_argument("--mode", choices=("specified", "synchronized"),
-                   default="specified")
-    p.add_argument("--steps", type=int, default=3)
-    p.set_defaults(func=cmd_beta_example)
-
-    subst = sub.add_parser("subst", help="substitution commands")
-    subst_sub = subst.add_subparsers(dest="subst_command", metavar="subcommand")
-
-    p = subst_sub.add_parser("lang", parents=[common],
-                             help="language of a substitution document")
-    _add_shift_arg(p)
-    p.add_argument("--length", type=int, default=4)
-    p.set_defaults(func=cmd_subst_lang)
-
-    p = subst_sub.add_parser("profile", parents=[common],
-                             help="complexity differences and bispecials")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_subst_profile)
-
-    p = sub.add_parser("induce", parents=[common],
-                       help="recoded induced system of a document")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_induce)
-
-    p = sub.add_parser("speedup-compare", parents=[common],
-                       help="stability evidence across an induced recoding")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_speedup_compare)
-
-    sofic = sub.add_parser("sofic", help="labeled-graph commands")
-    sofic_sub = sofic.add_subparsers(dest="sofic_command", metavar="subcommand")
-
-    p = sofic_sub.add_parser("det", parents=[common],
-                             help="determinize the presentation")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_sofic_det)
-
-    p = sofic_sub.add_parser("eq", parents=[common],
-                             help="language equality of two presentations")
-    _add_shift_arg(p, count=2)
-    p.set_defaults(func=cmd_sofic_eq)
-
-    p = sofic_sub.add_parser("issft", parents=[common],
-                             help="finite-type test for a presentation")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_sofic_issft)
-
-    p = sofic_sub.add_parser("thm1", parents=[common],
-                             help="finite-type status against LS density")
-    _add_shift_arg(p)
-    p.set_defaults(func=cmd_sofic_thm1)
-
-    p = sub.add_parser("tau", parents=[fmt],
-                       help="the periodicity rate tau(n)")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_tau)
-
-    parser.leaves = {words: _Leaf(leaf) for words, leaf in _leaves(parser)}
+    groups = {}
+    for words, (summary, func, arguments) in COMMANDS.items():
+        under = sub
+        if len(words) == 2:
+            if words[0] not in groups:
+                group = sub.add_parser(words[0], help=_GROUPS[words[0]])
+                groups[words[0]] = group.add_subparsers(dest=words[0] + "_command",
+                                                        metavar="subcommand")
+            under = groups[words[0]]
+        p = under.add_parser(words[-1], help=summary)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def _parse(argv):
-    """The Namespace of ``argv``: read off its command's own parser when the
-    rest of ``argv`` is plain (``_Leaf.read``), otherwise from the whole
-    parser, so that help and every usage error keep argparse's text (the
-    command's own parser would print its usage, not the top one, for
-    unrecognized arguments)."""
-    parser = build_parser()
+    """The Namespace of ``argv``: read off ``COMMANDS`` when the rest of
+    ``argv`` after its command words is plain (``_read``), otherwise from
+    the argparse tree, so that help and every usage error keep argparse's
+    text."""
     for n in (1, 2):
-        leaf = parser.leaves.get(tuple(argv[:n]))
-        if leaf is not None:
-            args = leaf.read(argv[n:])
+        words = tuple(argv[:n])
+        if words in COMMANDS:
+            args = _read(words, argv[n:])
             if args is not None:
                 return args
             break
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -275,7 +275,20 @@ def test_back_to_back_reports_share_no_state(capsys, write):
     assert reused[5][0] == 0 and reused[5][1]
 
 
-def test_parser_is_built_once(capsys, write, monkeypatch):
+def test_plain_argv_builds_no_parser(capsys, write, monkeypatch):
+    golden, full2 = write("g.json", GOLDEN_DOC), write("f2.json", FULL2_DOC)
+    flip, even = write("flip.json", FLIP_CODE), write("e.json", EVEN_DOC)
+    fib, induced = write("fib.json", FIB_DOC), write("i.json", INDUCED_GOLDEN_DOC)
+    argvs = [[c, golden] for c in ("lang", "complexity", "special", "mfw", "ls",
+                                   "well-approx", "entropy", "periodic", "nu", "parry")]
+    argvs += [["decompose", golden, "--code", flip], ["push", golden, "--code", flip],
+              ["autocheck", full2, "--code", flip, "--inverse", flip]]
+    argvs += [["beta", c, GOLDEN_BETA] for c in ("expand", "mfw", "lsdiag", "graph")]
+    argvs += [["beta", "example"], ["subst", "lang", fib], ["subst", "profile", fib],
+              ["induce", induced], ["speedup-compare", induced], ["sofic", "eq", even, even]]
+    argvs += [["sofic", c, even] for c in ("det", "issft", "thm1")] + [["tau", "3"]]
+    assert sorted(tuple(a[:2]) if a[0] in ("beta", "subst", "sofic") else (a[0],)
+                  for a in argvs) == sorted(cli.COMMANDS)
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -283,31 +296,33 @@ def test_parser_is_built_once(capsys, write, monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    leaves = []
-    leaf_init = cli._Leaf.__init__
-
-    def counting_leaf_init(self, parser):
-        leaves.append(parser.prog)
-        leaf_init(self, parser)
-
-    doc = write("g.json", GOLDEN_DOC)
-    run(capsys, ["entropy", doc])
+    cli.build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    monkeypatch.setattr(cli._Leaf, "__init__", counting_leaf_init)
-    for argv in (["lang", doc], ["beta", "expand", "rational:5/2"], ["tau", "1"]):
-        assert run(capsys, argv)[0] == 0
-    assert run_any(capsys, ["lang", doc, "--format", "yaml"])[0] == 2
-    assert cli.build_parser() is cli.build_parser()
-    assert cli.build_parser().leaves is cli.build_parser().leaves
-    assert built == [] and leaves == []
-    rebuilt = cli.build_parser.__wrapped__()  # the counters do see a rebuild
-    assert built
-    assert len(leaves) == len(rebuilt.leaves) == 27
+    for argv in argvs:
+        assert run(capsys, argv)[0] == 0, argv
+    assert built == []
+    assert run_any(capsys, ["lang", golden, "--format", "yaml"])[0] == 2
+    assert len(built) == 31         # the top parser, three groups and 27 commands
+    assert run_any(capsys, ["tau", "x"])[0] == 2
+    assert len(built) == 31
+
+
+def test_first_report_of_a_process_peaks_below_a_tenth_of_a_mib(write):
+    doc = write("golden.json", GOLDEN_DOC)
+    script = ("import sys, tracemalloc\n"
+              "from shiftlab import cli\n"
+              "tracemalloc.start()\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "print(rc, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, "entropy", doc], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    rc, peak = proc.stderr.split()
+    assert rc == "0" and int(peak) < 0.1 * 2 ** 20, peak
 
 
 # ---- plain argv and the JSON writer --------------------------------------------
 
-LEAVES = sorted(cli.build_parser().leaves)
+LEAVES = sorted(cli.COMMANDS)
 VALUE = st.one_of(st.integers(0, 30).map(str), st.integers(-3, 30).map(str), st.sampled_from(
     ["text", "json", "yaml", "specified", "synchronized", "n", "x", "", "1.5",
      "g.json", "rational:5/2", "0x10"]))
@@ -318,10 +333,11 @@ def _rest(words):
     """Argument lists for one command: its positionals and required options,
     then options with and without values, positionals, and what argparse
     alone reads, all shuffled."""
-    leaf = cli.build_parser().leaves[words]
-    options = st.sampled_from(sorted(leaf.options))
-    needed = [st.tuples(st.sampled_from(a.option_strings), VALUE) if a.option_strings
-              else st.tuples(VALUE) for a in leaf.required]
+    arguments = cli.COMMANDS[words][2]
+    options = st.sampled_from(sorted(name for name, _ in arguments if name.startswith("-")))
+    needed = [st.tuples(st.just(name), VALUE) if name.startswith("-") else st.tuples(VALUE)
+              for name, spec in arguments
+              if spec.get("required") or not name.startswith("-")]
     piece = st.one_of(st.tuples(options, VALUE), st.tuples(options),
                       st.tuples(VALUE), st.tuples(ODD))
     pieces = st.tuples(st.tuples(*needed), st.lists(piece, max_size=5)).flatmap(
@@ -330,6 +346,15 @@ def _rest(words):
 
 
 ARGV = st.sampled_from(LEAVES).flatmap(lambda w: st.tuples(st.just(w), _rest(w)))
+
+
+def _tree_leaf(words):
+    """The parser of the command ``words`` in the argparse tree."""
+    parser = cli.build_parser()
+    for word in words:
+        group, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = group.choices[word]
+    return parser
 
 
 def _parsed(parse, argv):
@@ -360,15 +385,15 @@ def _argparse_main(argv):
 @given(drawn=ARGV)
 def test_plain_read_matches_argparse(drawn):
     words, rest = drawn
-    leaf = cli.build_parser().leaves[words]
-    args = leaf.read(rest)
+    args = cli._read(words, rest)
     if args is None:
         return
-    expected = _parsed(leaf.parser.parse_args, rest)
+    expected = _parsed(_tree_leaf(words).parse_args, rest)
     routed = _parsed(cli.build_parser().parse_args, list(words) + rest)
     assert expected[:3] == routed[:3] == (None, "", "")
-    assert vars(args) == vars(expected[3]) == {
-        k: v for k, v in vars(routed[3]).items() if not k.endswith("command")}
+    assert args == routed[3]
+    assert vars(expected[3]) == {
+        k: v for k, v in vars(args).items() if not k.endswith("command")}
 
 
 USAGE_ERRORS = [
@@ -414,15 +439,14 @@ def test_every_benchmark_argv_is_plain(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir,
                                              "perfbench"))
     import workloads
-    leaves = cli.build_parser().leaves
     argvs = [report.argv + ["--format", "json"] for name in workloads.PLANS
              for report in workloads.build(name, 1, str(tmp_path)).reports]
     assert len(argvs) >= 417
     for argv in argvs:
-        words = tuple(argv[:1]) if tuple(argv[:1]) in leaves else tuple(argv[:2])
-        args = leaves[words].read(argv[len(words):])
+        words = tuple(argv[:1]) if tuple(argv[:1]) in cli.COMMANDS else tuple(argv[:2])
+        args = cli._read(words, argv[len(words):])
         assert args is not None, argv
-        assert vars(args) == vars(leaves[words].parser.parse_args(argv[len(words):]))
+        assert args == cli.build_parser().parse_args(argv)
 
 
 KEY = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
@@ -684,6 +708,10 @@ def test_well_approx(capsys, write):
                                "--horizon", "9"])
     # only n with n + 3 <= 9 are decidable
     assert report["witnesses"] == [2, 3, 4, 5, 6]
+    assert report["rate"] == "3"
+    # the rate prints as parsed, so every spelling of a rate gives one report
+    assert run_json(capsys, ["well-approx", doc, "--rate", "+3", "--horizon", "9"]) == report
+    assert run_json(capsys, ["well-approx", doc, "--rate", "00"])["rate"] == "0"
 
 
 def test_entropy(capsys, write):

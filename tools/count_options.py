@@ -2,8 +2,9 @@
 
     python3 tools/count_options.py [--root DIR]
 
-Reads the commands off ``cli.build_parser().leaves``, the table ``cli.main``
-looks each command's own parser up in, and prints one line per command
+Reads the commands off ``cli.COMMANDS``, the command table that
+``cli.main`` reads a plain argv from and ``cli.build_parser`` builds the
+argparse tree from, and prints one line per command
 (``beta mfw``, ``lang``, ...) with the options it takes, then the
 totals, then the number of lines in ``src/shiftlab/*.py``, then the
 modules outside ``shiftlab`` that ``import shiftlab.cli`` loads in a fresh
@@ -30,11 +31,6 @@ def loaded_modules(src):
                           text=True, check=True).stdout.split()
 
 
-def options(parser):
-    return [max(action.option_strings, key=len) for action in parser._actions
-            if action.option_strings and not isinstance(action, argparse._HelpAction)]
-
-
 def main(argv=None):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -44,8 +40,8 @@ def main(argv=None):
     from shiftlab import cli
 
     total = count = 0
-    for name, leaf in cli.build_parser().leaves.items():
-        opts = options(leaf.parser)
+    for name, (_, _, arguments) in cli.COMMANDS.items():
+        opts = [option for option, _ in arguments if option.startswith("-")]
         print("%-18s %2d  %s" % (" ".join(name), len(opts), " ".join(opts)))
         count += 1
         total += len(opts)

@@ -26,6 +26,14 @@ a Parry-beta document (whose oracle steps on its presentation),
 ``example-betashift`` document, and ``ls`` on a beta document whose
 ``digits`` fall short of the horizon, which clips it.  Their lines carry
 the seed ``extra`` and an id of their own, and the same masking.
+
+Last come the argvs that argparse answers: ``-h`` at the top, on the
+``beta``, ``subst`` and ``sofic`` groups and on each of the 27 commands,
+then the ``USAGE_ERRORS`` of ``tests/test_cli.py``.  They run once each,
+as they are, with no ``--format`` added (which would mend some of them),
+and their lines carry the seed ``usage``, the ids ``help-N`` and
+``usage-N``, and ``-`` for the format.  Help is wrapped at 80 columns
+whatever the terminal.
 """
 
 import argparse
@@ -92,16 +100,37 @@ EXTRA = [("%s-%s-%d" % (argv[0], argv[1].split(".")[0], i), argv)
              ["ls", "short.json", "--horizon", "20"],
          ])]
 
+COMMANDS = ["lang", "complexity", "special", "mfw", "ls", "well-approx", "entropy",
+            "periodic", "nu", "parry", "decompose", "push", "autocheck", "beta expand",
+            "beta mfw", "beta lsdiag", "beta graph", "beta example", "subst lang",
+            "subst profile", "induce", "speedup-compare", "sofic det", "sofic eq",
+            "sofic issft", "sofic thm1", "tau"]
+HELP = [["-h"]] + [[group, "-h"] for group in ("beta", "subst", "sofic")] + [
+    command.split() + ["-h"] for command in COMMANDS]
+GOLDEN_BETA = "poly:x^2-x-1@[1.6,1.7]"
+# the same list as tests/test_cli.py's
+USAGE_ERRORS = [
+    [], ["beta"], ["beta", "nosuch"], ["nosuch"], ["-h"], ["--format", "json"],
+    ["lang", "g.json", "--format", "yaml"], ["lang", "g.json", "--cap", "5"],
+    ["tau", "3", "--horizon", "4"], ["beta", "expand", GOLDEN_BETA, "--horizon", "3"],
+    ["decompose", "g.json", "--code", "f.json", "--tol", "1e-3"],
+    ["autocheck", "g.json", "--code", "f.json", "--inverse", "f.json", "--cap", "5"],
+    ["lang", "g.json", "--horizon"], ["lang", "--length", "4"], ["lang", "a", "b"],
+    ["sofic", "eq", "g.json"], ["decompose", "g.json"], ["tau", "x"],
+    ["beta", "example", "--mode", "free"], ["nu", "g.json", "--exact=1"],
+    ["lang", "g.json", "--horizon", "3.5"], ["lang", "g.json", "-h"],
+]
 
-def _digest(text, docdir):
+
+def _digest(text, docdir=MASK):
     return hashlib.sha256(text.replace(docdir, MASK).encode("utf-8")).hexdigest()
 
 
-def _run(cli, argv, fmt):
+def _run(cli, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = cli.main(argv + ["--format", fmt])
+            rc = cli.main(argv)
         except SystemExit as exc:  # argparse rejects an argv
             rc = exc.code
     return rc, out.getvalue(), err.getvalue()
@@ -125,7 +154,7 @@ def main(argv=None):
                 os.makedirs(docdir)
                 for report in workloads.build(name, seed, docdir).reports:
                     for fmt in FORMATS:
-                        rc, out, err = _run(cli, report.argv, fmt)
+                        rc, out, err = _run(cli, report.argv + ["--format", fmt])
                         print(seed, report.rid, fmt, rc, _digest(out, docdir),
                               _digest(err, docdir),
                               " ".join(report.argv).replace(docdir, MASK), flush=True)
@@ -137,9 +166,15 @@ def main(argv=None):
         for rid, argv in EXTRA:
             argv = [os.path.join(docdir, a) if a in EXTRA_FILES else a for a in argv]
             for fmt in FORMATS:
-                rc, out, err = _run(cli, argv, fmt)
+                rc, out, err = _run(cli, argv + ["--format", fmt])
                 print("extra", rid, fmt, rc, _digest(out, docdir), _digest(err, docdir),
                       " ".join(argv).replace(docdir, MASK), flush=True)
+    os.environ["COLUMNS"] = "80"    # argparse wraps help to the terminal's width
+    for kind, argvs in (("help", HELP), ("usage", USAGE_ERRORS)):
+        for i, argv in enumerate(argvs):
+            rc, out, err = _run(cli, argv)
+            print("usage", "%s-%d" % (kind, i), "-", rc, _digest(out), _digest(err),
+                  " ".join(argv), flush=True)
     return 0
 
 

@@ -20,9 +20,9 @@ from .graph import LabeledGraph, make_labeled_graph, prune_labeled
 from .sft import (BlockGraph, FiniteTypeSpec, build_block_graph, full_shift,
                   per_count, periodic_count_le, periodic_counts,
                   scc_subgraphs, sft_cover, sft_entropy, sft_oracle)
-from .forbidden import (LSLengths, LSReport, MFWTable, example_nonempty_shift,
-                        ls_report, minimal_forbidden, minimal_forbidden_lengths,
-                        tau_eval, well_approx_check, window_density_report)
+from .forbidden import (LSReport, MFWTable, example_nonempty_shift, ls_report,
+                        minimal_forbidden, minimal_forbidden_lengths, tau_eval,
+                        well_approx_check, window_density_report)
 from .sofic import (BlockCode, apply_block_code, compose_codes, determinize,
                     finite_type_presentation, is_sft, language_equal_exact,
                     language_equal_up_to, mfw_length_set, per_le_enumerate,

@@ -19,22 +19,22 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .beta import (BETA_DIGITS, beta_ls_diagnostic, beta_oracle, beta_presentation,
-                   beta_stream, example_betashift)
+from .beta import (BETA_DIGITS, beta_ls_diagnostic, beta_presentation, beta_stream,
+                   example_betashift)
 from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
     speedup_gap_compare
 from .errors import (EnumerationCapError, NotAnAutomorphismError, ShiftlabError,
                      UnsupportedSpecError)
-from .forbidden import ls_report, minimal_forbidden, minimal_forbidden_lengths, \
-    tau_eval, well_approx_check
+from .forbidden import minimal_forbidden, minimal_forbidden_lengths, tau_eval, \
+    well_approx_check
 from .language import (WORD_LIMIT, complexity, format_word, printable,  # WORD_LIMIT: re-export
                        special_words)
 from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
                        max_entropy_decomposition, mu_y_average, parry_cylinders,
                        parry_measure, weak_star_distance)
 from .sft import DEFAULT_CAP
-from .shifts import (load_shift_document, parse_block_code, periodic_census,
-                     periodic_measure, read_text, realize, shift_entropy)
+from .shifts import (document_from_object, load_shift_document, parse_block_code,
+                     periodic_census, periodic_measure, read_text, realize, shift_entropy)
 from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
     language_equal_up_to, sofic_entropy, sofic_oracle, theorem1_diagnostic
 
@@ -58,14 +58,14 @@ def _words(seq):
     return [format_word(w) for w in seq]
 
 
-def _mfw_report(oracle, horizon):
+def _mfw_report(realized):
     """The `mfw` and `beta mfw` report: minimal forbidden words by length."""
-    table = minimal_forbidden(oracle, horizon)
+    table = minimal_forbidden(realized.oracle, realized.horizon)
     return {
-        "horizon": horizon,
+        "horizon": realized.horizon,
         "table": {str(n): _words(table.by_length[n])
                   for n in sorted(table.by_length)},
-        "note": _evidence(horizon),
+        "note": _evidence(realized.horizon),
     }
 
 
@@ -149,13 +149,12 @@ def cmd_special(args):
 
 
 def cmd_mfw(args):
-    realized = _load(args)
-    return _mfw_report(realized.oracle, realized.horizon)
+    return _mfw_report(_load(args))
 
 
 def cmd_ls(args):
     realized = _load(args)
-    report = ls_report(minimal_forbidden_lengths(realized.oracle, realized.horizon))
+    report = minimal_forbidden_lengths(realized.oracle, realized.horizon)
     return {
         "horizon": report.horizon,
         "ls_set": list(report.ls_set),
@@ -313,8 +312,8 @@ def cmd_beta_expand(args):
 
 
 def cmd_beta_mfw(args):
-    stream = beta_stream(args.beta, args.horizon).working_stream()
-    return _mfw_report(beta_oracle(stream, args.horizon), args.horizon)
+    doc = document_from_object({"kind": "beta", "beta": args.beta})
+    return _mfw_report(_realize(doc, args.horizon))
 
 
 def cmd_beta_lsdiag(args):

@@ -29,7 +29,7 @@ of how much base horizon an induced length needs.
 from .errors import (HorizonExceededError, InfeasibleSetError,
                      NonGrowingSubstitutionError, ReturnTimeCapError,
                      UnsupportedSpecError)
-from .forbidden import ls_report, minimal_forbidden_lengths
+from .forbidden import minimal_forbidden_lengths
 from .language import (Alphabet, LanguageOracle, complexity, format_word,
                        stepping_oracle)
 from .record import Record
@@ -542,7 +542,7 @@ class SpeedupReport:
 
 def speedup_gap_compare(base_oracle, spec, horizon):
     """Compare minimal-forbidden-length patterns across a speedup."""
-    base_report = ls_report(minimal_forbidden_lengths(base_oracle, horizon))
+    base_report = minimal_forbidden_lengths(base_oracle, horizon)
     _, rho = induced_data(spec)
     width = 2 * spec.window + 1
     max_rho = max(rho.values())
@@ -551,7 +551,7 @@ def speedup_gap_compare(base_oracle, spec, horizon):
     if n_ind < 2:
         raise HorizonExceededError("base horizon too small for any induced words")
     induced = induce_recode(spec, n_ind)
-    induced_report = ls_report(minimal_forbidden_lengths(induced, n_ind))
+    induced_report = minimal_forbidden_lengths(induced, n_ind)
 
     def window_for(ell):
         lo = max(1, (width - 1) + (ell - 2) * min_rho - max_rho + 1)

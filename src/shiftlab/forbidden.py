@@ -18,15 +18,15 @@ streams.  A substitution oracle's state names one word (a suffix-automaton
 node and its length), so there the pairs are as many as the words and the
 walk steps about as often as enumeration would, without spelling them; so
 does an induced oracle over such a base.
-``minimal_forbidden_lengths`` is the same walk for callers that read
-only lengths: it spells nothing and stops at its first repeated level.
+``minimal_forbidden_lengths`` is the same walk for the LS value (an
+``LSReport``): it spells nothing and stops at its first repeated level.
 """
 
 import operator
 from itertools import accumulate
 
-from .errors import InfeasibleSetError
-from .language import Alphabet
+from .errors import EnumerationCapError, InfeasibleSetError
+from .language import LETTER_LIMIT, Alphabet, count_text
 from .record import Record
 from .sft import FiniteTypeSpec
 
@@ -44,26 +44,36 @@ class MFWTable(Record):
     def lengths(self):
         return tuple(sorted(self.by_length))
 
-    repeat = None  # a table lists words, so it claims no repeating block
-
     def words(self):
         return tuple(w for n in sorted(self.by_length) for w in self.by_length[n])
 
 
-class LSLengths(Record):
-    """Lengths <= ``horizon`` carrying a minimal forbidden word.
+class LSReport(Record):
+    """The LS set: the lengths <= ``horizon`` carrying a minimal forbidden
+    word, as every report prints it.
 
     ``repeat`` is (start, period) when n and n + period are both in the
     set or both out of it for every n >= start, and None when no
-    repeating block is known.
+    repeating block is known.  One ``window_density_report``, on first
+    read, gives ``max_gap``, the longest run of lengths in [1, horizon]
+    free of the set, and ``window_densities[k]``, the least |ls ∩ (n,
+    n+k]| / k over the windows inside [1, horizon]: evidence at the
+    horizon, which bounds nothing asymptotic by itself.
     """
 
-    _fields = ("horizon", "lengths", "repeat")
+    _fields = ("horizon", "ls_set", "repeat")
 
-    def __init__(self, horizon, lengths, repeat=None):
+    def __init__(self, horizon, ls_set, repeat=None):
         self.horizon = horizon
-        self.lengths = lengths
+        self.ls_set = ls_set
         self.repeat = repeat
+
+    def __getattr__(self, name):  # only for attributes not yet set
+        if name not in ("max_gap", "window_densities"):
+            raise AttributeError(name)
+        _, self.max_gap, self.window_densities = window_density_report(
+            self.ls_set, self.horizon, self.repeat)
+        return self.__dict__[name]
 
 
 def minimal_forbidden(oracle, n_max):
@@ -126,7 +136,7 @@ def minimal_forbidden(oracle, n_max):
 
 
 def minimal_forbidden_lengths(oracle, n_max):
-    """``minimal_forbidden(oracle, n_max).lengths`` as an ``LSLengths``.
+    """``minimal_forbidden(oracle, n_max).lengths`` as an ``LSReport``.
 
     The same pair walk, with each level kept as a set of pairs: no
     in-edges and no spelling.  Level n determines both whether length n
@@ -139,7 +149,7 @@ def minimal_forbidden_lengths(oracle, n_max):
     """
     oracle.check_horizon(n_max)
     if n_max < 1:
-        return LSLengths(n_max, ())
+        return LSReport(n_max, ())
     step, start = oracle.step, oracle.start
     letters = oracle.alphabet.symbols
     level = set()
@@ -174,7 +184,7 @@ def minimal_forbidden_lengths(oracle, n_max):
                     nxt.add((xc, yc))
         inside.append(witnessed)
         level = nxt
-    return LSLengths(n_max, tuple(n for n, flag in enumerate(inside) if flag), repeat)
+    return LSReport(n_max, tuple(n for n, flag in enumerate(inside) if flag), repeat)
 
 
 def _spell(levels, k, pair):
@@ -197,29 +207,9 @@ def _spell(levels, k, pair):
     return words
 
 
-class LSReport(Record):
-    """Lengths of minimal forbidden words with density evidence.
-
-    ``window_densities[k]`` is the minimum over placements of
-    |ls ∩ (n, n+k]| / k for windows lying inside [1, horizon]; it lower
-    bounds nothing asymptotic by itself but is the finite-horizon
-    evidence the stability notion asks about.
-    ``max_gap`` is the longest run of consecutive lengths in [1, horizon]
-    free of minimal forbidden words.
-    """
-
-    _fields = ("horizon", "ls_set", "max_gap", "window_densities")
-
-    def __init__(self, horizon, ls_set, max_gap, window_densities):
-        self.horizon = horizon
-        self.ls_set = ls_set
-        self.max_gap = max_gap
-        self.window_densities = window_densities
-
-
 def window_density_report(ls_lengths, horizon, repeat=None):
     """(sorted lengths, max_gap, window_densities) at ``horizon``.  With
-    ``repeat`` = (start, period), as in ``LSLengths``, a window (n, n + k]
+    ``repeat`` = (start, period), as in ``LSReport``, a window (n, n + k]
     holds as many lengths as the one a period earlier once n >= start - 1
     + period, so only starts n <= start - 2 + period are scanned."""
     ls = sorted(set(ls_lengths))
@@ -241,10 +231,9 @@ def window_density_report(ls_lengths, horizon, repeat=None):
 
 
 def ls_report(table):
-    """Stability evidence from an ``MFWTable`` or an ``LSLengths``."""
-    ls, max_gap, densities = window_density_report(table.lengths, table.horizon,
-                                                   table.repeat)
-    return LSReport(table.horizon, ls, max_gap, densities)
+    """The LS view of a spelled ``MFWTable``: its lengths as an
+    ``LSReport`` with no repeating block."""
+    return LSReport(table.horizon, table.lengths)
 
 
 def well_approx_check(oracle, alpha, n_max):
@@ -255,7 +244,7 @@ def well_approx_check(oracle, alpha, n_max):
     coincide.  Only n with n + alpha(n) <= n_max are decidable at this
     horizon; others are skipped.
     """
-    present = set(minimal_forbidden_lengths(oracle, n_max).lengths)
+    present = set(minimal_forbidden_lengths(oracle, n_max).ls_set)
     witnesses = []
     for n in range(1, n_max + 1):
         a = alpha(n)
@@ -286,11 +275,15 @@ def example_nonempty_shift(lengths):
     with c = 1 when ell-2 is even and c = 2 when ell-2 is odd.  Distinct
     targets give words that are incomparable under the subword order, so
     the forbidden list is exactly the minimal forbidden set and the
-    length set is realized on the nose.
+    length set is realized on the nose.  Words of more than
+    ``LETTER_LIMIT`` letters in all are refused before any is built.
     """
     target = sorted(set(lengths))
     if any(ell < 3 for ell in target):
         raise InfeasibleSetError("target lengths must be >= 3")
+    if sum(target) > LETTER_LIMIT:
+        raise EnumerationCapError("%s letters in the forbidden words exceed the limit %d"
+                                  % (count_text(sum(target)), LETTER_LIMIT))
     abc = Alphabet(("0", "1", "2"))
     words = set()
     for ell in target:

@@ -63,6 +63,7 @@ def _check_keys(payload, required, optional=()):
 
 
 def _validate_payload(kind, payload):
+    # integer fields test type(x) is int, which JSON's true and false fail
     if kind == "finite-type":
         _check_keys(payload, ("alphabet", "forbidden"))
         if not isinstance(payload["alphabet"], list):
@@ -89,7 +90,7 @@ def _validate_payload(kind, payload):
         _check_keys(payload, ("beta",), ("digits",))
         if not isinstance(payload["beta"], str):
             _fail("beta must be a specification string")
-        if "digits" in payload and (not isinstance(payload["digits"], int)
+        if "digits" in payload and (type(payload["digits"]) is not int
                                     or payload["digits"] < 1):
             _fail("digits must be a positive integer")
     elif kind == "substitution":
@@ -104,31 +105,31 @@ def _validate_payload(kind, payload):
         _check_keys(payload, ("base", "window", "return_rule"), ("clopen", "cap"))
         if not isinstance(payload["base"], dict):
             _fail("base must be a nested shift document object")
-        if not isinstance(payload["window"], int) or payload["window"] < 0:
+        if type(payload["window"]) is not int or payload["window"] < 0:
             _fail("window must be a nonnegative integer")
         rule = payload["return_rule"]
-        if not (rule == "first-return" or isinstance(rule, (int, dict))):
+        if not (rule == "first-return" or type(rule) is int or isinstance(rule, dict)):
             _fail("return_rule must be an integer, a map, or \"first-return\"")
-        if isinstance(rule, dict) and not all(isinstance(t, int) for t in rule.values()):
+        if isinstance(rule, dict) and not all(type(t) is int for t in rule.values()):
             _fail("return_rule map values must be integers")
         if payload.get("clopen") is not None:
             if not isinstance(payload["clopen"], list):
                 _fail("clopen must be a list of windows")
             for w in payload["clopen"]:
                 _check_word_item(w, "clopen window")
-        if "cap" in payload and (not isinstance(payload["cap"], int)
+        if "cap" in payload and (type(payload["cap"]) is not int
                                  or payload["cap"] < 1):
             _fail("cap must be a positive integer")
     elif kind == "example-nonempty":
         _check_keys(payload, ("lengths",))
         if not isinstance(payload["lengths"], list) or not all(
-                isinstance(x, int) for x in payload["lengths"]):
+                type(x) is int for x in payload["lengths"]):
             _fail("lengths must be a list of integers")
     elif kind == "example-betashift":
         _check_keys(payload, ("mode", "steps"))
         if payload["mode"] not in ("specified", "synchronized"):
             _fail("mode must be \"specified\" or \"synchronized\"")
-        if not isinstance(payload["steps"], int) or payload["steps"] < 0:
+        if type(payload["steps"]) is not int or payload["steps"] < 0:
             _fail("steps must be a nonnegative integer")
     else:
         _fail("unknown kind %r" % (kind,))
@@ -419,7 +420,7 @@ def parse_block_code(obj, source_alphabet):
     if "range" not in obj or "rule" not in obj:
         _fail("block code needs 'range' and 'rule'")
     radius = obj["range"]
-    if not isinstance(radius, int) or radius < 0:
+    if type(radius) is not int or radius < 0:  # not a bool, as in _validate_payload
         _fail("range must be a nonnegative integer")
     if not isinstance(obj["rule"], dict):
         _fail("rule must be an object mapping windows to letters")

@@ -25,10 +25,10 @@ from .errors import (AlphabetMismatchError, EnumerationCapError,
                      UndefinedEntropyError)
 from .graph import (LabeledGraph, SubsetTable, _essential, _mark_pruned,
                     _survivor_oracle, make_labeled_graph, prune_labeled)
-from .language import EMPTY_WORD
+from .language import EMPTY_WORD, LETTER_LIMIT
 from .sft import DEFAULT_CAP, _minimal_period
 from .spectral import spectral_radius_certified
-from .forbidden import minimal_forbidden_lengths, window_density_report
+from .forbidden import minimal_forbidden_lengths
 
 
 class BlockCode:
@@ -107,22 +107,29 @@ def finite_type_presentation(spec):
     ``goto[u][a]``, the longest suffix of ua in the trie, is ua or is read
     off u's failure node, and a node is dead when it is forbidden or its
     failure node is dead.  Linear in the total forbidden length times the
-    alphabet, besides spelling the states.
+    alphabet, besides spelling the states, which it refuses past
+    ``LETTER_LIMIT`` letters.
     """
     letters = spec.alphabet.symbols
-    # the trie, one entry per node; node 0 is the empty word
-    children, names, dead = [{}], [()], [False]
+    # the trie, one entry per node; node 0 is the empty word, node u is w[:k] for (w, k) = names[u]
+    children, names, dead = [{}], [((), 0)], [False]
+    spelled = 0  # letters in the names of the nodes so far
     for w in spec.forbidden:
         node = 0
         for k, a in enumerate(w):
             child = children[node].get(a)
             if child is None:
+                spelled += k + 1
+                if spelled > LETTER_LIMIT:
+                    raise EnumerationCapError("the state names of the finite-type presentation"
+                                              " exceed the limit of %d letters" % LETTER_LIMIT)
                 child = children[node][a] = len(names)
                 children.append({})
-                names.append(w[:k + 1])
+                names.append((w, k + 1))
                 dead.append(False)
             node = child
         dead[node] = True
+    names = [w[:k] for w, k in names]
     if dead[0]:
         return _mark_pruned(LabeledGraph(spec.alphabet, (), {}))
     # breadth first over the live nodes; what lies below a dead node
@@ -451,8 +458,6 @@ def theorem1_diagnostic(g, horizon):
     evidence at this horizon.  The lengths come from the walk ``ls``
     runs (``minimal_forbidden_lengths`` on the presentation's oracle).
     """
-    tag = is_sft(g)
     ls = minimal_forbidden_lengths(sofic_oracle(g, horizon), horizon)
-    _, _, densities = window_density_report(ls.lengths, horizon, ls.repeat)
-    bound = max(densities.values(), default=0.0)
-    return Theorem1Report(horizon, tag, ls.lengths, bound, densities)
+    return Theorem1Report(horizon, is_sft(g), ls.ls_set,
+                          max(ls.window_densities.values(), default=0.0), ls.window_densities)

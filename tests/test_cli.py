@@ -23,7 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, FiniteTypeSpec, cli, finite_type_presentation,
-                      per_le_enumerate, shifts, window_density_report)
+                      format_word, forbidden, per_le_enumerate, shifts, sofic,
+                      window_density_report)
+from shiftlab import beta as beta_module
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -162,6 +164,58 @@ def test_bad_document_is_error(capsys, tmp_path, doc, code):
     if isinstance(bad, bytes):
         what = "shift document" if code is None else "block code"
         assert err == "error: %s is not %s\n" % (what, BAD_BYTES[bad])
+
+
+@pytest.mark.parametrize("doc, code, message", [
+    ({"kind": "beta", "beta": "1.8", "digits": True}, None,
+     "digits must be a positive integer"),
+    (dict(INDUCED_GOLDEN_DOC, window=True, return_rule=1), None,
+     "window must be a nonnegative integer"),
+    (dict(INDUCED_GOLDEN_DOC, return_rule=True), None,
+     "return_rule must be an integer, a map, or \"first-return\""),
+    (dict(INDUCED_GOLDEN_DOC, return_rule={"000": True, "001": 2, "100": 1, "101": 2}),
+     None, "return_rule map values must be integers"),
+    (dict(INDUCED_GOLDEN_DOC, cap=True), None, "cap must be a positive integer"),
+    ({"kind": "example-nonempty", "lengths": [True, 5]}, None,
+     "lengths must be a list of integers"),
+    ({"kind": "example-betashift", "mode": "specified", "steps": True}, None,
+     "steps must be a nonnegative integer"),
+    (GOLDEN_DOC, dict(FLIP_CODE, range=True), "range must be a nonnegative integer"),
+], ids=["digits", "window", "return-rule", "return-rule-map-value", "cap", "lengths",
+        "steps", "range"])
+def test_json_boolean_is_no_integer(capsys, write, doc, code, message):
+    # bool is a subclass of int in Python; JSON's true is not the integer 1
+    argv = ["mfw", write("bool.json", doc), "--horizon", "4"]
+    if code is not None:
+        argv = ["decompose", argv[1], "--code", write("code.json", code)]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (1, "", "error: shift document: %s\n" % message)
+
+
+def test_oversized_example_words_are_refused(capsys, write, monkeypatch):
+    # the words 02220 and 011110 spell 11 letters
+    monkeypatch.setattr(forbidden, "LETTER_LIMIT", 10)
+    doc = write("ne.json", {"kind": "example-nonempty", "lengths": [5, 6]})
+    rc, out, err = run(capsys, ["ls", doc, "--horizon", "5"])
+    assert (rc, out) == (1, "")
+    assert err == "error: 11 letters in the forbidden words exceed the limit 10\n"
+    monkeypatch.setattr(forbidden, "LETTER_LIMIT", 11)
+    assert run_json(capsys, ["ls", doc, "--horizon", "5"])["ls_set"] == [5]
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "example-nonempty", "lengths": [12]},
+    {"kind": "finite-type", "alphabet": ["0", "1"], "forbidden": ["0" * 12]},
+], ids=["example-nonempty", "finite-type"])
+def test_long_state_names_are_refused_before_spelling(capsys, write, monkeypatch, doc):
+    # a word of length 12 names its trie nodes with 1 + 2 + ... + 12 = 78 letters
+    monkeypatch.setattr(sofic, "LETTER_LIMIT", 77)
+    rc, out, err = run(capsys, ["ls", write("long.json", doc), "--horizon", "5"])
+    assert (rc, out) == (1, "")
+    assert err == ("error: the state names of the finite-type presentation exceed"
+                   " the limit of 77 letters\n")
+    monkeypatch.setattr(sofic, "LETTER_LIMIT", 78)
+    assert run_json(capsys, ["ls", write("long.json", doc), "--horizon", "5"])["ls_set"] == []
 
 
 def _induced_chain(depth):
@@ -1148,8 +1202,9 @@ def test_beta_mfw_matches_mfw_on_the_document(capsys, write):
                                   "poly:x^3-x^2-x-1@[1.8,1.9]"],
                          ids=["golden", "silver-like", "1+sqrt3", "tribonacci"])
 def test_parry_beta_mfw_same_on_both_machines(capsys, write, spec):
-    # `beta mfw` reads the digit rule of the spec; the document's oracle
-    # steps on its presentation
+    # both commands walk the beta document's oracle, which steps on its
+    # presentation; test_beta_mfw_matches_the_stream_alone checks it
+    # against the digits alone
     path = write("b.json", {"kind": "beta", "beta": spec})
     for fmt in ("text", "json"):
         rc, direct, _ = run(capsys, ["beta", "mfw", spec, "--horizon", "40", "--format", fmt])
@@ -1168,6 +1223,67 @@ def test_beta_mfw_past_64_digits_matches_the_document(capsys, write, spec):
     assert rc == 0
     rc, via_document, _ = run(capsys, ["mfw", path, "--horizon", "100"])
     assert (rc, direct) == (0, via_document)
+
+
+def _patch_beta_oracle(monkeypatch, oracle):
+    """``beta.beta_oracle`` replaced by ``oracle`` wherever a module of
+    the package holds it."""
+    for name in ("beta", "shifts", "cli"):
+        module = sys.modules["shiftlab." + name]
+        if hasattr(module, "beta_oracle"):
+            monkeypatch.setattr(module, "beta_oracle", oracle)
+
+
+@pytest.mark.parametrize("spec", [GOLDEN_BETA, SILVER_LIKE_BETA,
+                                  "poly:x^3-x^2-x-1@[1.8,1.9]"],
+                         ids=["golden", "silver-like", "tribonacci"])
+def test_closing_beta_mfw_walks_the_presentation(capsys, monkeypatch, spec):
+    def refuse(stream, horizon):
+        raise AssertionError("a closing expansion stepped on its digit rule")
+
+    _patch_beta_oracle(monkeypatch, refuse)
+    report = run_json(capsys, ["beta", "mfw", spec, "--horizon", "30"])
+    assert report["table"]
+
+
+def test_truncated_beta_mfw_walks_the_digit_rule(capsys, monkeypatch):
+    calls = []
+    digit_rule = beta_module.beta_oracle
+
+    def counting(stream, horizon):
+        calls.append(horizon)
+        return digit_rule(stream, horizon)
+
+    _patch_beta_oracle(monkeypatch, counting)
+    report = run_json(capsys, ["beta", "mfw", "1.8", "--horizon", "12"])
+    assert (calls, report["horizon"]) == ([12], 12)
+
+
+def _beta_specs():
+    rational = st.tuples(st.integers(2, 60), st.integers(1, 12)).filter(
+        lambda pq: 1 < Fraction(*pq) < 6).map(lambda pq: "rational:%d/%d" % pq)
+    decimal = st.tuples(st.integers(1, 5), st.text("0123456789", min_size=1, max_size=3)).filter(
+        lambda parts: Fraction("%d.%s" % parts) > 1).map(lambda parts: "%d.%s" % parts)
+    closing = st.sampled_from([GOLDEN_BETA, SILVER_LIKE_BETA, "poly:x^2-2x-2@[2,3]",
+                               "poly:x^3-x^2-x-1@[1.8,1.9]"])
+    return st.one_of(rational, decimal, closing)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_beta_specs(), horizon=st.integers(1, 40))
+def test_beta_mfw_matches_the_stream_alone(spec, horizon):
+    # ``beta_mfw`` reads the words off the digits, with no oracle
+    table = beta_module.beta_mfw(beta_module.beta_stream(spec, horizon).working_stream(),
+                                 horizon)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["beta", "mfw", spec, "--horizon", str(horizon), "--format", "json"])
+    assert rc == 0
+    assert json.loads(out.getvalue()) == {
+        "horizon": horizon,
+        "table": {str(n): [format_word(w) for w in table.by_length[n]]
+                  for n in sorted(table.by_length)},
+        "note": "evidence at horizon %d" % horizon}
 
 
 def test_beta_lsdiag_past_64_digits(capsys):
@@ -1247,6 +1363,34 @@ def test_speedup_compare(capsys, write):
     assert [row["witness"] for row in report["rows"]] == \
         [[2, 3], [3, 8], [8, 13]]
     assert "not verified" in report["note"]
+
+
+def _count_density_scans(monkeypatch):
+    calls = []
+    scan = forbidden.window_density_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(forbidden, "window_density_report", counting)
+    return calls
+
+
+def test_speedup_compare_scans_no_densities(capsys, write, monkeypatch):
+    # the report prints both LS sets and neither's densities
+    doc = write("ind.json", INDUCED_FIB_DOC)
+    calls = _count_density_scans(monkeypatch)
+    rc, _, err = run(capsys, ["speedup-compare", doc, "--horizon", "14"])
+    assert (rc, err, calls) == (0, "", [])
+
+
+def test_ls_scans_densities_once(capsys, write, monkeypatch):
+    doc = write("even.json", EVEN_DOC)
+    calls = _count_density_scans(monkeypatch)
+    report = run_json(capsys, ["ls", doc, "--horizon", "41"])
+    assert report["max_gap"] == 2
+    assert calls == [(tuple(range(3, 42, 2)), 41, (4, 2))]
 
 
 # ---- labeled-graph commands ------------------------------------------------

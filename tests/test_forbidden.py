@@ -260,10 +260,10 @@ def _check_length_walk(oracle, horizon):
     holds on them."""
     ls = minimal_forbidden_lengths(oracle, horizon)
     assert ls.horizon == horizon
-    assert ls.lengths == minimal_forbidden(oracle, horizon).lengths
+    assert ls.ls_set == minimal_forbidden(oracle, horizon).lengths
     if ls.repeat is not None:
         start, period = ls.repeat
-        inside = set(ls.lengths)
+        inside = set(ls.ls_set)
         assert all((n in inside) == (n + period in inside)
                    for n in range(start, horizon - period + 1))
     return ls
@@ -301,9 +301,13 @@ def test_length_walk_matches_word_walk_on_substitutions(images, seed, horizon):
 
 def test_length_walk_reads_the_even_shift_off_its_block(even_oracle):
     ls = _check_length_walk(even_oracle, 22)
-    assert ls.lengths == tuple(range(3, 22, 2))
+    assert ls.ls_set == tuple(range(3, 22, 2))
     assert ls.repeat == (4, 2)
-    assert repr(ls_report(ls)) == repr(ls_report(minimal_forbidden(even_oracle, 22)))
-    assert minimal_forbidden_lengths(even_oracle, 0).lengths == ()
+    # the table's LS view claims no block, so the fields are compared
+    view = ls_report(minimal_forbidden(even_oracle, 22))
+    assert view.repeat is None
+    assert ((ls.horizon, ls.ls_set, ls.max_gap, repr(ls.window_densities))
+            == (view.horizon, view.ls_set, view.max_gap, repr(view.window_densities)))
+    assert minimal_forbidden_lengths(even_oracle, 0).ls_set == ()
     with pytest.raises(HorizonExceededError):
         minimal_forbidden_lengths(even_oracle, 23)

@@ -13,7 +13,7 @@ from shiftlab import (Alphabet, AlphabetMismatchError, BlockCode, BlockGraph,
                       mfw_length_set, minimal_forbidden,
                       minimal_forbidden_lengths, per_le_enumerate,
                       periodic_count_le, prune_labeled, sofic_entropy,
-                      sofic_oracle, theorem1_diagnostic)
+                      sofic_oracle, theorem1_diagnostic, window_density_report)
 from shiftlab.graph import LabeledGraph, SubsetTable, _subset_step
 from shiftlab.sft import block_graph_of
 
@@ -336,16 +336,18 @@ def test_length_walk_matches_pair_walk_random(graph, horizon):
     n, edges = graph
     g = make_labeled_graph(Alphabet(("0", "1")), tuple(range(n)), edges)
     ls = minimal_forbidden_lengths(sofic_oracle(g, horizon), horizon)
-    assert ls.lengths == mfw_length_set(g, horizon)
+    assert ls.ls_set == mfw_length_set(g, horizon)
     short = min(horizon, 14)  # the word walk spells every word
-    assert (minimal_forbidden_lengths(sofic_oracle(g, short), short).lengths
+    assert (minimal_forbidden_lengths(sofic_oracle(g, short), short).ls_set
             == minimal_forbidden(sofic_oracle(g, short), short).lengths)
     report = theorem1_diagnostic(g, horizon)
-    assert report.mfw_lengths == ls.lengths
-    assert repr(report.window_densities) == repr(ls_report(ls).window_densities)
+    assert report.mfw_lengths == ls.ls_set
+    # the densities read off the block equal a scan of every window
+    _, _, scanned = window_density_report(ls.ls_set, horizon)
+    assert repr(report.window_densities) == repr(scanned)
     if ls.repeat is not None:  # the block holds on the lengths
         start, period = ls.repeat
-        inside = set(ls.lengths)
+        inside = set(ls.ls_set)
         assert all((n in inside) == (n + period in inside)
                    for n in range(start, horizon - period + 1))
 

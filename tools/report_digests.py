@@ -24,8 +24,13 @@ a Parry-beta document (whose oracle steps on its presentation),
 ``beta mfw`` on a rational, a decimal, a finite and a Parry ``poly:`` spec,
 ``beta example`` in both modes, ``lang``, ``mfw`` and ``ls`` on an
 ``example-betashift`` document, and ``ls`` on a beta document whose
-``digits`` fall short of the horizon, which clips it.  Their lines carry
-the seed ``extra`` and an id of their own, and the same masking.
+``digits`` fall short of the horizon, which clips it; then ``sofic thm1``
+on the Parry-beta document and on the even shift (whose LS values carry
+a repeating block), ``beta mfw`` on the Parry spec of that document
+(its stdout equals that of ``mfw`` on the document), and ``lang`` and
+``induce`` on an induced document whose ``return_rule`` is a map.  Their
+lines carry the seed ``extra`` and an id of their own, and the same
+masking.
 
 Last come the argvs that argparse answers: ``-h`` at the top, on the
 ``beta``, ``subst`` and ``sofic`` groups and on each of the 27 commands,
@@ -64,6 +69,10 @@ EXTRA_FILES = {
                    "base": {"kind": "beta", "beta": "poly:x^3-x^2-x-1@[1.8,1.9]"}},
     "example.json": {"kind": "example-betashift", "mode": "synchronized", "steps": 3},
     "short.json": {"kind": "beta", "beta": "1.8", "digits": 10},
+    "imap.json": {"kind": "induced", "window": 1, "clopen": ["000", "001", "100", "101"],
+                  "return_rule": {"000": 1, "001": 2, "100": 1, "101": 2},
+                  "base": {"kind": "finite-type", "alphabet": ["0", "1"],
+                           "forbidden": ["11"]}},
     "flip.json": {"range": 0, "rule": {"0": "1", "1": "0"}},
     "xor.json": {"range": 1, "rule": {"".join(w): str(int(w[0] != w[2]))
                                       for w in itertools.product("01", repeat=3)}},
@@ -98,6 +107,11 @@ EXTRA = [("%s-%s-%d" % (argv[0], argv[1].split(".")[0], i), argv)
              ["mfw", "example.json", "--horizon", "20"],
              ["ls", "example.json", "--horizon", "40"],
              ["ls", "short.json", "--horizon", "20"],
+             ["sofic", "thm1", "beta.json", "--horizon", "60"],
+             ["sofic", "thm1", "even.json", "--horizon", "60"],
+             ["beta", "mfw", "poly:x^3-x^2-x-1@[1.8,1.9]", "--horizon", "24"],
+             ["lang", "imap.json", "--length", "4", "--horizon", "6"],
+             ["induce", "imap.json", "--horizon", "6"],
          ])]
 
 COMMANDS = ["lang", "complexity", "special", "mfw", "ls", "well-approx", "entropy",

@@ -19,7 +19,7 @@ node and its length), so there the pairs are as many as the words and the
 walk steps about as often as enumeration would, without spelling them; so
 does an induced oracle over such a base.
 ``minimal_forbidden_lengths`` is the same walk for the LS value (an
-``LSReport``): it spells nothing and stops at its first repeated level.
+``LSReport``): it spells nothing, holds a few levels, and stops at a repeat.
 """
 
 import operator
@@ -142,34 +142,71 @@ def minimal_forbidden_lengths(oracle, n_max):
     in-edges and no spelling.  Level n determines both whether length n
     is witnessed and level n + 1, so once a level equals an earlier one
     the lengths repeat with their distance, and the walk reads every
-    longer length up to ``n_max`` off that block.  Survivor-set oracles
-    (Parry-beta documents among them), and induced oracles over them,
-    repeat within a few levels; digit-rule beta and substitution oracles
-    walk to ``n_max``.
+    longer length up to ``n_max`` off that block.  ``repeat`` is the
+    first repeat, found holding a few levels after Brent (BIT 20, 1980):
+    each level is compared with the two before it and with the one
+    saved at the last power of two, and for a longer period two walks a
+    period apart meet at the start; when the horizon comes first, the
+    last level is sought among the earlier ones of its size.
+    Survivor-set oracles (Parry-beta documents among them), and induced
+    oracles over them, repeat within a few levels; digit-rule beta and
+    substitution oracles walk to ``n_max``.
     """
     oracle.check_horizon(n_max)
     if n_max < 1:
         return LSReport(n_max, ())
     step, start = oracle.step, oracle.start
     letters = oracle.alphabet.symbols
-    level = set()
+    first = set()
     inside = [False, False]  # inside[n]: some minimal forbidden word has length n
     for a in letters:
         x = None if start is None else step(start, a)
         if x is None:
             inside[1] = True
         else:
-            level.add((x, start))
-    seen = {}  # level -> the length it witnesses
-    repeat = None
-    for n in range(2, n_max + 1):
-        key = frozenset(level)
-        if key in seen:
-            repeat = (seen[key], n - seen[key])
+            first.add((x, start))
+    sizes = [0, 0]  # sizes[n]: the pairs of level n
+    saved = saved_at = before = last = period = begin = None
+    for n, (level, witnessed) in zip(range(2, n_max + 1), _walk_levels(first, step, letters)):
+        if level == last:
+            period, begin = 1, n - 1
+        elif level == before:
+            period, begin = 2, n - 2
+        elif level == saved:
+            period = n - saved_at
+        if period is not None:
             for m in range(n, n_max + 1):
-                inside.append(inside[m - repeat[1]])
+                inside.append(inside[m - period])
             break
-        seen[key] = n
+        inside.append(witnessed)
+        sizes.append(len(level))
+        before, last = last, level
+        if not (n - 1) & (n - 2):
+            saved, saved_at = level, n
+        if n == n_max:
+            # a repeat by n_max puts the last level in the block, a period
+            # after the last earlier level equal to it, of the same size
+            again = {m for m in range(2, n_max)
+                     if sizes[m] == sizes[n_max] and inside[m] == witnessed}
+            period = min((n_max - m for m, (other, _) in zip(
+                range(2, max(again, default=1) + 1), _walk_levels(first, step, letters))
+                if m in again and other == level), default=None)
+    if period is not None and begin is None:
+        lead, trail = _walk_levels(first, step, letters), _walk_levels(first, step, letters)
+        for _ in range(period):
+            next(lead)
+        begin = 2
+        while next(lead)[0] != next(trail)[0]:
+            begin += 1
+    return LSReport(n_max, tuple(n for n, flag in enumerate(inside) if flag),
+                    None if period is None else (begin, period))
+
+
+def _walk_levels(level, step, letters):
+    """The levels of the pair walk from ``level``, each with whether it
+    witnesses a minimal forbidden word; level n + 1 is built as level n
+    is read, which steps no word past length n."""
+    while True:
         nxt = set()
         witnessed = False
         for x, y in level:
@@ -180,11 +217,10 @@ def minimal_forbidden_lengths(oracle, n_max):
                 xc = step(x, c)
                 if xc is None:
                     witnessed = True
-                elif n < n_max:
+                else:
                     nxt.add((xc, yc))
-        inside.append(witnessed)
+        yield level, witnessed
         level = nxt
-    return LSReport(n_max, tuple(n for n, flag in enumerate(inside) if flag), repeat)
 
 
 def _spell(levels, k, pair):

@@ -212,46 +212,45 @@ class LanguageOracle(Record):
 
         Built incrementally: allowed words of length n are the one-letter
         extensions of allowed words of length n-1 that ``step`` keeps
-        alive, by factoriality.  The missing shorter levels are built
-        bottom up, each one call that finds the level below it cached,
-        so no listing recurses deeper than one level.
+        alive, by factoriality.  The missing levels are built in turn
+        from the highest cached level below n, and only level n is kept,
+        so a listing holds two levels at a time.
 
         Past ``WORD_LIMIT`` words it refuses before building a level.  It
         counts level n on states (:func:`complexity`) only when the highest
         cached level, times |A| per missing level, can pass the limit.
         """
         self.check_horizon(n)
-        key = ("L", n)
-        hit = self._cache.get(key)
+        cache = self._cache
+        hit = cache.get(("L", n))
         if hit is not None:
             return hit
-        if n == 0:
-            words = (EMPTY_WORD,) if self.contains(EMPTY_WORD) else ()
+        low = n - 1
+        while low > 0 and ("L", low) not in cache:
+            low -= 1
+        if ("L", low) in cache:
+            words, states = cache[("L", low)], cache[("S", low)]
+        else:  # an unlisted level 0 holds at most the empty word
+            low = 0
+            words = (EMPTY_WORD,) if self.start is not None else ()
             states = (self.start,) * len(words)
-        else:
-            low = n - 1
-            while low > 0 and ("L", low) not in self._cache:
-                low -= 1
-            # an unlisted level 0 holds at most the empty word
-            known = len(self._cache.get(("L", low), (EMPTY_WORD,)))
-            if known * len(self.alphabet) ** (n - low) > WORD_LIMIT:
-                count = complexity(self, n)[n]
-                if count > WORD_LIMIT:
-                    raise EnumerationCapError("%s words of length %d exceed the limit %d"
-                                              % (count_text(count), n, WORD_LIMIT))
-            for m in range(low, n):
-                shorter = self.words_of_length(m)
-            step = self.step
-            words, states = [], []
-            for w, state in zip(shorter, self._cache[("S", n - 1)]):
-                for a in self.alphabet:
-                    after = step(state, a)
-                    if after is not None:
-                        words.append(w + (a,))
-                        states.append(after)
-            words = tuple(words)
-        self._cache[("S", n)] = tuple(states)
-        self._cache[key] = words
+        if len(words) * len(self.alphabet) ** (n - low) > WORD_LIMIT:
+            count = complexity(self, n)[n]
+            if count > WORD_LIMIT:
+                raise EnumerationCapError("%s words of length %d exceed the limit %d"
+                                          % (count_text(count), n, WORD_LIMIT))
+        step, letters = self.step, self.alphabet.symbols
+        for _ in range(low, n):
+            longer, after = [], []
+            for w, state in zip(words, states):
+                for a in letters:
+                    nxt = step(state, a)
+                    if nxt is not None:
+                        longer.append(w + (a,))
+                        after.append(nxt)
+            words, states = longer, after
+        cache[("S", n)] = tuple(states)
+        cache[("L", n)] = words = tuple(words)
         return words
 
     def frontier(self, n):
@@ -322,17 +321,21 @@ def special_words(oracle, n):
     """Special words of length ``n``; needs the language at length n+1.
 
     A word is left special when at least two letters extend it on the
-    left, right special symmetrically, bispecial when both.
+    left, right special symmetrically, bispecial when both.  Right special
+    words are prefixes of two consecutive sorted words of length n + 1.
     """
     oracle.check_horizon(n + 1)
     oracle.check_horizon(n)
-    left = {}
-    right = {}
-    for u in oracle.words_of_length(n + 1):
-        left.setdefault(u[1:], set()).add(u[0])
-        right.setdefault(u[:-1], set()).add(u[-1])
-    key = oracle.alphabet.key
-    ls = tuple(sorted((w for w, ext in left.items() if len(ext) >= 2), key=key))
-    rs = tuple(sorted((w for w, ext in right.items() if len(ext) >= 2), key=key))
-    bs = tuple(sorted(set(ls) & set(rs), key=key))
-    return SpecialReport(n, ls, rs, bs)
+    longer = oracle.words_of_length(n + 1)
+    right = []
+    for u, v in zip(longer, longer[1:]):
+        head = u[:-1]
+        if head == v[:-1] and (not right or right[-1] != head):
+            right.append(head)
+    first = {}  # suffix -> its first letter, None once a second one is met
+    for u in longer:
+        if first.setdefault(u[1:], u[0]) != u[0]:
+            first[u[1:]] = None
+    left = sorted((w for w, a in first.items() if a is None), key=oracle.alphabet.key)
+    rs = set(right)
+    return SpecialReport(n, tuple(left), tuple(right), tuple(w for w in left if w in rs))

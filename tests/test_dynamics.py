@@ -589,6 +589,45 @@ def test_subst_oracle_stays_lazy_under_a_far_horizon(fib):
     assert peak < 256 * 1024
 
 
+def _peak(call):
+    """(result, tracemalloc peak in bytes) of ``call()``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ls_walk_holds_one_level_at_a_far_horizon(fib):
+    # every level kept to find a repeat peaked at 130 MiB
+    ls, peak = _peak(lambda: minimal_forbidden_lengths(subst_oracle(fib, 1000), 1000))
+    assert peak < 8 * 2 ** 20
+    fibonacci = [2, 3]
+    while fibonacci[-1] + fibonacci[-2] <= 1000:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    assert ls.ls_set == tuple(fibonacci) and ls.repeat is None
+    reference = minimal_forbidden_lengths(_level_oracle(fib, 400), 400)
+    assert reference.ls_set == tuple(n for n in ls.ls_set if n <= 400)
+
+
+def test_listing_holds_two_levels_at_a_far_length(fib):
+    # every level kept as tuples held about L^3 / 2 letters: 174 MiB here
+    words, peak = _peak(lambda: subst_oracle(fib, 400).words_of_length(400))
+    assert peak < 16 * 2 ** 20
+    assert len(words) == 401 and len(set(words)) == 401
+
+
+def test_special_words_hold_one_level_at_a_far_length(fib):
+    # two dicts of letter sets over level 201 peaked at 24 MiB
+    report, peak = _peak(lambda: special_words(subst_oracle(fib, 201), 200))
+    assert peak < 4 * 2 ** 20
+    # one left and one right special word, mirror images, none bispecial
+    assert len(report.left_special) == len(report.right_special) == 1
+    assert report.left_special[0] == report.right_special[0][::-1]
+    assert report.bispecial == ()
+
+
 def test_induced_over_subst_stays_lazy_under_a_far_horizon():
     # the base is realized at about 3 * 10^5; only the steps of length-5
     # superwords may grow it

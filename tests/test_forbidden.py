@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, FiniteTypeSpec, HorizonExceededError, InducedSpec,
-                      InfeasibleSetError, NonGrowingSubstitutionError,
+                      InfeasibleSetError, LanguageOracle, NonGrowingSubstitutionError,
                       ReturnTimeCapError, Substitution, UnsupportedSpecError,
                       beta_expand, beta_mfw, beta_oracle, build_block_graph,
                       example_nonempty_shift, finite_type_presentation,
                       format_word, induce_recode, induced_data, ls_report,
-                      mfw_length_set, minimal_forbidden,
+                      make_labeled_graph, mfw_length_set, minimal_forbidden,
                       minimal_forbidden_lengths, parse_beta_spec, sft_oracle,
                       sofic_oracle, subst_oracle, tau_eval, well_approx_check,
                       window_density_report)
+from shiftlab import forbidden
 
 
 def test_golden_mfw(golden_oracle):
@@ -255,12 +256,56 @@ def test_mfw_walk_empty_language_and_zero_horizon():
     assert minimal_forbidden(empty, 0).by_length == {}
 
 
+def _table_walk(oracle, n_max):
+    """The reference walk: every level kept as a frozenset, so the first
+    level equal to an earlier one is met at once.  Returns the witnessed
+    lengths and the first repeat (start, period), or None."""
+    if n_max < 1:
+        return (), None
+    step, start = oracle.step, oracle.start
+    letters = oracle.alphabet.symbols
+    level = set()
+    inside = [False, False]
+    for a in letters:
+        x = None if start is None else step(start, a)
+        if x is None:
+            inside[1] = True
+        else:
+            level.add((x, start))
+    seen = {}  # level -> the length it witnesses
+    repeat = None
+    for n in range(2, n_max + 1):
+        key = frozenset(level)
+        if key in seen:
+            repeat = (seen[key], n - seen[key])
+            for m in range(n, n_max + 1):
+                inside.append(inside[m - repeat[1]])
+            break
+        seen[key] = n
+        nxt = set()
+        witnessed = False
+        for x, y in level:
+            for c in letters:
+                yc = step(y, c)
+                if yc is None:
+                    continue
+                xc = step(x, c)
+                if xc is None:
+                    witnessed = True
+                elif n < n_max:
+                    nxt.add((xc, yc))
+        inside.append(witnessed)
+        level = nxt
+    return tuple(n for n, flag in enumerate(inside) if flag), repeat
+
+
 def _check_length_walk(oracle, horizon):
-    """The lengths-only walk lists the word walk's lengths, and its block
-    holds on them."""
+    """The lengths-only walk lists the word walk's lengths, its repeat is
+    the reference walk's first repeat, and its block holds on them."""
     ls = minimal_forbidden_lengths(oracle, horizon)
     assert ls.horizon == horizon
     assert ls.ls_set == minimal_forbidden(oracle, horizon).lengths
+    assert (ls.ls_set, ls.repeat) == _table_walk(oracle, horizon)
     if ls.repeat is not None:
         start, period = ls.repeat
         inside = set(ls.ls_set)
@@ -297,6 +342,58 @@ def test_length_walk_matches_word_walk_on_substitutions(images, seed, horizon):
     except NonGrowingSubstitutionError:
         return
     _check_length_walk(subst_oracle(tau, horizon), horizon)
+
+
+def test_length_walk_finds_the_first_repeat_after_a_late_save():
+    # 1-runs of a length divisible by 3 between 0-runs of at least 8.
+    # Levels 10 and 13 are the first equal pair; the level saved at 17
+    # comes back only at 20, and below that horizon the last level is
+    # compared with the earlier ones again
+    zeros = ["z%d" % i for i in range(8)]
+    edges = {(zeros[i], "0", zeros[i + 1]) for i in range(7)}
+    edges |= {("z7", "0", "z7"), ("z7", "1", "o1"), ("o1", "1", "o2"), ("o2", "1", "o0"),
+              ("o0", "1", "o1"), ("o0", "0", "z0")}
+    graph = make_labeled_graph(Alphabet(("0", "1")), tuple(zeros) + ("o0", "o1", "o2"), edges)
+    for horizon in range(2, 41):
+        ls = _check_length_walk(sofic_oracle(graph, horizon), horizon)
+        assert ls.repeat == ((10, 3) if horizon >= 13 else None)
+
+
+def _counting(oracle):
+    """``oracle`` with its steps counted in the returned list."""
+    calls = []
+
+    def step(state, letter):
+        calls.append(None)
+        return oracle.step(state, letter)
+
+    return LanguageOracle(oracle.alphabet, oracle.start, step, oracle.max_reliable_length,
+                          oracle.demand), calls
+
+
+def test_length_walk_that_never_repeats_steps_as_the_table_walk():
+    # an aperiodic substitution and the digit rule of 9/5: no earlier
+    # level has the size and flag of the last one, so none is walked again
+    tau = Substitution({"0": ("0", "1"), "1": ("0",)}, "0")
+    stream = beta_expand(parse_beta_spec("rational:9/5"), 120).working_stream()
+    for oracle in (subst_oracle(tau, 120), beta_oracle(stream, 120)):
+        walked, calls = _counting(oracle)
+        assert minimal_forbidden_lengths(walked, 120).repeat is None
+        reference, table_calls = _counting(oracle)
+        _table_walk(reference, 120)
+        assert len(calls) == len(table_calls)
+
+
+def test_blocks_of_one_or_two_levels_need_no_second_walk(golden_oracle, even_oracle,
+                                                         monkeypatch):
+    # each level is compared with the two before it as well as the saved one
+    walks = []
+    walk = forbidden._walk_levels
+    monkeypatch.setattr(forbidden, "_walk_levels", lambda *args: walks.append(1) or walk(*args))
+    for oracle, repeat in ((golden_oracle, (3, 1)), (even_oracle, (4, 2))):
+        walks.clear()
+        assert minimal_forbidden_lengths(oracle, 20).repeat == repeat
+        assert len(walks) == 1
 
 
 def test_length_walk_reads_the_even_shift_off_its_block(even_oracle):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from shiftlab import (Alphabet, AlphabetMismatchError, DigitStream,
                       EnumerationCapError, FiniteTypeSpec, HorizonExceededError,
-                      beta_oracle, build_block_graph, complexity, format_word,
+                      NonGrowingSubstitutionError, Substitution, beta_oracle,
+                      build_block_graph, complexity, format_word,
                       make_labeled_graph, minimal_forbidden, sft_oracle,
-                      sofic_oracle, special_words, stepping_oracle)
+                      sofic_oracle, special_words, stepping_oracle,
+                      subst_oracle)
 from shiftlab import language
 
 
@@ -148,6 +150,71 @@ def test_special_words_golden(golden_oracle):
     assert rep.left_special == (("0",),)
     assert rep.right_special == (("0",),)
     assert rep.bispecial == (("0",),)
+
+
+def _special_by_sets(oracle, n):
+    """(left, right, bispecial) special words of length ``n`` from the set
+    of letters extending each word on either side: the definition."""
+    left, right = {}, {}
+    for u in oracle.words_of_length(n + 1):
+        left.setdefault(u[1:], set()).add(u[0])
+        right.setdefault(u[:-1], set()).add(u[-1])
+    key = oracle.alphabet.key
+    ls = tuple(sorted((w for w, ext in left.items() if len(ext) >= 2), key=key))
+    rs = tuple(sorted((w for w, ext in right.items() if len(ext) >= 2), key=key))
+    return ls, rs, tuple(sorted(set(ls) & set(rs), key=key))
+
+
+def _drawn_oracles(forbidden, graph, images, horizon):
+    """A finite-type, a sofic and (when it grows) a substitution oracle on
+    {0, 1, 2} from raw draws."""
+    alph = Alphabet(("0", "1", "2"))
+    spec = FiniteTypeSpec(alph, frozenset(alph.word(t) for t in forbidden))
+    states, edges = graph
+    oracles = [sft_oracle(build_block_graph(spec), horizon),
+               sofic_oracle(make_labeled_graph(alph, tuple(range(states)), edges), horizon)]
+    try:
+        tau = Substitution({a: tuple(w) for a, w in zip("012", images)}, "0")
+    except NonGrowingSubstitutionError:
+        return oracles
+    return oracles + [subst_oracle(tau, horizon)]
+
+
+_RAW_ORACLES = (
+    st.sets(st.text(alphabet="012", min_size=1, max_size=3), max_size=4),
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.sampled_from("012"),
+                          st.integers(0, n - 1))))),
+    st.lists(st.text("012", min_size=1, max_size=3), min_size=3, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_RAW_ORACLES, st.integers(0, 6))
+@example({"0", "1", "2"}, (1, set()), ["1", "2", "0"], 2)  # the empty language
+def test_special_words_match_definition_random(forbidden, graph, images, n):
+    for oracle in _drawn_oracles(forbidden, graph, images, 7):
+        rep = special_words(oracle, n)
+        assert rep.length == n
+        assert ((rep.left_special, rep.right_special, rep.bispecial)
+                == _special_by_sets(oracle, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_RAW_ORACLES, st.lists(st.integers(0, 7), max_size=10))
+def test_listing_order_does_not_change_listings_random(forbidden, graph, images, lengths):
+    # each level is built from the highest one cached below it, and only
+    # the levels asked for are kept.  A substitution oracle's node ids
+    # depend on how far its automaton has grown, so only the survivor-set
+    # oracles' states are compared
+    shared = _drawn_oracles(forbidden, graph, images, 7)
+    for i, n in enumerate(lengths):
+        fresh = _drawn_oracles(forbidden, graph, images, 7)
+        for k, (oracle, alone) in enumerate(zip(shared, fresh)):
+            assert oracle.words_of_length(n) == alone.words_of_length(n)
+            if k < 2:
+                assert oracle.frontier(n) == alone.frontier(n)
+            assert set(oracle._cache) == {(c, m) for c in "LS" for m in lengths[:i + 1]}
 
 
 @settings(max_examples=40, deadline=None)

@@ -43,10 +43,12 @@ REPORTS = (
     ["parry", "ne11.json"],
     ["subst", "lang", "fib.json", "--length", "5", "--horizon", "100000"],
     # |A|^400 passes WORD_LIMIT, so the 401 words are counted before they
-    # are listed; the listing holds about L^3/2 letters
+    # are listed; the listing holds two levels at a time
     ["subst", "lang", "fib.json", "--length", "400", "--horizon", "400"],
     # a Parry beta: the walk steps on the document's presentation
     ["ls", "trib.json", "--horizon", "100000"],
+    # read off the 202 words of length 201
+    ["special", "fib.json", "--length", "200", "--horizon", "201"],
 )
 
 CHILD = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"

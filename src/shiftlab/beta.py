@@ -27,13 +27,10 @@ from .algebraic import AlgebraicNumber
 from .errors import (CannotCloseError, EnumerationCapError, InsufficientDigitsError,
                      UnsupportedSpecError, WrongStatusError)
 from .forbidden import MFWTable
-from .language import (EQUAL, GREATER, LESS, LETTER_LIMIT, Alphabet, count_text, printable,
-                       stepping_oracle)
+from .language import (BETA_DIGITS, EQUAL, GREATER, LESS, LETTER_LIMIT, Alphabet, count_text,
+                       printable, stepping_oracle)
 from .graph import make_labeled_graph, prune_labeled
 from .record import Record
-
-# digits a beta report expands by default, and at least (see beta_stream)
-BETA_DIGITS = 64
 
 
 class DigitStream(Record):

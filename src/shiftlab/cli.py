@@ -19,24 +19,16 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .beta import (BETA_DIGITS, beta_ls_diagnostic, beta_presentation, beta_stream,
-                   example_betashift)
-from .dynamics import bispecial_lengths, cassaigne_profile, induced_data, \
-    speedup_gap_compare
+# Of the package, only errors and language (which every module imports)
+# are imported here.  A handler reads the other modules through _module
+# when it runs, so a process compiles only the modules of its command and
+# document kind.  The standard library stays here, so that no report pays
+# for a first import of it.
+from . import _module
 from .errors import (EnumerationCapError, NotAnAutomorphismError, ShiftlabError,
                      UnsupportedSpecError)
-from .forbidden import minimal_forbidden, minimal_forbidden_lengths, tau_eval, \
-    well_approx_check
-from .language import (WORD_LIMIT, complexity, format_word, printable,  # WORD_LIMIT: re-export
-                       special_words)
-from .measures import (INVARIANCE_TOL, certify_inverse_pair, cylinder_table,
-                       max_entropy_decomposition, mu_y_average, parry_cylinders,
-                       parry_measure, weak_star_distance)
-from .sft import DEFAULT_CAP
-from .shifts import (document_from_object, load_shift_document, parse_block_code,
-                     periodic_census, periodic_measure, read_text, realize, shift_entropy)
-from .sofic import apply_block_code, determinize, is_sft, language_equal_exact, \
-    language_equal_up_to, sofic_entropy, sofic_oracle, theorem1_diagnostic
+from .language import (BETA_DIGITS, DEFAULT_CAP, WORD_LIMIT,  # WORD_LIMIT: re-export
+                       complexity, format_word, printable, special_words)
 
 
 _DIGITS = "the decimal digits of a report integer exceed the limit %d"
@@ -60,7 +52,7 @@ def _words(seq):
 
 def _mfw_report(realized):
     """The `mfw` and `beta mfw` report: minimal forbidden words by length."""
-    table = minimal_forbidden(realized.oracle, realized.horizon)
+    table = _module("forbidden").minimal_forbidden(realized.oracle, realized.horizon)
     return {
         "horizon": realized.horizon,
         "table": {str(n): _words(table.by_length[n])
@@ -74,7 +66,7 @@ def _densities(densities):
 
 
 def _cylinders(measure, depth):
-    values = cylinder_table(measure, depth).values
+    values = _module("measures").cylinder_table(measure, depth).values
     out = {}
     exact = {}
     for word in sorted(values, key=lambda w: (len(w), w)):
@@ -93,23 +85,24 @@ def _realize(doc, horizon):
     """``realize``, refusing a document nested past the recursion limit
     as it refuses any other malformed document."""
     try:
-        return realize(doc, horizon)
+        return _module("shifts").realize(doc, horizon)
     except RecursionError:
         raise UnsupportedSpecError("shift document is nested too deeply") from None
 
 
 def _load(args):
-    return _realize(load_shift_document(args.shift), args.horizon)
+    return _realize(_module("shifts").load_shift_document(args.shift), args.horizon)
 
 
 def _load_code(path, alphabet):
+    shifts = _module("shifts")
     try:
-        obj = json.loads(read_text(path))
+        obj = json.loads(shifts.read_text(path))
     except ValueError as exc:  # UnicodeDecodeError too, as under json.load
         raise UnsupportedSpecError("block code is not valid JSON: %s" % (exc,))
     except RecursionError:
         raise UnsupportedSpecError("block code is nested too deeply") from None
-    return parse_block_code(obj, alphabet)
+    return shifts.parse_block_code(obj, alphabet)
 
 
 # ---- command handlers ------------------------------------------------------
@@ -154,7 +147,7 @@ def cmd_mfw(args):
 
 def cmd_ls(args):
     realized = _load(args)
-    report = minimal_forbidden_lengths(realized.oracle, realized.horizon)
+    report = _module("forbidden").minimal_forbidden_lengths(realized.oracle, realized.horizon)
     return {
         "horizon": report.horizon,
         "ls_set": list(report.ls_set),
@@ -180,7 +173,8 @@ def _parse_rate(text):
 def cmd_well_approx(args):
     realized = _load(args)
     rate, rate_fn = _parse_rate(args.rate)
-    witnesses = well_approx_check(realized.oracle, rate_fn, realized.horizon)
+    witnesses = _module("forbidden").well_approx_check(realized.oracle, rate_fn,
+                                                       realized.horizon)
     return {
         "horizon": realized.horizon,
         "rate": rate,
@@ -193,12 +187,12 @@ def cmd_entropy(args):
     realized = _load(args)
     return {
         "kind": realized.document.kind,
-        "entropy": shift_entropy(realized),
+        "entropy": _module("shifts").shift_entropy(realized),
     }
 
 
 def cmd_periodic(args):
-    counts, points = periodic_census(_load(args), args.period, args.cap)
+    counts, points = _module("shifts").periodic_census(_load(args), args.period, args.cap)
     report = {
         "period_bound": args.period,
         "count": sum(counts),
@@ -211,37 +205,40 @@ def cmd_periodic(args):
 
 def cmd_nu(args):
     realized = _load(args)
-    measure = periodic_measure(realized, args.period, args.depth, args.cap)
+    measure = _module("shifts").periodic_measure(realized, args.period, args.depth, args.cap)
     report = {"period_bound": args.period}
     report.update(_cylinders(measure, args.depth))
     if args.compare_parry:
         realized.need("spec", "the Parry comparison")
-        parry = parry_measure(realized.labeled)
-        report["parry_distance"] = weak_star_distance(measure, parry, args.depth)
+        measures = _module("measures")
+        parry = measures.parry_measure(realized.labeled)
+        report["parry_distance"] = measures.weak_star_distance(measure, parry, args.depth)
         report["note"] = "distance is a max over cylinders of depth <= %d" % args.depth
     return report
 
 
 def cmd_parry(args):
+    measures = _module("measures")
     realized = _load(args)
     k = realized.need("spec", "the Parry measure").memory - 1
     # the (memory-1)-words, read at their own length: --horizon can be shorter
-    stationary = sorted(sofic_oracle(realized.labeled, k).words_of_length(k))
-    measure = parry_measure(realized.labeled)
+    stationary = sorted(_module("sofic").sofic_oracle(realized.labeled, k).words_of_length(k))
+    measure = measures.parry_measure(realized.labeled)
     report = {
         "perron": measure.perron,
         "stationary": {format_word(u): value for u, value
-                       in parry_cylinders(measure, stationary).items()},
+                       in measures.parry_cylinders(measure, stationary).items()},
     }
     report.update(_cylinders(measure, args.depth))
     return report
 
 
 def cmd_decompose(args):
+    measures = _module("measures")
     realized = _load(args)
     realized.need("spec", "decomposition")
     code = _load_code(args.code, realized.oracle.alphabet)
-    components = max_entropy_decomposition(realized.labeled, code, args.depth)
+    components = measures.max_entropy_decomposition(realized.labeled, code, args.depth)
     report = {
         "count": len(components),
         "components": [],
@@ -251,8 +248,8 @@ def cmd_decompose(args):
         entry.update(_cylinders(comp.measure, args.depth))
         report["components"].append(entry)
     if args.average_cutoff:
-        result = mu_y_average(components, args.average_cutoff, args.depth,
-                              args.cap)
+        result = measures.mu_y_average(components, args.average_cutoff, args.depth,
+                                       args.cap)
         entry = {"weights": [float(w) for w in result.weights],
                  "cutoff": result.cutoff}
         entry.update(_cylinders(result.measure, args.depth))
@@ -263,7 +260,8 @@ def cmd_decompose(args):
 def cmd_push(args):
     realized = _load(args)
     code = _load_code(args.code, realized.oracle.alphabet)
-    image = periodic_measure(realized, args.period, args.depth, args.cap, code)
+    image = _module("shifts").periodic_measure(realized, args.period, args.depth, args.cap,
+                                              code)
     report = {
         "period_bound": args.period,
         "target_alphabet": list(code.target_alphabet.symbols),
@@ -273,29 +271,30 @@ def cmd_push(args):
 
 
 def cmd_autocheck(args):
+    measures, shifts, sofic = _module("measures"), _module("shifts"), _module("sofic")
     realized = _load(args)
     realized.need("spec", "the automorphism check")
     graph = realized.labeled
     code = _load_code(args.code, realized.oracle.alphabet)
     inverse = _load_code(args.inverse, code.target_alphabet)
-    if not language_equal_exact(apply_block_code(graph, code), graph):
+    if not sofic.language_equal_exact(sofic.apply_block_code(graph, code), graph):
         raise NotAnAutomorphismError("the code does not map the shift onto itself")
-    span = certify_inverse_pair(realized.oracle, code, inverse)
-    nu = periodic_measure(realized, args.period, args.depth)
-    image = periodic_measure(realized, args.period, args.depth, code=code)
-    distance = weak_star_distance(nu, image, args.depth)
+    span = measures.certify_inverse_pair(realized.oracle, code, inverse)
+    nu = shifts.periodic_measure(realized, args.period, args.depth)
+    image = shifts.periodic_measure(realized, args.period, args.depth, code=code)
+    distance = measures.weak_star_distance(nu, image, args.depth)
     return {
         "period_bound": args.period,
         "depth": args.depth,
-        "tol": INVARIANCE_TOL,
+        "tol": measures.INVARIANCE_TOL,
         "distance": distance,
-        "within_tol": distance <= INVARIANCE_TOL,
+        "within_tol": distance <= measures.INVARIANCE_TOL,
         "identity_checked_to": span,
     }
 
 
 def cmd_beta_expand(args):
-    expansion = beta_stream(args.beta, digits=args.digits)
+    expansion = _module("beta").beta_stream(args.beta, digits=args.digits)
     report = {
         "status": expansion.status,
         "digits": list(expansion.digits),
@@ -312,13 +311,14 @@ def cmd_beta_expand(args):
 
 
 def cmd_beta_mfw(args):
-    doc = document_from_object({"kind": "beta", "beta": args.beta})
+    doc = _module("shifts").document_from_object({"kind": "beta", "beta": args.beta})
     return _mfw_report(_realize(doc, args.horizon))
 
 
 def cmd_beta_lsdiag(args):
-    stream = beta_stream(args.beta, args.horizon).working_stream()
-    report = beta_ls_diagnostic(stream, args.horizon)
+    beta = _module("beta")
+    stream = beta.beta_stream(args.beta, args.horizon).working_stream()
+    report = beta.beta_ls_diagnostic(stream, args.horizon)
     return {
         "horizon": report.horizon,
         "verdict": report.verdict,
@@ -330,8 +330,9 @@ def cmd_beta_lsdiag(args):
 
 
 def cmd_beta_graph(args):
-    stream = beta_stream(args.beta, digits=args.digits).working_stream()
-    g = beta_presentation(stream)
+    beta = _module("beta")
+    stream = beta.beta_stream(args.beta, digits=args.digits).working_stream()
+    g = beta.beta_presentation(stream)
     edges = []
     for s in g.states:
         for a, targets in sorted(g.transitions.get(s, {}).items()):
@@ -340,12 +341,12 @@ def cmd_beta_graph(args):
     return {
         "states": [str(s) for s in g.states],
         "edges": edges,
-        "entropy": sofic_entropy(g),
+        "entropy": _module("sofic").sofic_entropy(g),
     }
 
 
 def cmd_beta_example(args):
-    stream = example_betashift(args.mode, args.steps)
+    stream = _module("beta").example_betashift(args.mode, args.steps)
     return {
         "mode": args.mode,
         "steps": args.steps,
@@ -367,10 +368,11 @@ def cmd_subst_lang(args):
 
 
 def cmd_subst_profile(args):
+    dynamics = _module("dynamics")
     realized = _load(args)
     realized.need("substitution", "the complexity profile")
-    profile = cassaigne_profile(realized.oracle, realized.horizon)
-    lengths = bispecial_lengths(realized.oracle, realized.horizon - 1)
+    profile = dynamics.cassaigne_profile(realized.oracle, realized.horizon)
+    lengths = dynamics.bispecial_lengths(realized.oracle, realized.horizon - 1)
     return {
         "horizon": realized.horizon,
         "differences": list(profile.differences),
@@ -384,7 +386,7 @@ def cmd_subst_profile(args):
 def cmd_induce(args):
     realized = _load(args)
     spec = realized.need("induced_spec", "induction data")
-    letters, rho = induced_data(spec)
+    letters, rho = _module("dynamics").induced_data(spec)
     return {
         "horizon": realized.horizon,
         "superalphabet": [format_word(w) for w in letters],
@@ -396,7 +398,7 @@ def cmd_induce(args):
 def cmd_speedup_compare(args):
     realized = _load(args)
     spec = realized.need("induced_spec", "speedup comparison")
-    report = speedup_gap_compare(realized.base.oracle, spec, args.horizon)
+    report = _module("dynamics").speedup_gap_compare(realized.base.oracle, spec, args.horizon)
     rows = [{
         "induced_pair": list(row["induced_pair"]),
         "base_window_low": list(row["base_window_low"]),
@@ -418,7 +420,7 @@ def cmd_speedup_compare(args):
 
 
 def cmd_sofic_det(args):
-    d = determinize(_load(args).need("labeled", "determinization"))
+    d = _module("sofic").determinize(_load(args).need("labeled", "determinization"))
     return {
         "states": len(d.states),
         "edges": sum(len(ts) for row in d.transitions.values() for ts in row.values()),
@@ -427,17 +429,17 @@ def cmd_sofic_det(args):
 
 
 def cmd_sofic_eq(args):
-    docs = [load_shift_document(path) for path in (args.shift, args.other)]
+    docs = [_module("shifts").load_shift_document(path) for path in (args.shift, args.other)]
     realized = [_realize(doc, args.horizon) for doc in docs]
     g1, g2 = [r.need("labeled", "language comparison") for r in realized]
     return {
         "horizon": args.horizon,
-        "equal_up_to_horizon": language_equal_up_to(g1, g2, args.horizon),
+        "equal_up_to_horizon": _module("sofic").language_equal_up_to(g1, g2, args.horizon),
     }
 
 
 def cmd_sofic_issft(args):
-    tag = is_sft(_load(args).need("labeled", "the finite-type test"))
+    tag = _module("sofic").is_sft(_load(args).need("labeled", "the finite-type test"))
     return {
         "is_sft": tag.is_sft,
         "decision_bound": tag.decision_bound,
@@ -447,7 +449,7 @@ def cmd_sofic_issft(args):
 
 def cmd_sofic_thm1(args):
     g = _load(args).need("labeled", "the stability diagnostic")
-    report = theorem1_diagnostic(g, args.horizon)
+    report = _module("sofic").theorem1_diagnostic(g, args.horizon)
     return {
         "horizon": report.horizon,
         "is_sft": report.tag.is_sft,
@@ -464,7 +466,7 @@ def cmd_tau(args):
     limit = sys.get_int_max_str_digits()
     if limit and args.n > 1 and (5 * min(args.n, limit) + 1) * math.log10(args.n) > limit + 1:
         raise EnumerationCapError(_DIGITS % limit)
-    return {"n": args.n, "value": tau_eval(args.n)}
+    return {"n": args.n, "value": _module("forbidden").tau_eval(args.n)}
 
 
 # ---- rendering -------------------------------------------------------------

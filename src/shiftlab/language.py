@@ -32,6 +32,12 @@ EMPTY_WORD = ()
 WORD_LIMIT = 10 ** 6
 LETTER_LIMIT = 10 * WORD_LIMIT
 
+# periodic-point enumerations refuse past this many points by default
+DEFAULT_CAP = 10 ** 6
+
+# digits a beta report expands by default, and at least (see beta.beta_stream)
+BETA_DIGITS = 64
+
 
 def printable(n):
     """Is the int ``n`` within the interpreter's limit on the decimal

@@ -22,8 +22,8 @@ from .errors import (AlphabetMismatchError, EmptyShiftError, EmptySupportError,
                      NotAnAutomorphismError, ReducibleGraphError,
                      ShiftlabError, UnsupportedSpecError)
 from .graph import prune_labeled
-from .language import LETTER_LIMIT, WORD_LIMIT
-from .sft import DEFAULT_CAP, periodic_count_table, scc_subgraphs
+from .language import DEFAULT_CAP, LETTER_LIMIT, WORD_LIMIT
+from .sft import periodic_count_table, scc_subgraphs
 from .sofic import (BlockCode, _check_feeds, apply_block_code, determinize,
                     language_equal_exact, per_le_enumerate)
 from .spectral import perron_vectors, spectral_radius_certified

@@ -23,11 +23,9 @@ from .errors import (AlphabetMismatchError, EmptyShiftError,
                      EnumerationCapError, UndefinedEntropyError)
 from .graph import (LabeledGraph, _mark_pruned, _survivor_oracle,
                     prune_labeled)
-from .language import EMPTY_WORD
+from .language import DEFAULT_CAP, EMPTY_WORD  # DEFAULT_CAP: re-export
 from .spectral import (int_matmul, int_trace, spectral_radius_certified,
                        strongly_connected_components)
-
-DEFAULT_CAP = 10 ** 6
 
 
 class FiniteTypeSpec:

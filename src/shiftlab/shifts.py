@@ -15,17 +15,20 @@ that refuses.
 
 import json
 
-from .beta import beta_oracle, beta_presentation, beta_stream, example_betashift
-from .dynamics import (RETURN_CAP, InducedSpec, Substitution, base_horizon,
-                       induce_recode, rebase, subst_oracle)
+# beta and dynamics are read through _module by the realizers that need
+# them, so a process that realizes no beta, substitution or induced
+# document never compiles them.  measures stays here: tests patch its
+# names in this module, and perfbench/child.py reaches it only through
+# this module, before its tracemalloc pass, so no report's peak counts
+# its compile.
+from . import _module
 from .errors import EnumerationCapError, UnsupportedSpecError
 from .forbidden import example_nonempty_shift
 from .graph import make_labeled_graph
-from .language import Alphabet
+from .language import DEFAULT_CAP, Alphabet
 from .measures import nu_cylinder_measure, nu_point_measure
 from .record import Record
-from .sft import (DEFAULT_CAP, FiniteTypeSpec, block_graph_of,
-                  periodic_counts)
+from .sft import FiniteTypeSpec, block_graph_of, periodic_counts
 from .sofic import (BlockCode, finite_type_presentation, per_le_enumerate,
                     sofic_entropy, sofic_oracle)
 
@@ -267,29 +270,32 @@ def _realize_sofic(doc, horizon):
 
 
 def _realize_beta(doc, horizon):
-    expansion = beta_stream(doc.payload["beta"], horizon, doc.payload.get("digits"))
+    beta = _module("beta")
+    expansion = beta.beta_stream(doc.payload["beta"], horizon, doc.payload.get("digits"))
     stream = expansion.working_stream()
     if stream.status == "eventually-periodic":
-        labeled = beta_presentation(stream)
+        labeled = beta.beta_presentation(stream)
         oracle = sofic_oracle(labeled, horizon)
     else:  # the digit rule, to the digits known
         horizon = min(horizon, stream.known_length)
-        labeled, oracle = None, beta_oracle(stream, horizon)
+        labeled, oracle = None, beta.beta_oracle(stream, horizon)
     return RealizedShift(doc, horizon, oracle, labeled=labeled,
                          expansion=expansion, stream=stream)
 
 
 def _realize_substitution(doc, horizon):
+    dynamics = _module("dynamics")
     rules = {a: tuple(w) for a, w in doc.payload["rules"].items()}
-    tau = Substitution(rules, doc.payload["seed"])
-    oracle = subst_oracle(tau, horizon)
+    tau = dynamics.Substitution(rules, doc.payload["seed"])
+    oracle = dynamics.subst_oracle(tau, horizon)
     return RealizedShift(doc, horizon, oracle, substitution=tau)
 
 
 def _realize_induced(doc, horizon):
+    dynamics = _module("dynamics")
     base_doc = document_from_object(doc.payload["base"])
     window = doc.payload["window"]
-    cap = doc.payload.get("cap", RETURN_CAP)
+    cap = doc.payload.get("cap", dynamics.RETURN_CAP)
     width = 2 * window + 1
     rule = doc.payload["return_rule"]
 
@@ -301,18 +307,19 @@ def _realize_induced(doc, horizon):
         clopen = frozenset(_parse_word(alphabet, w) for w in clopen)
     if isinstance(rule, dict):
         rule = {_parse_word(alphabet, w): int(t) for w, t in rule.items()}
-    spec = InducedSpec(probe.oracle, window, clopen, rule, cap)
+    spec = dynamics.InducedSpec(probe.oracle, window, clopen, rule, cap)
     return _induced(doc, spec, probe, horizon)
 
 
 def _induced(doc, spec, base, horizon):
     """The induced shift of ``spec`` at ``horizon``, over ``base`` (the
     realization ``spec`` reads) lengthened to the base horizon needed."""
-    needed = base_horizon(spec, horizon)
+    dynamics = _module("dynamics")
+    needed = dynamics.base_horizon(spec, horizon)
     if needed > base.horizon:
         base = _lengthen(base, needed)
-        spec = rebase(spec, base.oracle)
-    oracle = induce_recode(spec, horizon)
+        spec = dynamics.rebase(spec, base.oracle)
+    oracle = dynamics.induce_recode(spec, horizon)
     return RealizedShift(doc, horizon, oracle, induced_spec=spec, base=base)
 
 
@@ -327,9 +334,10 @@ def _lengthen(realized, horizon):
 
 
 def _realize_example_betashift(doc, horizon):
-    stream = example_betashift(doc.payload["mode"], doc.payload["steps"])
+    beta = _module("beta")
+    stream = beta.example_betashift(doc.payload["mode"], doc.payload["steps"])
     horizon = min(horizon, stream.known_length)
-    oracle = beta_oracle(stream, horizon)
+    oracle = beta.beta_oracle(stream, horizon)
     return RealizedShift(doc, horizon, oracle, stream=stream)
 
 

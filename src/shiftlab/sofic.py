@@ -25,8 +25,8 @@ from .errors import (AlphabetMismatchError, EnumerationCapError,
                      UndefinedEntropyError)
 from .graph import (LabeledGraph, SubsetTable, _essential, _mark_pruned,
                     _survivor_oracle, make_labeled_graph, prune_labeled)
-from .language import EMPTY_WORD, LETTER_LIMIT
-from .sft import DEFAULT_CAP, _minimal_period
+from .language import DEFAULT_CAP, EMPTY_WORD, LETTER_LIMIT
+from .sft import _minimal_period
 from .spectral import spectral_radius_certified
 from .forbidden import minimal_forbidden_lengths
 

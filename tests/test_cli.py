@@ -6,6 +6,7 @@ success, 1 on domain and file errors, 2 on usage errors.
 """
 
 import argparse
+import builtins
 import contextlib
 import io
 import itertools
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shiftlab
 from shiftlab import (Alphabet, FiniteTypeSpec, cli, finite_type_presentation,
                       format_word, forbidden, per_le_enumerate, shifts, sofic,
                       window_density_report)
@@ -329,7 +331,9 @@ def test_back_to_back_reports_share_no_state(capsys, write):
     assert reused[5][0] == 0 and reused[5][1]
 
 
-def test_plain_argv_builds_no_parser(capsys, write, monkeypatch):
+def _every_command(write):
+    """One plain argv of each command, over finite-type, sofic,
+    substitution and induced documents."""
     golden, full2 = write("g.json", GOLDEN_DOC), write("f2.json", FULL2_DOC)
     flip, even = write("flip.json", FLIP_CODE), write("e.json", EVEN_DOC)
     fib, induced = write("fib.json", FIB_DOC), write("i.json", INDUCED_GOLDEN_DOC)
@@ -343,6 +347,12 @@ def test_plain_argv_builds_no_parser(capsys, write, monkeypatch):
     argvs += [["sofic", c, even] for c in ("det", "issft", "thm1")] + [["tau", "3"]]
     assert sorted(tuple(a[:2]) if a[0] in ("beta", "subst", "sofic") else (a[0],)
                   for a in argvs) == sorted(cli.COMMANDS)
+    return argvs
+
+
+def test_plain_argv_builds_no_parser(capsys, write, monkeypatch):
+    golden = write("g.json", GOLDEN_DOC)
+    argvs = _every_command(write)
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -362,9 +372,12 @@ def test_plain_argv_builds_no_parser(capsys, write, monkeypatch):
 
 
 def test_first_report_of_a_process_peaks_below_a_tenth_of_a_mib(write):
+    # the modules the report reads are imported first, so the peak is the
+    # report's own work and not their compile
     doc = write("golden.json", GOLDEN_DOC)
     script = ("import sys, tracemalloc\n"
               "from shiftlab import cli\n"
+              "import shiftlab.shifts\n"
               "tracemalloc.start()\n"
               "rc = cli.main(sys.argv[1:])\n"
               "print(rc, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n")
@@ -372,6 +385,22 @@ def test_first_report_of_a_process_peaks_below_a_tenth_of_a_mib(write):
                           capture_output=True, text=True, timeout=120)
     rc, peak = proc.stderr.split()
     assert rc == "0" and int(peak) < 0.1 * 2 ** 20, peak
+
+
+def test_a_whole_process_keeps_only_the_modules_its_report_read(write):
+    # traced from before the first import: 1.31-1.33 MiB still held when
+    # every module is imported, 1.14-1.17 MiB without beta, algebraic and
+    # dynamics (with and without bytecode)
+    doc = write("golden.json", GOLDEN_DOC)
+    script = ("import sys, tracemalloc\n"
+              "tracemalloc.start()\n"
+              "from shiftlab import cli\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "print(rc, tracemalloc.get_traced_memory()[0], file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script, "entropy", doc], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    rc, held = proc.stderr.split()
+    assert rc == "0" and int(held) < 1.25 * 2 ** 20, held
 
 
 # ---- plain argv and the JSON writer --------------------------------------------
@@ -1007,6 +1036,97 @@ def test_commands_run_without_numpy_and_mpmath(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+PUBLIC = """
+AlgebraicNumber Alphabet AlphabetMismatchError AmbiguousDigitError BlockCode
+BlockGraph CannotCloseError ConvergenceError CylinderMeasure DigitStream
+EmptyShiftError EmptySupportError EnumerationCapError FiniteTypeSpec
+HorizonExceededError InducedSpec InfeasibleSetError InsufficientDigitsError LSReport
+LabeledGraph LanguageOracle MFWTable NonGrowingSubstitutionError
+NotAnAutomorphismError RealizedShift ReducibleGraphError ReturnTimeCapError
+ShiftDocument ShiftlabError Substitution UndefinedEntropyError UnsupportedSpecError
+WrongStatusError apply_block_code automorphism_invariance_check beta_algebraic
+beta_decimal beta_expand beta_ls_diagnostic beta_mfw beta_oracle beta_presentation
+beta_rational beta_stream bispecial_lengths build_block_graph cassaigne_profile
+complexity compose_codes cylinder_table determinize document_from_object
+eval_cylinder example_betashift example_nonempty_shift finite_type_presentation
+format_word full_shift induce_recode induced_data is_sft language_equal_exact
+language_equal_up_to load_shift_document ls_report make_labeled_graph
+max_entropy_decomposition mfw_length_set minimal_forbidden minimal_forbidden_lengths
+mu_y_average nu_cylinder_measure nu_point_measure parry_cylinders parry_measure
+parse_beta_spec parse_block_code parse_shift_document per_count per_le_enumerate
+periodic_count_le periodic_counts periodic_points_le prune_labeled realize
+scc_subgraphs serialize_shift_document sft_cover sft_entropy sft_oracle
+shift_entropy sofic_entropy sofic_oracle special_words speedup_gap_compare
+star_expansion stepping_oracle stream_alphabet subst_oracle tau_eval
+theorem1_diagnostic weak_star_distance well_approx_check window_density_report
+""".split()
+
+
+def test_public_names_are_their_defining_modules_objects():
+    assert sorted(shiftlab.__all__) == PUBLIC
+    assert set(PUBLIC) <= set(dir(shiftlab)) and shiftlab.__version__ == "0.1.0"
+    for name in PUBLIC:
+        obj = getattr(shiftlab, name)
+        assert obj.__module__.startswith("shiftlab."), name
+        assert vars(sys.modules[obj.__module__])[name] is obj, name
+    with pytest.raises(AttributeError):
+        shiftlab.no_such_name
+    script = ("from shiftlab import *\n"
+              "import shiftlab\n"
+              "print(sorted(n for n in shiftlab.__all__\n"
+              "             if globals().get(n) is not getattr(shiftlab, n)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+_CORE = ["cli", "errors", "language", "record"]
+_REALIZED = _CORE + ["forbidden", "graph", "measures", "sft", "shifts", "sofic", "spectral"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], _CORE),
+    (["entropy", "GOLDEN"], _REALIZED),
+    (["beta", "expand", GOLDEN_BETA],
+     _CORE + ["algebraic", "beta", "forbidden", "graph", "sft", "spectral"]),
+    (["subst", "lang", "FIB"], _REALIZED + ["dynamics"]),
+], ids=["build-parser", "entropy", "beta-expand", "subst-lang"])
+def test_a_fresh_process_loads_only_the_modules_its_report_reads(write, argv, loaded):
+    # with no argv the process builds the parser, as help and usage do
+    files = {"GOLDEN": write("golden.json", GOLDEN_DOC), "FIB": write("fib.json", FIB_DOC)}
+    script = ("import sys\n"
+              "from shiftlab import cli\n"
+              "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else cli.build_parser() and 0\n"
+              "print(rc, *sorted(m for m in sys.modules if m.startswith('shiftlab.')),\n"
+              "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script] + [files.get(a, a) for a in argv],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stderr.split() == ["0"] + sorted("shiftlab." + m for m in loaded), proc.stderr
+
+
+def test_a_warm_report_runs_no_import_statement(capsys, write, monkeypatch):
+    # handlers and realizers read their modules through shiftlab._module,
+    # a cached lookup once warm: an import statement would run the import
+    # machinery in every report, 10-25 us each on a freshly collected heap
+    argvs = _every_command(write) + [
+        ["lang", write(name, doc)] for name, doc in (
+            ("b.json", {"kind": "beta", "beta": GOLDEN_BETA}),
+            ("x.json", {"kind": "example-betashift", "mode": "specified", "steps": 2}))]
+    for argv in argvs:
+        assert run(capsys, argv)[0] == 0, argv
+    imported = []
+    real = builtins.__import__
+
+    def counting(name, *args, **kwargs):
+        imported.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting)
+    for argv in argvs:
+        assert run(capsys, argv)[0] == 0, argv
+    assert imported == []
 
 
 def test_start_up_loads_no_dataclass_machinery():

@@ -7,9 +7,9 @@ Reads the commands off ``cli.COMMANDS``, the command table that
 argparse tree from, and prints one line per command
 (``beta mfw``, ``lang``, ...) with the options it takes, then the
 totals, then the number of lines in ``src/shiftlab/*.py``, then the
-modules outside ``shiftlab`` that ``import shiftlab.cli`` loads in a fresh
-``python3 -c`` process (read in a child, so this script's own imports
-hide none).  ``-h``/``--help`` is not counted, and positional arguments
+modules of ``shiftlab`` and the modules outside it that ``import
+shiftlab.cli`` loads in a fresh ``python3 -c`` process (read in a child,
+so this script's own imports hide none).  ``-h``/``--help`` is not counted, and positional arguments
 are not options.  DIR (default: the checkout holding this script)
 supplies ``src/shiftlab``; nothing is written.
 """
@@ -20,8 +20,7 @@ import subprocess
 import sys
 
 LOADED = ("import sys; before = set(sys.modules); import shiftlab.cli; "
-          "print(*sorted(m for m in set(sys.modules) - before "
-          "if m.partition('.')[0] != 'shiftlab'))")
+          "print(*sorted(set(sys.modules) - before))")
 
 
 def loaded_modules(src):
@@ -54,8 +53,12 @@ def main(argv=None):
                 lines += sum(1 for _ in handle)
     print("%d lines in src/shiftlab" % lines)
     modules = loaded_modules(os.path.join(args.root, "src"))
+    inside = [m for m in modules if m.partition(".")[0] == "shiftlab"]
+    outside = [m for m in modules if m not in inside]
+    print("%d shiftlab modules loaded by import shiftlab.cli: %s"
+          % (len(inside), " ".join(inside)))
     print("%d modules outside shiftlab loaded by import shiftlab.cli: %s"
-          % (len(modules), " ".join(modules)))
+          % (len(outside), " ".join(outside)))
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
     python3 tools/startup.py [--root DIR ...] [--runs N]
 
 Times whole fresh processes of this interpreter, spawned from this one:
-``-c pass``, ``-c "import shiftlab.cli"``, and three plain reports run
+``-c pass``, ``-c "import shiftlab.cli"``, and five plain reports run
 through ``shiftlab.cli.main`` as the ``shiftlab`` script runs them:
-``entropy golden.json``, ``ls even.json --horizon 41`` and ``beta expand
-poly:x^2-x-1@[1.6,1.7]``.  It does so in two modes, each from a fresh
+``entropy golden.json``, ``ls even.json --horizon 41``, ``beta expand
+poly:x^2-x-1@[1.6,1.7]``, ``parry golden.json --depth 2`` (which reads
+``measures``) and ``subst lang fib.json --length 5`` (which reads
+``dynamics``).  It does so in two modes, each from a fresh
 temporary copy of every checkout's ``src`` (without ``__pycache__``):
 
 - ``no-bytecode``: under ``PYTHONDONTWRITEBYTECODE=1``, so every process
@@ -39,6 +41,7 @@ DOCS = {
     "golden.json": {"kind": "finite-type", "alphabet": ["0", "1"], "forbidden": ["11"]},
     "even.json": {"kind": "sofic", "alphabet": ["0", "1"], "states": ["e", "o"],
                   "edges": [["e", "0", "e"], ["e", "1", "o"], ["o", "1", "e"]]},
+    "fib.json": {"kind": "substitution", "rules": {"0": "01", "1": "0"}, "seed": "0"},
 }
 REPORT = ["-c", "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"]
 CASES = [
@@ -48,6 +51,8 @@ CASES = [
     ("ls even.json --horizon 41", REPORT + ["ls", "even.json", "--horizon", "41"]),
     ("beta expand poly:x^2-x-1@[1.6,1.7]",
      REPORT + ["beta", "expand", "poly:x^2-x-1@[1.6,1.7]"]),
+    ("parry golden.json --depth 2", REPORT + ["parry", "golden.json", "--depth", "2"]),
+    ("subst lang fib.json --length 5", REPORT + ["subst", "lang", "fib.json", "--length", "5"]),
 ]
 MODES = ("no-bytecode", "bytecode")
 

@@ -4,12 +4,16 @@ Perron roots and vectors of nonnegative integer matrices.
 Matrices are lists of lists of Python ints so periodic-point counts stay
 exact at any size.  Perron data come from one pure-Python power
 iteration on the shifted matrix B = A + I, which is primitive whenever A
-is irreducible, over sparse rows.  For any positive u the Collatz-
-Wielandt quotients bracket the root, min_i (Bu)_i/u_i <= rho(B) <=
-max_i (Bu)_i/u_i (Seneta, Non-negative Matrices and Markov Chains,
-Ch. 1); the iteration stops once their float width is below the
-tolerance.  Those quotients are floats, so the width is a stopping rule,
-not a rigorous bound.
+is irreducible.  Each row of B is planned once as an ``itemgetter`` over
+its columns and its float weights, so a step runs in builtins.  For any
+positive u the Collatz-Wielandt quotients bracket the root, min_i
+(Bu)_i/u_i <= rho(B) <= max_i (Bu)_i/u_i (Seneta, Non-negative Matrices
+and Markov Chains, Ch. 1); the iteration stops once their float width is
+below the tolerance, or after ``MAX_ITER`` steps.  Those quotients are
+floats, so the width is a stopping rule, not a rigorous bound.  A float
+iteration that cannot reach the width ends in a cycle of vectors; once
+one is found (Brent), the iteration skips whole periods to the state its
+last step would reach.
 """
 
 import operator
@@ -19,6 +23,8 @@ from .errors import ConvergenceError, ReducibleGraphError
 # Stopping rule of the power iteration: Collatz-Wielandt width on A + I.
 TOL = 1e-12
 MAX_ITER = 500000
+# First step at which the iteration looks for a repeated vector.
+CYCLE_START = 1000
 
 
 def int_matmul(a, b):
@@ -106,20 +112,55 @@ def _check_irreducible(matrix):
 def _power_iteration(matrix):
     """Perron root of an irreducible ``matrix`` of size >= 2 and a positive
     right eigenvector, L1-normalized, by power iteration on A + I from
-    the all-ones vector."""
+    the all-ones vector.
+
+    Each row of A + I is planned once: an ``itemgetter`` over its columns
+    and the list of its float weights, or None when every weight is 1.0.
+    A step is then one ``sum`` per row, of the getter's tuple or of its
+    ``map(mul, ...)`` with the weights, which gives the same floats as
+    summing ``w * u[j]`` over the row: ``sum`` adds in the same order,
+    ``1.0 * x == x``, and the float start ``0.0 + x == 0 + x`` only skips
+    ``sum``'s switch from int to float.  Each row holds its diagonal and,
+    the matrix being irreducible with n >= 2, another entry, so the
+    getter returns a tuple.
+
+    When the root is too large for a width of ``TOL``, the float vectors
+    come back to one they held before instead of converging.  From step
+    ``CYCLE_START`` on, Brent's cycle detection (BIT 20, 1980) compares
+    each vector with one kept at a doubling distance.  A repeat at
+    distance p means every later step repeats too and none of them stops,
+    so the loop goes on only to the step congruent to ``MAX_ITER`` modulo
+    p: it ends in the state that ``MAX_ITER`` steps would end in, and the
+    width is accepted or refused from there.
+    """
     n = len(matrix)
-    rows = [[(j, float(matrix[i][j] + (i == j))) for j in range(n)
-             if matrix[i][j] or i == j] for i in range(n)]
+    plan = []
+    for i, row in enumerate(matrix):
+        cols = [j for j in range(n) if row[j] or i == j]
+        weights = [float(row[j] + (i == j)) for j in cols]
+        plan.append((operator.itemgetter(*cols),
+                     None if weights.count(1.0) == len(weights) else weights))
+    mul, truediv = operator.mul, operator.truediv
     u = [1.0] * n
     lo, hi = 0.0, float("inf")
-    for _ in range(MAX_ITER):
-        bu = [sum(w * u[j] for j, w in row) for row in rows]
-        ratios = [x / y for x, y in zip(bu, u)]
+    step, last = 0, MAX_ITER
+    mark, marked, span = None, 0, 1
+    while step < last:
+        bu = [sum(get(u), 0.0) if ws is None else sum(map(mul, ws, get(u)), 0.0)
+              for get, ws in plan]
+        ratios = list(map(truediv, bu, u))
         lo, hi = min(ratios), max(ratios)
         if hi - lo < TOL:
             break
         top = max(bu)
         u = [x / top for x in bu]
+        step += 1
+        if step < CYCLE_START:
+            continue
+        if u == mark:  # period step - marked: skip whole periods
+            last = step + (MAX_ITER - step) % (step - marked)
+        elif step - marked >= span:
+            mark, marked, span = u, step, 2 * span
     else:
         if hi - lo > 1e-9:
             raise ConvergenceError(

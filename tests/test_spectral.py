@@ -1,11 +1,14 @@
-"""Perron roots and vectors against an independent eigenvalue solver."""
+"""Perron roots and vectors against an independent eigenvalue solver,
+and the planned power iteration against the plain loop it replaced."""
+
+import json
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import ReducibleGraphError
+from shiftlab import ConvergenceError, ReducibleGraphError, cli, spectral
 from shiftlab.spectral import (_power_iteration, is_irreducible, perron_root,
                                perron_vectors, spectral_radius_certified)
 
@@ -75,3 +78,108 @@ def test_symmetric_left_vector_is_the_transpose_iteration(m):
     if n > 1:
         assert (value, right) == _power_iteration(sym)
         assert left == _power_iteration([list(col) for col in zip(*sym)])[1]
+
+
+def reference_power_iteration(matrix):
+    """The power iteration as one plain loop over (column, weight) pairs,
+    all ``MAX_ITER`` steps long when it does not converge."""
+    n = len(matrix)
+    rows = [[(j, float(matrix[i][j] + (i == j))) for j in range(n)
+             if matrix[i][j] or i == j] for i in range(n)]
+    u = [1.0] * n
+    lo, hi = 0.0, float("inf")
+    for _ in range(spectral.MAX_ITER):
+        bu = [sum(w * u[j] for j, w in row) for row in rows]
+        ratios = [x / y for x, y in zip(bu, u)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo < spectral.TOL:
+            break
+        top = max(bu)
+        u = [x / top for x in bu]
+    else:
+        if hi - lo > 1e-9:
+            raise ConvergenceError(
+                "Perron iteration width %.3e did not reach tolerance" % (hi - lo))
+    total = sum(u)
+    return (lo + hi) / 2.0 - 1.0, [x / total for x in u]
+
+
+def outcome(iteration, matrix):
+    try:
+        return iteration(matrix)
+    except ConvergenceError as exc:
+        return ("ConvergenceError", str(exc))
+
+
+@st.composite
+def wide_irreducible_matrices(draw):
+    """Irreducible matrices of size 2-12 with entries 0-3 and up to three
+    entries in the hundreds, so rows mix unit and other weights."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    for i in range(n):
+        m[i][(i + 1) % n] = max(1, m[i][(i + 1) % n])
+    for _ in range(draw(st.integers(0, 3))):
+        m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(100, 999))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_irreducible_matrices())
+def test_power_iteration_equals_the_reference_loop(m):
+    for matrix in (m, [list(col) for col in zip(*m)]):
+        assert _power_iteration(matrix) == reference_power_iteration(matrix)
+
+
+# Its root is too large for a 1e-12 width: from step 858 on the float
+# vectors repeat with period 3, so the iteration runs out its steps.
+STALLED = [[0, 266, 0], [16, 0, 266], [266, 0, 0]]
+
+
+@pytest.mark.parametrize("cycle_start", [1, 100, 858, 859, 860, 1000])
+@pytest.mark.parametrize("max_iter", [0, 1, 10, 857, 858, 859, 860, 861, 863, 864,
+                                      865, 866, 1000, 1001, 1002, 1005, 1006,
+                                      1007, 5000])
+def test_stalled_iteration_ends_where_the_full_loop_ends(monkeypatch, max_iter,
+                                                         cycle_start):
+    monkeypatch.setattr(spectral, "MAX_ITER", max_iter)
+    monkeypatch.setattr(spectral, "CYCLE_START", cycle_start)
+    expected = outcome(reference_power_iteration, STALLED)
+    assert outcome(_power_iteration, STALLED) == expected
+    if max_iter >= 1000:
+        assert expected[0] == pytest.approx(271.33263297522)
+
+
+@pytest.mark.parametrize("scale", [1, 10**6])
+def test_stalled_iteration_with_the_module_limits(monkeypatch, scale):
+    # scaled by 10^6 the quotients stall 7.7e-7 apart, which is refused
+    matrix = [[x * scale for x in row] for row in STALLED]
+    expected = outcome(reference_power_iteration, matrix)
+    assert (expected[0] == "ConvergenceError") == (scale > 1)
+    steps = []  # the iteration takes one min() per step
+    monkeypatch.setattr(spectral, "min", lambda xs: steps.append(1) or min(xs),
+                        raising=False)
+    assert outcome(_power_iteration, matrix) == expected
+    assert len(steps) < 2 * spectral.CYCLE_START
+
+
+def stalled_document():
+    """A sofic document whose one presentation is deterministic with
+    adjacency ``STALLED``: each edge carries a letter of its own."""
+    edges, states = [], "pqr"
+    for i, row in enumerate(STALLED):
+        for j, count in enumerate(row):
+            edges += [[states[i], "x%d" % (len(edges) + k), states[j]] for k in range(count)]
+    return {"kind": "sofic", "alphabet": [e[1] for e in edges],
+            "states": list(states), "edges": edges}
+
+
+def test_stalled_document_entropy_is_pinned(tmp_path, capsys):
+    stalled = stalled_document()
+    assert len(stalled["alphabet"]) == 814
+    doc = tmp_path / "stalled.json"
+    doc.write_text(json.dumps(stalled))
+    assert cli.main(["entropy", str(doc), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "sofic",
+                                                   "entropy": 5.60334549615871}

@@ -35,6 +35,23 @@ DOCS = {
     "trib.json": {"kind": "beta", "beta": "poly:x^3-x^2-x-1@[1.8,1.9]"},
 }
 
+
+def _stalled_document():
+    """A sofic document with 814 letters, one per edge, on three states
+    with adjacency [[0, 266, 0], [16, 0, 266], [266, 0, 0]]: its Perron
+    root is too large for the power iteration's 1e-12 width, so the float
+    vectors repeat instead of converging."""
+    adjacency = [[0, 266, 0], [16, 0, 266], [266, 0, 0]]
+    states, edges = "pqr", []
+    for i, row in enumerate(adjacency):
+        for j, count in enumerate(row):
+            edges += [[states[i], "x%d" % (len(edges) + k), states[j]] for k in range(count)]
+    return {"kind": "sofic", "alphabet": [e[1] for e in edges], "states": list(states),
+            "edges": edges}
+
+
+DOCS["stall814.json"] = _stalled_document()
+
 REPORTS = (
     ["ls", "fib.json", "--horizon", "1000"],
     ["ls", "even.json", "--horizon", "100000"],
@@ -49,6 +66,8 @@ REPORTS = (
     ["ls", "trib.json", "--horizon", "100000"],
     # read off the 202 words of length 201
     ["special", "fib.json", "--length", "200", "--horizon", "201"],
+    # the power iteration's vectors cycle with period 3 from step 858
+    ["entropy", "stall814.json"],
 )
 
 CHILD = "import sys; from shiftlab.cli import main; sys.exit(main(sys.argv[1:]))"
